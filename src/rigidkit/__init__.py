@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .errors import (
     RigidKitError,
     SolverError,
-    SolverFailure,
     ValidationError,
 )
 from .poly import (
@@ -45,6 +44,7 @@ from .remez import (
     RemezEstimate,
     brudnyi_ganzburg_bound,
     inverse_remez,
+    ovals_required,
     remez_bound_topological,
     remez_estimate_lp,
 )
@@ -88,7 +88,6 @@ __all__ = [
     "RigidKitError",
     "ValidationError",
     "SolverError",
-    "SolverFailure",
     "MultiPoly",
     "eval_poly",
     "partial_derivative",
@@ -111,6 +110,7 @@ __all__ = [
     "config_from_json_dict",
     "RemezEstimate",
     "remez_estimate_lp",
+    "ovals_required",
     "remez_bound_topological",
     "brudnyi_ganzburg_bound",
     "inverse_remez",

@@ -28,13 +28,13 @@ from .geometry import (
     sample_boundary,
 )
 from .poly import MultiPoly
-from .remez import inverse_remez, remez_bound_topological, remez_estimate_lp
+from .remez import inverse_remez, ovals_required, remez_bound_topological, remez_estimate_lp
 from .rigidity import FORMULAS, rigidity_1d_bound, rigidity_report
 from .curves import composition_report, crossing_count, fit_curve
 from .prooftrace import bezout_check, default_perturbation, domain_pigeonhole_report
 from .svg import render_svg
 
-__all__ = ["main", "dispatch"]
+__all__ = ["main"]
 
 
 def _read_bytes(path: str) -> bytes:
@@ -64,6 +64,8 @@ def _load_points_csv(path: str) -> np.ndarray:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise ValidationError(f"malformed point in {path} line {ln}: {exc}") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise ValidationError(f"non-finite coordinate in {path} line {ln}")
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -170,7 +172,7 @@ def _cmd_remez_lp(args) -> dict:
     zsamples, inputs = _zsamples_for(args)
     n = zsamples.shape[1]
     candidates = _candidate_grid(n, args.grid)
-    est = remez_estimate_lp(zsamples, args.degree, candidates, tol=args.tol)
+    est = remez_estimate_lp(zsamples, args.degree, candidates)
     return {
         "manifest": _manifest(args, inputs),
         "degree": args.degree,
@@ -189,7 +191,7 @@ def _cmd_bounds(args) -> dict:
     config = _load_config(args.config)
     mu_val = mu(build_domains(build_nesting_forest(config)))
     count = config.N
-    required = (args.degree - 1) ** args.n + 1
+    required = ovals_required(args.degree, args.n)
     remez_val = remez_bound_topological(mu_val, args.degree, args.n, count, enforce_count=False)
     rep = rigidity_report(args.degree, mu_value=mu_val, n=args.n, oval_count=count)
     return {
@@ -215,7 +217,7 @@ def _cmd_rigidity(args) -> dict:
     chunks = [sample_boundary(o, args.samples_per_oval) for o in config.ovals]
     zsamples = np.concatenate(chunks, axis=0)
     candidates = _candidate_grid(2, args.grid)
-    est = remez_estimate_lp(zsamples, args.degree, candidates, tol=args.tol)
+    est = remez_estimate_lp(zsamples, args.degree, candidates)
     inv = inverse_remez(est)
     rep = rigidity_report(args.degree, mu_value=mu_val, n=2, oval_count=count, inv_remez=inv)
     return {
@@ -345,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--z", required=True, help="points CSV (x or x,y rows) or configuration JSON")
     r.add_argument("--grid", type=int, default=64, help="candidate grid points per axis")
     r.add_argument("--samples-per-oval", type=int, default=256)
-    r.add_argument("--tol", type=float, default=1e-9)
     r.add_argument("--out", default=None)
     r.set_defaults(func=_cmd_remez_lp)
 
@@ -361,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--degree", type=int, required=True)
     g.add_argument("--grid", type=int, default=64)
     g.add_argument("--samples-per-oval", type=int, default=256)
-    g.add_argument("--tol", type=float, default=1e-9)
     g.add_argument("--out", default=None)
     g.set_defaults(func=_cmd_rigidity)
 
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
@@ -415,10 +415,6 @@ def dispatch(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def main(argv=None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

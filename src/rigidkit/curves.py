@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ImageLeavesBall, TooManyPoints, ValidationError
+from .errors import ValidationError
 from .geometry import OvalConfiguration, _edges
 from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, partial_derivative
 
@@ -50,7 +50,7 @@ class ParamCurve:
             raise ValidationError(f"curve degree must be >= 1, got {self.s}")
         for c in self.components:
             if c.nvars != 1:
-                raise DimensionMismatch(1, c.nvars)
+                raise ValidationError(f"expected dimension 1, got {c.nvars}")
             if c.degree > self.s:
                 raise ValidationError(f"component degree {c.degree} exceeds s = {self.s}")
 
@@ -84,7 +84,7 @@ def fit_curve(points, s: int) -> ParamCurve:
     if k == 0:
         raise ValidationError("need at least one point")
     if k > s + 1:
-        raise TooManyPoints(k, s)
+        raise ValidationError(f"{k} points cannot be interpolated by degree-{s} components (need k <= s+1)")
     tj = np.cos((2 * np.arange(k) + 1) * np.pi / (2 * k))
     vand = np.vander(tj, k, increasing=True)
     coeff = np.linalg.solve(vand, pts)  # (k, n): per-coordinate coefficients
@@ -95,7 +95,7 @@ def fit_curve(points, s: int) -> ParamCurve:
     curve = ParamCurve(components=components, s=s)
     max_norm = curve.max_image_norm()
     if max_norm > 1.0 + 1e-9:
-        raise ImageLeavesBall(max_norm)
+        raise ValidationError(f"curve image leaves the unit ball (max |omega(t)| = {max_norm:.6g})")
     return curve
 
 
@@ -147,7 +147,7 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> C
     (s = 1) the sum collapses to the single order d+1.
     """
     if f.nvars != omega.dim:
-        raise DimensionMismatch(omega.dim, f.nvars)
+        raise ValidationError(f"expected dimension {omega.dim}, got {f.nvars}")
     if tgrid < 2:
         raise ValidationError(f"tgrid must be >= 2, got {tgrid}")
     s = omega.s
@@ -200,7 +200,7 @@ def crossing_count(
     into one incidence.
     """
     if omega.dim != 2:
-        raise DimensionMismatch(2, omega.dim)
+        raise ValidationError(f"expected dimension 2, got {omega.dim}")
     taus = np.linspace(-1.0, 1.0, subdivisions + 1)
     pts = omega.eval(taus)
     p0, p1 = pts[:-1], pts[1:]

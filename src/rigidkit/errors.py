@@ -2,7 +2,8 @@
 
 Validation errors mean the input violates a documented precondition and map
 to CLI exit code 2; solver errors mean a numerical backend gave up and map
-to exit code 3.
+to exit code 3. Library callers catch one of these two; the message text
+says which precondition or backend failed.
 """
 
 from __future__ import annotations
@@ -18,117 +19,3 @@ class ValidationError(RigidKitError):
 
 class SolverError(RigidKitError):
     """A numerical backend failed to produce a usable answer."""
-
-
-# geometry
-
-class TooFewVertices(ValidationError):
-    def __init__(self, oval_id: int, count: int):
-        super().__init__(f"oval {oval_id} has {count} vertices, need at least 3")
-        self.oval_id = oval_id
-
-
-class SelfIntersecting(ValidationError):
-    def __init__(self, oval_id: int):
-        super().__init__(f"oval {oval_id} has self-intersecting edges")
-        self.oval_id = oval_id
-
-
-class BoundariesIntersect(ValidationError):
-    def __init__(self, id1: int, id2: int):
-        super().__init__(f"boundaries of ovals {id1} and {id2} intersect")
-        self.id1 = id1
-        self.id2 = id2
-
-
-class OutsideUnitBall(ValidationError):
-    def __init__(self, oval_id: int):
-        super().__init__(f"oval {oval_id} has vertices outside the unit ball")
-        self.oval_id = oval_id
-
-
-class NonPositiveArea(ValidationError):
-    def __init__(self, oval_id: int, area: float):
-        super().__init__(f"domain of oval {oval_id} has non-positive area {area}")
-        self.oval_id = oval_id
-        self.area = area
-
-
-class EmptyConfiguration(ValidationError):
-    def __init__(self):
-        super().__init__("configuration has no domains")
-
-
-# poly
-
-class DimensionMismatch(ValidationError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"expected dimension {expected}, got {got}")
-        self.expected = expected
-        self.got = got
-
-
-# remez
-
-class TooFewOvals(ValidationError):
-    def __init__(self, count: int, required: int):
-        super().__init__(f"{count} ovals present, hypothesis requires at least {required}")
-        self.count = count
-        self.required = required
-
-
-class MuNonPositive(ValidationError):
-    def __init__(self, mu: float):
-        super().__init__(f"minimal domain area must be positive, got {mu}")
-        self.mu = mu
-
-
-class LambdaOutOfRange(ValidationError):
-    def __init__(self, lam: float):
-        super().__init__(f"measure fraction must lie in (0, 1], got {lam}")
-        self.lam = lam
-
-
-class SolverFailure(SolverError):
-    def __init__(self, message: str, tolerance: float | None = None):
-        super().__init__(message)
-        self.tolerance = tolerance
-
-
-# rigidity
-
-class DuplicateNodes(ValidationError):
-    def __init__(self, message: str = "nodes must be strictly increasing"):
-        super().__init__(message)
-
-
-class DegenerateNodes(ValidationError):
-    def __init__(self, message: str):
-        super().__init__(message)
-
-
-class SamplerFailure(SolverError):
-    def __init__(self, message: str):
-        super().__init__(message)
-
-
-# curves
-
-class TooManyPoints(ValidationError):
-    def __init__(self, k: int, s: int):
-        super().__init__(f"{k} points cannot be interpolated by degree-{s} components (need k <= s+1)")
-        self.k = k
-        self.s = s
-
-
-class ImageLeavesBall(ValidationError):
-    def __init__(self, max_norm: float):
-        super().__init__(f"curve image leaves the unit ball (max |omega(t)| = {max_norm:.6g})")
-        self.max_norm = max_norm
-
-
-# fractal
-
-class DegenerateScales(ValidationError):
-    def __init__(self, message: str = "need at least 3 strictly decreasing positive scales"):
-        super().__init__(message)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateScales, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "PointCloud",
@@ -100,9 +100,9 @@ def box_dimension_estimate(cloud: PointCloud, eps_list) -> BoxDimensionFit:
     """
     scales = np.asarray(list(eps_list), dtype=float)
     if scales.size < 3:
-        raise DegenerateScales(f"need at least 3 scales, got {scales.size}")
+        raise ValidationError(f"need at least 3 scales, got {scales.size}")
     if np.any(scales <= 0) or np.any(np.diff(scales) >= 0):
-        raise DegenerateScales("scales must be positive and strictly decreasing")
+        raise ValidationError("scales must be positive and strictly decreasing")
     counts = np.array([covering_number(cloud, e) for e in scales], dtype=np.int64)
     x = np.log(1.0 / scales)
     y = np.log(counts.astype(float))

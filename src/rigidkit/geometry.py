@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BoundariesIntersect,
-    EmptyConfiguration,
-    NonPositiveArea,
-    OutsideUnitBall,
-    SelfIntersecting,
-    TooFewVertices,
-    ValidationError,
-)
+from .errors import ValidationError
 
 __all__ = [
     "Oval",
@@ -40,6 +32,7 @@ __all__ = [
     "mu",
     "point_in_polygon",
     "points_in_polygon",
+    "points_in_domain",
     "shoelace_area",
     "sample_boundary",
     "regular_polygon",
@@ -174,12 +167,13 @@ def _validate_single(oval: Oval, enforce_ball: bool) -> None:
     verts = oval.vertices
     k = len(verts)
     if k < 3:
-        raise TooFewVertices(oval.id, k)
+        raise ValidationError(f"oval {oval.id} has {k} vertices, need at least 3")
+    if not np.all(np.isfinite(verts)):
+        raise ValidationError(f"oval {oval.id} has non-finite vertex coordinates")
     if enforce_ball and np.any(np.hypot(verts[:, 0], verts[:, 1]) > 1.0 + _BALL_TOL):
-        raise OutsideUnitBall(oval.id)
+        raise ValidationError(f"oval {oval.id} has vertices outside the unit ball")
     p0, p1 = _edges(verts)
-    if np.any(np.all(p0 == p1, axis=1)):
-        raise SelfIntersecting(oval.id)  # zero-length edge
+    zero_length = np.any(np.all(p0 == p1, axis=1))
     hits = _segments_intersect_matrix(p0, p1, p0, p1)
     idx = np.arange(k)
     # mask self and neighbours (they legitimately share endpoints)
@@ -188,18 +182,16 @@ def _validate_single(oval: Oval, enforce_ball: bool) -> None:
         | ((idx[:, None] + 1) % k == idx[None, :])
         | ((idx[None, :] + 1) % k == idx[:, None])
     )
-    if np.any(hits & ~neighbour):
-        raise SelfIntersecting(oval.id)
     # fold-back spikes: consecutive edges collinear and overlapping
     prev = np.roll(verts, 1, axis=0)
     nxt = np.roll(verts, -1, axis=0)
     collinear = _cross(verts, prev, nxt) == 0
     folded = np.einsum("ij,ij->i", prev - verts, nxt - verts) > 0
-    if np.any(collinear & folded):
-        raise SelfIntersecting(oval.id)
+    if zero_length or np.any(hits & ~neighbour) or np.any(collinear & folded):
+        raise ValidationError(f"oval {oval.id} has self-intersecting edges")
     area = shoelace_area(verts)
     if area <= 0:
-        raise NonPositiveArea(oval.id, area)
+        raise ValidationError(f"domain of oval {oval.id} has non-positive area {area}")
 
 
 def validate_configuration(ovals, enforce_ball: bool = True) -> OvalConfiguration:
@@ -229,7 +221,7 @@ def validate_configuration(ovals, enforce_ball: bool = True) -> OvalConfiguratio
             p0, p1 = _edges(ovals[i].vertices)
             q0, q1 = _edges(ovals[j].vertices)
             if np.any(_segments_intersect_matrix(p0, p1, q0, q1)):
-                raise BoundariesIntersect(ovals[i].id, ovals[j].id)
+                raise ValidationError(f"boundaries of ovals {ovals[i].id} and {ovals[j].id} intersect")
     return OvalConfiguration(ovals)
 
 
@@ -309,7 +301,7 @@ def build_domains(forest: NestingForest) -> list[Domain]:
         node = forest.nodes[o.id]
         holes = tuple(forest.config.oval_by_id(c) for c in node.children)
         dom = Domain(outer=o, holes=holes)
-        domain_area(dom)  # raises NonPositiveArea on degenerate input
+        domain_area(dom)  # raises ValidationError on non-positive area
         domains.append(dom)
     return domains
 
@@ -318,7 +310,7 @@ def domain_area(d: Domain) -> float:
     """Shoelace area of the outer oval minus the areas of its holes."""
     area = shoelace_area(d.outer.vertices) - sum(shoelace_area(h.vertices) for h in d.holes)
     if area <= 0:
-        raise NonPositiveArea(d.outer.id, area)
+        raise ValidationError(f"domain of oval {d.outer.id} has non-positive area {area}")
     return area
 
 
@@ -326,15 +318,16 @@ def mu(domains) -> float:
     """Minimal domain area of the decomposition."""
     domains = list(domains)
     if not domains:
-        raise EmptyConfiguration()
+        raise ValidationError("configuration has no domains")
     return min(domain_area(d) for d in domains)
 
 
-def domain_contains_point(d: Domain, point) -> bool:
-    """Strictly inside the outer oval and outside every hole."""
-    if not point_in_polygon(d.outer.vertices, point):
-        return False
-    return not any(point_in_polygon(h.vertices, point) for h in d.holes)
+def points_in_domain(d: Domain, points: np.ndarray) -> np.ndarray:
+    """Mask of the (m, 2) points strictly inside the outer oval and outside every hole."""
+    inside = points_in_polygon(d.outer.vertices, points)
+    for hole in d.holes:
+        inside &= ~points_in_polygon(hole.vertices, points)
+    return inside
 
 
 def sample_boundary(oval: Oval, count: int) -> np.ndarray:
@@ -366,6 +359,8 @@ def config_from_json_dict(data: dict, enforce_ball: bool = True) -> OvalConfigur
         raw = data["ovals"]
     except (KeyError, TypeError):
         raise ValidationError("malformed configuration JSON: missing field 'ovals'")
+    if not isinstance(raw, list):
+        raise ValidationError("malformed configuration JSON: field 'ovals' must be a list")
     ovals = []
     for entry in raw:
         try:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "MultiPoly",
@@ -47,7 +47,7 @@ class MultiPoly:
         for exp, coef in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
-                raise DimensionMismatch(nvars, len(exp))
+                raise ValidationError(f"expected dimension {nvars}, got {len(exp)}")
             if any(e < 0 for e in exp):
                 raise ValidationError(f"negative exponent in {exp}")
             if coef != 0.0:
@@ -129,7 +129,7 @@ class MultiPoly:
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
             if other.nvars != self.nvars:
-                raise DimensionMismatch(self.nvars, other.nvars)
+                raise ValidationError(f"expected dimension {self.nvars}, got {other.nvars}")
             return other
         if isinstance(other, (int, float)):
             return MultiPoly.constant(self.nvars, float(other))
@@ -162,8 +162,8 @@ class MultiPoly:
     def from_json_dict(cls, data: dict) -> "MultiPoly":
         try:
             nvars = int(data["nvars"])
-            terms = {tuple(t["exp"]): float(t["coef"]) for t in data["terms"]}
-        except (KeyError, TypeError) as exc:
+            terms = {tuple(int(e) for e in t["exp"]): float(t["coef"]) for t in data["terms"]}
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed polynomial JSON: missing or bad field {exc}") from exc
         return cls(nvars, terms)
 
@@ -177,7 +177,7 @@ def eval_poly(p: MultiPoly, x):
     """
     x = list(x) if not isinstance(x, (list, tuple)) else x
     if len(x) != p.nvars:
-        raise DimensionMismatch(p.nvars, len(x))
+        raise ValidationError(f"expected dimension {p.nvars}, got {len(x)}")
     vectorized = any(isinstance(xi, np.ndarray) for xi in x)
     total = np.zeros_like(x[0], dtype=float) if vectorized else 0.0
     for exp, coef in p.sorted_terms():
@@ -247,11 +247,11 @@ def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
     """
     omega = list(omega)
     if len(omega) != f.nvars:
-        raise DimensionMismatch(f.nvars, len(omega))
+        raise ValidationError(f"expected dimension {f.nvars}, got {len(omega)}")
     tvars = omega[0].nvars
     for w in omega:
         if w.nvars != tvars:
-            raise DimensionMismatch(tvars, w.nvars)
+            raise ValidationError(f"expected dimension {tvars}, got {w.nvars}")
     # cache powers of each component up to the max exponent it is raised to
     max_exp = [0] * f.nvars
     for exp in f.terms:
@@ -293,7 +293,7 @@ def basis_size(n: int, d: int) -> int:
         raise ValidationError(f"basis_size needs n >= 1, d >= 0, got n={n}, d={d}")
     size = math.comb(n + d, n)
     if size > 10**9:
-        raise OverflowError(f"basis size {size} exceeds the desk-scale limit")
+        raise ValidationError(f"basis size {size} exceeds the desk-scale limit")
     return size
 
 

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .geometry import (
     OvalConfiguration,
     build_domains,
     build_nesting_forest,
-    domain_contains_point,
-    points_in_polygon,
+    points_in_domain,
     sample_boundary,
 )
 from .poly import MultiPoly, eval_poly, partial_derivative
@@ -106,7 +105,7 @@ def find_critical_points(
     critical points and yields the empty set.
     """
     if p.nvars != 2:
-        raise DimensionMismatch(2, p.nvars)
+        raise ValidationError(f"expected dimension 2, got {p.nvars}")
     if grid < 2:
         raise ValidationError(f"seed grid must be >= 2, got {grid}")
     xmin, xmax, ymin, ymax = _normalize_box(box)
@@ -232,7 +231,7 @@ def perturb_linear(p: MultiPoly, xi=None) -> MultiPoly:
     ``default_perturbation``.
     """
     if p.nvars != 2:
-        raise DimensionMismatch(2, p.nvars)
+        raise ValidationError(f"expected dimension 2, got {p.nvars}")
     if xi is None:
         xi = default_perturbation(p)
     a, b, eps = _unpack_xi(xi)
@@ -353,7 +352,7 @@ def domain_pigeonhole_report(
     already raised) are monotone under sample doubling.
     """
     if p.nvars != 2:
-        raise DimensionMismatch(2, p.nvars)
+        raise ValidationError(f"expected dimension 2, got {p.nvars}")
     xi = perturbation if perturbation is not None else default_perturbation(p)
     pt_poly = perturb_linear(p, xi)
     d = pt_poly.degree
@@ -369,14 +368,12 @@ def domain_pigeonhole_report(
     cps = find_critical_points(pt_poly, box, newton_grid, merge_radius=merge_radius)
     bez = bezout_check(cps, d)
 
-    assignments: list[int | None] = []
-    for rep in cps.representatives:
-        owner: int | None = None
-        for dom in domains:
-            if domain_contains_point(dom, rep):
-                owner = dom.outer.id
-                break
-        assignments.append(owner)
+    # each critical point goes to the first domain containing it, if any
+    assignments: list[int | None] = [None] * cps.n_clusters
+    for dom in domains:
+        for i in np.flatnonzero(points_in_domain(dom, cps.representatives)):
+            if assignments[i] is None:
+                assignments[i] = dom.outer.id
 
     global_bmax = 0.0
     dom_entries: list[dict] = []
@@ -396,9 +393,7 @@ def domain_pigeonhole_report(
         cell_y = np.linspace(by0, by1, interior_grid)
         mx, my = np.meshgrid(cell_x, cell_y, indexing="ij")
         lattice = np.stack([mx.ravel(), my.ravel()], axis=1)
-        inside = points_in_polygon(dom.outer.vertices, lattice)
-        for hole in dom.holes:
-            inside &= ~points_in_polygon(hole.vertices, lattice)
+        inside = points_in_domain(dom, lattice)
         if np.any(inside):
             ivals = np.abs(eval_poly(pt_poly, [lattice[inside, 0], lattice[inside, 1]]))
             interior_max: float | None = float(np.max(ivals))

@@ -22,17 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import (
-    LambdaOutOfRange,
-    MuNonPositive,
-    SolverFailure,
-    TooFewOvals,
-    ValidationError,
-)
+from .errors import SolverError, ValidationError
 from .poly import MultiPoly, basis_size, chebyshev, eval_poly, monomials
 
 __all__ = [
     "RemezEstimate",
+    "ovals_required",
     "remez_bound_topological",
     "brudnyi_ganzburg_bound",
     "remez_estimate_lp",
@@ -59,21 +54,28 @@ class RemezEstimate:
         return math.isinf(self.value)
 
 
+def ovals_required(d: int, n: int) -> int:
+    """Oval count (d-1)^n + 1 that the topological bounds at degree d in R^n assume."""
+    if n < 1:
+        raise ValidationError(f"ambient dimension must be >= 1, got {n}")
+    return (d - 1) ** n + 1
+
+
 def remez_bound_topological(
     mu: float, d: int, n: int, count: int, enforce_count: bool = True
 ) -> float:
     """Closed-form bound (4n/mu)^d for configurations of many disjoint ovals.
 
-    Requires at least (d-1)^n + 1 ovals; with fewer the hypothesis fails and
-    no bound is asserted. For the plane the formula reads (8/mu)^d. Reporting
-    callers can pass enforce_count=False to read off the formula value while
-    flagging the failed hypothesis themselves.
+    Requires at least ``ovals_required(d, n)`` ovals; with fewer the
+    hypothesis fails and no bound is asserted. For the plane the formula
+    reads (8/mu)^d. Reporting callers can pass enforce_count=False to read
+    off the formula value while flagging the failed hypothesis themselves.
     """
     if mu <= 0:
-        raise MuNonPositive(mu)
-    required = (d - 1) ** n + 1
+        raise ValidationError(f"minimal domain area must be positive, got {mu}")
+    required = ovals_required(d, n)
     if enforce_count and count < required:
-        raise TooFewOvals(count, required)
+        raise ValidationError(f"{count} ovals present, hypothesis requires at least {required}")
     return (4.0 * n / mu) ** d
 
 
@@ -84,10 +86,10 @@ def brudnyi_ganzburg_bound(lam: float, d: int, n: int) -> float:
     monotonically to 1 as the subset fills the body.
     """
     if not 0.0 < lam <= 1.0:
-        raise LambdaOutOfRange(lam)
+        raise ValidationError(f"measure fraction must lie in (0, 1], got {lam}")
     w = (1.0 - lam) ** (1.0 / n)
     if w >= 1.0:
-        raise LambdaOutOfRange(lam)
+        raise ValidationError(f"measure fraction must lie in (0, 1], got {lam}")
     arg = (1.0 + w) / (1.0 - w)
     return float(eval_poly(chebyshev(d), [arg]))
 
@@ -130,12 +132,7 @@ def _poly_from_coeffs(coeffs: np.ndarray, n: int, d: int) -> MultiPoly:
     return MultiPoly(n, {exp: c for exp, c in zip(monomials(n, d), coeffs)})
 
 
-def remez_estimate_lp(
-    zsamples,
-    d: int,
-    candidates,
-    tol: float = 1e-9,
-) -> RemezEstimate:
+def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
     """Lower estimate of the Remez constant of the sampled set.
 
     For each candidate x0 the linear program maximizes P(x0) over coefficient
@@ -205,7 +202,7 @@ def remez_estimate_lp(
             diagnostics["unbounded_at"] = cand[pick].tolist()
             return RemezEstimate(d, math.inf, witness, None, diagnostics)
         if res.status != 0:
-            raise SolverFailure(f"LP solver failed with status {res.status}: {res.message}", tolerance=tol)
+            raise SolverError(f"LP solver failed with status {res.status}: {res.message}")
 
         value = float(-res.fun)
         ub[pick] = value

@@ -16,13 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateNodes,
-    DuplicateNodes,
-    MuNonPositive,
-    SamplerFailure,
-    ValidationError,
-)
+from .errors import SolverError, ValidationError
+from .remez import ovals_required
 
 __all__ = [
     "BoundEntry",
@@ -72,14 +67,14 @@ def rigidity_topological_literal(mu: float, d: int, n: int) -> float:
     is intended (see module docstring).
     """
     if mu <= 0:
-        raise MuNonPositive(mu)
+        raise ValidationError(f"minimal domain area must be positive, got {mu}")
     return (4.0 * n / mu) ** d / _factorial(d + 1)
 
 
 def rigidity_topological_composed(mu: float, d: int, n: int) -> float:
     """Chained bound (d+1)!/2 (mu/(4n))^d from the inverse of the Remez bound."""
     if mu <= 0:
-        raise MuNonPositive(mu)
+        raise ValidationError(f"minimal domain area must be positive, got {mu}")
     return _factorial(d + 1) / 2.0 * (mu / (4.0 * n)) ** d
 
 
@@ -91,9 +86,9 @@ def divided_difference(xs, fs) -> float:
         raise ValidationError("xs and fs must be nonempty and of equal length")
     for a, b in zip(xs, xs[1:]):
         if a == b:
-            raise DuplicateNodes(f"duplicate node {a}")
+            raise ValidationError(f"duplicate node {a}")
         if a > b:
-            raise DuplicateNodes("nodes must be strictly increasing")
+            raise ValidationError("nodes must be strictly increasing")
     table = list(fs)
     k = len(xs)
     for order in range(1, k):
@@ -112,11 +107,11 @@ def rigidity_1d_bound(xs, z0: float, fz0: float, d: int) -> float:
     """
     xs = sorted(float(x) for x in xs)
     if len(xs) != d + 1:
-        raise DegenerateNodes(f"need exactly d+1 = {d + 1} zeros, got {len(xs)}")
+        raise ValidationError(f"need exactly d+1 = {d + 1} zeros, got {len(xs)}")
     if len(set(xs)) != len(xs):
-        raise DegenerateNodes("zero nodes must be distinct")
+        raise ValidationError("zero nodes must be distinct")
     if any(x == z0 for x in xs):
-        raise DegenerateNodes(f"witness point {z0} coincides with a zero")
+        raise ValidationError(f"witness point {z0} coincides with a zero")
     nodes = sorted(xs + [float(z0)])
     values = [0.0 if x != z0 else float(fz0) for x in nodes]
     dd = divided_difference(nodes, values)
@@ -157,7 +152,7 @@ def interior_line_bound(f_sampler, z0, zint, d: int, samples: int = 2048) -> flo
         try:
             return float(f_sampler(point))
         except Exception as exc:  # noqa: BLE001 - caller-supplied sampler
-            raise SamplerFailure(f"sampler failed at {point}: {exc}") from exc
+            raise SolverError(f"sampler failed at {point}: {exc}") from exc
 
     taus = np.linspace(-1.0, 1.0, samples)
     vals = np.array([g(t) for t in taus])
@@ -250,8 +245,8 @@ def rigidity_report(
 
     The two topological entries are always present when a positive minimal
     domain area is supplied; their hypothesis flag records whether the oval
-    count reaches (d-1)^n + 1. The two shapes disagree as mu shrinks and are
-    deliberately reported side by side.
+    count reaches ``ovals_required(d, n)``. The two shapes disagree as mu
+    shrinks and are deliberately reported side by side.
     """
     report = RigidityReport(d=d)
     if inv_remez is not None:
@@ -264,7 +259,7 @@ def rigidity_report(
             )
         )
     if mu_value is not None:
-        required = (d - 1) ** n + 1
+        required = ovals_required(d, n)
         count_ok = oval_count is None or oval_count >= required
         note = "" if count_ok else f"oval count {oval_count} below required {required}"
         report.bounds.append(

@@ -18,6 +18,13 @@ def run_cli(argv, capsys):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def expect_exit2(argv, capsys, fragment):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and fragment in err
+
+
 @pytest.fixture
 def annulus_path(tmp_path):
     s = math.sqrt(2.0) / 2.0
@@ -306,6 +313,36 @@ class TestErrorPaths:
         write_config_json(config, path)
         code, _ = run_cli(["decompose", "--config", str(path)], capsys)
         assert code == 2
+
+    def test_ovals_not_a_list_exit2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"ovals": 5}')
+        expect_exit2(["decompose", "--config", str(bad)], capsys, "'ovals' must be a list")
+
+    @pytest.mark.parametrize(
+        "poly",
+        ['{"nvars": "x", "terms": []}', '{"nvars": 2, "terms": [{"exp": ["a", 0], "coef": 1.0}]}'],
+    )
+    def test_malformed_polynomial_exit2(self, poly, tmp_path, capsys, annulus_path):
+        path = tmp_path / "p.json"
+        path.write_text(poly)
+        argv = ["verify-proof", "--poly", str(path), "--config", annulus_path]
+        expect_exit2(argv, capsys, "malformed polynomial JSON")
+
+    def test_nan_point_exit2(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("-0.5\nnan\n0.5\n")
+        argv = ["remez-lp", "--degree", "1", "--z", str(pts), "--grid", "8"]
+        expect_exit2(argv, capsys, f"non-finite coordinate in {pts} line 2")
+
+    def test_nan_vertex_exit2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"ovals": [{"id": 1, "vertices": [[0.5, 0.0], [0.0, 0.5], [-0.5, NaN]]}]}')
+        expect_exit2(["decompose", "--config", str(cfg)], capsys, "oval 1 has non-finite vertex")
+
+    def test_bounds_zero_dimension_exit2(self, annulus_path, capsys):
+        argv = ["bounds", "--config", annulus_path, "--degree", "2", "--n", "0"]
+        expect_exit2(argv, capsys, "ambient dimension must be >= 1, got 0")
 
     def test_unknown_subcommand_systemexit2(self):
         with pytest.raises(SystemExit) as exc:

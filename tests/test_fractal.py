@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rigidkit.errors import DegenerateScales, ValidationError
+from rigidkit.errors import ValidationError
 from rigidkit.fractal import (
     PointCloud,
     box_dimension_estimate,
@@ -98,11 +98,11 @@ class TestBoxDimension:
 
     def test_scale_validation(self):
         cloud = PointCloud(np.array([[0.1, 0.1]]))
-        with pytest.raises(DegenerateScales):
+        with pytest.raises(ValidationError, match=r"need at least 3 scales"):
             box_dimension_estimate(cloud, [0.5, 0.25])
-        with pytest.raises(DegenerateScales):
+        with pytest.raises(ValidationError, match=r"positive and strictly decreasing"):
             box_dimension_estimate(cloud, [0.5, 0.5, 0.25])
-        with pytest.raises(DegenerateScales):
+        with pytest.raises(ValidationError, match=r"positive and strictly decreasing"):
             box_dimension_estimate(cloud, [0.5, 0.25, -0.1])
 
     def test_fit_json(self):

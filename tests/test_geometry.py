@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_circle_config, square, write_config_json
-from rigidkit.errors import (
-    BoundariesIntersect,
-    EmptyConfiguration,
-    OutsideUnitBall,
-    SelfIntersecting,
-    TooFewVertices,
-    ValidationError,
-)
+from rigidkit.errors import ValidationError
 from rigidkit.geometry import (
     Oval,
     build_domains,
@@ -22,6 +15,7 @@ from rigidkit.geometry import (
     domain_area,
     mu,
     point_in_polygon,
+    points_in_domain,
     points_in_polygon,
     regular_polygon,
     sample_boundary,
@@ -36,23 +30,29 @@ class TestValidation:
         assert config.N == 1
 
     def test_crossing_squares_rejected(self):
-        with pytest.raises(BoundariesIntersect):
+        with pytest.raises(ValidationError, match=r"boundaries of ovals 1 and 2 intersect"):
             validate_configuration(
                 [square(1.0, 1), square(1.0, 2, center=(0.5, 0.0))], enforce_ball=False
             )
 
     def test_bow_tie_rejected(self):
         verts = np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(SelfIntersecting):
+        with pytest.raises(ValidationError, match=r"oval 1 has self-intersecting edges"):
             validate_configuration([Oval(id=1, vertices=verts)])
 
     def test_too_few_vertices(self):
-        with pytest.raises(TooFewVertices):
+        with pytest.raises(ValidationError, match=r"oval 1 has 2 vertices, need at least 3"):
             validate_configuration([Oval(id=1, vertices=np.array([[0.0, 0.0], [1.0, 0.0]]))])
 
     def test_outside_ball_rejected_by_default(self):
-        with pytest.raises(OutsideUnitBall):
+        with pytest.raises(ValidationError, match=r"oval 1 has vertices outside the unit ball"):
             validate_configuration([square(2.0, 1)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        verts = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, bad]])
+        with pytest.raises(ValidationError, match=r"oval 1 has non-finite vertex coordinates"):
+            validate_configuration([Oval(id=1, vertices=verts)], enforce_ball=False)
 
     def test_ball_check_opt_out(self):
         config = validate_configuration([square(2.0, 1), square(1.0, 2)], enforce_ball=False)
@@ -161,6 +161,12 @@ class TestDomains:
         areas = sorted(d.area for d in domains)
         assert areas == pytest.approx([1.0, 3.0])
 
+    def test_points_in_domain_excludes_holes(self, side2_annulus):
+        outer, inner = build_domains(build_nesting_forest(side2_annulus))
+        pts = np.array([[0.0, 0.0], [0.75, 0.0], [1.5, 0.0]])
+        assert points_in_domain(outer, pts).tolist() == [False, True, False]
+        assert points_in_domain(inner, pts).tolist() == [True, False, False]
+
     def test_nested_depth3_count(self):
         ovals = [
             regular_polygon((0.0, 0.0), 0.9, 32, 1),
@@ -227,7 +233,7 @@ class TestAreas:
         assert mu(build_domains(build_nesting_forest(config))) == pytest.approx(0.5)
 
     def test_mu_empty(self):
-        with pytest.raises(EmptyConfiguration):
+        with pytest.raises(ValidationError, match=r"configuration has no domains"):
             mu([])
 
 

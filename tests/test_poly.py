@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rigidkit.errors import DimensionMismatch, ValidationError
+from rigidkit.errors import ValidationError
 from rigidkit.poly import (
     MultiPoly,
     basis_size,
@@ -35,7 +35,7 @@ class TestMultiPoly:
         assert MultiPoly(2, {}).degree == 0
 
     def test_exponent_length_enforced(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             MultiPoly(2, {(1,): 1.0})
 
     def test_negative_exponent_rejected(self):
@@ -51,7 +51,7 @@ class TestMultiPoly:
         assert (2 * x - x - x).is_zero()
 
     def test_mixed_dim_arithmetic_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             MultiPoly.variable(2, 0) + MultiPoly.variable(1, 0)
 
     def test_coefficient_norm(self):
@@ -87,7 +87,7 @@ class TestEval:
         assert np.array_equal(eval_poly(p, [xs, ys]), [1.0, 2.0, 4.0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             eval_poly(x2_plus_y2(), (1.0,))
 
 
@@ -165,7 +165,7 @@ class TestCompose:
         assert np.max(np.abs(composed - direct)) <= 1e-9 * max(1.0, np.max(np.abs(direct)))
 
     def test_wrong_component_count(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             compose(x2_plus_y2(), [MultiPoly(1, {(1,): 1.0})])
 
 
@@ -195,6 +195,10 @@ class TestBasis:
         assert basis_size(1, 3) == 4
         assert basis_size(2, 2) == 6
         assert basis_size(2, 6) == 28
+
+    def test_oversized_basis_rejected(self):
+        with pytest.raises(ValidationError, match=r"basis size 5000150001 exceeds"):
+            basis_size(2, 100000)
 
     def test_matches_monomial_enumeration(self):
         for n, d in [(1, 4), (2, 3), (3, 2)]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import concentric_ring_config, vanishing_ring_poly
-from rigidkit.errors import DimensionMismatch, ValidationError
+from rigidkit.errors import ValidationError
 from rigidkit.poly import MultiPoly, random_poly
 from rigidkit.prooftrace import (
     bezout_check,
@@ -79,7 +79,7 @@ class TestFindCriticalPoints:
         assert "identically" in cps.diagnostics["note"]
 
     def test_input_validation(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             find_critical_points(MultiPoly(1, {(2,): 1.0}), BOX, 8)
         with pytest.raises(ValidationError):
             find_critical_points(nine_well_poly(), (1.0, -1.0, -1.0, 1.0), 8)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rigidkit.errors import LambdaOutOfRange, MuNonPositive, TooFewOvals, ValidationError
+from rigidkit.errors import ValidationError
 from rigidkit.poly import basis_size, eval_poly
 from rigidkit.remez import (
     brudnyi_ganzburg_bound,
     inverse_remez,
+    ovals_required,
     remez_bound_topological,
     remez_estimate_lp,
     vandermonde,
@@ -22,7 +23,7 @@ class TestTopologicalBound:
         assert remez_bound_topological(8.0, 1, 2, count=1) == pytest.approx(1.0)
 
     def test_oval_count_hypothesis(self):
-        with pytest.raises(TooFewOvals):
+        with pytest.raises(ValidationError, match=r"25 ovals present, hypothesis requires at least 26"):
             remez_bound_topological(1.0, 6, 2, count=25)
         # 26 ovals satisfy the degree-6 hypothesis
         assert remez_bound_topological(1.0, 6, 2, count=26) == pytest.approx(8.0**6)
@@ -31,8 +32,15 @@ class TestTopologicalBound:
         val = remez_bound_topological(1.0, 6, 2, count=25, enforce_count=False)
         assert val == pytest.approx(8.0**6)
 
+    def test_ovals_required(self):
+        assert [ovals_required(d, 2) for d in (1, 2, 3, 6)] == [1, 2, 5, 26]
+        assert ovals_required(3, 3) == 9
+        for bad in (0, -1):
+            with pytest.raises(ValidationError, match=r"ambient dimension must be >= 1"):
+                ovals_required(3, bad)
+
     def test_mu_positive(self):
-        with pytest.raises(MuNonPositive):
+        with pytest.raises(ValidationError, match=r"minimal domain area must be positive"):
             remez_bound_topological(0.0, 2, 2, count=10)
 
 
@@ -53,7 +61,7 @@ class TestBrudnyiGanzburg:
 
     def test_lambda_range(self):
         for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(LambdaOutOfRange):
+            with pytest.raises(ValidationError, match=r"measure fraction must lie in \(0, 1\]"):
                 brudnyi_ganzburg_bound(bad, 2, 2)
 
 
