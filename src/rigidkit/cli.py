@@ -94,6 +94,8 @@ def _candidate_grid(n: int, k: int) -> np.ndarray:
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     keep = np.sqrt(np.sum(pts**2, axis=1)) <= 1.0 + 1e-12
+    if not np.any(keep):
+        raise ValidationError(f"no point of the {k}-per-axis candidate grid lies in the unit ball")
     return pts[keep]
 
 

@@ -30,6 +30,7 @@ __all__ = [
 
 _IMAGE_GRID = 1000
 _RHS_FLOOR = 1e-12
+_SUBDIVISIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class ParamCurve:
             return np.stack(coords, axis=-1)
         return np.array(coords, dtype=float)
 
-    def max_image_norm(self, grid: int = _IMAGE_GRID) -> float:
-        taus = np.linspace(-1.0, 1.0, grid)
+    def max_image_norm(self) -> float:
+        taus = np.linspace(-1.0, 1.0, _IMAGE_GRID)
         pts = self.eval(taus)
         return float(np.max(np.sqrt(np.sum(pts**2, axis=-1))))
 
@@ -148,6 +149,8 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> C
     """
     if f.nvars != omega.dim:
         raise ValidationError(f"expected dimension {omega.dim}, got {f.nvars}")
+    if d < 0:
+        raise ValidationError(f"derivative order must be >= 0, got {d}")
     if tgrid < 2:
         raise ValidationError(f"tgrid must be >= 2, got {tgrid}")
     s = omega.s
@@ -186,22 +189,17 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> C
     )
 
 
-def crossing_count(
-    omega: ParamCurve,
-    config: OvalConfiguration,
-    tol: float,
-    subdivisions: int = 4096,
-) -> int:
+def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> int:
     """Number of tol-isolated parameter values where the curve meets Z.
 
-    The curve is subdivided into chords; each chord is intersected with
+    The curve is subdivided into 4096 chords; each chord is intersected with
     every oval edge (touching counts, crossing parameters interpolated
     linearly along the chord), and crossing parameters closer than tol merge
     into one incidence.
     """
     if omega.dim != 2:
         raise ValidationError(f"expected dimension 2, got {omega.dim}")
-    taus = np.linspace(-1.0, 1.0, subdivisions + 1)
+    taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
     pts = omega.eval(taus)
     p0, p1 = pts[:-1], pts[1:]
     d1 = p1 - p0
@@ -222,11 +220,5 @@ def crossing_count(
             hit_params.append(float(taus[ci] + tv * (taus[ci + 1] - taus[ci])))
     if not hit_params:
         return 0
-    hit_params.sort()
-    count = 1
-    last = hit_params[0]
-    for h in hit_params[1:]:
-        if h - last > tol:
-            count += 1
-        last = h
-    return count
+    # a gap above tol to the previous hit starts a new incidence, so chains merge
+    return 1 + int(np.sum(np.diff(np.sort(hit_params)) > tol))

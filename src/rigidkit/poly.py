@@ -1,16 +1,17 @@
 """Dense multivariate polynomial arithmetic over float coefficients.
 
-Polynomials are stored as a map from exponent tuples to coefficients.
-Degrees at the scale this package targets stay below ~10, so no sparse or
-FFT machinery: plain dictionary arithmetic keeps every operation exact up
-to float rounding, which the downstream 1e-9 oracle tolerances rely on.
+A polynomial is an (m, n) exponent matrix with unique rows in graded-lex
+order (total degree, then tuple, as ``monomials`` lists them) plus its m
+nonzero coefficients. Evaluation and the Vandermonde rows of ``remez`` share
+one term builder, so they agree bit for bit. Degrees stay below ~10 here, so
+plain arithmetic stays exact up to float rounding, which the downstream 1e-9
+oracle tolerances rely on.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "derivative_norm_pointwise",
     "derivatives_of_order",
     "eval_poly",
+    "monomial_terms",
     "monomials",
     "multi_indices",
     "partial_derivative",
@@ -31,18 +33,16 @@ __all__ = [
 
 
 class MultiPoly:
-    """Real polynomial in ``nvars`` variables, keyed by exponent tuple.
+    """Real polynomial in ``nvars`` variables: graded-lex ``exps`` rows, nonzero ``coefs``.
 
-    Zero coefficients are never stored. Instances are treated as immutable;
-    all arithmetic returns new objects.
+    Instances are treated as immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "exps", "coefs")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], float] | None = None):
         if nvars < 1:
             raise ValidationError(f"nvars must be >= 1, got {nvars}")
-        self.nvars = nvars
         clean: dict[tuple[int, ...], float] = {}
         for exp, coef in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
@@ -50,11 +50,28 @@ class MultiPoly:
                 raise ValidationError(f"expected dimension {nvars}, got {len(exp)}")
             if any(e < 0 for e in exp):
                 raise ValidationError(f"negative exponent in {exp}")
+            coef = float(coef)
+            if not math.isfinite(coef):
+                raise ValidationError(f"non-finite coefficient {coef} at exponent {list(exp)}")
             if coef != 0.0:
-                clean[exp] = clean.get(exp, 0.0) + float(coef)
+                clean[exp] = clean.get(exp, 0.0) + coef
                 if clean[exp] == 0.0:
                     del clean[exp]
-        self.terms = clean
+        rows = sorted(clean, key=lambda e: (sum(e), e))
+        self.nvars = nvars
+        self.exps = np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
+        self.coefs = np.array([clean[e] for e in rows], dtype=float)
+
+    @classmethod
+    def from_rows(cls, nvars: int, exps, coefs) -> "MultiPoly":
+        """Polynomial from unique graded-lex exponent rows; zero coefficients are dropped."""
+        coefs = np.asarray(coefs, dtype=float)
+        keep = coefs != 0.0
+        obj = cls.__new__(cls)
+        obj.nvars = nvars
+        obj.exps = np.asarray(exps, dtype=np.int64).reshape(-1, nvars)[keep]
+        obj.coefs = coefs[keep]
+        return obj
 
     @classmethod
     def constant(cls, nvars: int, value: float) -> "MultiPoly":
@@ -69,31 +86,28 @@ class MultiPoly:
     @property
     def degree(self) -> int:
         """Max total degree over stored terms; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return int(self.exps.sum(axis=1).max()) if len(self.coefs) else 0
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coefs)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], float]]:
-        """Terms in graded-lexicographic order (total degree, then tuple)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    def _items(self):  # (exponent tuple, float coefficient) pairs, graded-lex
+        return zip(map(tuple, self.exps.tolist()), self.coefs.tolist())
 
     def __call__(self, x):
         return eval_poly(self, x)
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        merged = dict(self.terms)
-        for exp, coef in other.terms.items():
+        merged = dict(self._items())
+        for exp, coef in other._items():
             merged[exp] = merged.get(exp, 0.0) + coef
         return MultiPoly(self.nvars, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly.from_rows(self.nvars, self.exps, -self.coefs)
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -103,11 +117,12 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, float)):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly.from_rows(self.nvars, self.exps, self.coefs * other)
         other = self._coerce(other)
         prod: dict[tuple[int, ...], float] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        right = list(other._items())
+        for e1, c1 in self._items():
+            for e2, c2 in right:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 prod[e] = prod.get(e, 0.0) + c1 * c2
         return MultiPoly(self.nvars, prod)
@@ -139,33 +154,54 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and np.array_equal(self.exps, other.exps)
+            and np.array_equal(self.coefs, other.coefs)
         )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return f"MultiPoly({self.nvars}, 0)"
-        parts = [f"{c:g}*x^{list(e)}" for e, c in self.sorted_terms()]
+        parts = [f"{c:g}*x^{list(e)}" for e, c in self._items()]
         return f"MultiPoly({self.nvars}, {' + '.join(parts)})"
 
     def coefficient_norm(self) -> float:
         """Max absolute coefficient; 0 for the zero polynomial."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return float(np.abs(self.coefs).max()) if len(self.coefs) else 0.0
 
     def to_json_dict(self) -> dict:
         return {
             "nvars": self.nvars,
-            "terms": [{"exp": list(e), "coef": c} for e, c in self.sorted_terms()],
+            "terms": [{"exp": list(e), "coef": c} for e, c in self._items()],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
+        terms: dict[tuple[int, ...], float] = {}
         try:
             nvars = int(data["nvars"])
-            terms = {tuple(int(e) for e in t["exp"]): float(t["coef"]) for t in data["terms"]}
+            for t in data["terms"]:
+                exp = tuple(int(e) for e in t["exp"])
+                if exp in terms:
+                    raise ValidationError(f"duplicate exponent {list(exp)} in polynomial JSON")
+                terms[exp] = float(t["coef"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed polynomial JSON: missing or bad field {exc}") from exc
         return cls(nvars, terms)
+
+
+def monomial_terms(rows: Sequence[Sequence[int]], coefs: Sequence[float], x):
+    """Yield coef * x_0**e_0 * x_1**e_1 * ... per exponent row, left to right.
+
+    Each ``x_i**e`` is computed once, in a per-axis power table; zero
+    exponents contribute no factor.
+    """
+    powers = [{e: xi**e for e in set(col) if e} for xi, col in zip(x, zip(*rows))]
+    for exp, coef in zip(rows, coefs):
+        term = coef
+        for table, e in zip(powers, exp):
+            if e:
+                term = term * table[e]
+        yield term
 
 
 def eval_poly(p: MultiPoly, x):
@@ -180,39 +216,32 @@ def eval_poly(p: MultiPoly, x):
         raise ValidationError(f"expected dimension {p.nvars}, got {len(x)}")
     vectorized = any(isinstance(xi, np.ndarray) for xi in x)
     total = np.zeros_like(x[0], dtype=float) if vectorized else 0.0
-    for exp, coef in p.sorted_terms():
-        term = coef
-        for xi, e in zip(x, exp):
-            if e:
-                term = term * xi**e
+    for term in monomial_terms(p.exps.tolist(), p.coefs.tolist(), x):
         total = total + term
     return total
 
 
 def partial_derivative(p: MultiPoly, axis: int) -> MultiPoly:
-    """Formal partial derivative along the given axis."""
+    """Formal partial derivative along the given axis, as an index map.
+
+    Subtracting one unit vector from the surviving rows keeps them graded-lex.
+    """
     if not 0 <= axis < p.nvars:
         raise ValidationError(f"axis {axis} out of range for {p.nvars} variables")
-    out: dict[tuple[int, ...], float] = {}
-    for exp, coef in p.terms.items():
-        e = exp[axis]
-        if e == 0:
-            continue
-        new = list(exp)
-        new[axis] = e - 1
-        out[tuple(new)] = coef * e
-    return MultiPoly(p.nvars, out)
+    e = p.exps[:, axis]
+    rows = e > 0
+    exps = p.exps[rows]
+    exps[:, axis] -= 1
+    return MultiPoly.from_rows(p.nvars, exps, p.coefs[rows] * e[rows])
 
 
 def multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
     """All multi-indices of total weight ``order``, lexicographic order."""
     if nvars == 1:
         return [(order,)]
-    out = []
-    for head in range(order, -1, -1):
-        for tail in multi_indices(nvars - 1, order - head):
-            out.append((head,) + tail)
-    return sorted(out)
+    return sorted(
+        (head,) + tail for head in range(order + 1) for tail in multi_indices(nvars - 1, order - head)
+    )
 
 
 def derivatives_of_order(p: MultiPoly, k: int) -> list[tuple[tuple[int, ...], MultiPoly]]:
@@ -253,10 +282,7 @@ def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
         if w.nvars != tvars:
             raise ValidationError(f"expected dimension {tvars}, got {w.nvars}")
     # cache powers of each component up to the max exponent it is raised to
-    max_exp = [0] * f.nvars
-    for exp in f.terms:
-        for i, e in enumerate(exp):
-            max_exp[i] = max(max_exp[i], e)
+    max_exp = f.exps.max(axis=0, initial=0).tolist()
     powers: list[list[MultiPoly]] = []
     for i, w in enumerate(omega):
         row = [MultiPoly.constant(tvars, 1.0)]
@@ -264,7 +290,7 @@ def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
             row.append(row[-1] * w)
         powers.append(row)
     acc = MultiPoly(tvars)
-    for exp, coef in f.sorted_terms():
+    for exp, coef in f._items():
         term = MultiPoly.constant(tvars, coef)
         for i, e in enumerate(exp):
             if e:
@@ -307,7 +333,4 @@ def monomials(n: int, d: int) -> list[tuple[int, ...]]:
 
 def random_poly(n: int, d: int, rng: np.random.Generator, scale: float = 1.0) -> MultiPoly:
     """Dense random polynomial with iid uniform coefficients in [-scale, scale]."""
-    terms = {}
-    for exp in monomials(n, d):
-        terms[exp] = float(rng.uniform(-scale, scale))
-    return MultiPoly(n, terms)
+    return MultiPoly(n, {exp: float(rng.uniform(-scale, scale)) for exp in monomials(n, d)})

@@ -40,6 +40,7 @@ __all__ = [
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _DET_FLOOR = 1e-14
 _MAX_ITER = 80
+_MERGE_RADIUS = 1e-6
 
 
 @dataclass
@@ -84,13 +85,7 @@ def _normalize_box(box):
     return arr
 
 
-def find_critical_points(
-    p: MultiPoly,
-    box,
-    grid: int,
-    merge_radius: float = 1e-6,
-    max_iter: int = _MAX_ITER,
-) -> CriticalPointSet:
+def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     """Multi-start Newton on the gradient system over a seed lattice.
 
     Seeds form a grid x grid lattice over the box. Newton steps use the
@@ -98,7 +93,7 @@ def find_critical_points(
     under 1e-14 times its scale or the iterate leaves the inflated box.
     Survivors are kept only if their gradient norm is at most
     1e-8 * (1 + coefficient norm), then greedily clustered: a point joins
-    the first representative within the merge radius, in lexicographic
+    the first representative within the merge radius 1e-6, in lexicographic
     point order, so representatives stay pairwise separated.
 
     A polynomial with identically zero gradient (a constant) has no isolated
@@ -118,7 +113,7 @@ def find_critical_points(
         representatives=np.zeros((0, 2)),
         gradient_norms=np.zeros(0),
         cluster_sizes=np.zeros(0, dtype=np.int64),
-        merge_radius=merge_radius,
+        merge_radius=_MERGE_RADIUS,
         diagnostics={"seeds": grid * grid, "converged": 0, "note": ""},
     )
     if gx.is_zero() and gy.is_zero():
@@ -141,7 +136,7 @@ def find_critical_points(
     lo = np.array([xmin - pad_x, ymin - pad_y])
     hi = np.array([xmax + pad_x, ymax + pad_y])
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         cx, cy = pts[:, 0], pts[:, 1]
         gv1 = eval_poly(gx, [cx, cy])
         gv2 = eval_poly(gy, [cx, cy])
@@ -178,13 +173,11 @@ def find_critical_points(
     rep_gn: list[float] = []
     sizes: list[int] = []
     for point, g in zip(cand, gn):
-        placed = False
         for i, r in enumerate(reps):
-            if np.hypot(point[0] - r[0], point[1] - r[1]) <= merge_radius:
+            if np.hypot(point[0] - r[0], point[1] - r[1]) <= _MERGE_RADIUS:
                 sizes[i] += 1
-                placed = True
                 break
-        if not placed:
+        else:
             reps.append(point)
             rep_gn.append(float(g))
             sizes.append(1)
@@ -193,7 +186,7 @@ def find_critical_points(
         representatives=np.array(reps),
         gradient_norms=np.array(rep_gn),
         cluster_sizes=np.array(sizes, dtype=np.int64),
-        merge_radius=merge_radius,
+        merge_radius=_MERGE_RADIUS,
         diagnostics={
             "seeds": grid * grid,
             "converged": int(len(cand)),
@@ -212,13 +205,9 @@ def default_perturbation(p: MultiPoly) -> tuple[float, float, float]:
 
 
 def _unpack_xi(xi) -> tuple[float, float, float]:
-    # accepts (a, b, eps) or ((a, b), eps)
-    if len(xi) == 2:
-        (a, b), eps = xi
-    elif len(xi) == 3:
-        a, b, eps = xi
-    else:
+    if len(xi) != 3:
         raise ValidationError(f"perturbation must be (a, b, eps), got {xi!r}")
+    a, b, eps = xi
     return float(a), float(b), float(eps)
 
 
@@ -327,11 +316,9 @@ class DomainPigeonholeReport:
 def domain_pigeonhole_report(
     p: MultiPoly,
     config: OvalConfiguration,
-    domains=None,
     samples: int = 512,
     interior_grid: int = 33,
     newton_grid: int = 48,
-    merge_radius: float = 1e-6,
     perturbation=None,
 ) -> DomainPigeonholeReport:
     """Assemble the pigeonhole evidence for p over a nested-oval config.
@@ -357,15 +344,14 @@ def domain_pigeonhole_report(
     pt_poly = perturb_linear(p, xi)
     d = pt_poly.degree
 
-    if domains is None:
-        domains = build_domains(build_nesting_forest(config))
+    domains = build_domains(build_nesting_forest(config))
     all_verts = np.concatenate([o.vertices for o in config.ovals], axis=0)
     xmin, ymin = all_verts.min(axis=0)
     xmax, ymax = all_verts.max(axis=0)
     span = max(xmax - xmin, ymax - ymin, 1e-3)
     box = (xmin - 0.05 * span, xmax + 0.05 * span, ymin - 0.05 * span, ymax + 0.05 * span)
 
-    cps = find_critical_points(pt_poly, box, newton_grid, merge_radius=merge_radius)
+    cps = find_critical_points(pt_poly, box, newton_grid)
     bez = bezout_check(cps, d)
 
     # each critical point goes to the first domain containing it, if any

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import SolverError, ValidationError
-from .poly import MultiPoly, basis_size, chebyshev, eval_poly, monomials
+from .poly import MultiPoly, basis_size, chebyshev, eval_poly, monomial_terms, monomials
 
 __all__ = [
     "RemezEstimate",
@@ -58,6 +58,8 @@ def ovals_required(d: int, n: int) -> int:
     """Oval count (d-1)^n + 1 that the topological bounds at degree d in R^n assume."""
     if n < 1:
         raise ValidationError(f"ambient dimension must be >= 1, got {n}")
+    if d < 0:
+        raise ValidationError(f"degree must be >= 0, got {d}")
     return (d - 1) ** n + 1
 
 
@@ -99,14 +101,11 @@ def vandermonde(points: np.ndarray, n: int, d: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != n:
         raise ValidationError(f"points have dimension {pts.shape[1]}, expected {n}")
-    cols = []
-    for exp in monomials(n, d):
-        col = np.ones(len(pts))
-        for axis, e in enumerate(exp):
-            if e:
-                col = col * pts[:, axis] ** e
-        cols.append(col)
-    return np.column_stack(cols)
+    basis = monomials(n, d)
+    out = np.empty((len(pts), len(basis)))
+    for j, term in enumerate(monomial_terms(basis, [1.0] * len(basis), pts.T)):
+        out[:, j] = term
+    return out
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -124,12 +123,7 @@ def _as_points(arr, name: str) -> np.ndarray:
 def _nullspace_witness(phi: np.ndarray, n: int, d: int) -> MultiPoly:
     """Unit coefficient vector annihilating all samples, as a polynomial."""
     _, _, vt = np.linalg.svd(phi, full_matrices=True)
-    coeffs = vt[-1]
-    return _poly_from_coeffs(coeffs, n, d)
-
-
-def _poly_from_coeffs(coeffs: np.ndarray, n: int, d: int) -> MultiPoly:
-    return MultiPoly(n, {exp: c for exp, c in zip(monomials(n, d), coeffs)})
+    return MultiPoly.from_rows(n, monomials(n, d), vt[-1])
 
 
 def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
@@ -229,7 +223,7 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
 
     diagnostics["pruned"] = int(np.sum(~solved))
     value = max(1.0, best_value)
-    witness_poly = _poly_from_coeffs(best_coeffs, n, d) if best_coeffs is not None else None
+    witness_poly = None if best_coeffs is None else MultiPoly.from_rows(n, monomials(n, d), best_coeffs)
     return RemezEstimate(
         degree=d,
         value=value,

@@ -21,6 +21,7 @@ _PALETTE = [
     "#225555",
     "#663333",
 ]
+_WIDTH = 480
 
 
 def _ring_path(vertices: np.ndarray) -> str:
@@ -28,7 +29,7 @@ def _ring_path(vertices: np.ndarray) -> str:
     return f"M {coords} Z"
 
 
-def render_svg(config: OvalConfiguration, domains: list[Domain] | None = None, size: int = 480) -> str:
+def render_svg(config: OvalConfiguration, domains: list[Domain] | None = None) -> str:
     """Render the configuration as a standalone SVG document string.
 
     Each domain is one even-odd filled path (outer ring plus hole rings), so
@@ -52,7 +53,7 @@ def render_svg(config: OvalConfiguration, domains: list[Domain] | None = None, s
     )
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'viewBox="{vb[0]:.6g} {vb[1]:.6g} {vb[2]:.6g} {vb[3]:.6g}">',
         # flip y so the math orientation (y up) renders upright
         f'<g transform="translate(0 {ymin + ymax:.6g}) scale(1 -1)">',

@@ -5,10 +5,10 @@ conftest) so the verdicts are readable from one run.
 """
 
 import contextlib
-import itertools
 import json
 import math
 import time
+from itertools import product
 
 import numpy as np
 
@@ -267,7 +267,7 @@ def test_criterion_7_critical_points_and_pigeonhole():
         # (x^2-1)^2 + (y^2-1)^2 has exactly the 3x3 grid of critical points
         nine = MultiPoly(2, {(4, 0): 1.0, (2, 0): -2.0, (0, 4): 1.0, (0, 2): -2.0, (0, 0): 2.0})
         cps = find_critical_points(nine, (-1.5, 1.5, -1.5, 1.5), 24)
-        expected = sorted(itertools.product((-1.0, 0.0, 1.0), repeat=2))
+        expected = sorted(product((-1.0, 0.0, 1.0), repeat=2))
         got = sorted(map(tuple, cps.representatives))
         nine_ok = cps.n_clusters == 9 and all(
             math.hypot(g[0] - e[0], g[1] - e[1]) <= 1e-6 for g, e in zip(got, expected)

@@ -329,6 +329,33 @@ class TestErrorPaths:
         argv = ["verify-proof", "--poly", str(path), "--config", annulus_path]
         expect_exit2(argv, capsys, "malformed polynomial JSON")
 
+    @pytest.mark.parametrize("coef", ["NaN", "Infinity"])
+    def test_non_finite_coefficient_exit2(self, coef, tmp_path, capsys, annulus_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"nvars": 2, "terms": [{"exp": [2, 0], "coef": %s}]}' % coef)
+        argv = ["verify-proof", "--poly", str(path), "--config", annulus_path]
+        expect_exit2(argv, capsys, "non-finite coefficient")
+
+    def test_duplicate_exponent_exit2(self, tmp_path, capsys, annulus_path):
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"nvars": 2, "terms": [{"exp": [2, 0], "coef": 1.0}, {"exp": [2, 0], "coef": 2.0}]}'
+        )
+        argv = ["verify-proof", "--poly", str(path), "--config", annulus_path]
+        expect_exit2(argv, capsys, "duplicate exponent [2, 0]")
+
+    def test_bounds_negative_degree_exit2(self, annulus_path, capsys):
+        argv = ["bounds", "--config", annulus_path, "--degree", "-1"]
+        expect_exit2(argv, capsys, "degree must be >= 0, got -1")
+
+    def test_curve_check_negative_degree_exit2(self, fxy_path, curve_points_path, capsys):
+        argv = ["curve-check", "--f", fxy_path, "--points", curve_points_path, "--s", "2", "--degree", "-1"]
+        expect_exit2(argv, capsys, "derivative order must be >= 0, got -1")
+
+    def test_candidate_grid_outside_ball_exit2(self, annulus_path, capsys):
+        argv = ["remez-lp", "--degree", "1", "--z", annulus_path, "--grid", "2"]
+        expect_exit2(argv, capsys, "no point of the 2-per-axis candidate grid lies in the unit ball")
+
     def test_nan_point_exit2(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
         pts.write_text("-0.5\nnan\n0.5\n")

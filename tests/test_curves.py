@@ -35,7 +35,7 @@ class TestFitCurve:
         pts = np.array([base + s * direction for s in (1.0, 0.0, -1.0)])
         curve = fit_curve(pts, 2)
         for c in curve.components:
-            quad = c.terms.get((2,), 0.0)
+            quad = c.coefs[c.exps[:, 0] == 2].sum()
             assert abs(quad) <= 1e-10
 
     def test_points_at_parameters_along_line(self):
@@ -44,7 +44,7 @@ class TestFitCurve:
         pts = np.array([[0.05 + 0.3 * t, -0.1 + 0.2 * t] for t in tj])
         curve = fit_curve(pts, 3)
         for c in curve.components:
-            for exp, coef in c.terms.items():
+            for exp, coef in zip(c.exps.tolist(), c.coefs):
                 if exp[0] >= 2:
                     assert abs(coef) <= 1e-10
 
@@ -156,6 +156,14 @@ class TestCompositionReport:
         )
         with pytest.raises(ValidationError, match=r"expected dimension 2, got 3"):
             composition_report(f, omega, 2, 16)
+
+    def test_negative_order_rejected(self):
+        f = MultiPoly(2, {(2, 0): 1.0})
+        omega = ParamCurve(
+            components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(1,): 1.0})), s=1
+        )
+        with pytest.raises(ValidationError, match=r"derivative order must be >= 0, got -1"):
+            composition_report(f, omega, -1, 16)
 
     def test_json_shape(self):
         f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})

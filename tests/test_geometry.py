@@ -1,5 +1,5 @@
-import itertools
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -90,10 +90,10 @@ class TestContains:
             config = random_circle_config(rng)
             for o in config.ovals:
                 assert not contains(o, o)
-            for a, b in itertools.permutations(config.ovals, 2):
+            for a, b in permutations(config.ovals, 2):
                 if contains(a, b):
                     assert not contains(b, a)
-            for a, b, c in itertools.permutations(config.ovals, 3):
+            for a, b, c in permutations(config.ovals, 3):
                 if contains(a, b) and contains(b, c):
                     assert contains(a, c)
 

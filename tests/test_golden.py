@@ -1,0 +1,76 @@
+"""Recorded verify-proof and curve-check report bodies, compared byte for byte.
+
+Inputs are built from the conftest helpers; the manifest (paths, digests,
+timestamp) is stripped and the rest must match ``tests/golden/<case>.json``
+exactly, so any change to a reported float shows up here. After a deliberate
+change, re-record with ``PYTHONPATH=src python tests/test_golden.py`` and say
+in CHANGES.md why the bodies moved.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import concentric_ring_config, square, vanishing_ring_poly, write_config_json
+from rigidkit.cli import main
+from rigidkit.poly import MultiPoly
+
+GOLDEN = Path(__file__).parent / "golden"
+# dyadic radii keep every coefficient of the ring product exact
+RINGS = (0.25, 0.5, 0.75)
+CASES = ("curve-check-annulus", "curve-check-rings", "verify-proof-annulus", "verify-proof-rings")
+
+
+def _write(path: Path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _argv(case: str, workdir: Path) -> list[str]:
+    annulus = write_config_json([square(math.sqrt(2.0), 1), square(1.0, 2)], workdir / "annulus.json")
+    rings = write_config_json(concentric_ring_config(RINGS), workdir / "rings.json")
+    fxy = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
+    fxy_path = _write(workdir / "fxy.json", json.dumps(fxy.to_json_dict()))
+    ring_path = _write(workdir / "rings-poly.json", json.dumps(vanishing_ring_poly(RINGS).to_json_dict()))
+    pts3 = _write(workdir / "pts3.csv", "-0.3,0.2\n0.0,-0.1\n0.3,0.2\n")
+    pts4 = _write(workdir / "pts4.csv", "-0.4,0.1\n-0.1,-0.2\n0.2,0.15\n0.45,-0.05\n")
+    return {
+        "curve-check-annulus": [
+            "curve-check", "--f", fxy_path, "--points", pts3, "--s", "2", "--degree", "1",
+            "--tgrid", "64", "--config", annulus,
+        ],
+        "curve-check-rings": [
+            "curve-check", "--f", ring_path, "--points", pts4, "--s", "3", "--degree", "4",
+            "--tgrid", "64", "--config", rings,
+        ],
+        "verify-proof-annulus": [
+            "verify-proof", "--poly", fxy_path, "--config", annulus, "--grid", "32", "--degree", "3",
+        ],
+        "verify-proof-rings": ["verify-proof", "--poly", ring_path, "--config", rings, "--grid", "24"],
+    }[case]
+
+
+def _body(case: str, workdir: Path) -> str:
+    out = workdir / f"{case}.out.json"
+    assert main(_argv(case, workdir) + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    del report["manifest"]
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_body_matches_golden(case, tmp_path):
+    assert _body(case, tmp_path) == (GOLDEN / f"{case}.json").read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            (GOLDEN / f"{case}.json").write_text(_body(case, Path(tmp)))
+            print(f"recorded {case}", file=sys.stderr)

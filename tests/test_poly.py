@@ -25,9 +25,9 @@ def x2_plus_y2():
 class TestMultiPoly:
     def test_zero_coefficients_never_stored(self):
         p = MultiPoly(2, {(1, 0): 0.0, (0, 1): 2.0})
-        assert (1, 0) not in p.terms
+        assert p.exps.tolist() == [[0, 1]] and p.coefs.tolist() == [2.0]
         q = MultiPoly(1, {(1,): 1.0}) - MultiPoly(1, {(1,): 1.0})
-        assert q.is_zero() and q.terms == {}
+        assert q.is_zero() and q.exps.shape == (0, 1) and q.coefs.shape == (0,)
 
     def test_degree(self):
         assert x2_plus_y2().degree == 2
@@ -47,7 +47,7 @@ class TestMultiPoly:
         y = MultiPoly.variable(2, 1)
         p = (x + y) * (x - y)
         assert p == MultiPoly(2, {(2, 0): 1.0, (0, 2): -1.0})
-        assert (x**3).terms == {(3, 0): 1.0}
+        assert (x**3).exps.tolist() == [[3, 0]] and (x**3).coefs.tolist() == [1.0]
         assert (2 * x - x - x).is_zero()
 
     def test_mixed_dim_arithmetic_rejected(self):
@@ -66,6 +66,22 @@ class TestMultiPoly:
     def test_malformed_json(self):
         with pytest.raises(ValidationError):
             MultiPoly.from_json_dict({"nvars": 1})
+
+    def test_storage_is_graded_lex_rows(self):
+        p = MultiPoly(2, {(0, 2): 1.0, (3, 0): 4.0, (1, 0): -2.0, (0, 0): 5.0, (1, 1): 3.0})
+        assert MultiPoly.__slots__ == ("nvars", "exps", "coefs")
+        assert p.exps.tolist() == [[0, 0], [1, 0], [0, 2], [1, 1], [3, 0]]
+        assert p.coefs.tolist() == [5.0, -2.0, 1.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"non-finite coefficient"):
+            MultiPoly(2, {(1, 0): 1.0, (0, 1): bad})
+
+    def test_duplicate_json_exponent_rejected(self):
+        data = {"nvars": 2, "terms": [{"exp": [2, 0], "coef": 1.0}, {"exp": [2, 0], "coef": 2.0}]}
+        with pytest.raises(ValidationError, match=r"duplicate exponent \[2, 0\]"):
+            MultiPoly.from_json_dict(data)
 
 
 class TestEval:
@@ -110,7 +126,7 @@ class TestDerivatives:
             p = random_poly(2, 5, rng)
             pxy = partial_derivative(partial_derivative(p, 0), 1)
             pyx = partial_derivative(partial_derivative(p, 1), 0)
-            assert pxy.terms == pyx.terms
+            assert np.array_equal(pxy.exps, pyx.exps) and np.array_equal(pxy.coefs, pyx.coefs)
 
     def test_derivatives_of_order_enumerates_all_multi_indices(self):
         p = x2_plus_y2()

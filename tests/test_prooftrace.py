@@ -1,5 +1,5 @@
-import itertools
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -47,7 +47,7 @@ class TestFindCriticalPoints:
     def test_nine_wells(self):
         cps = find_critical_points(nine_well_poly(), BOX, 24)
         assert cps.n_clusters == 9
-        expected = sorted(itertools.product((-1.0, 0.0, 1.0), repeat=2))
+        expected = sorted(product((-1.0, 0.0, 1.0), repeat=2))
         got = sorted(map(tuple, cps.representatives))
         for g, e in zip(got, expected):
             assert math.hypot(g[0] - e[0], g[1] - e[1]) <= 1e-6
@@ -88,31 +88,33 @@ class TestFindCriticalPoints:
 
 
 class TestPerturbation:
-    def test_both_xi_shapes_accepted(self):
+    def test_xi_is_a_flat_triple(self):
         p = MultiPoly(2, {(2, 0): 1.0})
-        q1 = perturb_linear(p, ((0.0, 1.0), 1e-6))
-        q2 = perturb_linear(p, (0.0, 1.0, 1e-6))
-        assert q1 == q2
-        assert q1.terms[(0, 1)] == pytest.approx(1e-6)
+        q = perturb_linear(p, (0.0, 1.0, 1e-6))
+        assert q.exps.tolist() == [[0, 1], [2, 0]]
+        assert q.coefs[0] == pytest.approx(1e-6)
+        with pytest.raises(ValidationError, match="perturbation must be"):
+            perturb_linear(p, ((0.0, 1.0), 1e-6))
 
     def test_gradient_never_vanishes_after_tilt(self):
-        q = perturb_linear(MultiPoly(2, {(2, 0): 1.0}), ((0.0, 1.0), 1e-6))
+        q = perturb_linear(MultiPoly(2, {(2, 0): 1.0}), (0.0, 1.0, 1e-6))
         cps = find_critical_points(q, BOX, 16)
         assert cps.n_clusters == 0
 
     def test_zero_eps_rejected(self):
         with pytest.raises(ValidationError):
-            perturb_linear(MultiPoly(2, {(2, 0): 1.0}), ((0.0, 1.0), 0.0))
+            perturb_linear(MultiPoly(2, {(2, 0): 1.0}), (0.0, 1.0, 0.0))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValidationError):
-            perturb_linear(MultiPoly(2, {(2, 0): 1.0}), ((0.0, 0.0), 1e-6))
+            perturb_linear(MultiPoly(2, {(2, 0): 1.0}), (0.0, 0.0, 1e-6))
 
     def test_direction_normalized(self):
         p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        q = perturb_linear(p, ((3.0, 4.0), 1e-4))
-        assert q.terms[(1, 0)] == pytest.approx(0.6e-4)
-        assert q.terms[(0, 1)] == pytest.approx(0.8e-4)
+        q = perturb_linear(p, (3.0, 4.0, 1e-4))
+        assert q.exps.tolist() == [[0, 1], [1, 0], [0, 2], [2, 0]]
+        assert q.coefs[1] == pytest.approx(0.6e-4)
+        assert q.coefs[0] == pytest.approx(0.8e-4)
 
     def test_shifted_quadratic_minimizer(self):
         p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})

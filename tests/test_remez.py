@@ -38,6 +38,8 @@ class TestTopologicalBound:
         for bad in (0, -1):
             with pytest.raises(ValidationError, match=r"ambient dimension must be >= 1"):
                 ovals_required(3, bad)
+        with pytest.raises(ValidationError, match=r"degree must be >= 0, got -1"):
+            ovals_required(-1, 2)
 
     def test_mu_positive(self):
         with pytest.raises(ValidationError, match=r"minimal domain area must be positive"):
