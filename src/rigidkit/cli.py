@@ -117,13 +117,15 @@ def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
     }
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out:
+def _emit(text: str, out: str | None) -> None:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {out}: {exc}") from exc
 
 
 # --- subcommands ---------------------------------------------------------
@@ -156,8 +158,7 @@ def _cmd_decompose(args) -> dict:
         "mu_formula": "min over domains of area(W_j)",
     }
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(config, domains))
+        _emit(render_svg(config, domains), args.svg)
         report["svg"] = args.svg
     return report
 
@@ -330,6 +331,16 @@ def _cmd_verify_proof(args) -> dict:
 # --- parser --------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidkit",
@@ -369,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r1 = sub.add_parser("rigidity-1d", help="divided-difference lower bound on a line")
     r1.add_argument("--zeros", required=True, help="comma-separated zeros, d+1 of them")
-    r1.add_argument("--z0", type=float, required=True, help="witness point")
-    r1.add_argument("--fz0", type=float, default=1.0, help="|f(z0)| after normalization")
+    r1.add_argument("--z0", type=_finite_float, required=True, help="witness point")
+    r1.add_argument("--fz0", type=_finite_float, default=1.0, help="|f(z0)| after normalization")
     r1.add_argument("--degree", type=int, required=True)
     r1.add_argument("--out", default=None)
     r1.set_defaults(func=_cmd_rigidity_1d)
@@ -382,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--degree", type=int, required=True, help="derivative order d")
     c.add_argument("--tgrid", type=int, default=512)
     c.add_argument("--config", default=None, help="optional configuration for crossing count")
-    c.add_argument("--tol", type=float, default=1e-9, help="crossing isolation tolerance")
+    c.add_argument("--tol", type=_finite_float, default=1e-9, help="crossing isolation tolerance")
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_curve_check)
 
@@ -398,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--config", required=True)
     v.add_argument("--degree", type=int, default=None, help="also check the count at this degree")
     v.add_argument("--grid", type=int, default=64, help="Newton seed grid per axis")
-    v.add_argument("--eps", type=float, default=1e-6, help="perturbation size relative to coefficient norm")
+    v.add_argument("--eps", type=_finite_float, default=1e-6, help="perturbation size relative to coefficient norm")
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify_proof)
 
@@ -409,7 +420,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-        _emit(report, args.out)
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,7 @@ __all__ = [
 
 _BALL_TOL = 1e-9
 _RAY_NUDGE = 1e-12
+_PAIR_CHUNK = 1 << 14  # candidate edge pairs per step of the validation sweep; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -127,21 +128,15 @@ def _cross(o, a, b):
     ) * (b[..., 0] - o[..., 0])
 
 
-def _segments_intersect_matrix(p0, p1, q0, q1) -> np.ndarray:
-    """Boolean (m, k) matrix: segment i of P touches or crosses segment j of Q.
+def _segments_intersect(p0, p1, q0, q1) -> np.ndarray:
+    """Elementwise over broadcast (..., 2) endpoints: [p0, p1] touches or crosses [q0, q1].
 
     Inclusive predicate: shared endpoints, collinear overlap, and proper
     crossings all count. Strict boundary disjointness rejects them all, so no
     distinction is needed.
     """
-    P0 = p0[:, None, :]
-    P1 = p1[:, None, :]
-    Q0 = q0[None, :, :]
-    Q1 = q1[None, :, :]
-    d1 = _cross(Q0, Q1, P0)
-    d2 = _cross(Q0, Q1, P1)
-    d3 = _cross(P0, P1, Q0)
-    d4 = _cross(P0, P1, Q1)
+    d1, d2 = _cross(q0, q1, p0), _cross(q0, q1, p1)
+    d3, d4 = _cross(p0, p1, q0), _cross(p0, p1, q1)
     proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
 
     def on_segment(a0, a1, b, d):
@@ -155,12 +150,44 @@ def _segments_intersect_matrix(p0, p1, q0, q1) -> np.ndarray:
         )
 
     touch = (
-        on_segment(Q0, Q1, P0, d1)
-        | on_segment(Q0, Q1, P1, d2)
-        | on_segment(P0, P1, Q0, d3)
-        | on_segment(P0, P1, Q1, d4)
+        on_segment(q0, q1, p0, d1)
+        | on_segment(q0, q1, p1, d2)
+        | on_segment(p0, p1, q0, d3)
+        | on_segment(p0, p1, q1, d4)
     )
     return proper | touch
+
+
+def _first_touching_pair(ovals) -> tuple[int, int] | None:
+    """Lexicographically first index pair i < j whose boundaries touch, or None.
+
+    Sort-and-sweep over edge bounding boxes (Shamos-Hoey 1976): edges sorted by
+    min x meet the later edges whose min x is at most their max x; pairs of
+    different ovals whose y-ranges overlap go through the predicate, at most
+    ``_PAIR_CHUNK`` candidates at a time.
+    """
+    owner = np.repeat(np.arange(len(ovals)), [len(o.vertices) for o in ovals])
+    p0 = np.concatenate([o.vertices for o in ovals])
+    p1 = np.concatenate([_edges(o.vertices)[1] for o in ovals])
+    order = np.argsort(np.minimum(p0[:, 0], p1[:, 0]), kind="stable")
+    owner, p0, p1 = owner[order], p0[order], p1[order]
+    lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
+    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(1, len(lo) + 1)
+    ends = np.cumsum(count)
+    first = ends - count  # sweep index of each edge's first candidate pair
+    n = len(ovals)
+    best, start = n * n, 0
+    while start < len(count):
+        stop = max(int(np.searchsorted(ends, first[start] + _PAIR_CHUNK, side="right")), start + 1)
+        a = np.repeat(np.arange(start, stop), count[start:stop])
+        b = a + 1 + first[start] + np.arange(len(a)) - first[a]
+        keep = (lo[b, 1] <= hi[a, 1]) & (lo[a, 1] <= hi[b, 1]) & (owner[a] != owner[b])
+        a, b = a[keep], b[keep]
+        hit = _segments_intersect(p0[a], p1[a], p0[b], p1[b])
+        i, j = owner[a[hit]], owner[b[hit]]
+        best = int(np.min(np.minimum(i, j) * n + np.maximum(i, j), initial=best))
+        start = stop
+    return None if best == n * n else divmod(best, n)
 
 
 def _validate_single(oval: Oval, enforce_ball: bool) -> None:
@@ -174,7 +201,7 @@ def _validate_single(oval: Oval, enforce_ball: bool) -> None:
         raise ValidationError(f"oval {oval.id} has vertices outside the unit ball")
     p0, p1 = _edges(verts)
     zero_length = np.any(np.all(p0 == p1, axis=1))
-    hits = _segments_intersect_matrix(p0, p1, p0, p1)
+    hits = _segments_intersect(p0[:, None], p1[:, None], p0[None, :], p1[None, :])
     idx = np.arange(k)
     # mask self and neighbours (they legitimately share endpoints)
     neighbour = (
@@ -197,10 +224,11 @@ def _validate_single(oval: Oval, enforce_ball: bool) -> None:
 def validate_configuration(ovals, enforce_ball: bool = True) -> OvalConfiguration:
     """Check every configuration invariant and return the validated bundle.
 
-    All edge pairs across every oval pair are tested for intersection after a
-    bounding-box prefilter; quadratic cost is fine at the scale this package
-    targets. Set ``enforce_ball=False`` to admit coordinates outside the unit
-    disc (areas and nesting are scale-free; the normalized bounds are not).
+    Each oval is checked on its own, then one sweep tests the edge pairs of
+    different ovals whose bounding boxes overlap and reports the first touching
+    oval pair in configuration order. Set ``enforce_ball=False`` to admit
+    coordinates outside the unit disc (areas and nesting are scale-free; the
+    normalized bounds are not).
     """
     ovals = tuple(ovals)
     seen_ids = set()
@@ -209,19 +237,8 @@ def validate_configuration(ovals, enforce_ball: bool = True) -> OvalConfiguratio
             raise ValidationError(f"duplicate oval id {o.id}")
         seen_ids.add(o.id)
         _validate_single(o, enforce_ball)
-    boxes = [
-        (o.vertices[:, 0].min(), o.vertices[:, 0].max(), o.vertices[:, 1].min(), o.vertices[:, 1].max())
-        for o in ovals
-    ]
-    for i in range(len(ovals)):
-        for j in range(i + 1, len(ovals)):
-            bi, bj = boxes[i], boxes[j]
-            if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2]:
-                continue
-            p0, p1 = _edges(ovals[i].vertices)
-            q0, q1 = _edges(ovals[j].vertices)
-            if np.any(_segments_intersect_matrix(p0, p1, q0, q1)):
-                raise ValidationError(f"boundaries of ovals {ovals[i].id} and {ovals[j].id} intersect")
+    if ovals and (pair := _first_touching_pair(ovals)):
+        raise ValidationError(f"boundaries of ovals {ovals[pair[0]].id} and {ovals[pair[1]].id} intersect")
     return OvalConfiguration(ovals)
 
 
@@ -272,19 +289,21 @@ def contains(a: Oval, b: Oval) -> bool:
 def build_nesting_forest(config: OvalConfiguration) -> NestingForest:
     """Containment hierarchy: depth = 1 + number of strictly containing ovals.
 
-    The parent of an oval is its containing oval of maximal depth, i.e. the
-    smallest one. Stateless O(N^2) counting; no recursive peeling.
+    The parent of an oval is its deepest container, i.e. the smallest one; ties
+    go to the first in configuration order. One batched ray cast per oval over
+    every oval's representative vertex gives the whole containment matrix.
     """
-    nodes: dict[int, ForestNode] = {}
-    containers: dict[int, list[int]] = {}
-    for o in config.ovals:
-        containing = [p.id for p in config.ovals if p.id != o.id and contains(p, o)]
-        containers[o.id] = containing
-        nodes[o.id] = ForestNode(oval_id=o.id, depth=1 + len(containing))
-    for o in config.ovals:
-        cands = containers[o.id]
-        if cands:
-            parent = max(cands, key=lambda pid: nodes[pid].depth)
+    ovals = config.ovals
+    reps = np.array([o.vertices[0] for o in ovals])
+    # inside[p, o]: oval o lies inside oval p
+    inside = np.array([points_in_polygon(p.vertices, reps) for p in ovals]).reshape(len(ovals), len(ovals))
+    np.fill_diagonal(inside, False)
+    depth = 1 + inside.sum(axis=0)
+    nodes = {o.id: ForestNode(oval_id=o.id, depth=int(depth[k])) for k, o in enumerate(ovals)}
+    for k, o in enumerate(ovals):
+        cands = np.flatnonzero(inside[:, k])
+        if cands.size:
+            parent = ovals[cands[np.argmax(depth[cands])]].id
             nodes[o.id].parent = parent
             nodes[parent].children.append(o.id)
     return NestingForest(config=config, nodes=nodes)

@@ -371,6 +371,27 @@ class TestErrorPaths:
         argv = ["bounds", "--config", annulus_path, "--degree", "2", "--n", "0"]
         expect_exit2(argv, capsys, "ambient dimension must be >= 1, got 0")
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_unwritable_output_exit2(self, flag, annulus_path, capsys):
+        argv = ["decompose", "--config", annulus_path, flag, "/nonexistent/x.out"]
+        expect_exit2(argv, capsys, "cannot write output file /nonexistent/x.out")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--degree", "2", "--z0"],
+            ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--degree", "2", "--z0", "0.9", "--fz0"],
+            ["curve-check", "--f", "f.json", "--points", "p.csv", "--s", "2", "--degree", "1", "--tol"],
+            ["verify-proof", "--poly", "p.json", "--config", "c.json", "--eps"],
+        ],
+    )
+    def test_non_finite_float_flag_systemexit2(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:-1] + [f"{argv[-1]}={value}"])
+        assert exc.value.code == 2
+        assert f"invalid finite float value: '{value}'" in capsys.readouterr().err
+
     def test_unknown_subcommand_systemexit2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_circle_config, square, write_config_json
+from rigidkit import geometry
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import (
     Oval,
@@ -22,6 +23,10 @@ from rigidkit.geometry import (
     shoelace_area,
     validate_configuration,
 )
+
+
+def rect(x0, x1, y0, y1, oval_id) -> Oval:
+    return Oval(id=oval_id, vertices=np.array([[x1, y1], [x0, y1], [x0, y0], [x1, y0]]))
 
 
 class TestValidation:
@@ -62,6 +67,30 @@ class TestValidation:
         with pytest.raises(ValidationError):
             validate_configuration([square(0.4, 1), square(0.4, 1, center=(0.6, 0.0))],
                                    enforce_ball=False)
+
+    @pytest.mark.parametrize("chunk", [1, 7, geometry._PAIR_CHUNK])
+    def test_first_of_several_intersecting_pairs(self, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        # in configuration order a, b, c, d the touching pairs are (a, c), (a, d),
+        # (b, d) and (c, d); ids are out of order so the report shows which order wins
+        a = rect(-0.35, 0.6, -0.05, 0.02, 7)
+        b = square(0.3, 3, center=(-0.1, 0.2))
+        c = square(0.4, 9, center=(-0.5, 0.0))
+        d = square(0.4, 1, center=(-0.4, 0.1))
+        with pytest.raises(ValidationError, match=r"^boundaries of ovals 7 and 9 intersect$"):
+            validate_configuration([a, b, c, d])
+        with pytest.raises(ValidationError, match=r"^boundaries of ovals 3 and 1 intersect$"):
+            validate_configuration([b, c, d])
+        with pytest.raises(ValidationError, match=r"^boundaries of ovals 9 and 1 intersect$"):
+            validate_configuration([c, d, b])
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_small_sweep_chunks_accept_valid_configurations(self, chunk, monkeypatch):
+        rng = np.random.default_rng(17)
+        configs = [random_circle_config(rng) for _ in range(3)]
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        for config in configs:
+            assert validate_configuration(config.ovals).N == config.N
 
     def test_clockwise_rejected(self):
         verts = square(1.0, 1).vertices[::-1]
@@ -136,6 +165,32 @@ class TestForest:
             o = config.oval_by_id(node.oval_id)
             containing = sum(1 for other in config.ovals if other.id != o.id and contains(other, o))
             assert node.depth == containing + 1
+
+    def test_batched_nesting_on_vertex_levels_matches_pairwise(self):
+        # every representative vertex sits on a vertex y-level of another
+        # polygon, and the left square's ray runs along the top edge of the
+        # middle square, so the ray nudge has to move the batched points
+        octagon = Oval(id=1, vertices=0.25 * np.array(
+            [[2, 1], [1, 2], [-1, 2], [-2, 1], [-2, -1], [-1, -2], [1, -2], [2, -1]], dtype=float))
+        middle = square(0.5, 2)
+        diamond = Oval(id=3, vertices=np.array([[0.2, 0.0], [0.0, 0.2], [-0.2, 0.0], [0.0, -0.2]]))
+        right = rect(0.65, 0.85, 0.0, 0.2, 4)
+        left = rect(-0.85, -0.65, 0.05, 0.25, 6)
+        config = validate_configuration([right, middle, left, octagon, diamond])
+        reps = np.array([o.vertices[0] for o in config.ovals])
+        levels = [set(o.vertices[:, 1].tolist()) for o in config.ovals]
+        assert all(
+            any(y in levels[j] for j in range(len(reps)) if j != i) for i, y in enumerate(reps[:, 1].tolist())
+        )
+        for p in config.ovals:
+            single = [point_in_polygon(p.vertices, r) for r in reps]
+            assert points_in_polygon(p.vertices, reps).tolist() == single
+        forest = build_nesting_forest(config)
+        for o in config.ovals:
+            containing = sum(contains(p, o) for p in config.ovals if p.id != o.id)
+            assert forest.nodes[o.id].depth == 1 + containing
+        assert {i: forest.nodes[i].depth for i in (1, 2, 3, 4, 6)} == {1: 1, 2: 2, 3: 3, 4: 1, 6: 1}
+        assert [forest.nodes[i].parent for i in (2, 3)] == [1, 2]
 
     def test_node_count_equals_oval_count(self):
         rng = np.random.default_rng(5)

@@ -1,0 +1,163 @@
+"""Property-based checks of validation, nesting and areas against exact oracles.
+
+Every vertex coordinate is dyadic (a multiple of a power of two well inside
+double precision), so the float predicates compute exactly and must agree
+with rational arithmetic. Validation is compared with a brute-force
+``fractions.Fraction`` test over every edge pair; the nesting forest with the
+tree the configuration was built from and with per-pair ``contains``.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from rigidkit.errors import ValidationError  # noqa: E402
+from rigidkit.geometry import (  # noqa: E402
+    Oval,
+    build_domains,
+    build_nesting_forest,
+    contains,
+    shoelace_area,
+    validate_configuration,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+# strictly convex, counterclockwise; every vertex lies in the square of half-size 1
+OCTAGON = ((1, 0.5), (0.5, 1), (-0.5, 1), (-1, 0.5), (-1, -0.5), (-0.5, -1), (0.5, -1), (1, -0.5))
+SQUARE = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+DIAMOND = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _polygon(shape, cx, cy, r, roll, oval_id) -> Oval:
+    verts = np.array([(cx + r * u, cy + r * v) for u, v in shape])
+    return Oval(id=oval_id, vertices=np.roll(verts, roll, axis=0))
+
+
+# --- exact oracle ---------------------------------------------------------
+
+
+def _orient(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _within(a, b, p) -> bool:
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
+def _touch(p0, p1, q0, q1) -> bool:
+    d1, d2 = _orient(q0, q1, p0), _orient(q0, q1, p1)
+    d3, d4 = _orient(p0, p1, q0), _orient(p0, p1, q1)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return (
+        (d1 == 0 and _within(q0, q1, p0))
+        or (d2 == 0 and _within(q0, q1, p1))
+        or (d3 == 0 and _within(p0, p1, q0))
+        or (d4 == 0 and _within(p0, p1, q1))
+    )
+
+
+def _exact_edges(oval: Oval):
+    pts = [(Fraction(x), Fraction(y)) for x, y in oval.vertices.tolist()]
+    return list(zip(pts, pts[1:] + pts[:1]))
+
+
+def exact_first_touching_pair(ovals):
+    edges = [_exact_edges(o) for o in ovals]
+    for i in range(len(ovals)):
+        for j in range(i + 1, len(ovals)):
+            if any(_touch(p0, p1, q0, q1) for p0, p1 in edges[i] for q0, q1 in edges[j]):
+                return i, j
+    return None
+
+
+# --- strategies -------------------------------------------------------------
+
+
+@st.composite
+def loose_configs(draw):
+    """2..6 convex dyadic polygons dropped anywhere: touching, crossing, nested or apart."""
+    count = draw(st.integers(2, 6))
+    ids = draw(st.permutations(range(1, count + 1)))
+    ovals = []
+    for oval_id in ids:
+        keep = sorted(draw(st.sets(st.integers(0, 7), min_size=3)))
+        cx, cy = draw(st.integers(-8, 8)) / 16, draw(st.integers(-8, 8)) / 16
+        r = draw(st.integers(1, 4)) / 16
+        roll = draw(st.integers(0, len(keep) - 1))
+        ovals.append(_polygon([OCTAGON[k] for k in keep], cx, cy, r, roll, oval_id))
+    return ovals
+
+
+@st.composite
+def nested_configs(draw):
+    """Valid configurations built as a tree, returned with each oval's parent id.
+
+    An oval drawn in a cell of half-size h has half-size h/2, so it stays
+    clear of its neighbours; the square of half-size r/4 is strictly inside
+    every shape of half-size r, and its four quarters are the child cells.
+    Concentric shapes share vertex y-levels, so the ray nudge runs.
+    """
+    ovals, parents = [], {}
+
+    def fill(cx, cy, h, parent, depth):
+        if depth == 0 or not draw(st.booleans()):
+            return
+        shape = draw(st.sampled_from((OCTAGON, SQUARE, DIAMOND)))
+        oval_id = len(ovals) + 1
+        ovals.append(_polygon(shape, cx, cy, h / 2, draw(st.integers(0, len(shape) - 1)), oval_id))
+        parents[oval_id] = parent
+        q = h / 16
+        for dx, dy in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            fill(cx + dx * q, cy + dy * q, q, oval_id, depth - 1)
+
+    for dx, dy in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+        fill(dx / 4, dy / 4, 1 / 4, None, 2)
+    if not ovals:
+        ovals.append(_polygon(OCTAGON, 0.0, 0.0, 0.25, 0, 1))
+        parents[1] = None
+    order = draw(st.permutations(range(len(ovals))))
+    return [ovals[k] for k in order], parents
+
+
+# --- properties ---------------------------------------------------------------
+
+
+@PROPERTY
+@given(loose_configs())
+def test_validation_matches_exact_oracle(ovals):
+    pair = exact_first_touching_pair(ovals)
+    if pair is None:
+        assert validate_configuration(ovals).N == len(ovals)
+        return
+    i, j = pair
+    with pytest.raises(ValidationError) as exc:
+        validate_configuration(ovals)
+    assert str(exc.value) == f"boundaries of ovals {ovals[i].id} and {ovals[j].id} intersect"
+
+
+@PROPERTY
+@given(nested_configs())
+def test_forest_depth_counts_containing_ovals(case):
+    ovals, parents = case
+    forest = build_nesting_forest(validate_configuration(ovals))
+    for o in ovals:
+        node = forest.nodes[o.id]
+        assert node.depth == 1 + sum(contains(p, o) for p in ovals if p.id != o.id)
+        assert node.parent == parents[o.id]
+        assert node.children == [c.id for c in ovals if parents[c.id] == o.id]
+
+
+@PROPERTY
+@given(nested_configs())
+def test_domain_areas_telescope(case):
+    ovals, _ = case
+    forest = build_nesting_forest(validate_configuration(ovals))
+    areas = sum(d.area for d in build_domains(forest))
+    roots = sum(shoelace_area(o.vertices) for o in ovals if forest.nodes[o.id].parent is None)
+    assert areas == roots

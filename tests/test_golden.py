@@ -1,4 +1,4 @@
-"""Recorded verify-proof and curve-check report bodies, compared byte for byte.
+"""Recorded report bodies of four subcommands, compared byte for byte.
 
 Inputs are built from the conftest helpers; the manifest (paths, digests,
 timestamp) is stripped and the rest must match ``tests/golden/<case>.json``
@@ -12,16 +12,33 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import concentric_ring_config, square, vanishing_ring_poly, write_config_json
+from conftest import (
+    concentric_ring_config,
+    random_circle_config_exact,
+    square,
+    vanishing_ring_poly,
+    write_config_json,
+)
 from rigidkit.cli import main
 from rigidkit.poly import MultiPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 # dyadic radii keep every coefficient of the ring product exact
 RINGS = (0.25, 0.5, 0.75)
-CASES = ("curve-check-annulus", "curve-check-rings", "verify-proof-annulus", "verify-proof-rings")
+LADDER = tuple(0.95 * (30 - i) / 30 for i in range(30))
+CASES = (
+    "curve-check-annulus",
+    "curve-check-rings",
+    "verify-proof-annulus",
+    "verify-proof-rings",
+    "decompose-ladder",
+    "decompose-scattered",
+    "bounds-ladder",
+    "bounds-scattered",
+)
 
 
 def _write(path: Path, text: str) -> str:
@@ -32,6 +49,11 @@ def _write(path: Path, text: str) -> str:
 def _argv(case: str, workdir: Path) -> list[str]:
     annulus = write_config_json([square(math.sqrt(2.0), 1), square(1.0, 2)], workdir / "annulus.json")
     rings = write_config_json(concentric_ring_config(RINGS), workdir / "rings.json")
+    # 30 concentric 48-gons, and 40 circles that mix disjoint groups with nesting
+    ladder = write_config_json(concentric_ring_config(LADDER), workdir / "ladder.json")
+    scattered = write_config_json(
+        random_circle_config_exact(np.random.default_rng(5), 40), workdir / "scattered.json"
+    )
     fxy = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
     fxy_path = _write(workdir / "fxy.json", json.dumps(fxy.to_json_dict()))
     ring_path = _write(workdir / "rings-poly.json", json.dumps(vanishing_ring_poly(RINGS).to_json_dict()))
@@ -50,6 +72,10 @@ def _argv(case: str, workdir: Path) -> list[str]:
             "verify-proof", "--poly", fxy_path, "--config", annulus, "--grid", "32", "--degree", "3",
         ],
         "verify-proof-rings": ["verify-proof", "--poly", ring_path, "--config", rings, "--grid", "24"],
+        "decompose-ladder": ["decompose", "--config", ladder],
+        "decompose-scattered": ["decompose", "--config", scattered],
+        "bounds-ladder": ["bounds", "--config", ladder, "--degree", "6"],
+        "bounds-scattered": ["bounds", "--config", scattered, "--degree", "10", "--n", "3"],
     }[case]
 
 
