@@ -203,7 +203,7 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> 
     pts = omega.eval(taus)
     p0, p1 = pts[:-1], pts[1:]
     d1 = p1 - p0
-    hit_params: list[float] = []
+    hits = [np.empty(0)]
     for oval in config.ovals:
         q0, q1 = _edges(oval.vertices)
         d2 = q1 - q0
@@ -214,11 +214,10 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> 
             t = (diff[..., 0] * d2[None, :, 1] - diff[..., 1] * d2[None, :, 0]) / denom
             u = (diff[..., 0] * d1[:, None, 1] - diff[..., 1] * d1[:, None, 0]) / denom
         valid = (denom != 0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        chord_idx, _ = np.nonzero(valid)
-        tvals = t[valid]
-        for ci, tv in zip(chord_idx, tvals):
-            hit_params.append(float(taus[ci] + tv * (taus[ci + 1] - taus[ci])))
-    if not hit_params:
+        idx, _ = np.nonzero(valid)
+        hits.append(taus[idx] + t[valid] * (taus[idx + 1] - taus[idx]))
+    hits = np.sort(np.concatenate(hits))
+    if not hits.size:
         return 0
     # a gap above tol to the previous hit starts a new incidence, so chains merge
-    return 1 + int(np.sum(np.diff(np.sort(hit_params)) > tol))
+    return 1 + int(np.sum(np.diff(hits) > tol))

@@ -6,7 +6,8 @@ configuration decomposes the plane into one compact domain per oval: the
 region bounded by that oval outside and by its immediate children inside.
 The minimal domain area mu drives all topological bounds downstream.
 
-Polygons stand in for smooth ovals; the discretization error of areas is the
+Polygons stand in for smooth ovals and may be sampled finely: one edge sweep
+with bounded memory validates them. The discretization error of areas is the
 caller's modeling responsibility.
 """
 
@@ -158,86 +159,85 @@ def _segments_intersect(p0, p1, q0, q1) -> np.ndarray:
     return proper | touch
 
 
-def _first_touching_pair(ovals) -> tuple[int, int] | None:
-    """Lexicographically first index pair i < j whose boundaries touch, or None.
+def _first_touching(ovals) -> tuple[int | None, tuple[int, int] | None]:
+    """First oval whose own edges touch, and the first touching index pair i < j.
 
-    Sort-and-sweep over edge bounding boxes (Shamos-Hoey 1976): edges sorted by
-    min x meet the later edges whose min x is at most their max x; pairs of
-    different ovals whose y-ranges overlap go through the predicate, at most
-    ``_PAIR_CHUNK`` candidates at a time.
+    Sort-and-sweep over the bounding boxes of all edges (Shamos-Hoey 1976):
+    edges sorted by min x meet the later edges whose min x is at most their
+    max x; pairs whose y-ranges overlap go through the predicate, at most
+    ``_PAIR_CHUNK`` candidates at a time. Cyclic neighbours on one oval share
+    an endpoint by construction and are skipped. None where nothing touches.
     """
-    owner = np.repeat(np.arange(len(ovals)), [len(o.vertices) for o in ovals])
+    sizes = np.array([len(o.vertices) for o in ovals])
+    n, tails = len(ovals), np.cumsum(sizes)
+    owner = np.repeat(np.arange(n), sizes)
+    succ = np.arange(1, tails[-1] + 1)  # edge e runs from vertex e to vertex succ[e]
+    succ[tails - 1] = tails - sizes
     p0 = np.concatenate([o.vertices for o in ovals])
-    p1 = np.concatenate([_edges(o.vertices)[1] for o in ovals])
-    order = np.argsort(np.minimum(p0[:, 0], p1[:, 0]), kind="stable")
-    owner, p0, p1 = owner[order], p0[order], p1[order]
+    p1 = p0[succ]
     lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
-    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(1, len(lo) + 1)
+    order = np.argsort(lo[:, 0], kind="stable")
+    count = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(1, len(lo) + 1)
     ends = np.cumsum(count)
     first = ends - count  # sweep index of each edge's first candidate pair
-    n = len(ovals)
-    best, start = n * n, 0
+    crossed, best, start = n, n * n, 0
     while start < len(count):
         stop = max(int(np.searchsorted(ends, first[start] + _PAIR_CHUNK, side="right")), start + 1)
         a = np.repeat(np.arange(start, stop), count[start:stop])
-        b = a + 1 + first[start] + np.arange(len(a)) - first[a]
-        keep = (lo[b, 1] <= hi[a, 1]) & (lo[a, 1] <= hi[b, 1]) & (owner[a] != owner[b])
+        a, b = order[a], order[a + 1 + first[start] + np.arange(len(a)) - first[a]]
+        keep = (lo[b, 1] <= hi[a, 1]) & (lo[a, 1] <= hi[b, 1]) & (succ[a] != b) & (succ[b] != a)
         a, b = a[keep], b[keep]
         hit = _segments_intersect(p0[a], p1[a], p0[b], p1[b])
         i, j = owner[a[hit]], owner[b[hit]]
-        best = int(np.min(np.minimum(i, j) * n + np.maximum(i, j), initial=best))
+        crossed = int(np.min(i[i == j], initial=crossed))
+        best = int(np.min(np.minimum(i, j) * n + np.maximum(i, j), where=i != j, initial=best))
         start = stop
-    return None if best == n * n else divmod(best, n)
+    return (None if crossed == n else crossed), (None if best == n * n else divmod(best, n))
 
 
-def _validate_single(oval: Oval, enforce_ball: bool) -> None:
+def _oval_fault(oval: Oval, enforce_ball: bool) -> str | None:
+    """Message of the first failed per-oval check that needs no edge pairs, or None."""
     verts = oval.vertices
-    k = len(verts)
-    if k < 3:
-        raise ValidationError(f"oval {oval.id} has {k} vertices, need at least 3")
+    if len(verts) < 3:
+        return f"oval {oval.id} has {len(verts)} vertices, need at least 3"
     if not np.all(np.isfinite(verts)):
-        raise ValidationError(f"oval {oval.id} has non-finite vertex coordinates")
+        return f"oval {oval.id} has non-finite vertex coordinates"
     if enforce_ball and np.any(np.hypot(verts[:, 0], verts[:, 1]) > 1.0 + _BALL_TOL):
-        raise ValidationError(f"oval {oval.id} has vertices outside the unit ball")
-    p0, p1 = _edges(verts)
-    zero_length = np.any(np.all(p0 == p1, axis=1))
-    hits = _segments_intersect(p0[:, None], p1[:, None], p0[None, :], p1[None, :])
-    idx = np.arange(k)
-    # mask self and neighbours (they legitimately share endpoints)
-    neighbour = (
-        (idx[:, None] == idx[None, :])
-        | ((idx[:, None] + 1) % k == idx[None, :])
-        | ((idx[None, :] + 1) % k == idx[:, None])
-    )
-    # fold-back spikes: consecutive edges collinear and overlapping
-    prev = np.roll(verts, 1, axis=0)
-    nxt = np.roll(verts, -1, axis=0)
-    collinear = _cross(verts, prev, nxt) == 0
-    folded = np.einsum("ij,ij->i", prev - verts, nxt - verts) > 0
-    if zero_length or np.any(hits & ~neighbour) or np.any(collinear & folded):
-        raise ValidationError(f"oval {oval.id} has self-intersecting edges")
-    area = shoelace_area(verts)
-    if area <= 0:
-        raise ValidationError(f"domain of oval {oval.id} has non-positive area {area}")
+        return f"oval {oval.id} has vertices outside the unit ball"
+    prev, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
+    # zero-length edges and fold-back spikes (consecutive edges collinear and overlapping)
+    folded = (_cross(verts, prev, nxt) == 0) & (np.einsum("ij,ij->i", prev - verts, nxt - verts) > 0)
+    if np.any(np.all(verts == nxt, axis=1) | folded):
+        return f"oval {oval.id} has self-intersecting edges"
+    return None
 
 
 def validate_configuration(ovals, enforce_ball: bool = True) -> OvalConfiguration:
     """Check every configuration invariant and return the validated bundle.
 
-    Each oval is checked on its own, then one sweep tests the edge pairs of
-    different ovals whose bounding boxes overlap and reports the first touching
-    oval pair in configuration order. Set ``enforce_ball=False`` to admit
-    coordinates outside the unit disc (areas and nesting are scale-free; the
-    normalized bounds are not).
+    Each oval is checked in full before the next: id, vertex count, finiteness,
+    unit ball, zero-length edges and fold-back spikes, touching edges, area.
+    One sweep finds the touching edges, of one oval or two, among the ovals
+    before the first that fails a cheaper check; a touching pair comes last.
+    Set ``enforce_ball=False`` to admit coordinates outside the unit disc
+    (areas and nesting are scale-free; the normalized bounds are not).
     """
     ovals = tuple(ovals)
-    seen_ids = set()
-    for o in ovals:
-        if o.id in seen_ids:
-            raise ValidationError(f"duplicate oval id {o.id}")
+    seen_ids, passed, fault = set(), ovals, None
+    for k, o in enumerate(ovals):
+        if fault := (f"duplicate oval id {o.id}" if o.id in seen_ids else _oval_fault(o, enforce_ball)):
+            passed = ovals[:k]
+            break
         seen_ids.add(o.id)
-        _validate_single(o, enforce_ball)
-    if ovals and (pair := _first_touching_pair(ovals)):
+    crossed, pair = _first_touching(passed) if passed else (None, None)
+    for k, o in enumerate(passed):
+        if k == crossed:
+            raise ValidationError(f"oval {o.id} has self-intersecting edges")
+        if (area := o.signed_area) <= 0:
+            raise ValidationError(f"domain of oval {o.id} has non-positive area {area}")
+    if fault:
+        raise ValidationError(fault)
+    if pair:
         raise ValidationError(f"boundaries of ovals {ovals[pair[0]].id} and {ovals[pair[1]].id} intersect")
     return OvalConfiguration(ovals)
 

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import SolverError, ValidationError
+from .geometry import _BALL_TOL
 from .poly import MultiPoly, basis_size, chebyshev, eval_poly, monomial_terms, monomials
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "vandermonde",
 ]
 
-_BALL_TOL = 1e-9
 _OBJECTIVE_CAP = 1e12
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestValidation:
         assert config.N == 2
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^duplicate oval id 1$"):
             validate_configuration([square(0.4, 1), square(0.4, 1, center=(0.6, 0.0))],
                                    enforce_ball=False)
 
@@ -94,8 +95,73 @@ class TestValidation:
 
     def test_clockwise_rejected(self):
         verts = square(1.0, 1).vertices[::-1]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^domain of oval 1 has non-positive area -1\.0$"):
             validate_configuration([Oval(id=1, vertices=verts)])
+
+    def test_fold_back_spike_rejected(self):
+        # the third vertex turns back onto the first edge; only the spike check
+        # sees it, since all three edges are cyclic neighbours and the area is 0
+        verts = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]])
+        with pytest.raises(ValidationError, match=r"^oval 1 has self-intersecting edges$"):
+            validate_configuration([Oval(id=1, vertices=verts)])
+
+    def test_zero_length_edge_rejected(self):
+        verts = np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])
+        with pytest.raises(ValidationError, match=r"^oval 4 has self-intersecting edges$"):
+            validate_configuration([square(1.4, 2), Oval(id=4, vertices=verts)])
+        # three copies of one point: no spike, no edge pair to sweep, and zero area
+        with pytest.raises(ValidationError, match=r"^oval 4 has self-intersecting edges$"):
+            validate_configuration([Oval(id=4, vertices=np.full((3, 2), 0.25))])
+
+    def test_repeated_non_adjacent_vertex_rejected(self):
+        # two triangles meeting at the origin: a figure eight with positive area
+        verts = np.array([[0.0, 0.0], [0.5, -0.25], [0.5, 0.25], [0.0, 0.0], [-0.5, 0.25], [-0.5, -0.25]])
+        assert shoelace_area(verts) > 0
+        with pytest.raises(ValidationError, match=r"^oval 1 has self-intersecting edges$"):
+            validate_configuration([Oval(id=1, vertices=verts)])
+
+    @staticmethod
+    def pinched(oval_id) -> Oval:
+        """32-gon whose top vertex is moved onto its bottom vertex: two lobes touching there."""
+        verts = regular_polygon((0.0, 0.0), 0.8, 32).vertices.copy()
+        verts[8] = verts[24]
+        return Oval(id=oval_id, vertices=verts)
+
+    @pytest.mark.parametrize("chunk", [1, 7, geometry._PAIR_CHUNK])
+    def test_self_touching_oval_found_in_any_chunk(self, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        ring = regular_polygon((0.0, 0.0), 0.95, 48, 2)
+        inner = regular_polygon((0.5, 0.0), 0.1, 16, 3)
+        assert validate_configuration([ring, inner]).N == 2
+        with pytest.raises(ValidationError, match=r"^oval 5 has self-intersecting edges$"):
+            validate_configuration([ring, self.pinched(5), inner])
+
+    def test_self_intersection_beats_later_crossing_pair(self):
+        ovals = [self.pinched(5), square(0.2, 1, center=(0.5, 0.0)), square(0.2, 2, center=(0.6, 0.0))]
+        # the sweep reports both; the pair never counts an oval's own contacts
+        assert geometry._first_touching(ovals) == (0, (1, 2))
+        with pytest.raises(ValidationError, match=r"^oval 5 has self-intersecting edges$"):
+            validate_configuration(ovals)
+
+    def test_self_intersection_beats_later_duplicate_id(self):
+        with pytest.raises(ValidationError, match=r"^oval 5 has self-intersecting edges$"):
+            validate_configuration([square(0.1, 1, center=(0.5, 0.0)), self.pinched(5),
+                                    square(0.1, 5, center=(-0.5, 0.0))])
+
+    def test_later_oval_check_beats_earlier_crossing_pair(self):
+        with pytest.raises(ValidationError, match=r"^oval 3 has vertices outside the unit ball$"):
+            validate_configuration([square(0.2, 1), square(0.2, 2, center=(0.1, 0.0)), square(2.0, 3)])
+
+    def test_fine_oval_validates_in_bounded_memory(self):
+        # a k x k predicate matrix would need several GB here
+        oval = regular_polygon((0.0, 0.0), 0.9, 10_000, 1)
+        tracemalloc.start()
+        try:
+            assert validate_configuration([oval]).N == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestContains:

@@ -3,8 +3,9 @@
 Every vertex coordinate is dyadic (a multiple of a power of two well inside
 double precision), so the float predicates compute exactly and must agree
 with rational arithmetic. Validation is compared with a brute-force
-``fractions.Fraction`` test over every edge pair; the nesting forest with the
-tree the configuration was built from and with per-pair ``contains``.
+``fractions.Fraction`` test over every edge pair, of one oval and of two, that
+predicts the exact error message; the nesting forest with the tree the
+configuration was built from and with per-pair ``contains``.
 """
 
 from fractions import Fraction
@@ -76,6 +77,49 @@ def exact_first_touching_pair(ovals):
     return None
 
 
+def _exact_self_fault(oval: Oval) -> bool:
+    """Non-neighbour edges touching, a zero-length edge or a fold-back spike."""
+    edges = _exact_edges(oval)
+    k = len(edges)
+    if any(
+        _touch(*edges[i], *edges[j])
+        for i in range(k)
+        for j in range(i + 2, k)
+        if (i, j) != (0, k - 1)
+    ):
+        return True
+    if any(p0 == p1 for p0, p1 in edges):
+        return True
+    for (prev, v), (_, nxt) in zip(edges[-1:] + edges[:-1], edges):
+        back = (prev[0] - v[0]) * (nxt[0] - v[0]) + (prev[1] - v[1]) * (nxt[1] - v[1])
+        if _orient(v, prev, nxt) == 0 and back > 0:
+            return True
+    return False
+
+
+def _exact_area(oval: Oval) -> Fraction:
+    return sum((p0[0] * p1[1] - p1[0] * p0[1] for p0, p1 in _exact_edges(oval)), Fraction(0)) / 2
+
+
+def exact_validation_message(ovals) -> str | None:
+    """Message validation must raise, or None: each oval's checks in configuration order, pairs last.
+
+    The drawn ovals have at least three vertices inside the unit ball, so the
+    vertex-count, finiteness and ball checks never fire here.
+    """
+    seen = set()
+    for o in ovals:
+        if o.id in seen:
+            return f"duplicate oval id {o.id}"
+        seen.add(o.id)
+        if _exact_self_fault(o):
+            return f"oval {o.id} has self-intersecting edges"
+        if (area := _exact_area(o)) <= 0:
+            return f"domain of oval {o.id} has non-positive area {float(area)}"
+    pair = exact_first_touching_pair(ovals)
+    return None if pair is None else f"boundaries of ovals {ovals[pair[0]].id} and {ovals[pair[1]].id} intersect"
+
+
 # --- strategies -------------------------------------------------------------
 
 
@@ -92,6 +136,44 @@ def loose_configs(draw):
         roll = draw(st.integers(0, len(keep) - 1))
         ovals.append(_polygon([OCTAGON[k] for k in keep], cx, cy, r, roll, oval_id))
     return ovals
+
+
+# sixteen dyadic directions in counterclockwise order
+RAYS = ((1, 0), (1, 0.5), (1, 1), (0.5, 1), (0, 1), (-0.5, 1), (-1, 1), (-1, 0.5),
+        (-1, 0), (-1, -0.5), (-1, -1), (-0.5, -1), (0, -1), (0.5, -1), (1, -1), (1, -0.5))
+
+
+@st.composite
+def wild_ovals(draw, oval_id) -> Oval:
+    """A star-shaped dyadic polygon, possibly reordered, reversed, spiked or with a repeated vertex."""
+    rays = sorted(draw(st.sets(st.integers(0, 15), min_size=3, max_size=10)))
+    cx, cy = draw(st.integers(-8, 8)) / 16, draw(st.integers(-8, 8)) / 16
+    verts = [(cx + RAYS[k][0] * r / 32, cy + RAYS[k][1] * r / 32)
+             for k, r in zip(rays, draw(st.lists(st.integers(1, 4), min_size=len(rays), max_size=len(rays))))]
+    edit = draw(st.sampled_from(("star", "star", "shuffle", "clockwise", "spike", "repeat")))
+    if edit == "shuffle":
+        verts = draw(st.permutations(verts))
+    elif edit == "clockwise":
+        verts = verts[::-1]
+    elif edit == "spike":
+        # walk part or all of the way back along the edge just traversed
+        i = draw(st.integers(0, len(verts) - 1))
+        (x0, y0), (x1, y1) = verts[i - 1], verts[i]
+        back = draw(st.sampled_from((0.25, 0.5, 1.0)))
+        verts.insert(i + 1, (x1 + back * (x0 - x1), y1 + back * (y0 - y1)))
+    elif edit == "repeat":
+        verts.insert(draw(st.integers(0, len(verts))), verts[draw(st.integers(0, len(verts) - 1))])
+    return Oval(id=oval_id, vertices=np.array(verts))
+
+
+@st.composite
+def wild_configs(draw):
+    """1..4 wild ovals, sometimes with a repeated id."""
+    count = draw(st.integers(1, 4))
+    ids = list(draw(st.permutations(range(1, count + 1))))
+    if count > 1 and draw(st.integers(0, 3)) == 0:
+        ids[draw(st.integers(1, count - 1))] = ids[0]
+    return [draw(wild_ovals(oval_id)) for oval_id in ids]
 
 
 @st.composite
@@ -139,6 +221,18 @@ def test_validation_matches_exact_oracle(ovals):
     with pytest.raises(ValidationError) as exc:
         validate_configuration(ovals)
     assert str(exc.value) == f"boundaries of ovals {ovals[i].id} and {ovals[j].id} intersect"
+
+
+@PROPERTY
+@given(wild_configs())
+def test_validation_messages_match_exact_oracle(ovals):
+    expected = exact_validation_message(ovals)
+    if expected is None:
+        assert validate_configuration(ovals).N == len(ovals)
+        return
+    with pytest.raises(ValidationError) as exc:
+        validate_configuration(ovals)
+    assert str(exc.value) == expected
 
 
 @PROPERTY
