@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import OvalConfiguration, _edges
+from .geometry import _PAIR_CHUNK, OvalConfiguration, _edges
 from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, partial_derivative
 
 __all__ = [
@@ -195,7 +195,8 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> 
     The curve is subdivided into 4096 chords; each chord is intersected with
     every oval edge (touching counts, crossing parameters interpolated
     linearly along the chord), and crossing parameters closer than tol merge
-    into one incidence.
+    into one incidence. Edges go through in blocks, so each step holds about
+    ``_PAIR_CHUNK`` chord-edge pairs whatever the oval's vertex count.
     """
     if omega.dim != 2:
         raise ValidationError(f"expected dimension 2, got {omega.dim}")
@@ -203,19 +204,22 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> 
     pts = omega.eval(taus)
     p0, p1 = pts[:-1], pts[1:]
     d1 = p1 - p0
+    block = max(1, _PAIR_CHUNK // _SUBDIVISIONS)
     hits = [np.empty(0)]
     for oval in config.ovals:
-        q0, q1 = _edges(oval.vertices)
-        d2 = q1 - q0
-        # chord x edge intersection parameters, broadcast (chords, edges)
-        denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
-        diff = q0[None, :, :] - p0[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (diff[..., 0] * d2[None, :, 1] - diff[..., 1] * d2[None, :, 0]) / denom
-            u = (diff[..., 0] * d1[:, None, 1] - diff[..., 1] * d1[:, None, 0]) / denom
-        valid = (denom != 0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        idx, _ = np.nonzero(valid)
-        hits.append(taus[idx] + t[valid] * (taus[idx + 1] - taus[idx]))
+        q0s, q1s = _edges(oval.vertices)
+        for start in range(0, len(q0s), block):
+            q0 = q0s[start : start + block]
+            d2 = q1s[start : start + block] - q0
+            # chord x edge intersection parameters, broadcast (chords, edges)
+            denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
+            diff = q0[None, :, :] - p0[:, None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (diff[..., 0] * d2[None, :, 1] - diff[..., 1] * d2[None, :, 0]) / denom
+                u = (diff[..., 0] * d1[:, None, 1] - diff[..., 1] * d1[:, None, 0]) / denom
+            valid = (denom != 0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+            idx, _ = np.nonzero(valid)
+            hits.append(taus[idx] + t[valid] * (taus[idx + 1] - taus[idx]))
     hits = np.sort(np.concatenate(hits))
     if not hits.size:
         return 0

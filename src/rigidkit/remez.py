@@ -12,6 +12,10 @@ yields interpolation-weight upper bounds for all remaining candidates
 (through its active constraint nodes); provably suboptimal candidates are
 skipped. On well-behaved inputs this collapses thousands of LPs to a few
 while returning exactly the max a full sweep would.
+
+``linprog`` is imported inside ``remez_estimate_lp``, after the rank test
+and before the LP loop: loading its module takes about half a second of CPU,
+and no other tool in the package solves an LP, so only an LP run pays it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import SolverError, ValidationError
 from .geometry import _BALL_TOL
@@ -162,6 +165,8 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
             witness_point=None,
             diagnostics=diagnostics,
         )
+
+    from scipy.optimize import linprog
 
     a_ub = np.vstack([phi, -phi])
     b_ub = np.ones(len(a_ub))

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +68,17 @@ def halfline_path(tmp_path):
 def curve_points_path(tmp_path):
     path = tmp_path / "pts3.csv"
     path.write_text("-0.3,0.2\n0.0,-0.1\n0.3,0.2\n")
+    return str(path)
+
+
+@pytest.fixture
+def grid_points_path(tmp_path):
+    mids = (np.arange(32) + 0.5) / 32.0
+    xs, ys = np.meshgrid(mids, mids, indexing="ij")
+    path = tmp_path / "grid.csv"
+    path.write_text(
+        "\n".join(f"{x:.10f},{y:.10f}" for x, y in zip(xs.ravel(), ys.ravel()))
+    )
     return str(path)
 
 
@@ -205,16 +219,10 @@ class TestCurveCheck:
 
 
 class TestBoxdim:
-    def test_midpoint_grid_plane(self, tmp_path, capsys):
-        mids = (np.arange(32) + 0.5) / 32.0
-        xs, ys = np.meshgrid(mids, mids, indexing="ij")
-        path = tmp_path / "grid.csv"
-        path.write_text(
-            "\n".join(f"{x:.10f},{y:.10f}" for x, y in zip(xs.ravel(), ys.ravel()))
-        )
+    def test_midpoint_grid_plane(self, grid_points_path, capsys):
         code, report = run_cli(
             [
-                "boxdim", "--points", str(path),
+                "boxdim", "--points", grid_points_path,
                 "--scales", "0.25,0.125,0.0625", "--degree", "1",
             ],
             capsys,
@@ -396,6 +404,72 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_lp_solver_failure_exit3(self, halfline_path, monkeypatch, capsys):
+        import scipy.optimize
+
+        failed = scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", nit=0)
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
+        code = main(["remez-lp", "--degree", "2", "--z", halfline_path, "--grid", "64"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "solver error: LP solver failed with status 4: numerical difficulties\n"
+        )
+
+
+# Runs in a fresh interpreter: the test process has long since loaded scipy.
+_SCIPY_PROBE = """
+import json, sys
+import rigidkit
+loaded = [("import rigidkit", 0, "scipy.optimize" in sys.modules)]
+from rigidkit.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    loaded.append((argv[0], code, "scipy.optimize" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+class TestLazyScipy:
+    def test_only_lp_subcommands_load_scipy(
+        self, annulus_path, fxy_path, curve_points_path, grid_points_path,
+        halfline_path, tmp_path,
+    ):
+        out = str(tmp_path / "report.json")
+        runs = [
+            ["decompose", "--config", annulus_path],
+            ["bounds", "--config", annulus_path, "--degree", "2"],
+            ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--z0", "0.9", "--degree", "2"],
+            [
+                "curve-check", "--f", fxy_path, "--points", curve_points_path,
+                "--s", "2", "--degree", "3", "--tgrid", "128", "--config", annulus_path,
+            ],
+            [
+                "boxdim", "--points", grid_points_path,
+                "--scales", "0.25,0.125,0.0625", "--degree", "1",
+            ],
+            ["verify-proof", "--poly", fxy_path, "--config", annulus_path, "--grid", "12"],
+            ["remez-lp", "--degree", "2", "--z", halfline_path, "--grid", "64"],
+        ]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps([r + ["--out", out] for r in runs])],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = [tuple(step) for step in json.loads(proc.stdout)]
+        assert loaded == [
+            ("import rigidkit", 0, False),
+            ("decompose", 0, False),
+            ("bounds", 0, False),
+            ("rigidity-1d", 0, False),
+            ("curve-check", 0, False),
+            ("boxdim", 0, False),
+            ("verify-proof", 0, False),
+            ("remez-lp", 0, True),
+        ]
 
 
 class TestConsoleScript:

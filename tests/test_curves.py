@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,3 +219,17 @@ class TestCrossingCount:
             marked.append(circle.vertices[round(angle / (2 * math.pi / k)) % k])
         curve = fit_curve(np.array(marked), 3)
         assert crossing_count(curve, config, 1e-3) >= 4
+
+    def test_fine_oval_counts_in_bounded_memory(self):
+        # one (chords x edges) broadcast over all edges would need about 2 GB here
+        config = validate_configuration([regular_polygon((0.0, 0.0), 0.5, 10_000, 1)])
+        seg = ParamCurve(
+            components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
+        )
+        tracemalloc.start()
+        try:
+            assert crossing_count(seg, config, 1e-3) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rigidkit.errors import ValidationError
+from rigidkit.errors import SolverError, ValidationError
 from rigidkit.poly import basis_size, eval_poly
 from rigidkit.remez import (
     brudnyi_ganzburg_bound,
@@ -137,6 +137,15 @@ class TestEstimatorProperties:
             remez_estimate_lp([[1.5, 0.0]], 1, [[0.0, 0.0]])
         with pytest.raises(ValidationError):
             remez_estimate_lp([[0.0, 0.0]], 1, [[1.5, 0.0]])
+
+    def test_solver_failure_raises(self, monkeypatch):
+        import scipy.optimize
+
+        failed = scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", nit=0)
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
+        message = r"^LP solver failed with status 4: numerical difficulties$"
+        with pytest.raises(SolverError, match=message):
+            remez_estimate_lp([[-1.0], [0.0]], 1, [[1.0]])
 
 
 class TestInverseRemez:
