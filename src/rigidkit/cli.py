@@ -21,6 +21,7 @@ from . import __version__
 from .errors import SolverError, ValidationError
 from .fractal import PointCloud, box_dimension_estimate, rigidity_threshold_check
 from .geometry import (
+    _BALL_TOL,
     build_domains,
     build_nesting_forest,
     config_from_json_dict,
@@ -93,7 +94,7 @@ def _candidate_grid(n: int, k: int) -> np.ndarray:
         return axis.reshape(-1, 1)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    keep = np.sqrt(np.sum(pts**2, axis=1)) <= 1.0 + 1e-12
+    keep = np.sqrt(np.sum(pts**2, axis=1)) <= 1.0 + _BALL_TOL
     if not np.any(keep):
         raise ValidationError(f"no point of the {k}-per-axis candidate grid lies in the unit ball")
     return pts[keep]
@@ -163,29 +164,38 @@ def _cmd_decompose(args) -> dict:
     return report
 
 
-def _zsamples_for(args) -> tuple[np.ndarray, list[str]]:
+def _boundary_samples(config, per_oval: int) -> np.ndarray:
+    return np.concatenate([sample_boundary(o, per_oval) for o in config.ovals], axis=0)
+
+
+def _zsamples_for(args) -> np.ndarray:
     if args.z.endswith(".json"):
-        config = _load_config(args.z)
-        chunks = [sample_boundary(o, args.samples_per_oval) for o in config.ovals]
-        return np.concatenate(chunks, axis=0), [args.z]
-    return _load_points_csv(args.z), [args.z]
+        return _boundary_samples(_load_config(args.z), args.samples_per_oval)
+    return _load_points_csv(args.z)
+
+
+def _estimate_fields(est) -> dict:
+    """The estimate entries that ``remez-lp`` and ``rigidity`` both report."""
+    return {
+        "infinite": est.is_infinite,
+        "value": None if est.is_infinite else est.value,
+        "inverse": inverse_remez(est),
+        "diagnostics": est.diagnostics,
+    }
 
 
 def _cmd_remez_lp(args) -> dict:
-    zsamples, inputs = _zsamples_for(args)
+    zsamples = _zsamples_for(args)
     n = zsamples.shape[1]
     candidates = _candidate_grid(n, args.grid)
     est = remez_estimate_lp(zsamples, args.degree, candidates)
     return {
-        "manifest": _manifest(args, inputs),
+        "manifest": _manifest(args, [args.z]),
         "degree": args.degree,
         "n": n,
-        "infinite": est.is_infinite,
-        "value": None if est.is_infinite else est.value,
-        "inverse": inverse_remez(est),
+        **_estimate_fields(est),
         "witness_poly": None if est.witness_poly is None else est.witness_poly.to_json_dict(),
         "witness_point": None if est.witness_point is None else [float(v) for v in est.witness_point],
-        "diagnostics": est.diagnostics,
         "formula": "min K with sup_B |P| <= K sup_Z |P| (LP on sampled constraints)",
     }
 
@@ -217,23 +227,16 @@ def _cmd_rigidity(args) -> dict:
     config = _load_config(args.config)
     mu_val = mu(build_domains(build_nesting_forest(config)))
     count = config.N
-    chunks = [sample_boundary(o, args.samples_per_oval) for o in config.ovals]
-    zsamples = np.concatenate(chunks, axis=0)
-    candidates = _candidate_grid(2, args.grid)
-    est = remez_estimate_lp(zsamples, args.degree, candidates)
-    inv = inverse_remez(est)
-    rep = rigidity_report(args.degree, mu_value=mu_val, n=2, oval_count=count, inv_remez=inv)
+    zsamples = _boundary_samples(config, args.samples_per_oval)
+    est = remez_estimate_lp(zsamples, args.degree, _candidate_grid(2, args.grid))
+    estimate = _estimate_fields(est)
+    rep = rigidity_report(args.degree, mu_value=mu_val, n=2, oval_count=count, inv_remez=estimate["inverse"])
     return {
         "manifest": _manifest(args, [args.config]),
         "degree": args.degree,
         "mu": mu_val,
         "oval_count": count,
-        "remez_estimate": {
-            "infinite": est.is_infinite,
-            "value": None if est.is_infinite else est.value,
-            "inverse": inv,
-            "diagnostics": est.diagnostics,
-        },
+        "remez_estimate": estimate,
         "rigidity": rep.to_json_dict(),
     }
 
@@ -348,45 +351,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    d = sub.add_parser("decompose", help="validate a configuration and emit forest/domains/mu")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, parents=[out], help=summary)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    d = command("decompose", _cmd_decompose, "validate a configuration and emit forest/domains/mu")
     d.add_argument("--config", required=True, help="configuration JSON")
     d.add_argument("--svg", default=None, help="also write an SVG rendering here")
-    d.add_argument("--out", default=None)
-    d.set_defaults(func=_cmd_decompose)
 
-    r = sub.add_parser("remez-lp", help="LP lower estimate of the Remez constant of sampled Z")
+    r = command("remez-lp", _cmd_remez_lp, "LP lower estimate of the Remez constant of sampled Z")
     r.add_argument("--degree", type=int, required=True)
     r.add_argument("--z", required=True, help="points CSV (x or x,y rows) or configuration JSON")
     r.add_argument("--grid", type=int, default=64, help="candidate grid points per axis")
     r.add_argument("--samples-per-oval", type=int, default=256)
-    r.add_argument("--out", default=None)
-    r.set_defaults(func=_cmd_remez_lp)
 
-    b = sub.add_parser("bounds", help="closed-form Remez and rigidity bounds from mu")
+    b = command("bounds", _cmd_bounds, "closed-form Remez and rigidity bounds from mu")
     b.add_argument("--config", required=True)
     b.add_argument("--degree", type=int, required=True)
     b.add_argument("--n", type=int, default=2, help="ambient dimension for the formulas")
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=_cmd_bounds)
 
-    g = sub.add_parser("rigidity", help="full pipeline: geometry, LP estimate, rigidity report")
+    g = command("rigidity", _cmd_rigidity, "full pipeline: geometry, LP estimate, rigidity report")
     g.add_argument("--config", required=True)
     g.add_argument("--degree", type=int, required=True)
     g.add_argument("--grid", type=int, default=64)
     g.add_argument("--samples-per-oval", type=int, default=256)
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=_cmd_rigidity)
 
-    r1 = sub.add_parser("rigidity-1d", help="divided-difference lower bound on a line")
+    r1 = command("rigidity-1d", _cmd_rigidity_1d, "divided-difference lower bound on a line")
     r1.add_argument("--zeros", required=True, help="comma-separated zeros, d+1 of them")
     r1.add_argument("--z0", type=_finite_float, required=True, help="witness point")
     r1.add_argument("--fz0", type=_finite_float, default=1.0, help="|f(z0)| after normalization")
     r1.add_argument("--degree", type=int, required=True)
-    r1.add_argument("--out", default=None)
-    r1.set_defaults(func=_cmd_rigidity_1d)
 
-    c = sub.add_parser("curve-check", help="fit a test curve and probe the composition inequality")
+    c = command("curve-check", _cmd_curve_check, "fit a test curve and probe the composition inequality")
     c.add_argument("--f", required=True, help="polynomial JSON")
     c.add_argument("--points", required=True, help="points CSV to interpolate")
     c.add_argument("--s", type=int, required=True, help="curve degree")
@@ -394,24 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tgrid", type=int, default=512)
     c.add_argument("--config", default=None, help="optional configuration for crossing count")
     c.add_argument("--tol", type=_finite_float, default=1e-9, help="crossing isolation tolerance")
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=_cmd_curve_check)
 
-    x = sub.add_parser("boxdim", help="box-counting dimension estimate and threshold verdict")
+    x = command("boxdim", _cmd_boxdim, "box-counting dimension estimate and threshold verdict")
     x.add_argument("--points", required=True, help="points CSV")
     x.add_argument("--scales", required=True, help="comma-separated decreasing scales")
     x.add_argument("--degree", type=int, required=True)
-    x.add_argument("--out", default=None)
-    x.set_defaults(func=_cmd_boxdim)
 
-    v = sub.add_parser("verify-proof", help="critical-point count and domain pigeonhole evidence")
+    v = command("verify-proof", _cmd_verify_proof, "critical-point count and domain pigeonhole evidence")
     v.add_argument("--poly", required=True, help="polynomial JSON")
     v.add_argument("--config", required=True)
     v.add_argument("--degree", type=int, default=None, help="also check the count at this degree")
     v.add_argument("--grid", type=int, default=64, help="Newton seed grid per axis")
     v.add_argument("--eps", type=_finite_float, default=1e-6, help="perturbation size relative to coefficient norm")
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=_cmd_verify_proof)
 
     return parser
 

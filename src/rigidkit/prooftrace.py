@@ -12,7 +12,7 @@ assembles the per-domain evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,8 +76,6 @@ class CriticalPointSet:
 
 def _normalize_box(box):
     arr = np.asarray(box, dtype=float).reshape(-1)
-    if arr.size == 2:
-        arr = np.array([arr[0], arr[1], arr[0], arr[1]])
     if arr.size != 4:
         raise ValidationError(f"box must be (xmin, xmax, ymin, ymax), got {box!r}")
     if not np.all(np.isfinite(arr)) or arr[0] >= arr[1] or arr[2] >= arr[3]:
@@ -109,16 +107,14 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     gy = partial_derivative(p, 1)
     coefnorm = p.coefficient_norm()
     grad_tol = 1e-8 * (1.0 + coefnorm)
-    empty = CriticalPointSet(
-        representatives=np.zeros((0, 2)),
-        gradient_norms=np.zeros(0),
-        cluster_sizes=np.zeros(0, dtype=np.int64),
-        merge_radius=_MERGE_RADIUS,
-        diagnostics={"seeds": grid * grid, "converged": 0, "note": ""},
-    )
+
+    def empty(note: str) -> CriticalPointSet:
+        diagnostics = {"seeds": grid * grid, "converged": 0, "note": note}
+        sizes = np.zeros(0, dtype=np.int64)
+        return CriticalPointSet(np.zeros((0, 2)), np.zeros(0), sizes, _MERGE_RADIUS, diagnostics)
+
     if gx.is_zero() and gy.is_zero():
-        empty.diagnostics["note"] = "gradient vanishes identically"
-        return empty
+        return empty("gradient vanishes identically")
 
     hxx = partial_derivative(gx, 0)
     hxy = partial_derivative(gx, 1)
@@ -156,16 +152,14 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
             break
 
     if not np.any(alive):
-        empty.diagnostics["note"] = "no seed converged"
-        return empty
+        return empty("no seed converged")
 
     cand = pts[alive]
     gn = np.hypot(eval_poly(gx, [cand[:, 0], cand[:, 1]]), eval_poly(gy, [cand[:, 0], cand[:, 1]]))
     keep = gn <= grad_tol
     cand, gn = cand[keep], gn[keep]
     if len(cand) == 0:
-        empty.diagnostics["note"] = "no seed reached the gradient tolerance"
-        return empty
+        return empty("no seed reached the gradient tolerance")
 
     order = np.lexsort((cand[:, 1], cand[:, 0]))
     cand, gn = cand[order], gn[order]
@@ -245,13 +239,7 @@ class BezoutVerdict:
     note: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "bound": self.bound,
-            "n_clusters": self.n_clusters,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def bezout_check(cps: CriticalPointSet, d: int) -> BezoutVerdict:

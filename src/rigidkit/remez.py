@@ -123,10 +123,10 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
-def _nullspace_witness(phi: np.ndarray, n: int, d: int) -> MultiPoly:
-    """Unit coefficient vector annihilating all samples, as a polynomial."""
+def _infinite(phi: np.ndarray, n: int, d: int, diagnostics: dict) -> RemezEstimate:
+    """Infinite estimate, witnessed by the unit coefficient vector that annihilates all samples."""
     _, _, vt = np.linalg.svd(phi, full_matrices=True)
-    return MultiPoly.from_rows(n, monomials(n, d), vt[-1])
+    return RemezEstimate(d, math.inf, MultiPoly.from_rows(n, monomials(n, d), vt[-1]), None, diagnostics)
 
 
 def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
@@ -157,14 +157,7 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
         "pruned": 0,
     }
     if len(zpts) < m or sigma.min() <= 1e-12 * max(1.0, sigma.max()):
-        witness = _nullspace_witness(phi, n, d)
-        return RemezEstimate(
-            degree=d,
-            value=math.inf,
-            witness_poly=witness,
-            witness_point=None,
-            diagnostics=diagnostics,
-        )
+        return _infinite(phi, n, d, diagnostics)
 
     from scipy.optimize import linprog
 
@@ -197,9 +190,8 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
         diagnostics["lp_solved"] += 1
         diagnostics["lp_iterations"] += int(getattr(res, "nit", 0) or 0)
         if res.status == 3 or (res.status == 0 and -res.fun > _OBJECTIVE_CAP):
-            witness = _nullspace_witness(phi, n, d)
             diagnostics["unbounded_at"] = cand[pick].tolist()
-            return RemezEstimate(d, math.inf, witness, None, diagnostics)
+            return _infinite(phi, n, d, diagnostics)
         if res.status != 0:
             raise SolverError(f"LP solver failed with status {res.status}: {res.message}")
 

@@ -12,7 +12,7 @@ the restriction of a function to a line for sets with interior points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ FORMULAS = {
     "topological_literal": "(1/(d+1)!) * (4n/mu)^d",
     "topological_composed": "(d+1)!/2 * (mu/(4n))^d",
     "one_dimensional": "(d+1)! * |divided difference over zeros and z0|",
-    "interior_line": "one_dimensional bound on the restriction to a line",
 }
 
 
@@ -208,13 +207,7 @@ class BoundEntry:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "value": self.value,
-            "hypothesis_ok": self.hypothesis_ok,
-            "provenance": self.provenance,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -238,64 +231,23 @@ def rigidity_report(
     n: int = 2,
     oval_count: int | None = None,
     inv_remez: float | None = None,
-    one_dimensional: float | None = None,
-    interior_line: float | None = None,
 ) -> RigidityReport:
     """Assemble every applicable bound into one report.
 
-    The two topological entries are always present when a positive minimal
-    domain area is supplied; their hypothesis flag records whether the oval
-    count reaches ``ovals_required(d, n)``. The two shapes disagree as mu
-    shrinks and are deliberately reported side by side.
+    Each bound is one ``(formula, value, hypothesis_ok, note)`` row; its
+    provenance is ``FORMULAS[formula]``. The two topological entries are
+    always present when a positive minimal domain area is supplied; their
+    hypothesis flag records whether the oval count reaches
+    ``ovals_required(d, n)``. The two shapes disagree as mu shrinks and are
+    deliberately reported side by side.
     """
-    report = RigidityReport(d=d)
+    rows = []
     if inv_remez is not None:
-        report.bounds.append(
-            BoundEntry(
-                formula="from_remez",
-                value=rigidity_from_remez(inv_remez, d),
-                hypothesis_ok=True,
-                provenance=FORMULAS["from_remez"],
-            )
-        )
+        rows.append(("from_remez", rigidity_from_remez(inv_remez, d), True, ""))
     if mu_value is not None:
         required = ovals_required(d, n)
         count_ok = oval_count is None or oval_count >= required
         note = "" if count_ok else f"oval count {oval_count} below required {required}"
-        report.bounds.append(
-            BoundEntry(
-                formula="topological_literal",
-                value=rigidity_topological_literal(mu_value, d, n),
-                hypothesis_ok=count_ok,
-                provenance=FORMULAS["topological_literal"],
-                note=note,
-            )
-        )
-        report.bounds.append(
-            BoundEntry(
-                formula="topological_composed",
-                value=rigidity_topological_composed(mu_value, d, n),
-                hypothesis_ok=count_ok,
-                provenance=FORMULAS["topological_composed"],
-                note=note,
-            )
-        )
-    if one_dimensional is not None:
-        report.bounds.append(
-            BoundEntry(
-                formula="one_dimensional",
-                value=one_dimensional,
-                hypothesis_ok=True,
-                provenance=FORMULAS["one_dimensional"],
-            )
-        )
-    if interior_line is not None:
-        report.bounds.append(
-            BoundEntry(
-                formula="interior_line",
-                value=interior_line,
-                hypothesis_ok=True,
-                provenance=FORMULAS["interior_line"],
-            )
-        )
-    return report
+        rows.append(("topological_literal", rigidity_topological_literal(mu_value, d, n), count_ok, note))
+        rows.append(("topological_composed", rigidity_topological_composed(mu_value, d, n), count_ok, note))
+    return RigidityReport(d, [BoundEntry(f, value, ok, FORMULAS[f], note) for f, value, ok, note in rows])

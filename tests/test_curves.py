@@ -206,6 +206,19 @@ class TestCrossingCount:
         )
         assert crossing_count(omega, config, 1e-3) == 4
 
+    def test_chained_hits_merge_into_one_incidence_per_side(self):
+        # rings delta apart meet the segment x = 0.9 t at parameters delta/0.9 apart
+        delta = 0.02
+        gap = delta / 0.9
+        config = validate_configuration([self.circle(0.5 + i * delta, i + 1) for i in range(3)])
+        seg = ParamCurve(
+            components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
+        )
+        assert crossing_count(seg, config, 0.5 * gap) == 6
+        # each hit is within tol of the previous one but the third is two gaps
+        # from the first: merging against a cluster's first hit would give 4
+        assert crossing_count(seg, config, 1.5 * gap) == 2
+
     def test_fitted_curve_through_boundary_points(self):
         # cubic interpolating four near-parabola points marked on the circle
         circle = self.circle(0.288)

@@ -1,4 +1,4 @@
-"""Recorded report bodies of four subcommands, compared byte for byte.
+"""Recorded report bodies of six subcommands, compared byte for byte.
 
 Inputs are built from the conftest helpers; the manifest (paths, digests,
 timestamp) is stripped and the rest must match ``tests/golden/<case>.json``
@@ -38,6 +38,10 @@ CASES = (
     "decompose-scattered",
     "bounds-ladder",
     "bounds-scattered",
+    "remez-lp-halfline",
+    "remez-lp-annulus",
+    "remez-lp-collinear",
+    "rigidity-annulus",
 )
 
 
@@ -59,6 +63,9 @@ def _argv(case: str, workdir: Path) -> list[str]:
     ring_path = _write(workdir / "rings-poly.json", json.dumps(vanishing_ring_poly(RINGS).to_json_dict()))
     pts3 = _write(workdir / "pts3.csv", "-0.3,0.2\n0.0,-0.1\n0.3,0.2\n")
     pts4 = _write(workdir / "pts4.csv", "-0.4,0.1\n-0.1,-0.2\n0.2,0.15\n0.45,-0.05\n")
+    halfline = _write(workdir / "halfline.csv", "\n".join(f"{t:.12f}" for t in np.linspace(-1.0, 0.0, 64)))
+    # three points on the line y = x: a degree-1 polynomial vanishes on all of them
+    collinear = _write(workdir / "collinear.csv", "-0.5,-0.5\n0.0,0.0\n0.5,0.5\n")
     return {
         "curve-check-annulus": [
             "curve-check", "--f", fxy_path, "--points", pts3, "--s", "2", "--degree", "1",
@@ -76,6 +83,14 @@ def _argv(case: str, workdir: Path) -> list[str]:
         "decompose-scattered": ["decompose", "--config", scattered],
         "bounds-ladder": ["bounds", "--config", ladder, "--degree", "6"],
         "bounds-scattered": ["bounds", "--config", scattered, "--degree", "10", "--n", "3"],
+        "remez-lp-halfline": ["remez-lp", "--degree", "2", "--z", halfline, "--grid", "64"],
+        "remez-lp-annulus": [
+            "remez-lp", "--degree", "2", "--z", annulus, "--grid", "16", "--samples-per-oval", "32",
+        ],
+        "remez-lp-collinear": ["remez-lp", "--degree", "1", "--z", collinear, "--grid", "8"],
+        "rigidity-annulus": [
+            "rigidity", "--config", annulus, "--degree", "2", "--grid", "16", "--samples-per-oval", "32",
+        ],
     }[case]
 
 

@@ -86,6 +86,11 @@ class TestFindCriticalPoints:
         with pytest.raises(ValidationError):
             find_critical_points(nine_well_poly(), BOX, 1)
 
+    def test_box_needs_four_bounds(self):
+        # (a, b) is not a shorthand for the square [a, b]^2
+        with pytest.raises(ValidationError, match="box must be"):
+            find_critical_points(nine_well_poly(), (0.0, 1.0), 8)
+
 
 class TestPerturbation:
     def test_xi_is_a_flat_triple(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rigidkit.errors import SolverError, ValidationError
-from rigidkit.poly import basis_size, eval_poly
+from rigidkit.poly import MultiPoly, basis_size, eval_poly, monomials
 from rigidkit.remez import (
     brudnyi_ganzburg_bound,
     inverse_remez,
@@ -146,6 +146,23 @@ class TestEstimatorProperties:
         message = r"^LP solver failed with status 4: numerical difficulties$"
         with pytest.raises(SolverError, match=message):
             remez_estimate_lp([[-1.0], [0.0]], 1, [[1.0]])
+
+    def test_unbounded_lp_is_infinite_with_nullspace_witness(self, monkeypatch):
+        import scipy.optimize
+
+        unbounded = scipy.optimize.OptimizeResult(status=3, message="unbounded", nit=2)
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: unbounded)
+        zs = [[-1.0], [0.0]]
+        est = remez_estimate_lp(zs, 1, [[1.0]])
+        assert est.is_infinite
+        assert inverse_remez(est) == 0.0
+        # the witness is the last right singular vector of the sample Vandermonde
+        vt = np.linalg.svd(vandermonde(np.array(zs), 1, 1))[2]
+        assert est.witness_poly == MultiPoly.from_rows(1, monomials(1, 1), vt[-1])
+        assert est.witness_point is None
+        assert est.diagnostics["unbounded_at"] == [1.0]
+        assert est.diagnostics["lp_solved"] == 1
+        assert est.diagnostics["lp_iterations"] == 2
 
 
 class TestInverseRemez:
