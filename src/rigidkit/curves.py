@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import _PAIR_CHUNK, OvalConfiguration, _edges
-from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, partial_derivative
+from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
 
 __all__ = [
     "ParamCurve",
@@ -61,7 +61,7 @@ class ParamCurve:
 
     def eval(self, t):
         """Curve point(s) at parameter t; vectorizes over numpy arrays."""
-        coords = [eval_poly(c, [t]) for c in self.components]
+        coords = eval_polys(self.components, [t])
         if isinstance(t, np.ndarray):
             return np.stack(coords, axis=-1)
         return np.array(coords, dtype=float)
@@ -158,19 +158,15 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> C
     k_hi = d + 1
 
     g = compose(f, list(omega.components))
-    g_deriv = g
-    for _ in range(d + 1):
-        g_deriv = partial_derivative(g_deriv, 0)
+    [(_, g_deriv)] = derivatives_of_order(g, d + 1)
 
     taus = np.linspace(-1.0, 1.0, tgrid)
-    coords = [eval_poly(c, [taus]) for c in omega.components]
+    coords = eval_polys(omega.components, [taus])
     lhs = np.zeros(tgrid)
-    for k in range(k_lo, k_hi + 1):
-        for _, q in derivatives_of_order(f, k):
-            lhs += np.abs(eval_poly(q, coords))
+    qs = [q for k in range(k_lo, k_hi + 1) for _, q in derivatives_of_order(f, k)]
+    for value in eval_polys(qs, coords):
+        lhs += np.abs(value)
     rhs = np.abs(eval_poly(g_deriv, [taus]))
-    if g_deriv.is_zero():
-        rhs = np.zeros(tgrid)
 
     live = rhs > _RHS_FLOOR
     all_degenerate = not bool(np.any(live))

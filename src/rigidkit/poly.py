@@ -2,15 +2,20 @@
 
 A polynomial is an (m, n) exponent matrix with unique rows in graded-lex
 order (total degree, then tuple, as ``monomials`` lists them) plus its m
-nonzero coefficients. Evaluation and the Vandermonde rows of ``remez`` share
-one term builder, so they agree bit for bit. Degrees stay below ~10 here, so
-plain arithmetic stays exact up to float rounding, which the downstream 1e-9
+nonzero coefficients. ``MultiPoly.from_rows`` is the one constructor that
+canonicalises: sums, products, derivatives and compositions hand it their
+stacked rows. ``eval_polys`` evaluates a family of polynomials over one
+per-axis power table, and the Vandermonde rows of ``remez`` use the same
+table, so the two agree bit for bit. Degrees stay below ~10 here, so plain
+arithmetic stays exact up to float rounding, which the downstream 1e-9
 oracle tolerances rely on.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +30,12 @@ __all__ = [
     "derivative_norm_pointwise",
     "derivatives_of_order",
     "eval_poly",
+    "eval_polys",
     "monomial_terms",
     "monomials",
     "multi_indices",
     "partial_derivative",
+    "power_table",
 ]
 
 
@@ -43,7 +50,7 @@ class MultiPoly:
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], float] | None = None):
         if nvars < 1:
             raise ValidationError(f"nvars must be >= 1, got {nvars}")
-        clean: dict[tuple[int, ...], float] = {}
+        rows, coefs = [], []
         for exp, coef in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
@@ -53,23 +60,37 @@ class MultiPoly:
             coef = float(coef)
             if not math.isfinite(coef):
                 raise ValidationError(f"non-finite coefficient {coef} at exponent {list(exp)}")
-            if coef != 0.0:
-                clean[exp] = clean.get(exp, 0.0) + coef
-                if clean[exp] == 0.0:
-                    del clean[exp]
-        rows = sorted(clean, key=lambda e: (sum(e), e))
-        self.nvars = nvars
-        self.exps = np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
-        self.coefs = np.array([clean[e] for e in rows], dtype=float)
+            rows.append(exp)
+            coefs.append(coef)
+        canon = MultiPoly.from_rows(nvars, rows, coefs)
+        self.nvars, self.exps, self.coefs = nvars, canon.exps, canon.coefs
 
     @classmethod
     def from_rows(cls, nvars: int, exps, coefs) -> "MultiPoly":
-        """Polynomial from unique graded-lex exponent rows; zero coefficients are dropped."""
-        coefs = np.asarray(coefs, dtype=float)
+        """Polynomial from exponent rows in any order; every constructor ends here.
+
+        Rows are sorted graded-lex, coefficients of equal rows are added in
+        arrival order and zero sums are dropped.
+        """
+        exps = np.asarray(exps, dtype=np.int64).reshape(-1, nvars)
+        coefs = np.asarray(coefs, dtype=float).reshape(-1)
+        if len(coefs) > 1:  # a single row is already sorted and unique
+            # one int64 key per row in graded-lex order: the total degree, then
+            # every exponent but the last, as digits in base (max exponent + 1)
+            base = int(exps.max()) + 1
+            if nvars * base**nvars >= 2**63:
+                raise ValidationError(f"exponents up to {base - 1} in {nvars} variables overflow the row key")
+            digits = [base**i for i in range(nvars - 2, -1, -1)] + [0]
+            key = exps.dot(np.array([base ** (nvars - 1) + w for w in digits], dtype=np.int64))
+            order = key.argsort(kind="stable")
+            key, exps = key[order], exps[order]
+            # the stable sort keeps equal rows in arrival order; bincount adds them
+            # from 0.0 in index order at the first of them and leaves 0.0 elsewhere
+            coefs = np.bincount(np.searchsorted(key, key), weights=coefs[order], minlength=len(key))
         keep = coefs != 0.0
         obj = cls.__new__(cls)
         obj.nvars = nvars
-        obj.exps = np.asarray(exps, dtype=np.int64).reshape(-1, nvars)[keep]
+        obj.exps = exps[keep]
         obj.coefs = coefs[keep]
         return obj
 
@@ -91,18 +112,18 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not len(self.coefs)
 
-    def _items(self):  # (exponent tuple, float coefficient) pairs, graded-lex
-        return zip(map(tuple, self.exps.tolist()), self.coefs.tolist())
-
     def __call__(self, x):
         return eval_poly(self, x)
 
-    def __add__(self, other) -> "MultiPoly":
+    def _plus(self, other, sign: float) -> "MultiPoly":
         other = self._coerce(other)
-        merged = dict(self._items())
-        for exp, coef in other._items():
-            merged[exp] = merged.get(exp, 0.0) + coef
-        return MultiPoly(self.nvars, merged)
+        if other is NotImplemented:
+            return NotImplemented
+        exps = np.concatenate([self.exps, other.exps])
+        return MultiPoly.from_rows(self.nvars, exps, np.concatenate([self.coefs, sign * other.coefs]))
+
+    def __add__(self, other) -> "MultiPoly":
+        return self._plus(other, 1.0)
 
     __radd__ = __add__
 
@@ -110,43 +131,43 @@ class MultiPoly:
         return MultiPoly.from_rows(self.nvars, self.exps, -self.coefs)
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
+        return self._plus(other, -1.0)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + self._coerce(other)
+        return (-self)._plus(other, 1.0)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, float)):
-            return MultiPoly.from_rows(self.nvars, self.exps, self.coefs * other)
+        if isinstance(other, numbers.Real):
+            return MultiPoly.from_rows(self.nvars, self.exps, self.coefs * float(other))
         other = self._coerce(other)
-        prod: dict[tuple[int, ...], float] = {}
-        right = list(other._items())
-        for e1, c1 in self._items():
-            for e2, c2 in right:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod[e] = prod.get(e, 0.0) + c1 * c2
-        return MultiPoly(self.nvars, prod)
+        if other is NotImplemented:
+            return NotImplemented
+        # row-major outer sum: each left term against every right term in turn
+        exps = self.exps[:, None, :] + other.exps[None, :, :]
+        return MultiPoly.from_rows(self.nvars, exps, self.coefs[:, None] * other.coefs)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "MultiPoly":
-        if not isinstance(k, int) or k < 0:
+    def __pow__(self, k) -> "MultiPoly":
+        n = operator.index(k) if hasattr(k, "__index__") else -1
+        if n < 0:
             raise ValidationError(f"polynomial power must be a nonnegative int, got {k}")
         out = MultiPoly.constant(self.nvars, 1.0)
         base = self
-        while k:
-            if k & 1:
+        while n:
+            if n & 1:
                 out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
+            base = base * base if n > 1 else base
+            n >>= 1
         return out
 
-    def _coerce(self, other) -> "MultiPoly":
+    def _coerce(self, other):
+        """``other`` as a polynomial in the same variables, or NotImplemented."""
         if isinstance(other, MultiPoly):
             if other.nvars != self.nvars:
                 raise ValidationError(f"expected dimension {self.nvars}, got {other.nvars}")
             return other
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             return MultiPoly.constant(self.nvars, float(other))
         return NotImplemented
 
@@ -161,7 +182,7 @@ class MultiPoly:
     def __repr__(self) -> str:
         if self.is_zero():
             return f"MultiPoly({self.nvars}, 0)"
-        parts = [f"{c:g}*x^{list(e)}" for e, c in self._items()]
+        parts = [f"{c:g}*x^{e}" for e, c in zip(self.exps.tolist(), self.coefs.tolist())]
         return f"MultiPoly({self.nvars}, {' + '.join(parts)})"
 
     def coefficient_norm(self) -> float:
@@ -171,7 +192,7 @@ class MultiPoly:
     def to_json_dict(self) -> dict:
         return {
             "nvars": self.nvars,
-            "terms": [{"exp": list(e), "coef": c} for e, c in self._items()],
+            "terms": [{"exp": e, "coef": c} for e, c in zip(self.exps.tolist(), self.coefs.tolist())],
         }
 
     @classmethod
@@ -189,43 +210,59 @@ class MultiPoly:
         return cls(nvars, terms)
 
 
-def monomial_terms(rows: Sequence[Sequence[int]], coefs: Sequence[float], x):
+def power_table(x, rows: Sequence[Sequence[int]]) -> list[dict[int, object]]:
+    """Per-axis ``{e: x_i**e}`` for every nonzero exponent in ``rows``.
+
+    Each power is computed once, whichever row or polynomial asks for it.
+    """
+    return [{e: xi**e for e in set(col) if e} for xi, col in zip(x, zip(*rows))]
+
+
+def monomial_terms(rows: Sequence[Sequence[int]], coefs: Sequence[float], table):
     """Yield coef * x_0**e_0 * x_1**e_1 * ... per exponent row, left to right.
 
-    Each ``x_i**e`` is computed once, in a per-axis power table; zero
-    exponents contribute no factor.
+    Powers come from ``table`` (see ``power_table``); zero exponents
+    contribute no factor.
     """
-    powers = [{e: xi**e for e in set(col) if e} for xi, col in zip(x, zip(*rows))]
     for exp, coef in zip(rows, coefs):
         term = coef
-        for table, e in zip(powers, exp):
+        for powers, e in zip(table, exp):
             if e:
-                term = term * table[e]
+                term = term * powers[e]
         yield term
 
 
-def eval_poly(p: MultiPoly, x):
-    """Evaluate ``p`` at point ``x`` (sequence of scalars or numpy arrays).
+def eval_polys(polys: Sequence[MultiPoly], x) -> list:
+    """Evaluate every polynomial of ``polys`` at point ``x`` over one power table.
 
-    Terms are accumulated in graded-lex order, so the result is deterministic
-    for a given polynomial regardless of construction history. Passing numpy
-    arrays as coordinates broadcasts the evaluation.
+    ``x`` is a sequence of scalars or numpy arrays; arrays broadcast the
+    evaluation. Each polynomial's terms are accumulated in its own graded-lex
+    order, so every result is deterministic for a given polynomial regardless
+    of construction history or of the other polynomials in the call.
     """
     x = list(x) if not isinstance(x, (list, tuple)) else x
-    if len(x) != p.nvars:
-        raise ValidationError(f"expected dimension {p.nvars}, got {len(x)}")
+    for p in polys:
+        if len(x) != p.nvars:
+            raise ValidationError(f"expected dimension {p.nvars}, got {len(x)}")
+    rows = [p.exps.tolist() for p in polys]
+    table = power_table(x, [r for prows in rows for r in prows])
     vectorized = any(isinstance(xi, np.ndarray) for xi in x)
-    total = np.zeros_like(x[0], dtype=float) if vectorized else 0.0
-    for term in monomial_terms(p.exps.tolist(), p.coefs.tolist(), x):
-        total = total + term
-    return total
+    out = []
+    for p, prows in zip(polys, rows):
+        total = np.zeros_like(x[0], dtype=float) if vectorized else 0.0
+        for term in monomial_terms(prows, p.coefs.tolist(), table):
+            total = total + term
+        out.append(total)
+    return out
+
+
+def eval_poly(p: MultiPoly, x):
+    """Evaluate ``p`` at point ``x``: the one-polynomial case of ``eval_polys``."""
+    return eval_polys((p,), x)[0]
 
 
 def partial_derivative(p: MultiPoly, axis: int) -> MultiPoly:
-    """Formal partial derivative along the given axis, as an index map.
-
-    Subtracting one unit vector from the surviving rows keeps them graded-lex.
-    """
+    """Formal partial derivative along the given axis, as an index map."""
     if not 0 <= axis < p.nvars:
         raise ValidationError(f"axis {axis} out of range for {p.nvars} variables")
     e = p.exps[:, axis]
@@ -265,7 +302,7 @@ def derivative_norm_pointwise(p: MultiPoly, k: int, x) -> float:
     """Sum over |alpha| = k of |d^alpha p (x)|, each multi-index once."""
     if k < 0:
         raise ValidationError(f"derivative order must be >= 0, got {k}")
-    return float(sum(abs(eval_poly(q, x)) for _, q in derivatives_of_order(p, k)))
+    return float(sum(abs(v) for v in eval_polys([q for _, q in derivatives_of_order(p, k)], x)))
 
 
 def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
@@ -289,14 +326,16 @@ def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
         for _ in range(max_exp[i]):
             row.append(row[-1] * w)
         powers.append(row)
-    acc = MultiPoly(tvars)
-    for exp, coef in f._items():
+    terms = [MultiPoly(tvars)]
+    for exp, coef in zip(f.exps.tolist(), f.coefs.tolist()):
         term = MultiPoly.constant(tvars, coef)
         for i, e in enumerate(exp):
             if e:
                 term = term * powers[i][e]
-        acc = acc + term
-    return acc
+        terms.append(term)
+    # one canonicalisation of all term rows, summed in term order
+    exps = np.concatenate([t.exps for t in terms])
+    return MultiPoly.from_rows(tvars, exps, np.concatenate([t.coefs for t in terms]))
 
 
 def chebyshev(d: int) -> MultiPoly:

@@ -24,7 +24,7 @@ from .geometry import (
     points_in_domain,
     sample_boundary,
 )
-from .poly import MultiPoly, eval_poly, partial_derivative
+from .poly import MultiPoly, eval_poly, eval_polys, partial_derivative
 
 __all__ = [
     "CriticalPointSet",
@@ -133,12 +133,7 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     hi = np.array([xmax + pad_x, ymax + pad_y])
 
     for _ in range(_MAX_ITER):
-        cx, cy = pts[:, 0], pts[:, 1]
-        gv1 = eval_poly(gx, [cx, cy])
-        gv2 = eval_poly(gy, [cx, cy])
-        a = eval_poly(hxx, [cx, cy])
-        b = eval_poly(hxy, [cx, cy])
-        c = eval_poly(hyy, [cx, cy])
+        gv1, gv2, a, b, c = eval_polys((gx, gy, hxx, hxy, hyy), [pts[:, 0], pts[:, 1]])
         det = a * c - b * b
         scale = np.abs(a) + np.abs(b) + np.abs(c)
         ok = alive & (np.abs(det) > _DET_FLOOR * np.maximum(1.0, scale * scale))
@@ -155,7 +150,7 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
         return empty("no seed converged")
 
     cand = pts[alive]
-    gn = np.hypot(eval_poly(gx, [cand[:, 0], cand[:, 1]]), eval_poly(gy, [cand[:, 0], cand[:, 1]]))
+    gn = np.hypot(*eval_polys((gx, gy), [cand[:, 0], cand[:, 1]]))
     keep = gn <= grad_tol
     cand, gn = cand[keep], gn[keep]
     if len(cand) == 0:
@@ -333,6 +328,8 @@ def domain_pigeonhole_report(
     d = pt_poly.degree
 
     domains = build_domains(build_nesting_forest(config))
+    if not domains:
+        raise ValidationError("configuration has no domains")
     all_verts = np.concatenate([o.vertices for o in config.ovals], axis=0)
     xmin, ymin = all_verts.min(axis=0)
     xmax, ymax = all_verts.max(axis=0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .geometry import _BALL_TOL
-from .poly import MultiPoly, basis_size, chebyshev, eval_poly, monomial_terms, monomials
+from .poly import MultiPoly, basis_size, chebyshev, eval_poly, monomial_terms, monomials, power_table
 
 __all__ = [
     "RemezEstimate",
@@ -106,7 +106,7 @@ def vandermonde(points: np.ndarray, n: int, d: int) -> np.ndarray:
         raise ValidationError(f"points have dimension {pts.shape[1]}, expected {n}")
     basis = monomials(n, d)
     out = np.empty((len(pts), len(basis)))
-    for j, term in enumerate(monomial_terms(basis, [1.0] * len(basis), pts.T)):
+    for j, term in enumerate(monomial_terms(basis, [1.0] * len(basis), power_table(pts.T, basis))):
         out[:, j] = term
     return out
 

@@ -328,6 +328,20 @@ class TestErrorPaths:
         expect_exit2(["decompose", "--config", str(bad)], capsys, "'ovals' must be a list")
 
     @pytest.mark.parametrize(
+        "argv", [["decompose"], ["bounds", "--degree", "2"], ["rigidity", "--degree", "2"], ["verify-proof"]]
+    )
+    def test_empty_configuration_exit2(self, argv, tmp_path, fxy_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"ovals": []}')
+        if argv[0] == "verify-proof":
+            argv = argv + ["--poly", fxy_path]
+        code = main(argv + ["--config", str(empty)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: configuration has no domains\n"
+
+    @pytest.mark.parametrize(
         "poly",
         ['{"nvars": "x", "terms": []}', '{"nvars": 2, "terms": [{"exp": ["a", 0], "coef": 1.0}]}'],
     )

@@ -1,4 +1,4 @@
-"""Recorded report bodies of six subcommands, compared byte for byte.
+"""Recorded report bodies of all eight subcommands, compared byte for byte.
 
 Inputs are built from the conftest helpers; the manifest (paths, digests,
 timestamp) is stripped and the rest must match ``tests/golden/<case>.json``
@@ -42,6 +42,8 @@ CASES = (
     "remez-lp-annulus",
     "remez-lp-collinear",
     "rigidity-annulus",
+    "rigidity-1d-line",
+    "boxdim-circle",
 )
 
 
@@ -66,6 +68,11 @@ def _argv(case: str, workdir: Path) -> list[str]:
     halfline = _write(workdir / "halfline.csv", "\n".join(f"{t:.12f}" for t in np.linspace(-1.0, 0.0, 64)))
     # three points on the line y = x: a degree-1 polynomial vanishes on all of them
     collinear = _write(workdir / "collinear.csv", "-0.5,-0.5\n0.0,0.0\n0.5,0.5\n")
+    theta = np.linspace(0.0, 2.0 * np.pi, 700, endpoint=False)
+    circle = _write(
+        workdir / "circle.csv",
+        "\n".join(f"{0.6 * np.cos(t):.12f},{0.6 * np.sin(t):.12f}" for t in theta),
+    )
     return {
         "curve-check-annulus": [
             "curve-check", "--f", fxy_path, "--points", pts3, "--s", "2", "--degree", "1",
@@ -90,6 +97,10 @@ def _argv(case: str, workdir: Path) -> list[str]:
         "remez-lp-collinear": ["remez-lp", "--degree", "1", "--z", collinear, "--grid", "8"],
         "rigidity-annulus": [
             "rigidity", "--config", annulus, "--degree", "2", "--grid", "16", "--samples-per-oval", "32",
+        ],
+        "rigidity-1d-line": ["rigidity-1d", "--zeros=-0.7,-0.3,0.1,0.6", "--z0", "0.85", "--degree", "3"],
+        "boxdim-circle": [
+            "boxdim", "--points", circle, "--scales", "0.3,0.15,0.075,0.0375", "--degree", "2",
         ],
     }[case]
 

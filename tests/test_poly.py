@@ -73,6 +73,12 @@ class TestMultiPoly:
         assert p.exps.tolist() == [[0, 0], [1, 0], [0, 2], [1, 1], [3, 0]]
         assert p.coefs.tolist() == [5.0, -2.0, 1.0, 3.0, 4.0]
 
+    def test_row_key_overflow_rejected(self):
+        p = MultiPoly(1, {(2**60,): 1.0, (3,): 2.0})
+        assert p.exps.tolist() == [[3], [2**60]]
+        with pytest.raises(ValidationError, match=r"overflow the row key"):
+            MultiPoly(2, {(2**40, 0): 1.0, (0, 1): 1.0})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValidationError, match=r"non-finite coefficient"):
@@ -82,6 +88,31 @@ class TestMultiPoly:
         data = {"nvars": 2, "terms": [{"exp": [2, 0], "coef": 1.0}, {"exp": [2, 0], "coef": 2.0}]}
         with pytest.raises(ValidationError, match=r"duplicate exponent \[2, 0\]"):
             MultiPoly.from_json_dict(data)
+
+
+class TestScalarOperands:
+    @pytest.mark.parametrize("c", [2, 2.5, True, np.int64(2), np.int8(-3), np.float32(1.5), np.float64(-0.25)])
+    def test_real_scalars_act_as_constants(self, c):
+        x = MultiPoly.variable(2, 0)
+        k = MultiPoly.constant(2, float(c))
+        assert x * c == x * k and c * x == x * k
+        assert x + c == x + k and c + x == x + k
+        assert x - c == x - k and c - x == k - x
+
+    @pytest.mark.parametrize("other", ["a", None, 1j, [1.0], object()])
+    def test_other_operands_raise_type_error(self, other):
+        x = MultiPoly.variable(2, 0)
+        for op in (lambda: x * other, lambda: other * x, lambda: x + other, lambda: other + x,
+                   lambda: x - other, lambda: other - x):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_integer_like_powers(self):
+        x = MultiPoly.variable(2, 0)
+        assert x ** np.int64(2) == x * x and x ** np.uint8(0) == MultiPoly.constant(2, 1.0)
+        for bad in (2.0, -1, np.int64(-2), "2"):
+            with pytest.raises(ValidationError, match=r"nonnegative int"):
+                x**bad
 
 
 class TestEval:
