@@ -25,6 +25,7 @@ from .geometry import (
     build_domains,
     build_nesting_forest,
     config_from_json_dict,
+    lattice,
     mu,
     sample_boundary,
 )
@@ -89,11 +90,7 @@ def _candidate_grid(n: int, k: int) -> np.ndarray:
     """k-per-axis lattice over [-1,1]^n clipped to the Euclidean ball."""
     if k < 2:
         raise ValidationError(f"candidate grid must be >= 2 points per axis, got {k}")
-    axis = np.linspace(-1.0, 1.0, k)
-    if n == 1:
-        return axis.reshape(-1, 1)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = lattice((-1.0,) * n, (1.0,) * n, k)
     keep = np.sqrt(np.sum(pts**2, axis=1)) <= 1.0 + _BALL_TOL
     if not np.any(keep):
         raise ValidationError(f"no point of the {k}-per-axis candidate grid lies in the unit ball")

@@ -36,6 +36,8 @@ __all__ = [
     "points_in_domain",
     "shoelace_area",
     "sample_boundary",
+    "lattice",
+    "bounding_box",
     "regular_polygon",
     "config_from_json_dict",
 ]
@@ -364,6 +366,18 @@ def sample_boundary(oval: Oval, count: int) -> np.ndarray:
     return p0[idx] + frac[:, None] * (p1[idx] - p0[idx])
 
 
+def lattice(lo, hi, k: int) -> np.ndarray:
+    """(k**n, n) lattice of k points per axis over the box [lo, hi], first axis slowest."""
+    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def bounding_box(ovals) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of the axis-aligned box around every vertex of ``ovals``."""
+    verts = np.concatenate([o.vertices for o in ovals], axis=0)
+    return verts.min(axis=0), verts.max(axis=0)
+
+
 def regular_polygon(center, radius: float, k: int, oval_id: int = 0) -> Oval:
     """Regular k-gon approximating the circle of the given center and radius."""
     theta = 2.0 * np.pi * np.arange(k) / k
@@ -372,7 +386,7 @@ def regular_polygon(center, radius: float, k: int, oval_id: int = 0) -> Oval:
     return Oval(id=oval_id, vertices=verts)
 
 
-def config_from_json_dict(data: dict, enforce_ball: bool = True) -> OvalConfiguration:
+def config_from_json_dict(data: dict) -> OvalConfiguration:
     """Parse {"ovals": [{"id": ..., "vertices": [[x, y], ...]}]} and validate."""
     try:
         raw = data["ovals"]
@@ -386,4 +400,4 @@ def config_from_json_dict(data: dict, enforce_ball: bool = True) -> OvalConfigur
             ovals.append(Oval(id=int(entry["id"]), vertices=np.asarray(entry["vertices"], dtype=float)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed oval entry: {exc}") from exc
-    return validate_configuration(ovals, enforce_ball=enforce_ball)
+    return validate_configuration(ovals)

@@ -19,8 +19,10 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import (
     OvalConfiguration,
+    bounding_box,
     build_domains,
     build_nesting_forest,
+    lattice,
     points_in_domain,
     sample_boundary,
 )
@@ -87,8 +89,9 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     """Multi-start Newton on the gradient system over a seed lattice.
 
     Seeds form a grid x grid lattice over the box. Newton steps use the
-    exact Hessian; seeds are dropped when the Hessian determinant falls
-    under 1e-14 times its scale or the iterate leaves the inflated box.
+    exact Hessian and move only the live seeds; a seed is dropped for good
+    when the Hessian determinant falls under 1e-14 times its scale or the
+    iterate leaves the inflated box.
     Survivors are kept only if their gradient norm is at most
     1e-8 * (1 + coefficient norm), then greedily clustered: a point joins
     the first representative within the merge radius 1e-6, in lexicographic
@@ -120,11 +123,8 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     hxy = partial_derivative(gx, 1)
     hyy = partial_derivative(gy, 1)
 
-    xs = np.linspace(xmin, xmax, grid)
-    ys = np.linspace(ymin, ymax, grid)
-    gxs, gys = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gxs.ravel(), gys.ravel()], axis=1)
-    alive = np.ones(len(pts), dtype=bool)
+    pts = lattice((xmin, ymin), (xmax, ymax), grid)
+    live = np.arange(len(pts))
 
     # leave room around the box so roots just outside the seed hull survive
     pad_x = 0.5 * (xmax - xmin) + 1.0
@@ -133,47 +133,41 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     hi = np.array([xmax + pad_x, ymax + pad_y])
 
     for _ in range(_MAX_ITER):
-        gv1, gv2, a, b, c = eval_polys((gx, gy, hxx, hxy, hyy), [pts[:, 0], pts[:, 1]])
+        gv1, gv2, a, b, c = eval_polys((gx, gy, hxx, hxy, hyy), [pts[live, 0], pts[live, 1]])
         det = a * c - b * b
         scale = np.abs(a) + np.abs(b) + np.abs(c)
-        ok = alive & (np.abs(det) > _DET_FLOOR * np.maximum(1.0, scale * scale))
-        step_x = np.where(ok, (c * gv1 - b * gv2) / np.where(ok, det, 1.0), 0.0)
-        step_y = np.where(ok, (a * gv2 - b * gv1) / np.where(ok, det, 1.0), 0.0)
-        pts[:, 0] -= step_x
-        pts[:, 1] -= step_y
-        alive = ok & np.all(np.isfinite(pts), axis=1)
-        alive &= np.all(pts >= lo, axis=1) & np.all(pts <= hi, axis=1)
-        if not np.any(alive):
-            break
+        ok = np.abs(det) > _DET_FLOOR * np.maximum(1.0, scale * scale)
+        live, gv1, gv2, a, b, c, det = (v[ok] for v in (live, gv1, gv2, a, b, c, det))
+        pts[live, 0] -= (c * gv1 - b * gv2) / det
+        pts[live, 1] -= (a * gv2 - b * gv1) / det
+        x = pts[live]
+        live = live[np.all(np.isfinite(x), axis=1) & np.all(x >= lo, axis=1) & np.all(x <= hi, axis=1)]
+        if not live.size:
+            return empty("no seed converged")
 
-    if not np.any(alive):
-        return empty("no seed converged")
-
-    cand = pts[alive]
+    cand = pts[live]
     gn = np.hypot(*eval_polys((gx, gy), [cand[:, 0], cand[:, 1]]))
     keep = gn <= grad_tol
     cand, gn = cand[keep], gn[keep]
     if len(cand) == 0:
         return empty("no seed reached the gradient tolerance")
 
+    # the first unclaimed point, in lexicographic order, claims every unclaimed point within the radius
     order = np.lexsort((cand[:, 1], cand[:, 0]))
     cand, gn = cand[order], gn[order]
-    reps: list[np.ndarray] = []
-    rep_gn: list[float] = []
+    unclaimed = np.ones(len(cand), dtype=bool)
+    reps: list[int] = []
     sizes: list[int] = []
-    for point, g in zip(cand, gn):
-        for i, r in enumerate(reps):
-            if np.hypot(point[0] - r[0], point[1] - r[1]) <= _MERGE_RADIUS:
-                sizes[i] += 1
-                break
-        else:
-            reps.append(point)
-            rep_gn.append(float(g))
-            sizes.append(1)
+    while np.any(unclaimed):
+        r = int(np.argmax(unclaimed))
+        near = unclaimed & (np.hypot(cand[:, 0] - cand[r, 0], cand[:, 1] - cand[r, 1]) <= _MERGE_RADIUS)
+        unclaimed &= ~near
+        reps.append(r)
+        sizes.append(int(np.count_nonzero(near)))
 
     return CriticalPointSet(
-        representatives=np.array(reps),
-        gradient_norms=np.array(rep_gn),
+        representatives=cand[reps],
+        gradient_norms=gn[reps],
         cluster_sizes=np.array(sizes, dtype=np.int64),
         merge_radius=_MERGE_RADIUS,
         diagnostics={
@@ -330,9 +324,7 @@ def domain_pigeonhole_report(
     domains = build_domains(build_nesting_forest(config))
     if not domains:
         raise ValidationError("configuration has no domains")
-    all_verts = np.concatenate([o.vertices for o in config.ovals], axis=0)
-    xmin, ymin = all_verts.min(axis=0)
-    xmax, ymax = all_verts.max(axis=0)
+    (xmin, ymin), (xmax, ymax) = bounding_box(config.ovals)
     span = max(xmax - xmin, ymax - ymin, 1e-3)
     box = (xmin - 0.05 * span, xmax + 0.05 * span, ymin - 0.05 * span, ymax + 0.05 * span)
 
@@ -346,27 +338,19 @@ def domain_pigeonhole_report(
             if assignments[i] is None:
                 assignments[i] = dom.outer.id
 
-    global_bmax = 0.0
+    # each oval is sampled once: as its own domain's outer ring and as its parent's hole
+    bpts = np.concatenate([sample_boundary(o, samples) for o in config.ovals], axis=0)
+    bvals = np.abs(eval_poly(pt_poly, [bpts[:, 0], bpts[:, 1]])).reshape(config.N, samples)
+    oval_max = dict(zip((o.id for o in config.ovals), np.max(bvals, axis=1).tolist()))
+    global_bmax = max(0.0, *oval_max.values())
+
     dom_entries: list[dict] = []
     for dom in domains:
-        rings = [dom.outer] + list(dom.holes)
-        bmax = 0.0
-        for ring in rings:
-            bpts = sample_boundary(ring, samples)
-            vals = np.abs(eval_poly(pt_poly, [bpts[:, 0], bpts[:, 1]]))
-            bmax = max(bmax, float(np.max(vals)))
-        global_bmax = max(global_bmax, bmax)
-
-        vx = dom.outer.vertices
-        bx0, by0 = vx.min(axis=0)
-        bx1, by1 = vx.max(axis=0)
-        cell_x = np.linspace(bx0, bx1, interior_grid)
-        cell_y = np.linspace(by0, by1, interior_grid)
-        mx, my = np.meshgrid(cell_x, cell_y, indexing="ij")
-        lattice = np.stack([mx.ravel(), my.ravel()], axis=1)
-        inside = points_in_domain(dom, lattice)
+        bmax = max(0.0, *(oval_max[ring.id] for ring in (dom.outer, *dom.holes)))
+        grid_pts = lattice(*bounding_box([dom.outer]), interior_grid)
+        inside = points_in_domain(dom, grid_pts)
         if np.any(inside):
-            ivals = np.abs(eval_poly(pt_poly, [lattice[inside, 0], lattice[inside, 1]]))
+            ivals = np.abs(eval_poly(pt_poly, [grid_pts[inside, 0], grid_pts[inside, 1]]))
             interior_max: float | None = float(np.max(ivals))
             flagged = interior_max > bmax
         else:
@@ -386,12 +370,10 @@ def domain_pigeonhole_report(
         )
 
     n_without = sum(1 for e in dom_entries if not e["has_critical_point"])
-    violations = [
-        i
-        for i, rep in enumerate(cps.representatives)
-        if assignments[i] is None
-        and abs(float(eval_poly(pt_poly, [rep[0], rep[1]]))) > global_bmax
-    ]
+    free = [i for i, a in enumerate(assignments) if a is None]
+    reps = cps.representatives[free]
+    crit_vals = np.abs(eval_poly(pt_poly, [reps[:, 0], reps[:, 1]]))
+    violations = [i for i, v in zip(free, crit_vals.tolist()) if v > global_bmax]
     return DomainPigeonholeReport(
         degree=d,
         perturbation=_unpack_xi(xi),

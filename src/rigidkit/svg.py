@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Domain, OvalConfiguration, build_domains, build_nesting_forest
+from .geometry import Domain, OvalConfiguration, bounding_box, build_domains, build_nesting_forest
 
 __all__ = ["render_svg"]
 
@@ -39,9 +39,7 @@ def render_svg(config: OvalConfiguration, domains: list[Domain] | None = None) -
     """
     if domains is None:
         domains = build_domains(build_nesting_forest(config))
-    all_verts = np.concatenate([o.vertices for o in config.ovals], axis=0)
-    xmin, ymin = all_verts.min(axis=0)
-    xmax, ymax = all_verts.max(axis=0)
+    (xmin, ymin), (xmax, ymax) = bounding_box(config.ovals)
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     margin = 0.05 * span
     legend_w = 0.55 * span

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import CIRCLE_SIDES, square, write_config_json
 from rigidkit import __version__
-from rigidkit.cli import main
+from rigidkit.cli import _candidate_grid, main
 from rigidkit.geometry import regular_polygon
 
 
@@ -139,6 +139,9 @@ class TestBounds:
 
 
 class TestRemezLP:
+    def test_candidate_grid_keeps_every_1d_point(self):
+        assert np.array_equal(_candidate_grid(1, 7), np.linspace(-1.0, 1.0, 7).reshape(-1, 1))
+
     def test_halfline_degree2(self, halfline_path, capsys):
         code, report = run_cli(
             ["remez-lp", "--degree", "2", "--z", halfline_path, "--grid", "1024"], capsys

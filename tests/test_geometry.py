@@ -10,11 +10,13 @@ from rigidkit import geometry
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import (
     Oval,
+    bounding_box,
     build_domains,
     build_nesting_forest,
     config_from_json_dict,
     contains,
     domain_area,
+    lattice,
     mu,
     point_in_polygon,
     points_in_domain,
@@ -406,6 +408,24 @@ class TestSampleBoundary:
         pts = sample_boundary(oval, 8)
         for v in oval.vertices:
             assert np.min(np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])) <= 1e-12
+
+
+class TestLattice:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shape_endpoints_and_order(self, n):
+        lo, hi, k = np.arange(n) - 1.5, np.arange(n) + 0.25, 5
+        pts = lattice(lo, hi, k)
+        assert pts.shape == (k**n, n)
+        assert np.array_equal(pts[0], lo) and np.array_equal(pts[-1], hi)
+        for axis in range(n):
+            # axis 0 changes slowest: each axis value repeats in blocks of k**(n-1-axis)
+            levels = np.linspace(lo[axis], hi[axis], k)
+            expected = np.tile(np.repeat(levels, k ** (n - 1 - axis)), k**axis)
+            assert np.array_equal(pts[:, axis], expected)
+
+    def test_bounding_box(self):
+        lo, hi = bounding_box([square(1.0, 1, center=(0.5, -0.25)), square(0.5, 2, center=(-0.5, 0.0))])
+        assert np.array_equal(lo, [-0.75, -0.75]) and np.array_equal(hi, [1.0, 0.25])
 
 
 class TestJsonInterface:

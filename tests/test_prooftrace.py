@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import concentric_ring_config, vanishing_ring_poly
+from rigidkit import prooftrace
 from rigidkit.errors import ValidationError
-from rigidkit.poly import MultiPoly, random_poly
+from rigidkit.geometry import regular_polygon, validate_configuration
+from rigidkit.poly import MultiPoly, eval_polys, partial_derivative, random_poly
 from rigidkit.prooftrace import (
     bezout_check,
     default_perturbation,
@@ -90,6 +92,92 @@ class TestFindCriticalPoints:
         # (a, b) is not a shorthand for the square [a, b]^2
         with pytest.raises(ValidationError, match="box must be"):
             find_critical_points(nine_well_poly(), (0.0, 1.0), 8)
+
+
+def masked_newton_reference(p: MultiPoly, box, grid: int):
+    """The former Newton loop, which masks every seed each iteration, and point-by-point clustering.
+
+    Kept as an oracle for ``find_critical_points``: returns its
+    representatives, gradient norms, cluster sizes and diagnostics.
+    """
+    xmin, xmax, ymin, ymax = (float(v) for v in box)
+    gx, gy = partial_derivative(p, 0), partial_derivative(p, 1)
+    hxx, hxy, hyy = partial_derivative(gx, 0), partial_derivative(gx, 1), partial_derivative(gy, 1)
+    grad_tol = 1e-8 * (1.0 + p.coefficient_norm())
+
+    def empty(note):
+        return np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=np.int64), {
+            "seeds": grid * grid, "converged": 0, "note": note
+        }
+
+    gxs, gys = np.meshgrid(np.linspace(xmin, xmax, grid), np.linspace(ymin, ymax, grid), indexing="ij")
+    pts = np.stack([gxs.ravel(), gys.ravel()], axis=1)
+    alive = np.ones(len(pts), dtype=bool)
+    pad_x, pad_y = 0.5 * (xmax - xmin) + 1.0, 0.5 * (ymax - ymin) + 1.0
+    lo, hi = np.array([xmin - pad_x, ymin - pad_y]), np.array([xmax + pad_x, ymax + pad_y])
+    # dropped seeds stay frozen wherever they left the box and are still evaluated, so they may overflow
+    with np.errstate(all="ignore"):
+        for _ in range(80):
+            gv1, gv2, a, b, c = eval_polys((gx, gy, hxx, hxy, hyy), [pts[:, 0], pts[:, 1]])
+            det = a * c - b * b
+            scale = np.abs(a) + np.abs(b) + np.abs(c)
+            ok = alive & (np.abs(det) > 1e-14 * np.maximum(1.0, scale * scale))
+            step_x = np.where(ok, (c * gv1 - b * gv2) / np.where(ok, det, 1.0), 0.0)
+            step_y = np.where(ok, (a * gv2 - b * gv1) / np.where(ok, det, 1.0), 0.0)
+            pts[:, 0] -= step_x
+            pts[:, 1] -= step_y
+            alive = ok & np.all(np.isfinite(pts), axis=1)
+            alive &= np.all(pts >= lo, axis=1) & np.all(pts <= hi, axis=1)
+            if not np.any(alive):
+                break
+    if not np.any(alive):
+        return empty("no seed converged")
+    cand = pts[alive]
+    gn = np.hypot(*eval_polys((gx, gy), [cand[:, 0], cand[:, 1]]))
+    keep = gn <= grad_tol
+    cand, gn = cand[keep], gn[keep]
+    if len(cand) == 0:
+        return empty("no seed reached the gradient tolerance")
+    order = np.lexsort((cand[:, 1], cand[:, 0]))
+    reps, rep_gn, sizes = [], [], []
+    for point, g in zip(cand[order], gn[order]):
+        for i, r in enumerate(reps):
+            if np.hypot(point[0] - r[0], point[1] - r[1]) <= 1e-6:
+                sizes[i] += 1
+                break
+        else:
+            reps.append(point)
+            rep_gn.append(float(g))
+            sizes.append(1)
+    diagnostics = {"seeds": grid * grid, "converged": int(len(cand)), "gradient_tolerance": grad_tol}
+    return np.array(reps), np.array(rep_gn), np.array(sizes, dtype=np.int64), diagnostics
+
+
+def assert_matches_reference(p: MultiPoly, box, grid: int) -> int:
+    """Assert bit-identity with the reference; return the cluster count."""
+    cps = find_critical_points(p, box, grid)
+    reps, gns, sizes, diagnostics = masked_newton_reference(p, box, grid)
+    assert np.array_equal(cps.representatives, reps)
+    assert np.array_equal(cps.gradient_norms, gns)
+    assert np.array_equal(cps.cluster_sizes, sizes)
+    assert cps.diagnostics == diagnostics
+    return cps.n_clusters
+
+
+class TestNewtonReference:
+    def test_nine_wells_bit_identical(self):
+        assert assert_matches_reference(nine_well_poly(), BOX, 24) == 9
+
+    def test_random_tilted_polys_bit_identical(self):
+        rng = np.random.default_rng(41)
+        clustered = 0
+        for _ in range(100):
+            p = perturb_linear(random_poly(2, int(rng.integers(2, 7)), rng))
+            x0, y0 = rng.uniform(-1.5, 0.5, size=2)
+            box = (x0, x0 + rng.uniform(0.2, 2.5), y0, y0 + rng.uniform(0.2, 2.5))
+            clustered += assert_matches_reference(p, box, int(rng.integers(8, 33))) > 0
+        # most boxes hold a critical point, so the comparison is rarely between two empty sets
+        assert clustered >= 50
 
 
 class TestPerturbation:
@@ -228,6 +316,39 @@ class TestPigeonhole:
             assert b["boundary_max"] >= a["boundary_max"] - 1e-15
             if a["interior_max"] is not None:
                 assert b["interior_max"] >= a["interior_max"] - 1e-15
+
+    def test_unconfined_maximum_is_a_violation(self):
+        # the maximum of 1 - x^2 - y^2 sits at the origin, outside the only domain, and beats its boundary
+        config = validate_configuration([regular_polygon((0.5, 0.0), 0.2, 48)])
+        report = domain_pigeonhole_report(MultiPoly(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}), config)
+        assert report.assignments == [None]
+        assert report.confinement_violations == [0]
+        assert report.global_boundary_max == pytest.approx(0.91, abs=1e-6)
+
+    def test_unconfined_minimum_is_not_a_violation(self):
+        config = validate_configuration([regular_polygon((0.5, 0.0), 0.2, 48)])
+        report = domain_pigeonhole_report(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), config)
+        assert report.assignments == [None]
+        assert report.confinement_violations == []
+
+    def test_each_oval_sampled_and_evaluated_once(self, monkeypatch):
+        calls = {"sample": 0, "eval": 0}
+        sample, evaluate = prooftrace.sample_boundary, prooftrace.eval_poly
+
+        def counted_sample(oval, count):
+            calls["sample"] += 1
+            return sample(oval, count)
+
+        def counted_eval(p, x):
+            calls["eval"] += 1
+            return evaluate(p, x)
+
+        monkeypatch.setattr(prooftrace, "sample_boundary", counted_sample)
+        monkeypatch.setattr(prooftrace, "eval_poly", counted_eval)
+        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config())
+        assert calls["sample"] == 2
+        # the boundary, one interior lattice per domain, and the unassigned critical points
+        assert calls["eval"] == 1 + len(report.domains) + 1
 
     def test_report_json_shape(self):
         data = domain_pigeonhole_report(two_ring_poly(), two_ring_config()).to_json_dict()
