@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import _PAIR_CHUNK, OvalConfiguration, _edges
+from .geometry import OvalConfiguration, _box_pairs
 from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
 
 __all__ = [
@@ -188,34 +188,33 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> C
 def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> int:
     """Number of tol-isolated parameter values where the curve meets Z.
 
-    The curve is subdivided into 4096 chords; each chord is intersected with
-    every oval edge (touching counts, crossing parameters interpolated
-    linearly along the chord), and crossing parameters closer than tol merge
-    into one incidence. Edges go through in blocks, so each step holds about
-    ``_PAIR_CHUNK`` chord-edge pairs whatever the oval's vertex count.
+    The curve is subdivided into 4096 chords. The chord-edge pairs whose
+    bounding boxes overlap come from the box-pair sweep that validation uses,
+    so memory stays bounded whatever the vertex count. Each pair is solved
+    for its crossing parameters; a pair counts where the chord and the edge
+    are not parallel and both parameters lie in [0, 1], so a touch counts
+    and a collinear overlap does not. The hit is interpolated linearly along
+    the chord, and hits closer than tol merge into one incidence.
     """
     if omega.dim != 2:
         raise ValidationError(f"expected dimension 2, got {omega.dim}")
+    if not config.ovals:
+        return 0
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
     pts = omega.eval(taus)
     p0, p1 = pts[:-1], pts[1:]
-    d1 = p1 - p0
-    block = max(1, _PAIR_CHUNK // _SUBDIVISIONS)
+    q0 = np.concatenate([o.vertices for o in config.ovals])
+    q1 = np.concatenate([np.roll(o.vertices, -1, axis=0) for o in config.ovals])
     hits = [np.empty(0)]
-    for oval in config.ovals:
-        q0s, q1s = _edges(oval.vertices)
-        for start in range(0, len(q0s), block):
-            q0 = q0s[start : start + block]
-            d2 = q1s[start : start + block] - q0
-            # chord x edge intersection parameters, broadcast (chords, edges)
-            denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
-            diff = q0[None, :, :] - p0[:, None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (diff[..., 0] * d2[None, :, 1] - diff[..., 1] * d2[None, :, 0]) / denom
-                u = (diff[..., 0] * d1[:, None, 1] - diff[..., 1] * d1[:, None, 0]) / denom
-            valid = (denom != 0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-            idx, _ = np.nonzero(valid)
-            hits.append(taus[idx] + t[valid] * (taus[idx + 1] - taus[idx]))
+    for a, b in _box_pairs(p0, p1, (q0, q1)):
+        d1, d2, diff = p1[a] - p0[a], q1[b] - q0[b], q0[b] - p0[a]
+        denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (diff[:, 0] * d2[:, 1] - diff[:, 1] * d2[:, 0]) / denom
+            u = (diff[:, 0] * d1[:, 1] - diff[:, 1] * d1[:, 0]) / denom
+        valid = (denom != 0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+        a = a[valid]
+        hits.append(taus[a] + t[valid] * (taus[a + 1] - taus[a]))
     hits = np.sort(np.concatenate(hits))
     if not hits.size:
         return 0

@@ -61,9 +61,13 @@ def covering_number(cloud: PointCloud, eps: float) -> int:
     A point x occupies cell floor(x / eps) coordinatewise; the count is the
     number of distinct occupied cells. Monotone nonincreasing in eps up to
     the usual factor-of-2 grid artifacts, which the log-log fit absorbs.
+    Scales so fine that a cell index may leave int64 (|x| / eps reaching
+    2^62) are rejected.
     """
     if eps <= 0:
         raise ValidationError(f"scale must be positive, got {eps}")
+    if np.max(np.abs(cloud.points)) >= eps * 2.0**62:
+        raise ValidationError(f"scale {eps:g} is too fine for int64 cell indices")
     cells = np.floor(cloud.points / eps).astype(np.int64)
     return int(np.unique(cells, axis=0).shape[0])
 

@@ -6,9 +6,10 @@ configuration decomposes the plane into one compact domain per oval: the
 region bounded by that oval outside and by its immediate children inside.
 The minimal domain area mu drives all topological bounds downstream.
 
-Polygons stand in for smooth ovals and may be sampled finely: one edge sweep
-with bounded memory validates them. The discretization error of areas is the
-caller's modeling responsibility.
+Polygons stand in for smooth ovals and may be sampled finely: one box-pair
+sweep with bounded memory finds the edge pairs that validation tests and the
+chord-edge pairs that ``curves.crossing_count`` solves. The discretization
+error of areas is the caller's modeling responsibility.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
 
 _BALL_TOL = 1e-9
 _RAY_NUDGE = 1e-12
-_PAIR_CHUNK = 1 << 14  # candidate edge pairs per step of the validation sweep; bounds its memory
+_PAIR_CHUNK = 1 << 14  # candidate box pairs per step of the box-pair sweep; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,6 @@ def shoelace_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge start/end arrays for the implicitly closed polygon."""
-    return vertices, np.roll(vertices, -1, axis=0)
-
-
 def _cross(o, a, b):
     return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
         a[..., 1] - o[..., 1]
@@ -161,14 +157,44 @@ def _segments_intersect(p0, p1, q0, q1) -> np.ndarray:
     return proper | touch
 
 
+def _box_pairs(p0, p1, other=None):
+    """Index pairs (a, b) of segments whose bounding boxes overlap, in steps.
+
+    Alone, the segments p0-p1 pair among themselves, each pair once; with
+    ``other = (q0, q1)``, segment a of p0-p1 pairs with segment b of q0-q1.
+    Sort-and-sweep (Shamos-Hoey 1976): with the b boxes sorted by min x, the
+    window of box a ends at the last b whose min x is at most a's max x. A
+    step holds at most ``_PAIR_CHUNK`` window entries, more only when one
+    window alone is longer; the constant is read when the step runs.
+    """
+    lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
+    lo_b, hi_b = (lo, hi) if other is None else (np.minimum(*other), np.maximum(*other))
+    order = np.argsort(lo_b[:, 0], kind="stable")
+    if other is None:  # windows start right after a itself
+        seq, begin = order, np.arange(1, len(order) + 1)
+    else:  # windows start at the first b whose running max of max x reaches a's min x
+        seq, begin = np.arange(len(lo)), np.searchsorted(np.maximum.accumulate(hi_b[order, 0]), lo[:, 0])
+    count = np.searchsorted(lo_b[order, 0], hi[seq, 0], side="right") - begin
+    ends = np.cumsum(count)
+    first = ends - count  # index of each window's first entry in the run of all windows
+    start = 0
+    while start < len(count):
+        stop = max(int(np.searchsorted(ends, first[start] + _PAIR_CHUNK, side="right")), start + 1)
+        k = np.repeat(np.arange(start, stop), count[start:stop])
+        a, b = seq[k], order[begin[k] + first[start] + np.arange(len(k)) - first[k]]
+        keep = (lo[a, 1] <= hi_b[b, 1]) & (lo_b[b, 1] <= hi[a, 1])
+        if other is not None:  # only a bipartite window holds b boxes that end left of a
+            keep &= lo[a, 0] <= hi_b[b, 0]
+        yield a[keep], b[keep]
+        start = stop
+
+
 def _first_touching(ovals) -> tuple[int | None, tuple[int, int] | None]:
     """First oval whose own edges touch, and the first touching index pair i < j.
 
-    Sort-and-sweep over the bounding boxes of all edges (Shamos-Hoey 1976):
-    edges sorted by min x meet the later edges whose min x is at most their
-    max x; pairs whose y-ranges overlap go through the predicate, at most
-    ``_PAIR_CHUNK`` candidates at a time. Cyclic neighbours on one oval share
-    an endpoint by construction and are skipped. None where nothing touches.
+    Edges whose bounding boxes overlap come from the box-pair sweep and go
+    through the predicate. Cyclic neighbours on one oval share an endpoint by
+    construction and are skipped. None where nothing touches.
     """
     sizes = np.array([len(o.vertices) for o in ovals])
     n, tails = len(ovals), np.cumsum(sizes)
@@ -177,23 +203,14 @@ def _first_touching(ovals) -> tuple[int | None, tuple[int, int] | None]:
     succ[tails - 1] = tails - sizes
     p0 = np.concatenate([o.vertices for o in ovals])
     p1 = p0[succ]
-    lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
-    order = np.argsort(lo[:, 0], kind="stable")
-    count = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(1, len(lo) + 1)
-    ends = np.cumsum(count)
-    first = ends - count  # sweep index of each edge's first candidate pair
-    crossed, best, start = n, n * n, 0
-    while start < len(count):
-        stop = max(int(np.searchsorted(ends, first[start] + _PAIR_CHUNK, side="right")), start + 1)
-        a = np.repeat(np.arange(start, stop), count[start:stop])
-        a, b = order[a], order[a + 1 + first[start] + np.arange(len(a)) - first[a]]
-        keep = (lo[b, 1] <= hi[a, 1]) & (lo[a, 1] <= hi[b, 1]) & (succ[a] != b) & (succ[b] != a)
+    crossed, best = n, n * n
+    for a, b in _box_pairs(p0, p1):
+        keep = (succ[a] != b) & (succ[b] != a)
         a, b = a[keep], b[keep]
         hit = _segments_intersect(p0[a], p1[a], p0[b], p1[b])
         i, j = owner[a[hit]], owner[b[hit]]
         crossed = int(np.min(i[i == j], initial=crossed))
         best = int(np.min(np.minimum(i, j) * n + np.maximum(i, j), where=i != j, initial=best))
-        start = stop
     return (None if crossed == n else crossed), (None if best == n * n else divmod(best, n))
 
 
@@ -355,8 +372,8 @@ def sample_boundary(oval: Oval, count: int) -> np.ndarray:
     """``count`` points equally spaced by arc length along the boundary."""
     if count < 1:
         raise ValidationError(f"boundary sample count must be >= 1, got {count}")
-    v = oval.vertices
-    p0, p1 = _edges(v)
+    p0 = oval.vertices
+    p1 = np.roll(p0, -1, axis=0)
     seg = np.hypot(*(p1 - p0).T)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]

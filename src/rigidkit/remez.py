@@ -75,13 +75,20 @@ def remez_bound_topological(
     hypothesis fails and no bound is asserted. For the plane the formula
     reads (8/mu)^d. Reporting callers can pass enforce_count=False to read
     off the formula value while flagging the failed hypothesis themselves.
+    A value past the largest double is a ValidationError, not infinity.
     """
     if mu <= 0:
         raise ValidationError(f"minimal domain area must be positive, got {mu}")
     required = ovals_required(d, n)
     if enforce_count and count < required:
         raise ValidationError(f"{count} ovals present, hypothesis requires at least {required}")
-    return (4.0 * n / mu) ** d
+    try:
+        value = (4.0 * n / mu) ** d
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ValidationError(f"bound (4n/mu)^d overflows a double at mu = {mu:.6g}, d = {d}, n = {n}")
+    return value
 
 
 def brudnyi_ganzburg_bound(lam: float, d: int, n: int) -> float:

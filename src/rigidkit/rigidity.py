@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .remez import ovals_required
+from .remez import ovals_required, remez_bound_topological
 
 __all__ = [
     "BoundEntry",
@@ -65,9 +65,7 @@ def rigidity_topological_literal(mu: float, d: int, n: int) -> float:
     which decays as mu shrinks; the report takes no position on which shape
     is intended (see module docstring).
     """
-    if mu <= 0:
-        raise ValidationError(f"minimal domain area must be positive, got {mu}")
-    return (4.0 * n / mu) ** d / _factorial(d + 1)
+    return remez_bound_topological(mu, d, n, 0, enforce_count=False) / _factorial(d + 1)
 
 
 def rigidity_topological_composed(mu: float, d: int, n: int) -> float:

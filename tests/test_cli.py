@@ -318,6 +318,26 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    def test_scale_past_int64_cells_exit2(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0.1,0.2\n0.3,0.4\n-0.5,0.6\n0.7,-0.8\n")
+        argv = ["boxdim", "--points", str(pts), "--scales", "0.5,1e-10,1e-25", "--degree", "1"]
+        expect_exit2(argv, capsys, "scale 1e-25 is too fine for int64 cell indices")
+
+    @pytest.mark.parametrize(
+        "half, argv",
+        [
+            (1e-9, ["bounds", "--degree", "18"]),
+            (1e-9, ["rigidity", "--degree", "18"]),
+            (0.01, ["bounds", "--degree", "100"]),
+        ],
+    )
+    def test_overflowing_bound_exit2(self, half, argv, tmp_path, capsys):
+        # (4n/mu)^d passes the largest double: mu is 4e-18 at half-side 1e-9 and 4e-4 at 0.01
+        path = tmp_path / "tiny.json"
+        write_config_json([square(2.0 * half, 1)], path)
+        expect_exit2(argv + ["--config", str(path)], capsys, "overflows a double")
+
     def test_overlapping_ovals_exit2(self, tmp_path, capsys):
         config = [square(1.0, 1), square(1.0, 2, center=(0.5, 0.0))]
         path = tmp_path / "crossing.json"

@@ -1,9 +1,11 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rigidkit import curves, geometry
 from rigidkit.curves import (
     ParamCurve,
     composition_report,
@@ -17,6 +19,68 @@ from rigidkit.poly import MultiPoly, eval_poly, random_poly
 
 def chebyshev_params(k: int) -> np.ndarray:
     return np.cos((2 * np.arange(k) + 1) * np.pi / (2 * k))
+
+
+def all_pairs_hits(omega: ParamCurve, config) -> np.ndarray:
+    """Sorted crossing parameters from solving every chord against every edge.
+
+    The reference for ``crossing_count``: no box filter, the same float
+    expressions, and blocks of chords only to bound memory.
+    """
+    taus = np.linspace(-1.0, 1.0, curves._SUBDIVISIONS + 1)
+    pts = omega.eval(taus)
+    q0 = np.concatenate([o.vertices for o in config.ovals])
+    d2 = np.concatenate([np.roll(o.vertices, -1, axis=0) for o in config.ovals]) - q0
+    hits = [np.empty(0)]
+    for start in range(0, len(taus) - 1, 256):
+        p0, p1 = pts[:-1][start : start + 256], pts[1:][start : start + 256]
+        d1 = p1 - p0
+        denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
+        dx, dy = q0[None, :, 0] - p0[:, None, 0], q0[None, :, 1] - p0[:, None, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (dx * d2[None, :, 1] - dy * d2[None, :, 0]) / denom
+            chord, edge = np.nonzero((denom != 0) & (t >= 0.0) & (t <= 1.0))
+            # u only where t passed: the same elementwise values, fewer of them
+            dx, dy, t = dx[chord, edge], dy[chord, edge], t[chord, edge]
+            u = (dx * d1[chord, 1] - dy * d1[chord, 0]) / denom[chord, edge]
+        valid = (u >= 0.0) & (u <= 1.0)
+        idx = chord[valid] + start
+        hits.append(taus[idx] + t[valid] * (taus[idx + 1] - taus[idx]))
+    return np.sort(np.concatenate(hits))
+
+
+def merged_count(hits: np.ndarray, tol: float) -> int:
+    return 0 if not hits.size else 1 + int(np.sum(np.diff(hits) > tol))
+
+
+DIFFERENTIAL_TOLS = (0.0, 1e-12, 1e-6, 1e-3)
+
+
+@pytest.fixture(scope="module")
+def differential_cases():
+    """278 (curve, rings, reference hits) triples: 1112 cases with the four tols.
+
+    Fitted curves of degree 1..4 through random points, about half of them
+    ring vertices, against 1..4 concentric regular rings of 3..299 vertices.
+    """
+    rng = np.random.default_rng(2024)
+    cases = []
+    while len(cases) < 278:
+        center, radius, rings = rng.uniform(-0.2, 0.2, 2), rng.uniform(0.3, 0.7), []
+        for i, k in enumerate(rng.integers(3, 300, size=rng.integers(1, 5))):
+            rings.append(regular_polygon(center, radius, int(k), i + 1))
+            radius *= math.cos(math.pi / k) * rng.uniform(0.4, 0.95)
+        verts = np.concatenate([o.vertices for o in rings])
+        s = int(rng.integers(1, 5))
+        pts = rng.uniform(-0.8, 0.8, (s + 1, 2))
+        on_ring = rng.random(s + 1) < 0.5
+        pts[on_ring] = verts[rng.integers(0, len(verts), int(on_ring.sum()))]
+        try:
+            omega, config = fit_curve(pts, s), validate_configuration(rings)
+        except ValidationError:
+            continue
+        cases.append((omega, config, all_pairs_hits(omega, config)))
+    return cases
 
 
 class TestFitCurve:
@@ -194,6 +258,7 @@ class TestCrossingCount:
             components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
         )
         assert crossing_count(seg, config, 1e-3) == 0
+        assert crossing_count(seg, validate_configuration([]), 1e-3) == 0
 
     def test_parabola_four_crossings(self):
         config = validate_configuration([self.circle(0.288)])
@@ -246,3 +311,26 @@ class TestCrossingCount:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    @pytest.mark.parametrize("direction", [(0.9, 0.0), (0.0, 0.9)])
+    def test_fine_oval_counts_fast(self, direction):
+        # only the few chord-edge pairs whose boxes overlap are solved
+        config = validate_configuration([regular_polygon((0.0, 0.0), 0.5, 10_000, 1)])
+        seg = ParamCurve(tuple(MultiPoly(1, {(1,): c}) for c in direction), s=1)
+        start = time.process_time()
+        assert crossing_count(seg, config, 1e-3) == 2
+        assert time.process_time() - start < 0.1
+
+    def test_matches_all_pairs_reference(self, differential_cases):
+        for omega, config, hits in differential_cases:
+            for tol in DIFFERENTIAL_TOLS:
+                assert crossing_count(omega, config, tol) == merged_count(hits, tol)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_small_sweep_chunks_match_reference(self, chunk, differential_cases, monkeypatch):
+        # steps this small cost about 0.2 s a call, so eight cases at tol 0
+        # stand for the rest: the chunk changes which pairs a step holds,
+        # never how hits merge
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        for omega, config, hits in differential_cases[:8]:
+            assert crossing_count(omega, config, 0.0) == merged_count(hits, 0.0)

@@ -72,6 +72,13 @@ class TestCoveringNumber:
         with pytest.raises(ValidationError):
             covering_number(PointCloud(np.array([[0.0, 0.0]])), 0.0)
 
+    def test_scale_past_int64_cells_rejected(self):
+        # floor(x / eps) leaves int64 here; the cast would wrap and merge cells
+        cloud = PointCloud(np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6], [0.7, -0.8]]))
+        assert covering_number(cloud, 1e-10) == 4
+        with pytest.raises(ValidationError, match=r"^scale 1e-25 is too fine for int64 cell indices$"):
+            covering_number(cloud, 1e-25)
+
 
 class TestBoxDimension:
     def test_plane_sample_slope_two(self):

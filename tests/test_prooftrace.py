@@ -70,6 +70,16 @@ class TestFindCriticalPoints:
                     gap = math.hypot(*(reps[i] - reps[j]))
                     assert gap > cps.merge_radius
 
+    def test_merge_radius_separates_close_critical_points(self):
+        # grad p = (x^2 - delta x, y) vanishes at (0, 0) and (delta, 0), 1.5 merge
+        # radii apart: a radius of 2e-6 would merge all 256 seeds into one cluster
+        delta = 1.5e-6
+        p = MultiPoly(2, {(3, 0): 1.0 / 3.0, (2, 0): -delta / 2.0, (0, 2): 0.5})
+        cps = find_critical_points(p, (-1.0, 1.0, -1.0, 1.0), 16)
+        assert cps.n_clusters == 2
+        reps = cps.representatives[np.argsort(cps.representatives[:, 0])]
+        assert np.allclose(reps, [[0.0, 0.0], [delta, 0.0]], rtol=0.0, atol=1e-9)
+
     def test_tilted_degenerate_line_has_no_critical_points(self):
         p = MultiPoly(2, {(2, 0): 1.0, (0, 1): 1e-6})  # x^2 + 1e-6 y
         cps = find_critical_points(p, BOX, 12)

@@ -45,6 +45,12 @@ class TestTopologicalBound:
         with pytest.raises(ValidationError, match=r"minimal domain area must be positive"):
             remez_bound_topological(0.0, 2, 2, count=10)
 
+    @pytest.mark.parametrize("mu, d", [(4e-18, 18), (4e-320, 1)])
+    def test_overflow_rejected(self, mu, d):
+        # the power overflows at the first pair; 8/mu is already infinite at the second
+        with pytest.raises(ValidationError, match=r"^bound \(4n/mu\)\^d overflows a double"):
+            remez_bound_topological(mu, d, 2, count=0, enforce_count=False)
+
 
 class TestBrudnyiGanzburg:
     def test_full_measure(self):
