@@ -21,10 +21,10 @@ from . import __version__
 from .errors import SolverError, ValidationError
 from .fractal import PointCloud, box_dimension_estimate, rigidity_threshold_check
 from .geometry import (
-    _BALL_TOL,
     build_domains,
     build_nesting_forest,
     config_from_json_dict,
+    in_unit_ball,
     lattice,
     mu,
     sample_boundary,
@@ -91,21 +91,21 @@ def _candidate_grid(n: int, k: int) -> np.ndarray:
     if k < 2:
         raise ValidationError(f"candidate grid must be >= 2 points per axis, got {k}")
     pts = lattice((-1.0,) * n, (1.0,) * n, k)
-    keep = np.sqrt(np.sum(pts**2, axis=1)) <= 1.0 + _BALL_TOL
-    if not np.any(keep):
+    pts = pts[in_unit_ball(pts)]
+    if not len(pts):
         raise ValidationError(f"no point of the {k}-per-axis candidate grid lies in the unit ball")
-    return pts[keep]
+    return pts
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
+def _manifest(args: argparse.Namespace) -> dict:
+    """Run manifest; ``args.inputs`` names the options that hold input file paths."""
     params = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func",) and (v is None or isinstance(v, (str, int, float, bool)))
     }
-    digests = {}
-    for path in inputs:
-        digests[path] = "sha256:" + hashlib.sha256(_read_bytes(path)).hexdigest()
+    paths = [path for path in (getattr(args, k) for k in args.inputs) if path]
+    digests = {path: "sha256:" + hashlib.sha256(_read_bytes(path)).hexdigest() for path in paths}
     return {
         "subcommand": args.subcommand,
         "parameters": params,
@@ -134,7 +134,6 @@ def _cmd_decompose(args) -> dict:
     forest = build_nesting_forest(config)
     domains = build_domains(forest)
     report = {
-        "manifest": _manifest(args, [args.config]),
         "forest": {
             str(node.oval_id): {
                 "depth": node.depth,
@@ -187,7 +186,6 @@ def _cmd_remez_lp(args) -> dict:
     candidates = _candidate_grid(n, args.grid)
     est = remez_estimate_lp(zsamples, args.degree, candidates)
     return {
-        "manifest": _manifest(args, [args.z]),
         "degree": args.degree,
         "n": n,
         **_estimate_fields(est),
@@ -205,7 +203,6 @@ def _cmd_bounds(args) -> dict:
     remez_val = remez_bound_topological(mu_val, args.degree, args.n, count, enforce_count=False)
     rep = rigidity_report(args.degree, mu_value=mu_val, n=args.n, oval_count=count)
     return {
-        "manifest": _manifest(args, [args.config]),
         "degree": args.degree,
         "n": args.n,
         "mu": mu_val,
@@ -229,7 +226,6 @@ def _cmd_rigidity(args) -> dict:
     estimate = _estimate_fields(est)
     rep = rigidity_report(args.degree, mu_value=mu_val, n=2, oval_count=count, inv_remez=estimate["inverse"])
     return {
-        "manifest": _manifest(args, [args.config]),
         "degree": args.degree,
         "mu": mu_val,
         "oval_count": count,
@@ -253,7 +249,6 @@ def _cmd_rigidity_1d(args) -> dict:
     bound = rigidity_1d_bound(zeros, args.z0, args.fz0, args.degree)
     floor = math.factorial(args.degree + 1) / 2 ** (args.degree + 1)
     return {
-        "manifest": _manifest(args, []),
         "degree": args.degree,
         "zeros": zeros,
         "z0": args.z0,
@@ -270,14 +265,10 @@ def _cmd_curve_check(args) -> dict:
     points = _load_points_csv(args.points)
     curve = fit_curve(points, args.s)
     comp = composition_report(f, curve, args.degree, args.tgrid)
-    inputs = [args.f, args.points]
     crossings = None
     if args.config:
-        config = _load_config(args.config)
-        crossings = crossing_count(curve, config, args.tol)
-        inputs.append(args.config)
+        crossings = crossing_count(curve, _load_config(args.config), args.tol)
     return {
-        "manifest": _manifest(args, inputs),
         "curve": {
             "s": curve.s,
             "components": [c.to_json_dict() for c in curve.components],
@@ -298,7 +289,6 @@ def _cmd_boxdim(args) -> dict:
     fit = box_dimension_estimate(cloud, scales)
     threshold = rigidity_threshold_check(fit.slope, cloud.dim, args.degree)
     return {
-        "manifest": _manifest(args, [args.points]),
         "fit": fit.to_json_dict(),
         "slope_formula": "least-squares slope of log N(eps) vs log(1/eps)",
         "threshold": threshold,
@@ -309,20 +299,13 @@ def _cmd_boxdim(args) -> dict:
 def _cmd_verify_proof(args) -> dict:
     p = _load_poly(args.poly)
     config = _load_config(args.config)
-    direction = default_perturbation(p)
-    eps_abs = args.eps * max(p.coefficient_norm(), 1.0)
-    xi = (direction[0], direction[1], eps_abs)
     report = domain_pigeonhole_report(
-        p,
-        config,
-        newton_grid=args.grid,
-        perturbation=xi,
+        p, config, newton_grid=args.grid, perturbation=default_perturbation(p, args.eps)
     )
     body = report.to_json_dict()
     if args.degree is not None and args.degree != report.degree:
         body["bezout_at_degree"] = bezout_check(report.critical_points, args.degree).to_json_dict()
     return {
-        "manifest": _manifest(args, [args.poly, args.config]),
         "bezout_formula": "at most (d-1)^2 isolated critical points",
         **body,
     }
@@ -351,39 +334,41 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
 
-    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str, inputs: tuple[str, ...]) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, parents=[out], help=summary)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=func, inputs=inputs)
         return cmd
 
-    d = command("decompose", _cmd_decompose, "validate a configuration and emit forest/domains/mu")
+    d = command("decompose", _cmd_decompose, "validate a configuration and emit forest/domains/mu", ("config",))
     d.add_argument("--config", required=True, help="configuration JSON")
     d.add_argument("--svg", default=None, help="also write an SVG rendering here")
 
-    r = command("remez-lp", _cmd_remez_lp, "LP lower estimate of the Remez constant of sampled Z")
+    r = command("remez-lp", _cmd_remez_lp, "LP lower estimate of the Remez constant of sampled Z", ("z",))
     r.add_argument("--degree", type=int, required=True)
     r.add_argument("--z", required=True, help="points CSV (x or x,y rows) or configuration JSON")
     r.add_argument("--grid", type=int, default=64, help="candidate grid points per axis")
     r.add_argument("--samples-per-oval", type=int, default=256)
 
-    b = command("bounds", _cmd_bounds, "closed-form Remez and rigidity bounds from mu")
+    b = command("bounds", _cmd_bounds, "closed-form Remez and rigidity bounds from mu", ("config",))
     b.add_argument("--config", required=True)
     b.add_argument("--degree", type=int, required=True)
     b.add_argument("--n", type=int, default=2, help="ambient dimension for the formulas")
 
-    g = command("rigidity", _cmd_rigidity, "full pipeline: geometry, LP estimate, rigidity report")
+    g = command("rigidity", _cmd_rigidity, "full pipeline: geometry, LP estimate, rigidity report", ("config",))
     g.add_argument("--config", required=True)
     g.add_argument("--degree", type=int, required=True)
     g.add_argument("--grid", type=int, default=64)
     g.add_argument("--samples-per-oval", type=int, default=256)
 
-    r1 = command("rigidity-1d", _cmd_rigidity_1d, "divided-difference lower bound on a line")
+    r1 = command("rigidity-1d", _cmd_rigidity_1d, "divided-difference lower bound on a line", ())
     r1.add_argument("--zeros", required=True, help="comma-separated zeros, d+1 of them")
     r1.add_argument("--z0", type=_finite_float, required=True, help="witness point")
     r1.add_argument("--fz0", type=_finite_float, default=1.0, help="|f(z0)| after normalization")
     r1.add_argument("--degree", type=int, required=True)
 
-    c = command("curve-check", _cmd_curve_check, "fit a test curve and probe the composition inequality")
+    c = command(
+        "curve-check", _cmd_curve_check, "fit a test curve and probe the composition inequality", ("f", "points", "config")
+    )
     c.add_argument("--f", required=True, help="polynomial JSON")
     c.add_argument("--points", required=True, help="points CSV to interpolate")
     c.add_argument("--s", type=int, required=True, help="curve degree")
@@ -392,17 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--config", default=None, help="optional configuration for crossing count")
     c.add_argument("--tol", type=_finite_float, default=1e-9, help="crossing isolation tolerance")
 
-    x = command("boxdim", _cmd_boxdim, "box-counting dimension estimate and threshold verdict")
+    x = command("boxdim", _cmd_boxdim, "box-counting dimension estimate and threshold verdict", ("points",))
     x.add_argument("--points", required=True, help="points CSV")
     x.add_argument("--scales", required=True, help="comma-separated decreasing scales")
     x.add_argument("--degree", type=int, required=True)
 
-    v = command("verify-proof", _cmd_verify_proof, "critical-point count and domain pigeonhole evidence")
+    v = command(
+        "verify-proof", _cmd_verify_proof, "critical-point count and domain pigeonhole evidence", ("poly", "config")
+    )
     v.add_argument("--poly", required=True, help="polynomial JSON")
     v.add_argument("--config", required=True)
     v.add_argument("--degree", type=int, default=None, help="also check the count at this degree")
     v.add_argument("--grid", type=int, default=64, help="Newton seed grid per axis")
-    v.add_argument("--eps", type=_finite_float, default=1e-6, help="perturbation size relative to coefficient norm")
+    v.add_argument("--eps", type=_finite_float, default=1e-6, help="tilt size is eps * max(coefficient norm, 1)")
 
     return parser
 
@@ -411,7 +398,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        report["manifest"] = _manifest(args)
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise SolverError(f"report has a non-finite number: {exc}") from exc
+        _emit(text + "\n", args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import OvalConfiguration, _box_pairs
+from .geometry import OvalConfiguration, _box_pairs, in_unit_ball
 from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
 
 __all__ = [
@@ -94,9 +94,8 @@ def fit_curve(points, s: int) -> ParamCurve:
         for axis in range(pts.shape[1])
     )
     curve = ParamCurve(components=components, s=s)
-    max_norm = curve.max_image_norm()
-    if max_norm > 1.0 + 1e-9:
-        raise ValidationError(f"curve image leaves the unit ball (max |omega(t)| = {max_norm:.6g})")
+    if not np.all(in_unit_ball(curve.eval(np.linspace(-1.0, 1.0, _IMAGE_GRID)))):
+        raise ValidationError(f"curve image leaves the unit ball (max |omega(t)| = {curve.max_image_norm():.6g})")
     return curve
 
 
@@ -194,10 +193,12 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> 
     for its crossing parameters; a pair counts where the chord and the edge
     are not parallel and both parameters lie in [0, 1], so a touch counts
     and a collinear overlap does not. The hit is interpolated linearly along
-    the chord, and hits closer than tol merge into one incidence.
+    the chord, and hits closer than tol >= 0 merge into one incidence.
     """
     if omega.dim != 2:
         raise ValidationError(f"expected dimension 2, got {omega.dim}")
+    if not tol >= 0.0:
+        raise ValidationError(f"crossing tolerance must be >= 0, got {tol}")
     if not config.ovals:
         return 0
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)

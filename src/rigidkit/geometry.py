@@ -36,6 +36,7 @@ __all__ = [
     "points_in_polygon",
     "points_in_domain",
     "shoelace_area",
+    "in_unit_ball",
     "sample_boundary",
     "lattice",
     "bounding_box",
@@ -119,6 +120,12 @@ def shoelace_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def in_unit_ball(points) -> np.ndarray:
+    """Mask of the rows of ``points`` that lie in the closed unit ball, up to ``_BALL_TOL``."""
+    pts = np.asarray(points, dtype=float)
+    return np.sqrt(np.sum(pts**2, axis=-1)) <= 1.0 + _BALL_TOL
 
 
 def _cross(o, a, b):
@@ -221,7 +228,7 @@ def _oval_fault(oval: Oval, enforce_ball: bool) -> str | None:
         return f"oval {oval.id} has {len(verts)} vertices, need at least 3"
     if not np.all(np.isfinite(verts)):
         return f"oval {oval.id} has non-finite vertex coordinates"
-    if enforce_ball and np.any(np.hypot(verts[:, 0], verts[:, 1]) > 1.0 + _BALL_TOL):
+    if enforce_ball and not np.all(in_unit_ball(verts)):
         return f"oval {oval.id} has vertices outside the unit ball"
     prev, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
     # zero-length edges and fold-back spikes (consecutive edges collinear and overlapping)

@@ -52,15 +52,19 @@ class MultiPoly:
             raise ValidationError(f"nvars must be >= 1, got {nvars}")
         rows, coefs = [], []
         for exp, coef in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars:
-                raise ValidationError(f"expected dimension {nvars}, got {len(exp)}")
-            if any(e < 0 for e in exp):
-                raise ValidationError(f"negative exponent in {exp}")
+            ints = tuple(int(e) for e in exp)
+            if len(ints) != nvars:
+                raise ValidationError(f"expected dimension {nvars}, got {len(ints)}")
+            if ints != tuple(exp):
+                raise ValidationError(f"non-integral exponent in {list(exp)}")
+            if any(e < 0 for e in ints):
+                raise ValidationError(f"negative exponent in {ints}")
+            if any(e >= 2**63 for e in ints):
+                raise ValidationError(f"exponent in {list(ints)} does not fit int64")
             coef = float(coef)
             if not math.isfinite(coef):
-                raise ValidationError(f"non-finite coefficient {coef} at exponent {list(exp)}")
-            rows.append(exp)
+                raise ValidationError(f"non-finite coefficient {coef} at exponent {list(ints)}")
+            rows.append(ints)
             coefs.append(coef)
         canon = MultiPoly.from_rows(nvars, rows, coefs)
         self.nvars, self.exps, self.coefs = nvars, canon.exps, canon.coefs
@@ -197,17 +201,17 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
-        terms: dict[tuple[int, ...], float] = {}
+        terms: dict[tuple, float] = {}
         try:
             nvars = int(data["nvars"])
             for t in data["terms"]:
-                exp = tuple(int(e) for e in t["exp"])
+                exp = tuple(t["exp"])
                 if exp in terms:
                     raise ValidationError(f"duplicate exponent {list(exp)} in polynomial JSON")
                 terms[exp] = float(t["coef"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(nvars, terms)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed polynomial JSON: missing or bad field {exc}") from exc
-        return cls(nvars, terms)
 
 
 def power_table(x, rows: Sequence[Sequence[int]]) -> list[dict[int, object]]:

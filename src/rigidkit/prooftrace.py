@@ -178,13 +178,10 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     )
 
 
-def default_perturbation(p: MultiPoly) -> tuple[float, float, float]:
-    """Deterministic generic direction (1, golden ratio) with tiny size."""
+def default_perturbation(p: MultiPoly, eps: float = 1e-6) -> tuple[float, float, float]:
+    """Deterministic generic direction (1, golden ratio) with size eps * max(||p||, 1)."""
     norm = math.hypot(1.0, _GOLDEN)
-    eps = 1e-6 * p.coefficient_norm()
-    if eps == 0.0:
-        eps = 1e-6
-    return (1.0 / norm, _GOLDEN / norm, eps)
+    return (1.0 / norm, _GOLDEN / norm, eps * max(p.coefficient_norm(), 1.0))
 
 
 def _unpack_xi(xi) -> tuple[float, float, float]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .geometry import _BALL_TOL
+from .geometry import in_unit_ball
 from .poly import MultiPoly, basis_size, chebyshev, eval_poly, monomial_terms, monomials, power_table
 
 __all__ = [
@@ -124,8 +124,9 @@ def _as_points(arr, name: str) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or len(pts) == 0:
         raise ValidationError(f"{name} must be a nonempty 2D point array")
-    norms = np.sqrt(np.sum(pts**2, axis=1))
-    if np.any(norms > 1.0 + _BALL_TOL):
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError(f"{name} contains non-finite points")
+    if not np.all(in_unit_ball(pts)):
         raise ValidationError(f"{name} contains points outside the unit ball")
     return pts
 

@@ -224,28 +224,23 @@ class RigidityReport:
 
 
 def rigidity_report(
-    d: int,
-    mu_value: float | None = None,
-    n: int = 2,
-    oval_count: int | None = None,
-    inv_remez: float | None = None,
+    d: int, mu_value: float, oval_count: int, n: int = 2, inv_remez: float | None = None
 ) -> RigidityReport:
     """Assemble every applicable bound into one report.
 
     Each bound is one ``(formula, value, hypothesis_ok, note)`` row; its
     provenance is ``FORMULAS[formula]``. The two topological entries are
-    always present when a positive minimal domain area is supplied; their
-    hypothesis flag records whether the oval count reaches
-    ``ovals_required(d, n)``. The two shapes disagree as mu shrinks and are
-    deliberately reported side by side.
+    always present; their hypothesis flag records whether ``oval_count``
+    reaches ``ovals_required(d, n)``. The two shapes disagree as mu shrinks
+    and are deliberately reported side by side. The ``from_remez`` entry is
+    added when an inverse Remez constant is supplied.
     """
     rows = []
     if inv_remez is not None:
         rows.append(("from_remez", rigidity_from_remez(inv_remez, d), True, ""))
-    if mu_value is not None:
-        required = ovals_required(d, n)
-        count_ok = oval_count is None or oval_count >= required
-        note = "" if count_ok else f"oval count {oval_count} below required {required}"
-        rows.append(("topological_literal", rigidity_topological_literal(mu_value, d, n), count_ok, note))
-        rows.append(("topological_composed", rigidity_topological_composed(mu_value, d, n), count_ok, note))
+    required = ovals_required(d, n)
+    count_ok = oval_count >= required
+    note = "" if count_ok else f"oval count {oval_count} below required {required}"
+    rows.append(("topological_literal", rigidity_topological_literal(mu_value, d, n), count_ok, note))
+    rows.append(("topological_composed", rigidity_topological_composed(mu_value, d, n), count_ok, note))
     return RigidityReport(d, [BoundEntry(f, value, ok, FORMULAS[f], note) for f, value, ok, note in rows])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -266,6 +267,82 @@ class TestVerifyProof:
         assert report["bezout_at_degree"]["bound"] == 16
 
 
+_MANIFEST_CASES = {
+    # case: (argv with file placeholders, placeholders named in inputs, parameter keys)
+    "decompose": (
+        ["decompose", "--config", "{annulus}"],
+        ["annulus"],
+        {"config", "svg"},
+    ),
+    "remez-lp": (
+        ["remez-lp", "--degree", "2", "--z", "{halfline}", "--grid", "16"],
+        ["halfline"],
+        {"degree", "z", "grid", "samples_per_oval"},
+    ),
+    "bounds": (
+        ["bounds", "--config", "{annulus}", "--degree", "2"],
+        ["annulus"],
+        {"config", "degree", "n"},
+    ),
+    "rigidity": (
+        ["rigidity", "--config", "{annulus}", "--degree", "1", "--grid", "8", "--samples-per-oval", "16"],
+        ["annulus"],
+        {"config", "degree", "grid", "samples_per_oval"},
+    ),
+    "rigidity-1d": (
+        ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--z0", "0.9", "--degree", "2"],
+        [],
+        {"zeros", "z0", "fz0", "degree"},
+    ),
+    "curve-check": (
+        ["curve-check", "--f", "{fxy}", "--points", "{curve}", "--s", "2", "--degree", "3", "--tgrid", "64"],
+        ["fxy", "curve"],
+        {"f", "points", "s", "degree", "tgrid", "config", "tol"},
+    ),
+    "curve-check-config": (
+        [
+            "curve-check", "--f", "{fxy}", "--points", "{curve}", "--s", "2", "--degree", "3",
+            "--tgrid", "64", "--config", "{annulus}",
+        ],
+        ["fxy", "curve", "annulus"],
+        {"f", "points", "s", "degree", "tgrid", "config", "tol"},
+    ),
+    "boxdim": (
+        ["boxdim", "--points", "{grid}", "--scales", "0.25,0.125,0.0625", "--degree", "1"],
+        ["grid"],
+        {"points", "scales", "degree"},
+    ),
+    "verify-proof": (
+        ["verify-proof", "--poly", "{fxy}", "--config", "{annulus}", "--grid", "8"],
+        ["fxy", "annulus"],
+        {"poly", "config", "degree", "grid", "eps"},
+    ),
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("case", sorted(_MANIFEST_CASES))
+    def test_inputs_are_exactly_the_files_passed(
+        self, case, annulus_path, halfline_path, fxy_path, curve_points_path, grid_points_path, capsys
+    ):
+        paths = {
+            "annulus": annulus_path, "halfline": halfline_path, "fxy": fxy_path,
+            "curve": curve_points_path, "grid": grid_points_path,
+        }
+        template, named, keys = _MANIFEST_CASES[case]
+        code, report = run_cli([arg.format(**paths) for arg in template], capsys)
+        assert code == 0
+        manifest = report["manifest"]
+        assert manifest["subcommand"] == template[0]
+        assert manifest["inputs"] == {
+            paths[name]: "sha256:" + hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
+            for name in named
+        }
+        assert set(manifest["parameters"]) == keys | {"out", "subcommand"}
+        assert manifest["version"] == __version__
+        assert set(manifest) == {"subcommand", "parameters", "inputs", "version", "timestamp"}
+
+
 class TestDeterminism:
     def test_decompose_reports_identical(self, annulus_path, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -388,6 +465,39 @@ class TestErrorPaths:
         )
         argv = ["verify-proof", "--poly", str(path), "--config", annulus_path]
         expect_exit2(argv, capsys, "duplicate exponent [2, 0]")
+
+    @pytest.mark.parametrize(
+        "exp, fragment",
+        [("[1.5, 0]", "non-integral exponent in [1.5, 0]"), ("[99999999999999999999, 0]", "does not fit int64")],
+    )
+    def test_bad_exponent_exit2(self, exp, fragment, tmp_path, capsys, annulus_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"nvars": 2, "terms": [{"exp": %s, "coef": 1.0}]}' % exp)
+        argv = ["verify-proof", "--poly", str(path), "--config", annulus_path]
+        expect_exit2(argv, capsys, fragment)
+
+    def test_negative_crossing_tolerance_exit2(self, fxy_path, annulus_path, tmp_path, capsys):
+        diagonal = tmp_path / "diagonal.csv"
+        diagonal.write_text("-0.4,-0.4\n0.4,0.4\n")
+        argv = [
+            "curve-check", "--f", fxy_path, "--points", str(diagonal), "--s", "1", "--degree", "1",
+            "--config", annulus_path,
+        ]
+        code, report = run_cli(argv + ["--tol=0"], capsys)
+        assert code == 0 and report["crossings"] == 2
+        expect_exit2(argv + ["--tol=-1"], capsys, "crossing tolerance must be >= 0, got -1.0")
+
+    def test_non_finite_report_value_exit3(self, curve_points_path, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"nvars": 2, "terms": [{"exp": [3, 0], "coef": 1e308}, {"exp": [0, 3], "coef": 1e308}]}')
+        out = tmp_path / "report.json"
+        argv = ["curve-check", "--f", str(huge), "--points", curve_points_path, "--s", "2", "--degree", "3"]
+        with np.errstate(all="ignore"):
+            code = main(argv + ["--tgrid", "8", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("solver error: report has a non-finite number: ")
 
     def test_bounds_negative_degree_exit2(self, annulus_path, capsys):
         argv = ["bounds", "--config", annulus_path, "--degree", "-1"]

@@ -252,6 +252,15 @@ class TestCrossingCount:
         )
         assert crossing_count(seg, config, 1e-3) == 2
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+    def test_negative_tolerance_rejected(self, tol):
+        config = validate_configuration([self.circle(0.5)])
+        seg = ParamCurve(components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1)
+        with pytest.raises(ValidationError, match=r"^crossing tolerance must be >= 0, got"):
+            crossing_count(seg, config, tol)
+        with pytest.raises(ValidationError, match=r"^crossing tolerance must be >= 0, got"):
+            crossing_count(seg, validate_configuration([]), tol)
+
     def test_disjoint_segment(self):
         config = validate_configuration([self.circle(0.2, center=(0.0, 0.7))])
         seg = ParamCurve(

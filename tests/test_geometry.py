@@ -16,6 +16,7 @@ from rigidkit.geometry import (
     config_from_json_dict,
     contains,
     domain_area,
+    in_unit_ball,
     lattice,
     mu,
     point_in_polygon,
@@ -426,6 +427,35 @@ class TestLattice:
     def test_bounding_box(self):
         lo, hi = bounding_box([square(1.0, 1, center=(0.5, -0.25)), square(0.5, 2, center=(-0.5, 0.0))])
         assert np.array_equal(lo, [-0.75, -0.75]) and np.array_equal(hi, [1.0, 0.25])
+
+
+class TestUnitBall:
+    def test_closed_ball_up_to_tolerance(self):
+        r = np.array([0.0, 1.0, 1.0 + 0.5e-9, 1.0 + 2e-9, 2.0, math.nan, math.inf])
+        assert in_unit_ball(np.stack([0.6 * r, 0.8 * r], axis=1)).tolist() == [
+            True, True, True, False, False, False, False,
+        ]
+        assert in_unit_ball([[0.5, 0.5, 0.5], [0.6, 0.6, 0.6]]).tolist() == [True, False]
+        assert in_unit_ball(np.zeros((0, 2))).shape == (0,)
+
+    def test_every_ball_check_reads_one_tolerance(self, monkeypatch):
+        from rigidkit.cli import _candidate_grid
+        from rigidkit.curves import fit_curve
+        from rigidkit.remez import remez_estimate_lp
+
+        wide = np.linspace(-1.2, 1.2, 7).reshape(-1, 1)
+        checks = [
+            lambda: validate_configuration([regular_polygon((0.0, 0.0), 1.2, 8, 1)]),
+            lambda: remez_estimate_lp(wide, 1, wide),
+            lambda: _candidate_grid(2, 2),
+            lambda: fit_curve([[1.2, 0.0]], 1),
+        ]
+        for check in checks:
+            with pytest.raises(ValidationError, match="unit ball"):
+                check()
+        monkeypatch.setattr(geometry, "_BALL_TOL", 0.5)
+        for check in checks:
+            check()
 
 
 class TestJsonInterface:

@@ -84,6 +84,32 @@ class TestMultiPoly:
         with pytest.raises(ValidationError, match=r"non-finite coefficient"):
             MultiPoly(2, {(1, 0): 1.0, (0, 1): bad})
 
+    @pytest.mark.parametrize("exp", [[1.5, 0], (1.5, 0), (np.float64(0.25), 1)])
+    def test_non_integral_exponent_rejected(self, exp):
+        with pytest.raises(ValidationError, match=r"non-integral exponent"):
+            MultiPoly.from_json_dict({"nvars": 2, "terms": [{"exp": list(exp), "coef": 1.0}]})
+        with pytest.raises(ValidationError, match=r"non-integral exponent"):
+            MultiPoly(2, {tuple(exp): 1.0})
+
+    def test_integral_float_exponent_accepted(self):
+        p = MultiPoly.from_json_dict({"nvars": 2, "terms": [{"exp": [2.0, 0], "coef": 1.0}]})
+        assert p == MultiPoly(2, {(2, 0): 1.0})
+
+    @pytest.mark.parametrize("big", [2**63, 99999999999999999999, 1e20])
+    def test_exponent_beyond_int64_rejected(self, big):
+        with pytest.raises(ValidationError, match=r"does not fit int64"):
+            MultiPoly.from_json_dict({"nvars": 2, "terms": [{"exp": [big, 0], "coef": 1.0}]})
+        assert MultiPoly(1, {(2**63 - 1,): 1.0}).degree == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [(math.inf, "malformed polynomial JSON"), (math.nan, "malformed polynomial JSON"),
+         (None, "malformed polynomial JSON"), ("1", "non-integral exponent")],
+    )
+    def test_non_numeric_json_exponent_rejected(self, bad, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            MultiPoly.from_json_dict({"nvars": 2, "terms": [{"exp": [bad, 0], "coef": 1.0}]})
+
     def test_duplicate_json_exponent_rejected(self):
         data = {"nvars": 2, "terms": [{"exp": [2, 0], "coef": 1.0}, {"exp": [2, 0], "coef": 2.0}]}
         with pytest.raises(ValidationError, match=r"duplicate exponent \[2, 0\]"):

@@ -236,6 +236,13 @@ class TestPerturbation:
         assert eps == pytest.approx(4e-6)
         assert default_perturbation(MultiPoly(2, {}))[2] == pytest.approx(1e-6)
 
+    @pytest.mark.parametrize("norm, eps", [(0.0, 1e-6), (0.25, 1e-6), (0.25, 1e-3), (1.0, 1e-4), (4.0, 1e-3)])
+    def test_tilt_size_is_eps_times_norm_floored_at_one(self, norm, eps):
+        p = MultiPoly(2, {(2, 0): norm})
+        assert p.coefficient_norm() == norm
+        direction = default_perturbation(p)[:2]
+        assert default_perturbation(p, eps) == (*direction, eps * max(norm, 1.0))
+
     def test_critical_points_stable_under_eps_halving(self):
         rng = np.random.default_rng(17)
         checked = 0

@@ -144,6 +144,15 @@ class TestEstimatorProperties:
         with pytest.raises(ValidationError):
             remez_estimate_lp([[0.0, 0.0]], 1, [[1.5, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        zs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+        zs[4, 0] = bad
+        with pytest.raises(ValidationError, match=r"^zsamples contains non-finite points$"):
+            remez_estimate_lp(zs, 2, np.linspace(-1.0, 1.0, 5).reshape(-1, 1))
+        with pytest.raises(ValidationError, match=r"^candidates contains non-finite points$"):
+            remez_estimate_lp(np.linspace(-1.0, 1.0, 9), 2, zs)
+
     def test_solver_failure_raises(self, monkeypatch):
         import scipy.optimize
 

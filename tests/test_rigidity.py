@@ -167,6 +167,13 @@ class TestReport:
         rep = rigidity_report(2, mu_value=1.0, n=2, oval_count=5, inv_remez=1.0 / 17.0)
         assert rep.entry("from_remez").value == pytest.approx(3.0 / 17.0)
 
+    @pytest.mark.parametrize("missing", ["mu_value", "oval_count"])
+    def test_mu_and_oval_count_required(self, missing):
+        kwargs = {"mu_value": 1.0, "oval_count": 5}
+        del kwargs[missing]
+        with pytest.raises(TypeError, match=missing):
+            rigidity_report(2, **kwargs)
+
     def test_json_shape(self):
         rep = rigidity_report(2, mu_value=1.0, n=2, oval_count=5)
         data = rep.to_json_dict()
