@@ -155,7 +155,7 @@ def _cmd_decompose(args) -> dict:
         "mu_formula": "min over domains of area(W_j)",
     }
     if args.svg:
-        _emit(render_svg(config, domains), args.svg)
+        _emit(render_svg(domains), args.svg)
         report["svg"] = args.svg
     return report
 

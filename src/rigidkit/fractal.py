@@ -97,7 +97,7 @@ class BoxDimensionFit:
 def box_dimension_estimate(cloud: PointCloud, eps_list) -> BoxDimensionFit:
     """Estimate the upper box dimension from covering numbers.
 
-    Requires at least three strictly decreasing positive scales. The slope
+    Requires at least three finite, strictly decreasing positive scales. The slope
     of the affine least-squares fit to (log 1/eps, log N(eps)) is the
     estimate; the residual is the root-mean-square misfit, a sanity signal
     for whether the scales sit in a genuine scaling regime.
@@ -105,8 +105,8 @@ def box_dimension_estimate(cloud: PointCloud, eps_list) -> BoxDimensionFit:
     scales = np.asarray(list(eps_list), dtype=float)
     if scales.size < 3:
         raise ValidationError(f"need at least 3 scales, got {scales.size}")
-    if np.any(scales <= 0) or np.any(np.diff(scales) >= 0):
-        raise ValidationError("scales must be positive and strictly decreasing")
+    if not np.all(np.isfinite(scales)) or np.any(scales <= 0) or np.any(np.diff(scales) >= 0):
+        raise ValidationError("scales must be finite, positive and strictly decreasing")
     counts = np.array([covering_number(cloud, e) for e in scales], dtype=np.int64)
     x = np.log(1.0 / scales)
     y = np.log(counts.astype(float))

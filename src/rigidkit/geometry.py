@@ -30,7 +30,6 @@ __all__ = [
     "contains",
     "build_nesting_forest",
     "build_domains",
-    "domain_area",
     "mu",
     "point_in_polygon",
     "points_in_polygon",
@@ -61,10 +60,6 @@ class Oval:
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise ValidationError(f"oval {self.id}: vertices must be an (k, 2) array")
         object.__setattr__(self, "vertices", verts)
-
-    @property
-    def signed_area(self) -> float:
-        return shoelace_area(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -105,14 +100,11 @@ class NestingForest:
 
 @dataclass(frozen=True)
 class Domain:
-    """Region bounded by ``outer`` from outside and by ``holes`` from inside."""
+    """Region bounded by ``outer`` from outside and by ``holes`` from inside, with its area."""
 
     outer: Oval
     holes: tuple[Oval, ...]
-
-    @property
-    def area(self) -> float:
-        return domain_area(self)
+    area: float
 
 
 def shoelace_area(vertices: np.ndarray) -> float:
@@ -259,7 +251,7 @@ def validate_configuration(ovals, enforce_ball: bool = True) -> OvalConfiguratio
     for k, o in enumerate(passed):
         if k == crossed:
             raise ValidationError(f"oval {o.id} has self-intersecting edges")
-        if (area := o.signed_area) <= 0:
+        if (area := shoelace_area(o.vertices)) <= 0:
             raise ValidationError(f"domain of oval {o.id} has non-positive area {area}")
     if fault:
         raise ValidationError(fault)
@@ -339,24 +331,18 @@ def build_domains(forest: NestingForest) -> list[Domain]:
     """One domain per oval: that oval outside, its direct children as holes.
 
     The returned list length always equals the oval count; this identity is
-    what makes the minimal-area quantity well defined for any nesting.
+    what makes the minimal-area quantity well defined for any nesting. Each
+    area, the outer oval's shoelace area minus its holes', is computed once, here.
     """
     domains = []
     for o in forest.config.ovals:
         node = forest.nodes[o.id]
         holes = tuple(forest.config.oval_by_id(c) for c in node.children)
-        dom = Domain(outer=o, holes=holes)
-        domain_area(dom)  # raises ValidationError on non-positive area
-        domains.append(dom)
+        area = shoelace_area(o.vertices) - sum(shoelace_area(h.vertices) for h in holes)
+        if area <= 0:
+            raise ValidationError(f"domain of oval {o.id} has non-positive area {area}")
+        domains.append(Domain(outer=o, holes=holes, area=area))
     return domains
-
-
-def domain_area(d: Domain) -> float:
-    """Shoelace area of the outer oval minus the areas of its holes."""
-    area = shoelace_area(d.outer.vertices) - sum(shoelace_area(h.vertices) for h in d.holes)
-    if area <= 0:
-        raise ValidationError(f"domain of oval {d.outer.id} has non-positive area {area}")
-    return area
 
 
 def mu(domains) -> float:
@@ -364,7 +350,7 @@ def mu(domains) -> float:
     domains = list(domains)
     if not domains:
         raise ValidationError("configuration has no domains")
-    return min(domain_area(d) for d in domains)
+    return min(d.area for d in domains)
 
 
 def points_in_domain(d: Domain, points: np.ndarray) -> np.ndarray:

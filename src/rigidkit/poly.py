@@ -52,7 +52,10 @@ class MultiPoly:
             raise ValidationError(f"nvars must be >= 1, got {nvars}")
         rows, coefs = [], []
         for exp, coef in (terms or {}).items():
-            ints = tuple(int(e) for e in exp)
+            try:
+                ints = tuple(int(e) for e in exp)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"non-numeric or non-finite exponent in {exp!r}") from exc
             if len(ints) != nvars:
                 raise ValidationError(f"expected dimension {nvars}, got {len(ints)}")
             if ints != tuple(exp):
@@ -206,6 +209,8 @@ class MultiPoly:
             nvars = int(data["nvars"])
             for t in data["terms"]:
                 exp = tuple(t["exp"])
+                for e in exp:
+                    int(e)  # a non-number, NaN or infinity is malformed JSON
                 if exp in terms:
                     raise ValidationError(f"duplicate exponent {list(exp)} in polynomial JSON")
                 terms[exp] = float(t["coef"])

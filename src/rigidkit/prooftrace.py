@@ -76,22 +76,14 @@ class CriticalPointSet:
         }
 
 
-def _normalize_box(box):
-    arr = np.asarray(box, dtype=float).reshape(-1)
-    if arr.size != 4:
-        raise ValidationError(f"box must be (xmin, xmax, ymin, ymax), got {box!r}")
-    if not np.all(np.isfinite(arr)) or arr[0] >= arr[1] or arr[2] >= arr[3]:
-        raise ValidationError(f"degenerate search box {box!r}")
-    return arr
-
-
 def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     """Multi-start Newton on the gradient system over a seed lattice.
 
-    Seeds form a grid x grid lattice over the box. Newton steps use the
-    exact Hessian and move only the live seeds; a seed is dropped for good
-    when the Hessian determinant falls under 1e-14 times its scale or the
-    iterate leaves the inflated box.
+    ``box`` is the ``(lo, hi)`` corner pair that ``geometry.bounding_box``
+    returns, finite and with lo < hi on each axis. Seeds form a grid x grid
+    lattice over the box. Newton steps use the exact Hessian and move only
+    the live seeds; a seed is dropped for good when the Hessian determinant
+    falls under 1e-14 times its scale or the iterate leaves the inflated box.
     Survivors are kept only if their gradient norm is at most
     1e-8 * (1 + coefficient norm), then greedily clustered: a point joins
     the first representative within the merge radius 1e-6, in lexicographic
@@ -104,7 +96,10 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
         raise ValidationError(f"expected dimension 2, got {p.nvars}")
     if grid < 2:
         raise ValidationError(f"seed grid must be >= 2, got {grid}")
-    xmin, xmax, ymin, ymax = _normalize_box(box)
+    box = np.asarray(box, dtype=float)
+    if box.shape != (2, 2) or not np.all(np.isfinite(box)) or np.any(box[0] >= box[1]):
+        raise ValidationError(f"search box must be finite (lo, hi) corners with lo < hi, got {box.tolist()!r}")
+    lo, hi = box
 
     gx = partial_derivative(p, 0)
     gy = partial_derivative(p, 1)
@@ -123,14 +118,12 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     hxy = partial_derivative(gx, 1)
     hyy = partial_derivative(gy, 1)
 
-    pts = lattice((xmin, ymin), (xmax, ymax), grid)
+    pts = lattice(lo, hi, grid)
     live = np.arange(len(pts))
 
     # leave room around the box so roots just outside the seed hull survive
-    pad_x = 0.5 * (xmax - xmin) + 1.0
-    pad_y = 0.5 * (ymax - ymin) + 1.0
-    lo = np.array([xmin - pad_x, ymin - pad_y])
-    hi = np.array([xmax + pad_x, ymax + pad_y])
+    pad = 0.5 * (hi - lo) + 1.0
+    lo, hi = lo - pad, hi + pad
 
     for _ in range(_MAX_ITER):
         gv1, gv2, a, b, c = eval_polys((gx, gy, hxx, hxy, hyy), [pts[live, 0], pts[live, 1]])
@@ -321,11 +314,9 @@ def domain_pigeonhole_report(
     domains = build_domains(build_nesting_forest(config))
     if not domains:
         raise ValidationError("configuration has no domains")
-    (xmin, ymin), (xmax, ymax) = bounding_box(config.ovals)
-    span = max(xmax - xmin, ymax - ymin, 1e-3)
-    box = (xmin - 0.05 * span, xmax + 0.05 * span, ymin - 0.05 * span, ymax + 0.05 * span)
-
-    cps = find_critical_points(pt_poly, box, newton_grid)
+    lo, hi = bounding_box(config.ovals)
+    span = max(*(hi - lo), 1e-3)
+    cps = find_critical_points(pt_poly, (lo - 0.05 * span, hi + 0.05 * span), newton_grid)
     bez = bezout_check(cps, d)
 
     # each critical point goes to the first domain containing it, if any

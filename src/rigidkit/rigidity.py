@@ -103,6 +103,8 @@ def rigidity_1d_bound(xs, z0: float, fz0: float, d: int) -> float:
     and |fz0| = 1 the result is at least (d+1)!/2^(d+1).
     """
     xs = sorted(float(x) for x in xs)
+    if not all(math.isfinite(v) for v in (*xs, z0, fz0)):
+        raise ValidationError("zeros, witness point and witness value must be finite")
     if len(xs) != d + 1:
         raise ValidationError(f"need exactly d+1 = {d + 1} zeros, got {len(xs)}")
     if len(set(xs)) != len(xs):

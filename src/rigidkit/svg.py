@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Domain, OvalConfiguration, bounding_box, build_domains, build_nesting_forest
+from .geometry import Domain, bounding_box
 
 __all__ = ["render_svg"]
 
@@ -29,17 +29,17 @@ def _ring_path(vertices: np.ndarray) -> str:
     return f"M {coords} Z"
 
 
-def render_svg(config: OvalConfiguration, domains: list[Domain] | None = None) -> str:
-    """Render the configuration as a standalone SVG document string.
+def render_svg(domains: list[Domain]) -> str:
+    """Render domains, as ``build_domains`` returns them, as a standalone SVG document string.
 
+    There is one domain per oval, so the domains' outer rings are the ovals.
     Each domain is one even-odd filled path (outer ring plus hole rings), so
     nested regions show through their parents; oval boundaries are stroked
     on top and a legend lists domain ids with areas. Output is fully
     deterministic for a given configuration.
     """
-    if domains is None:
-        domains = build_domains(build_nesting_forest(config))
-    (xmin, ymin), (xmax, ymax) = bounding_box(config.ovals)
+    ordered = sorted(domains, key=lambda d: d.outer.id)
+    (xmin, ymin), (xmax, ymax) = bounding_box([d.outer for d in ordered])
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     margin = 0.05 * span
     legend_w = 0.55 * span
@@ -56,7 +56,6 @@ def render_svg(config: OvalConfiguration, domains: list[Domain] | None = None) -
         # flip y so the math orientation (y up) renders upright
         f'<g transform="translate(0 {ymin + ymax:.6g}) scale(1 -1)">',
     ]
-    ordered = sorted(domains, key=lambda d: d.outer.id)
     for i, dom in enumerate(ordered):
         rings = [_ring_path(dom.outer.vertices)] + [_ring_path(h.vertices) for h in dom.holes]
         color = _PALETTE[i % len(_PALETTE)]
@@ -64,9 +63,9 @@ def render_svg(config: OvalConfiguration, domains: list[Domain] | None = None) -
             f'<path d="{" ".join(rings)}" fill="{color}" fill-opacity="0.45" '
             'fill-rule="evenodd" stroke="none"/>'
         )
-    for oval in sorted(config.ovals, key=lambda o: o.id):
+    for dom in ordered:
         lines.append(
-            f'<path d="{_ring_path(oval.vertices)}" fill="none" '
+            f'<path d="{_ring_path(dom.outer.vertices)}" fill="none" '
             f'stroke="#333333" stroke-width="{0.004 * span:.6g}"/>'
         )
     lines.append("</g>")

@@ -266,7 +266,7 @@ def test_criterion_7_critical_points_and_pigeonhole():
     with _criterion(7) as crit:
         # (x^2-1)^2 + (y^2-1)^2 has exactly the 3x3 grid of critical points
         nine = MultiPoly(2, {(4, 0): 1.0, (2, 0): -2.0, (0, 4): 1.0, (0, 2): -2.0, (0, 0): 2.0})
-        cps = find_critical_points(nine, (-1.5, 1.5, -1.5, 1.5), 24)
+        cps = find_critical_points(nine, ((-1.5, -1.5), (1.5, 1.5)), 24)
         expected = sorted(product((-1.0, 0.0, 1.0), repeat=2))
         got = sorted(map(tuple, cps.representatives))
         nine_ok = cps.n_clusters == 9 and all(
@@ -278,7 +278,7 @@ def test_criterion_7_critical_points_and_pigeonhole():
         for _ in range(500):
             d = int(rng.integers(2, 6))
             q = perturb_linear(random_poly(2, d, rng))
-            found = find_critical_points(q, (-1.3, 1.3, -1.3, 1.3), 12)
+            found = find_critical_points(q, ((-1.3, -1.3), (1.3, 1.3)), 12)
             max_excess = max(max_excess, found.n_clusters - (q.degree - 1) ** 2)
         count_ok = max_excess <= 0
 

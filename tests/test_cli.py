@@ -395,6 +395,18 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_exit2(self, value, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0.1,0.1\n0.2,0.3\n0.4,0.2\n")
+        argv = ["boxdim", "--points", str(pts), f"--scales={value},0.5,0.25", "--degree", "1"]
+        expect_exit2(argv, capsys, "scales must be finite, positive and strictly decreasing")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_zero_exit2(self, value, capsys):
+        argv = ["rigidity-1d", f"--zeros={value},0.1,0.2", "--z0", "0.9", "--degree", "2"]
+        expect_exit2(argv, capsys, "zeros, witness point and witness value must be finite")
+
     def test_scale_past_int64_cells_exit2(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
         pts.write_text("0.1,0.2\n0.3,0.4\n-0.5,0.6\n0.7,-0.8\n")

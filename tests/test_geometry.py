@@ -15,7 +15,6 @@ from rigidkit.geometry import (
     build_nesting_forest,
     config_from_json_dict,
     contains,
-    domain_area,
     in_unit_ball,
     lattice,
     mu,
@@ -330,12 +329,12 @@ class TestDomains:
 class TestAreas:
     def test_unit_square(self):
         dom = build_domains(build_nesting_forest(validate_configuration([square(1.0, 1)])))[0]
-        assert domain_area(dom) == pytest.approx(1.0)
+        assert dom.area == pytest.approx(1.0)
 
     def test_square_with_hole(self, side2_annulus):
         domains = build_domains(build_nesting_forest(side2_annulus))
         ring = next(d for d in domains if d.holes)
-        assert domain_area(ring) == pytest.approx(3.0)
+        assert ring.area == pytest.approx(3.0)
 
     def test_regular_64gon(self):
         oval = regular_polygon((0.0, 0.0), 1.0, 64, 1)

@@ -91,6 +91,11 @@ class TestMultiPoly:
         with pytest.raises(ValidationError, match=r"non-integral exponent"):
             MultiPoly(2, {tuple(exp): 1.0})
 
+    @pytest.mark.parametrize("bad", ["a", math.nan, math.inf])
+    def test_non_numeric_or_non_finite_exponent_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"non-numeric or non-finite exponent in \("):
+            MultiPoly(2, {(bad, 0): 1.0})
+
     def test_integral_float_exponent_accepted(self):
         p = MultiPoly.from_json_dict({"nvars": 2, "terms": [{"exp": [2.0, 0], "coef": 1.0}]})
         assert p == MultiPoly(2, {(2, 0): 1.0})

@@ -17,7 +17,7 @@ from rigidkit.prooftrace import (
     perturb_linear,
 )
 
-BOX = (-1.5, 1.5, -1.5, 1.5)
+BOX = ((-1.5, -1.5), (1.5, 1.5))
 
 
 def nine_well_poly() -> MultiPoly:
@@ -75,7 +75,7 @@ class TestFindCriticalPoints:
         # radii apart: a radius of 2e-6 would merge all 256 seeds into one cluster
         delta = 1.5e-6
         p = MultiPoly(2, {(3, 0): 1.0 / 3.0, (2, 0): -delta / 2.0, (0, 2): 0.5})
-        cps = find_critical_points(p, (-1.0, 1.0, -1.0, 1.0), 16)
+        cps = find_critical_points(p, ((-1.0, -1.0), (1.0, 1.0)), 16)
         assert cps.n_clusters == 2
         reps = cps.representatives[np.argsort(cps.representatives[:, 0])]
         assert np.allclose(reps, [[0.0, 0.0], [delta, 0.0]], rtol=0.0, atol=1e-9)
@@ -94,7 +94,7 @@ class TestFindCriticalPoints:
         with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             find_critical_points(MultiPoly(1, {(2,): 1.0}), BOX, 8)
         with pytest.raises(ValidationError):
-            find_critical_points(nine_well_poly(), (1.0, -1.0, -1.0, 1.0), 8)
+            find_critical_points(nine_well_poly(), ((1.0, -1.0), (-1.0, 1.0)), 8)
         with pytest.raises(ValidationError):
             find_critical_points(nine_well_poly(), BOX, 1)
 
@@ -103,6 +103,20 @@ class TestFindCriticalPoints:
         with pytest.raises(ValidationError, match="box must be"):
             find_critical_points(nine_well_poly(), (0.0, 1.0), 8)
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (-1.5, 1.5, -1.5, 1.5),  # the flat (xmin, xmax, ymin, ymax) form is not accepted
+            ((-1.5, -1.5), (math.inf, 1.5)),
+            ((-1.5, math.nan), (1.5, 1.5)),
+            ((1.5, -1.5), (1.5, 1.5)),
+            ((-1.5, 1.5), (1.5, -1.5)),
+        ],
+    )
+    def test_box_must_be_finite_ordered_corners(self, box):
+        with pytest.raises(ValidationError, match=r"search box must be finite \(lo, hi\) corners with lo < hi"):
+            find_critical_points(nine_well_poly(), box, 8)
+
 
 def masked_newton_reference(p: MultiPoly, box, grid: int):
     """The former Newton loop, which masks every seed each iteration, and point-by-point clustering.
@@ -110,7 +124,7 @@ def masked_newton_reference(p: MultiPoly, box, grid: int):
     Kept as an oracle for ``find_critical_points``: returns its
     representatives, gradient norms, cluster sizes and diagnostics.
     """
-    xmin, xmax, ymin, ymax = (float(v) for v in box)
+    (xmin, ymin), (xmax, ymax) = box
     gx, gy = partial_derivative(p, 0), partial_derivative(p, 1)
     hxx, hxy, hyy = partial_derivative(gx, 0), partial_derivative(gx, 1), partial_derivative(gy, 1)
     grad_tol = 1e-8 * (1.0 + p.coefficient_norm())
@@ -184,7 +198,7 @@ class TestNewtonReference:
         for _ in range(100):
             p = perturb_linear(random_poly(2, int(rng.integers(2, 7)), rng))
             x0, y0 = rng.uniform(-1.5, 0.5, size=2)
-            box = (x0, x0 + rng.uniform(0.2, 2.5), y0, y0 + rng.uniform(0.2, 2.5))
+            box = ((x0, y0), (x0 + rng.uniform(0.2, 2.5), y0 + rng.uniform(0.2, 2.5)))
             clustered += assert_matches_reference(p, box, int(rng.integers(8, 33))) > 0
         # most boxes hold a critical point, so the comparison is rarely between two empty sets
         assert clustered >= 50
@@ -289,7 +303,7 @@ class TestBezout:
             d = int(rng.integers(2, 6))
             p = random_poly(2, d, rng)
             q = perturb_linear(p)
-            cps = find_critical_points(q, (-1.2, 1.2, -1.2, 1.2), 10)
+            cps = find_critical_points(q, ((-1.2, -1.2), (1.2, 1.2)), 10)
             assert bezout_check(cps, d).verdict == "consistent"
 
 

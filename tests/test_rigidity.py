@@ -106,6 +106,13 @@ class TestRigidity1D:
                 exact = float(np.max(np.abs(eval_poly(deriv, [grid])))) if not deriv.is_zero() else 0.0
                 assert bound <= exact + 1e-9
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", ["zero", "z0", "fz0"])
+    def test_non_finite_input_checked(self, slot, bad):
+        args = {"zero": ([bad, 0.0], 1.0, 1.0), "z0": ([-1.0, 0.0], bad, 1.0), "fz0": ([-1.0, 0.0], 1.0, bad)}[slot]
+        with pytest.raises(ValidationError, match=r"zeros, witness point and witness value must be finite"):
+            rigidity_1d_bound(*args, 1)
+
     def test_node_count_checked(self):
         with pytest.raises(ValidationError, match=r"need exactly d\+1 = 2 zeros, got 3"):
             rigidity_1d_bound([-1.0, 0.0, 1.0], 0.5, 1.0, 1)
