@@ -46,6 +46,7 @@ __all__ = [
 _BALL_TOL = 1e-9
 _RAY_NUDGE = 1e-12
 _PAIR_CHUNK = 1 << 14  # candidate box pairs per step of the box-pair sweep; bounds its memory
+_MAX_LATTICE = 1 << 24  # points in one lattice, far above every grid in use; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -377,13 +378,20 @@ def sample_boundary(oval: Oval, count: int) -> np.ndarray:
 
 
 def lattice(lo, hi, k: int) -> np.ndarray:
-    """(k**n, n) lattice of k points per axis over the box [lo, hi], first axis slowest."""
+    """(k**n, n) lattice of k points per axis over the box [lo, hi], first axis slowest.
+
+    More than ``_MAX_LATTICE`` = 2**24 points is a ``ValidationError``.
+    """
+    if int(k) ** len(lo) > _MAX_LATTICE:
+        raise ValidationError(f"a lattice of {k} points per axis in {len(lo)}D exceeds {_MAX_LATTICE} points")
     axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def bounding_box(ovals) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper corners of the axis-aligned box around every vertex of ``ovals``."""
+    if not ovals:
+        raise ValidationError("no ovals to bound")
     verts = np.concatenate([o.vertices for o in ovals], axis=0)
     return verts.min(axis=0), verts.max(axis=0)
 

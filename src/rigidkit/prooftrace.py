@@ -41,6 +41,7 @@ __all__ = [
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _DET_FLOOR = 1e-14
+_STEP_FLOOR = 1e-13
 _MAX_ITER = 80
 _MERGE_RADIUS = 1e-6
 
@@ -82,12 +83,21 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     ``box`` is the ``(lo, hi)`` corner pair that ``geometry.bounding_box``
     returns, finite and with lo < hi on each axis. Seeds form a grid x grid
     lattice over the box. Newton steps use the exact Hessian and move only
-    the live seeds; a seed is dropped for good when the Hessian determinant
-    falls under 1e-14 times its scale or the iterate leaves the inflated box.
-    Survivors are kept only if their gradient norm is at most
-    1e-8 * (1 + coefficient norm), then greedily clustered: a point joins
-    the first representative within the merge radius 1e-6, in lexicographic
-    point order, so representatives stay pairwise separated.
+    the live seeds, for at most 80 iterations; a seed is dropped for good
+    when the Hessian determinant falls under 1e-14 times its scale or the
+    iterate leaves the inflated box. A seed whose step (dx, dy) satisfies
+    |dx| + |dy| <= 1e-13 * (1 + |x| + |y|) at its new point (x, y) inside the
+    box has settled: it keeps that point and is never evaluated again.
+    Settled seeds and the seeds still live after the last iteration are kept
+    only if their gradient norm is at most 1e-8 * (1 + coefficient norm),
+    then greedily clustered: a point joins the first representative within
+    the merge radius 1e-6, in lexicographic point order, so representatives
+    stay pairwise separated.
+
+    ``diagnostics`` holds the seed count, the number kept (``converged``),
+    the seeds dropped for a singular Hessian, for leaving the box and for
+    missing the gradient tolerance, and ``seed_iterations``, the number of
+    seed evaluations Newton made.
 
     A polynomial with identically zero gradient (a constant) has no isolated
     critical points and yields the empty set.
@@ -96,20 +106,30 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
         raise ValidationError(f"expected dimension 2, got {p.nvars}")
     if grid < 2:
         raise ValidationError(f"seed grid must be >= 2, got {grid}")
-    box = np.asarray(box, dtype=float)
-    if box.shape != (2, 2) or not np.all(np.isfinite(box)) or np.any(box[0] >= box[1]):
-        raise ValidationError(f"search box must be finite (lo, hi) corners with lo < hi, got {box.tolist()!r}")
-    lo, hi = box
+    try:
+        corners = np.asarray(box, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        corners = np.zeros(0)
+    if corners.shape != (2, 2) or not np.all(np.isfinite(corners)) or np.any(corners[0] >= corners[1]):
+        raise ValidationError(f"search box must be finite (lo, hi) corners with lo < hi, got {box!r}")
+    lo, hi = corners
 
     gx = partial_derivative(p, 0)
     gy = partial_derivative(p, 1)
     coefnorm = p.coefficient_norm()
     grad_tol = 1e-8 * (1.0 + coefnorm)
+    diagnostics = {
+        "seeds": grid * grid,
+        "converged": 0,
+        "dropped_singular_hessian": 0,
+        "dropped_left_box": 0,
+        "dropped_gradient_tolerance": 0,
+        "seed_iterations": 0,
+    }
 
     def empty(note: str) -> CriticalPointSet:
-        diagnostics = {"seeds": grid * grid, "converged": 0, "note": note}
         sizes = np.zeros(0, dtype=np.int64)
-        return CriticalPointSet(np.zeros((0, 2)), np.zeros(0), sizes, _MERGE_RADIUS, diagnostics)
+        return CriticalPointSet(np.zeros((0, 2)), np.zeros(0), sizes, _MERGE_RADIUS, {**diagnostics, "note": note})
 
     if gx.is_zero() and gy.is_zero():
         return empty("gradient vanishes identically")
@@ -120,30 +140,44 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
 
     pts = lattice(lo, hi, grid)
     live = np.arange(len(pts))
+    settled = np.zeros(len(pts), dtype=bool)
 
     # leave room around the box so roots just outside the seed hull survive
     pad = 0.5 * (hi - lo) + 1.0
     lo, hi = lo - pad, hi + pad
 
     for _ in range(_MAX_ITER):
+        diagnostics["seed_iterations"] += live.size
         gv1, gv2, a, b, c = eval_polys((gx, gy, hxx, hxy, hyy), [pts[live, 0], pts[live, 1]])
         det = a * c - b * b
         scale = np.abs(a) + np.abs(b) + np.abs(c)
         ok = np.abs(det) > _DET_FLOOR * np.maximum(1.0, scale * scale)
+        diagnostics["dropped_singular_hessian"] += live.size - int(np.count_nonzero(ok))
         live, gv1, gv2, a, b, c, det = (v[ok] for v in (live, gv1, gv2, a, b, c, det))
-        pts[live, 0] -= (c * gv1 - b * gv2) / det
-        pts[live, 1] -= (a * gv2 - b * gv1) / det
+        dx = (c * gv1 - b * gv2) / det
+        dy = (a * gv2 - b * gv1) / det
+        pts[live, 0] -= dx
+        pts[live, 1] -= dy
         x = pts[live]
-        live = live[np.all(np.isfinite(x), axis=1) & np.all(x >= lo, axis=1) & np.all(x <= hi, axis=1)]
+        inside = np.all(np.isfinite(x), axis=1) & np.all(x >= lo, axis=1) & np.all(x <= hi, axis=1)
+        diagnostics["dropped_left_box"] += live.size - int(np.count_nonzero(inside))
+        moving = inside & (np.abs(dx) + np.abs(dy) > _STEP_FLOOR * (1.0 + np.abs(x[:, 0]) + np.abs(x[:, 1])))
+        settled[live[inside & ~moving]] = True
+        live = live[moving]
         if not live.size:
-            return empty("no seed converged")
+            break
 
-    cand = pts[live]
+    settled[live] = True
+    if not np.any(settled):
+        return empty("no seed converged")
+    cand = pts[settled]
     gn = np.hypot(*eval_polys((gx, gy), [cand[:, 0], cand[:, 1]]))
     keep = gn <= grad_tol
+    diagnostics["dropped_gradient_tolerance"] = len(cand) - int(np.count_nonzero(keep))
     cand, gn = cand[keep], gn[keep]
     if len(cand) == 0:
         return empty("no seed reached the gradient tolerance")
+    diagnostics["converged"] = int(len(cand))
 
     # the first unclaimed point, in lexicographic order, claims every unclaimed point within the radius
     order = np.lexsort((cand[:, 1], cand[:, 0]))
@@ -163,11 +197,7 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
         gradient_norms=gn[reps],
         cluster_sizes=np.array(sizes, dtype=np.int64),
         merge_radius=_MERGE_RADIUS,
-        diagnostics={
-            "seeds": grid * grid,
-            "converged": int(len(cand)),
-            "gradient_tolerance": grad_tol,
-        },
+        diagnostics={**diagnostics, "gradient_tolerance": grad_tol},
     )
 
 

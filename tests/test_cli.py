@@ -453,6 +453,22 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == "error: configuration has no domains\n"
 
+    def test_empty_configuration_svg_exit2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"ovals": []}')
+        svg = tmp_path / "empty.svg"
+        expect_exit2(["decompose", "--config", str(empty), "--svg", str(svg)], capsys, "no domains")
+        assert not svg.exists()
+
+    def test_huge_newton_grid_exit2(self, fxy_path, annulus_path, capsys):
+        argv = ["verify-proof", "--poly", fxy_path, "--config", annulus_path, "--grid", "1000000"]
+        expect_exit2(argv, capsys, "lattice of 1000000 points per axis in 2D exceeds 16777216 points")
+
+    @pytest.mark.parametrize("grid, fixture", [("1000000000000", "halfline_path"), ("4097", "annulus_path")])
+    def test_huge_candidate_grid_exit2(self, grid, fixture, request, capsys):
+        argv = ["remez-lp", "--degree", "2", "--z", request.getfixturevalue(fixture), "--grid", grid]
+        expect_exit2(argv, capsys, f"lattice of {grid} points per axis")
+
     @pytest.mark.parametrize(
         "poly",
         ['{"nvars": "x", "terms": []}', '{"nvars": 2, "terms": [{"exp": ["a", 0], "coef": 1.0}]}'],

@@ -26,6 +26,7 @@ from rigidkit.geometry import (
     shoelace_area,
     validate_configuration,
 )
+from rigidkit.svg import render_svg
 
 
 def rect(x0, x1, y0, y1, oval_id) -> Oval:
@@ -426,6 +427,23 @@ class TestLattice:
     def test_bounding_box(self):
         lo, hi = bounding_box([square(1.0, 1, center=(0.5, -0.25)), square(0.5, 2, center=(-0.5, 0.0))])
         assert np.array_equal(lo, [-0.75, -0.75]) and np.array_equal(hi, [1.0, 0.25])
+
+    def test_no_ovals_to_bound(self):
+        with pytest.raises(ValidationError, match="no ovals to bound"):
+            bounding_box([])
+        with pytest.raises(ValidationError, match="no ovals to bound"):
+            render_svg([])
+
+    @pytest.mark.parametrize("n, k", [(1, 2**24 + 1), (2, 4097), (3, 257), (2, 10**6)])
+    def test_more_than_2_to_the_24_points_rejected(self, n, k):
+        with pytest.raises(ValidationError, match=f"lattice of {k} points per axis in {n}D exceeds 16777216 points"):
+            lattice((0.0,) * n, (1.0,) * n, k)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_LATTICE", 27)
+        assert lattice((0.0,) * 3, (1.0,) * 3, 3).shape == (27, 3)
+        with pytest.raises(ValidationError):
+            lattice((0.0,) * 3, (1.0,) * 3, 4)
 
 
 class TestUnitBall:

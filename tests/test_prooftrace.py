@@ -111,57 +111,159 @@ class TestFindCriticalPoints:
             ((-1.5, math.nan), (1.5, 1.5)),
             ((1.5, -1.5), (1.5, 1.5)),
             ((-1.5, 1.5), (1.5, -1.5)),
+            ((0.0, 0.0), (1.0,)),  # ragged
+            (("a", "b"), ("c", "d")),  # not numbers
         ],
     )
     def test_box_must_be_finite_ordered_corners(self, box):
         with pytest.raises(ValidationError, match=r"search box must be finite \(lo, hi\) corners with lo < hi"):
             find_critical_points(nine_well_poly(), box, 8)
 
+    def test_every_seed_is_kept_or_dropped_for_one_reason(self):
+        cps = find_critical_points(nine_well_poly(), BOX, 24)
+        d = cps.diagnostics
+        dropped = d["dropped_singular_hessian"] + d["dropped_left_box"] + d["dropped_gradient_tolerance"]
+        assert d["converged"] + dropped == d["seeds"] == 24 * 24
+        assert d["converged"] == int(cps.cluster_sizes.sum())
+        assert 0 < d["seed_iterations"] < 80 * d["seeds"]
+
+    @pytest.mark.parametrize(
+        "terms, box, grid, singular, left, tolerance",
+        [
+            # x^2 + 1e-6 y: the Hessian is singular everywhere
+            ({(2, 0): 1.0, (0, 1): 1e-6}, BOX, 12, 144, 0, 0),
+            # x^2 + y^3/3 + y: y^2 + 1 has no real root, so every seed runs off
+            ({(2, 0): 1.0, (0, 3): 1.0 / 3.0, (0, 1): 1.0}, BOX, 12, 0, 144, 0),
+            # grad = (x^3 - 2x + 2, y): Newton cycles 0 -> 1 -> 0 exactly, and x = -1 jumps to -4
+            ({(4, 0): 0.25, (2, 0): -1.0, (1, 0): 2.0, (0, 2): 0.5}, ((-1.0, -1.0), (1.0, 1.0)), 3, 0, 3, 6),
+        ],
+    )
+    def test_drop_reasons_counted(self, terms, box, grid, singular, left, tolerance):
+        d = find_critical_points(MultiPoly(2, terms), box, grid).diagnostics
+        assert (d["dropped_singular_hessian"], d["dropped_left_box"]) == (singular, left)
+        assert (d["dropped_gradient_tolerance"], d["converged"]) == (tolerance, 0)
+
+
+def off_centre_rings(n: int):
+    """n nested 48-gons, each 0.01 further along the diagonal than its parent, and the product of their circles."""
+    radii = [0.9 - 0.7 * i / (n - 1) for i in range(n)]
+    centres = [(0.01 * i, 0.01 * i) for i in range(n)]
+    ovals = [regular_polygon(c, r, 48, i + 1) for i, (c, r) in enumerate(zip(centres, radii))]
+    p = MultiPoly.constant(2, 1.0)
+    for r, (a, b) in zip(radii, centres):
+        p = p * MultiPoly(2, {(2, 0): 1.0, (1, 0): -2 * a, (0, 2): 1.0, (0, 1): -2 * b, (0, 0): a * a + b * b - r * r})
+    return p, validate_configuration(ovals)
+
+
+class TestSettledSeeds:
+    """Newton stops evaluating a seed once its step falls under _STEP_FLOOR, with the same results."""
+
+    @staticmethod
+    def assert_same_points(frozen, full):
+        assert np.array_equal(frozen.cluster_sizes, full.cluster_sizes)
+        assert np.allclose(frozen.representatives, full.representatives, rtol=0.0, atol=1e-12)
+
+    def test_nine_wells_match_unfrozen_run(self, monkeypatch):
+        frozen = find_critical_points(nine_well_poly(), BOX, 24)
+        monkeypatch.setattr(prooftrace, "_STEP_FLOOR", 0.0)
+        full = find_critical_points(nine_well_poly(), BOX, 24)
+        assert frozen.n_clusters == full.n_clusters == 9
+        self.assert_same_points(frozen, full)
+        assert frozen.diagnostics["seed_iterations"] < full.diagnostics["seed_iterations"]
+
+    def test_three_rings_match_unfrozen_run(self, monkeypatch):
+        # the verify-proof-rings golden: radii 0.25, 0.5, 0.75 at seed grid 24
+        p, config = vanishing_ring_poly((0.25, 0.5, 0.75)), concentric_ring_config((0.25, 0.5, 0.75))
+        frozen = domain_pigeonhole_report(p, config, newton_grid=24)
+        monkeypatch.setattr(prooftrace, "_STEP_FLOOR", 0.0)
+        full = domain_pigeonhole_report(p, config, newton_grid=24)
+        assert frozen.critical_points.n_clusters == full.critical_points.n_clusters > 0
+        self.assert_same_points(frozen.critical_points, full.critical_points)
+        assert frozen.assignments == full.assignments
+        assert [e["flagged"] for e in frozen.domains] == [e["flagged"] for e in full.domains]
+
+    def test_degenerate_critical_point_settles_before_its_hessian_turns_singular(self, monkeypatch):
+        # x^3 + y^2: Newton halves x each step, so the Hessian determinant 12x shrinks only linearly
+        cusp, box = MultiPoly(2, {(3, 0): 1.0, (0, 2): 1.0}), ((-1.0, -1.0), (1.0, 1.0))
+        cps = find_critical_points(cusp, box, 9)
+        assert cps.n_clusters == 1 and np.allclose(cps.representatives, [[0.0, 0.0]], rtol=0.0, atol=1e-12)
+        # the 9 seeds on x = 0 start singular; without the floor the other 72 follow them
+        assert cps.diagnostics["dropped_singular_hessian"] == 9 and cps.diagnostics["converged"] == 72
+        monkeypatch.setattr(prooftrace, "_STEP_FLOOR", 0.0)
+        assert find_critical_points(cusp, box, 9).diagnostics["dropped_singular_hessian"] == 81
+
+    def test_off_centre_rings_settle_within_a_third_of_the_iterations(self):
+        p, config = off_centre_rings(4)
+        report = domain_pigeonhole_report(p, config, newton_grid=48)
+        assert report.critical_points.n_clusters == 7
+        assert report.bezout.verdict == "consistent"
+        d = report.critical_points.diagnostics
+        assert d["seeds"] == 48 * 48
+        assert d["seed_iterations"] <= 80 * d["seeds"] / 3
+
 
 def masked_newton_reference(p: MultiPoly, box, grid: int):
     """The former Newton loop, which masks every seed each iteration, and point-by-point clustering.
 
-    Kept as an oracle for ``find_critical_points``: returns its
-    representatives, gradient norms, cluster sizes and diagnostics.
+    Kept as an oracle for ``find_critical_points``, with the same settling
+    rule: a seed whose step is at most 1e-13 * (1 + |x| + |y|) freezes.
+    Returns its representatives, gradient norms, cluster sizes and
+    diagnostics.
     """
     (xmin, ymin), (xmax, ymax) = box
     gx, gy = partial_derivative(p, 0), partial_derivative(p, 1)
     hxx, hxy, hyy = partial_derivative(gx, 0), partial_derivative(gx, 1), partial_derivative(gy, 1)
     grad_tol = 1e-8 * (1.0 + p.coefficient_norm())
+    diagnostics = {
+        "seeds": grid * grid,
+        "converged": 0,
+        "dropped_singular_hessian": 0,
+        "dropped_left_box": 0,
+        "dropped_gradient_tolerance": 0,
+        "seed_iterations": 0,
+    }
 
     def empty(note):
-        return np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=np.int64), {
-            "seeds": grid * grid, "converged": 0, "note": note
-        }
+        return np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=np.int64), {**diagnostics, "note": note}
 
     gxs, gys = np.meshgrid(np.linspace(xmin, xmax, grid), np.linspace(ymin, ymax, grid), indexing="ij")
     pts = np.stack([gxs.ravel(), gys.ravel()], axis=1)
     alive = np.ones(len(pts), dtype=bool)
+    frozen = np.zeros(len(pts), dtype=bool)
     pad_x, pad_y = 0.5 * (xmax - xmin) + 1.0, 0.5 * (ymax - ymin) + 1.0
     lo, hi = np.array([xmin - pad_x, ymin - pad_y]), np.array([xmax + pad_x, ymax + pad_y])
-    # dropped seeds stay frozen wherever they left the box and are still evaluated, so they may overflow
+    # dropped and frozen seeds stay where they stopped and are still evaluated, so they may overflow
     with np.errstate(all="ignore"):
         for _ in range(80):
+            diagnostics["seed_iterations"] += int(np.count_nonzero(alive))
             gv1, gv2, a, b, c = eval_polys((gx, gy, hxx, hxy, hyy), [pts[:, 0], pts[:, 1]])
             det = a * c - b * b
             scale = np.abs(a) + np.abs(b) + np.abs(c)
             ok = alive & (np.abs(det) > 1e-14 * np.maximum(1.0, scale * scale))
+            diagnostics["dropped_singular_hessian"] += int(np.count_nonzero(alive & ~ok))
             step_x = np.where(ok, (c * gv1 - b * gv2) / np.where(ok, det, 1.0), 0.0)
             step_y = np.where(ok, (a * gv2 - b * gv1) / np.where(ok, det, 1.0), 0.0)
             pts[:, 0] -= step_x
             pts[:, 1] -= step_y
-            alive = ok & np.all(np.isfinite(pts), axis=1)
-            alive &= np.all(pts >= lo, axis=1) & np.all(pts <= hi, axis=1)
+            inside = ok & np.all(np.isfinite(pts), axis=1)
+            inside &= np.all(pts >= lo, axis=1) & np.all(pts <= hi, axis=1)
+            diagnostics["dropped_left_box"] += int(np.count_nonzero(ok & ~inside))
+            small = np.abs(step_x) + np.abs(step_y) <= 1e-13 * (1.0 + np.abs(pts[:, 0]) + np.abs(pts[:, 1]))
+            frozen |= inside & small
+            alive = inside & ~small
             if not np.any(alive):
                 break
-    if not np.any(alive):
+    kept = alive | frozen
+    if not np.any(kept):
         return empty("no seed converged")
-    cand = pts[alive]
+    cand = pts[kept]
     gn = np.hypot(*eval_polys((gx, gy), [cand[:, 0], cand[:, 1]]))
     keep = gn <= grad_tol
+    diagnostics["dropped_gradient_tolerance"] = int(np.count_nonzero(~keep))
     cand, gn = cand[keep], gn[keep]
     if len(cand) == 0:
         return empty("no seed reached the gradient tolerance")
+    diagnostics["converged"] = int(len(cand))
     order = np.lexsort((cand[:, 1], cand[:, 0]))
     reps, rep_gn, sizes = [], [], []
     for point, g in zip(cand[order], gn[order]):
@@ -173,7 +275,7 @@ def masked_newton_reference(p: MultiPoly, box, grid: int):
             reps.append(point)
             rep_gn.append(float(g))
             sizes.append(1)
-    diagnostics = {"seeds": grid * grid, "converged": int(len(cand)), "gradient_tolerance": grad_tol}
+    diagnostics["gradient_tolerance"] = grad_tol
     return np.array(reps), np.array(rep_gn), np.array(sizes, dtype=np.int64), diagnostics
 
 
