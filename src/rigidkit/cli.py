@@ -78,14 +78,6 @@ def _load_points_csv(path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _load_config(path: str):
-    return config_from_json_dict(_load_json(path))
-
-
-def _load_poly(path: str) -> MultiPoly:
-    return MultiPoly.from_json_dict(_load_json(path))
-
-
 def _candidate_grid(n: int, k: int) -> np.ndarray:
     """k-per-axis lattice over [-1,1]^n clipped to the Euclidean ball."""
     if k < 2:
@@ -130,7 +122,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_decompose(args) -> dict:
-    config = _load_config(args.config)
+    config = config_from_json_dict(_load_json(args.config))
     forest = build_nesting_forest(config)
     domains = build_domains(forest)
     report = {
@@ -164,12 +156,6 @@ def _boundary_samples(config, per_oval: int) -> np.ndarray:
     return np.concatenate([sample_boundary(o, per_oval) for o in config.ovals], axis=0)
 
 
-def _zsamples_for(args) -> np.ndarray:
-    if args.z.endswith(".json"):
-        return _boundary_samples(_load_config(args.z), args.samples_per_oval)
-    return _load_points_csv(args.z)
-
-
 def _estimate_fields(est) -> dict:
     """The estimate entries that ``remez-lp`` and ``rigidity`` both report."""
     return {
@@ -181,7 +167,10 @@ def _estimate_fields(est) -> dict:
 
 
 def _cmd_remez_lp(args) -> dict:
-    zsamples = _zsamples_for(args)
+    if args.z.endswith(".json"):
+        zsamples = _boundary_samples(config_from_json_dict(_load_json(args.z)), args.samples_per_oval)
+    else:
+        zsamples = _load_points_csv(args.z)
     n = zsamples.shape[1]
     candidates = _candidate_grid(n, args.grid)
     est = remez_estimate_lp(zsamples, args.degree, candidates)
@@ -196,11 +185,11 @@ def _cmd_remez_lp(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    config = _load_config(args.config)
+    config = config_from_json_dict(_load_json(args.config))
     mu_val = mu(build_domains(build_nesting_forest(config)))
     count = config.N
     required = ovals_required(args.degree, args.n)
-    remez_val = remez_bound_topological(mu_val, args.degree, args.n, count, enforce_count=False)
+    remez_val = remez_bound_topological(mu_val, args.degree, args.n)
     rep = rigidity_report(args.degree, mu_value=mu_val, n=args.n, oval_count=count)
     return {
         "degree": args.degree,
@@ -218,7 +207,7 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_rigidity(args) -> dict:
-    config = _load_config(args.config)
+    config = config_from_json_dict(_load_json(args.config))
     mu_val = mu(build_domains(build_nesting_forest(config)))
     count = config.N
     zsamples = _boundary_samples(config, args.samples_per_oval)
@@ -261,13 +250,13 @@ def _cmd_rigidity_1d(args) -> dict:
 
 
 def _cmd_curve_check(args) -> dict:
-    f = _load_poly(args.f)
+    f = MultiPoly.from_json_dict(_load_json(args.f))
     points = _load_points_csv(args.points)
     curve = fit_curve(points, args.s)
     comp = composition_report(f, curve, args.degree, args.tgrid)
     crossings = None
     if args.config:
-        crossings = crossing_count(curve, _load_config(args.config), args.tol)
+        crossings = crossing_count(curve, config_from_json_dict(_load_json(args.config)), args.tol)
     return {
         "curve": {
             "s": curve.s,
@@ -297,8 +286,8 @@ def _cmd_boxdim(args) -> dict:
 
 
 def _cmd_verify_proof(args) -> dict:
-    p = _load_poly(args.poly)
-    config = _load_config(args.config)
+    p = MultiPoly.from_json_dict(_load_json(args.poly))
+    config = config_from_json_dict(_load_json(args.config))
     report = domain_pigeonhole_report(
         p, config, newton_grid=args.grid, perturbation=default_perturbation(p, args.eps)
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import OvalConfiguration, _box_pairs, in_unit_ball
+from .geometry import OvalConfiguration, _box_pairs, in_unit_ball, lattice
 from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
 
 __all__ = [
@@ -152,6 +152,7 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> C
         raise ValidationError(f"derivative order must be >= 0, got {d}")
     if tgrid < 2:
         raise ValidationError(f"tgrid must be >= 2, got {tgrid}")
+    taus = lattice((-1.0,), (1.0,), tgrid)[:, 0]  # a 1D lattice, so capped at _MAX_LATTICE points
     s = omega.s
     k_lo = max(1, math.ceil((d + 1) / s))
     k_hi = d + 1
@@ -159,7 +160,6 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> C
     g = compose(f, list(omega.components))
     [(_, g_deriv)] = derivatives_of_order(g, d + 1)
 
-    taus = np.linspace(-1.0, 1.0, tgrid)
     coords = eval_polys(omega.components, [taus])
     lhs = np.zeros(tgrid)
     qs = [q for k in range(k_lo, k_hi + 1) for _, q in derivatives_of_order(f, k)]

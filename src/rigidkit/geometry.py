@@ -363,9 +363,9 @@ def points_in_domain(d: Domain, points: np.ndarray) -> np.ndarray:
 
 
 def sample_boundary(oval: Oval, count: int) -> np.ndarray:
-    """``count`` points equally spaced by arc length along the boundary."""
-    if count < 1:
-        raise ValidationError(f"boundary sample count must be >= 1, got {count}")
+    """``count`` points equally spaced by arc length along the boundary; 1 <= count <= ``_MAX_LATTICE``."""
+    if not 1 <= count <= _MAX_LATTICE:
+        raise ValidationError(f"boundary sample count must be in 1..{_MAX_LATTICE}, got {count}")
     p0 = oval.vertices
     p1 = np.roll(p0, -1, axis=0)
     seg = np.hypot(*(p1 - p0).T)

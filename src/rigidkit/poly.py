@@ -5,10 +5,10 @@ order (total degree, then tuple, as ``monomials`` lists them) plus its m
 nonzero coefficients. ``MultiPoly.from_rows`` is the one constructor that
 canonicalises: sums, products, derivatives and compositions hand it their
 stacked rows. ``eval_polys`` evaluates a family of polynomials over one
-per-axis power table, and the Vandermonde rows of ``remez`` use the same
-table, so the two agree bit for bit. Degrees stay below ~10 here, so plain
-arithmetic stays exact up to float rounding, which the downstream 1e-9
-oracle tolerances rely on.
+per-axis power table; it is the only evaluator, and the Vandermonde columns
+of ``remez`` are its values at the unit monomials. Degrees stay below ~10
+here, so plain arithmetic stays exact up to float rounding, which the
+downstream 1e-9 oracle tolerances rely on.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ __all__ = [
     "derivatives_of_order",
     "eval_poly",
     "eval_polys",
-    "monomial_terms",
     "monomials",
     "multi_indices",
     "partial_derivative",
-    "power_table",
 ]
 
 
@@ -219,47 +217,32 @@ class MultiPoly:
             raise ValidationError(f"malformed polynomial JSON: missing or bad field {exc}") from exc
 
 
-def power_table(x, rows: Sequence[Sequence[int]]) -> list[dict[int, object]]:
-    """Per-axis ``{e: x_i**e}`` for every nonzero exponent in ``rows``.
-
-    Each power is computed once, whichever row or polynomial asks for it.
-    """
-    return [{e: xi**e for e in set(col) if e} for xi, col in zip(x, zip(*rows))]
-
-
-def monomial_terms(rows: Sequence[Sequence[int]], coefs: Sequence[float], table):
-    """Yield coef * x_0**e_0 * x_1**e_1 * ... per exponent row, left to right.
-
-    Powers come from ``table`` (see ``power_table``); zero exponents
-    contribute no factor.
-    """
-    for exp, coef in zip(rows, coefs):
-        term = coef
-        for powers, e in zip(table, exp):
-            if e:
-                term = term * powers[e]
-        yield term
-
-
 def eval_polys(polys: Sequence[MultiPoly], x) -> list:
     """Evaluate every polynomial of ``polys`` at point ``x`` over one power table.
 
     ``x`` is a sequence of scalars or numpy arrays; arrays broadcast the
-    evaluation. Each polynomial's terms are accumulated in its own graded-lex
-    order, so every result is deterministic for a given polynomial regardless
-    of construction history or of the other polynomials in the call.
+    evaluation. Each power x_i**e is computed once, whichever polynomial asks
+    for it. Each term is coef * x_0**e_0 * x_1**e_1 * ... left to right, zero
+    exponents contributing no factor, and each polynomial's terms are
+    accumulated in its own graded-lex order, so every result is deterministic
+    for a given polynomial regardless of construction history or of the
+    other polynomials in the call.
     """
     x = list(x) if not isinstance(x, (list, tuple)) else x
     for p in polys:
         if len(x) != p.nvars:
             raise ValidationError(f"expected dimension {p.nvars}, got {len(x)}")
     rows = [p.exps.tolist() for p in polys]
-    table = power_table(x, [r for prows in rows for r in prows])
+    columns = zip(*(r for prows in rows for r in prows))
+    table = [{e: xi**e for e in set(col) if e} for xi, col in zip(x, columns)]
     vectorized = any(isinstance(xi, np.ndarray) for xi in x)
     out = []
     for p, prows in zip(polys, rows):
         total = np.zeros_like(x[0], dtype=float) if vectorized else 0.0
-        for term in monomial_terms(prows, p.coefs.tolist(), table):
+        for exp, term in zip(prows, p.coefs.tolist()):
+            for powers, e in zip(table, exp):
+                if e:
+                    term = term * powers[e]
             total = total + term
         out.append(total)
     return out

@@ -207,13 +207,6 @@ def default_perturbation(p: MultiPoly, eps: float = 1e-6) -> tuple[float, float,
     return (1.0 / norm, _GOLDEN / norm, eps * max(p.coefficient_norm(), 1.0))
 
 
-def _unpack_xi(xi) -> tuple[float, float, float]:
-    if len(xi) != 3:
-        raise ValidationError(f"perturbation must be (a, b, eps), got {xi!r}")
-    a, b, eps = xi
-    return float(a), float(b), float(eps)
-
-
 def perturb_linear(p: MultiPoly, xi=None) -> MultiPoly:
     """p + eps * (a*x + b*y) for xi = (a, b, eps); a generic tilt.
 
@@ -226,7 +219,9 @@ def perturb_linear(p: MultiPoly, xi=None) -> MultiPoly:
         raise ValidationError(f"expected dimension 2, got {p.nvars}")
     if xi is None:
         xi = default_perturbation(p)
-    a, b, eps = _unpack_xi(xi)
+    if len(xi) != 3:
+        raise ValidationError(f"perturbation must be (a, b, eps), got {xi!r}")
+    a, b, eps = (float(v) for v in xi)
     if eps <= 0.0:
         raise ValidationError(f"perturbation size must be positive, got {eps}")
     norm = math.hypot(a, b)
@@ -394,7 +389,7 @@ def domain_pigeonhole_report(
     violations = [i for i, v in zip(free, crit_vals.tolist()) if v > global_bmax]
     return DomainPigeonholeReport(
         degree=d,
-        perturbation=_unpack_xi(xi),
+        perturbation=tuple(float(v) for v in xi),
         bezout=bez,
         critical_points=cps,
         assignments=assignments,

@@ -2,10 +2,13 @@
 
 The Remez constant of a set Z in the unit ball is the smallest K with
 sup_B |P| <= K sup_Z |P| over all degree-d polynomials P. Two closed-form
-upper bounds are provided (the topological formula and the classical growth
-formula through Chebyshev polynomials), and a linear-programming estimator
-computes a certified lower estimate for a sampled Z: for each candidate
-point x0 it maximizes P(x0) over the polytope {|P| <= 1 on the samples}.
+upper bounds are provided (the topological formula, which assumes
+``ovals_required(d, n)`` ovals, a count the reports judge in their
+``hypothesis_ok`` entries, and the classical growth formula through
+Chebyshev polynomials), and a linear-programming estimator computes a
+certified lower estimate for a sampled Z: for each candidate point x0 it
+maximizes P(x0) over the polytope {|P| <= 1 on the samples}, whose rows
+``vandermonde`` takes from ``poly.eval_polys`` at the unit monomials.
 
 The per-candidate LPs share one constraint polytope, so each solved LP
 yields interpolation-weight upper bounds for all remaining candidates
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .geometry import in_unit_ball
-from .poly import MultiPoly, basis_size, chebyshev, eval_poly, monomial_terms, monomials, power_table
+from .poly import MultiPoly, basis_size, chebyshev, eval_poly, eval_polys, monomials
 
 __all__ = [
     "RemezEstimate",
@@ -66,22 +69,17 @@ def ovals_required(d: int, n: int) -> int:
     return (d - 1) ** n + 1
 
 
-def remez_bound_topological(
-    mu: float, d: int, n: int, count: int, enforce_count: bool = True
-) -> float:
+def remez_bound_topological(mu: float, d: int, n: int) -> float:
     """Closed-form bound (4n/mu)^d for configurations of many disjoint ovals.
 
-    Requires at least ``ovals_required(d, n)`` ovals; with fewer the
-    hypothesis fails and no bound is asserted. For the plane the formula
-    reads (8/mu)^d. Reporting callers can pass enforce_count=False to read
-    off the formula value while flagging the failed hypothesis themselves.
-    A value past the largest double is a ValidationError, not infinity.
+    The bound assumes at least ``ovals_required(d, n)`` ovals; the reports
+    judge that count in their ``hypothesis_ok`` entries, so this function
+    only evaluates the formula, which reads (8/mu)^d in the plane. A value
+    past the largest double is a ValidationError, not infinity.
     """
     if mu <= 0:
         raise ValidationError(f"minimal domain area must be positive, got {mu}")
-    required = ovals_required(d, n)
-    if enforce_count and count < required:
-        raise ValidationError(f"{count} ovals present, hypothesis requires at least {required}")
+    ovals_required(d, n)  # rejects n < 1 and d < 0
     try:
         value = (4.0 * n / mu) ** d
     except OverflowError:
@@ -107,15 +105,12 @@ def brudnyi_ganzburg_bound(lam: float, d: int, n: int) -> float:
 
 
 def vandermonde(points: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Monomial sample matrix over the graded-lex basis, one row per point."""
+    """One row per point; column j is ``eval_polys`` of the j-th monomial of ``monomials(n, d)``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != n:
         raise ValidationError(f"points have dimension {pts.shape[1]}, expected {n}")
-    basis = monomials(n, d)
-    out = np.empty((len(pts), len(basis)))
-    for j, term in enumerate(monomial_terms(basis, [1.0] * len(basis), power_table(pts.T, basis))):
-        out[:, j] = term
-    return out
+    units = [MultiPoly.from_rows(n, exp, [1.0]) for exp in monomials(n, d)]
+    return np.column_stack(eval_polys(units, list(pts.T)))
 
 
 def _as_points(arr, name: str) -> np.ndarray:

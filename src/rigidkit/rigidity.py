@@ -65,7 +65,7 @@ def rigidity_topological_literal(mu: float, d: int, n: int) -> float:
     which decays as mu shrinks; the report takes no position on which shape
     is intended (see module docstring).
     """
-    return remez_bound_topological(mu, d, n, 0, enforce_count=False) / _factorial(d + 1)
+    return remez_bound_topological(mu, d, n) / _factorial(d + 1)
 
 
 def rigidity_topological_composed(mu: float, d: int, n: int) -> float:

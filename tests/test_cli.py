@@ -469,6 +469,17 @@ class TestErrorPaths:
         argv = ["remez-lp", "--degree", "2", "--z", request.getfixturevalue(fixture), "--grid", grid]
         expect_exit2(argv, capsys, f"lattice of {grid} points per axis")
 
+    def test_huge_tgrid_exit2(self, fxy_path, curve_points_path, capsys):
+        argv = ["curve-check", "--f", fxy_path, "--points", curve_points_path, "--s", "2", "--degree", "3"]
+        huge = "100000000000000000000"
+        expect_exit2(argv + ["--tgrid", huge], capsys, f"lattice of {huge} points per axis in 1D exceeds 16777216 points")
+
+    @pytest.mark.parametrize("subcommand, flag", [("remez-lp", "--z"), ("rigidity", "--config")])
+    def test_huge_samples_per_oval_exit2(self, subcommand, flag, annulus_path, capsys):
+        huge = "100000000000000000000"
+        argv = [subcommand, "--degree", "2", flag, annulus_path, "--grid", "8", "--samples-per-oval", huge]
+        expect_exit2(argv, capsys, f"boundary sample count must be in 1..16777216, got {huge}")
+
     @pytest.mark.parametrize(
         "poly",
         ['{"nvars": "x", "terms": []}', '{"nvars": 2, "terms": [{"exp": ["a", 0], "coef": 1.0}]}'],

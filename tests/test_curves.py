@@ -230,6 +230,17 @@ class TestCompositionReport:
         with pytest.raises(ValidationError, match=r"derivative order must be >= 0, got -1"):
             composition_report(f, omega, -1, 16)
 
+    def test_tgrid_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_LATTICE", 16)
+        f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
+        omega = ParamCurve(
+            components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
+        )
+        assert len(composition_report(f, omega, 3, 16).rhs) == 16
+        for bad in (17, 10**20):
+            with pytest.raises(ValidationError, match=f"lattice of {bad} points per axis in 1D exceeds 16 points"):
+                composition_report(f, omega, 3, bad)
+
     def test_json_shape(self):
         f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
         omega = ParamCurve(

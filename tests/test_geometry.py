@@ -410,6 +410,14 @@ class TestSampleBoundary:
         for v in oval.vertices:
             assert np.min(np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])) <= 1e-12
 
+    def test_count_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_LATTICE", 8)
+        oval = square(1.0, 1)
+        assert sample_boundary(oval, 8).shape == (8, 2)
+        for bad in (0, 9, 10**20):
+            with pytest.raises(ValidationError, match=f"boundary sample count must be in 1..8, got {bad}"):
+                sample_boundary(oval, bad)
+
 
 class TestLattice:
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -17,20 +17,14 @@ from rigidkit.remez import (
 
 class TestTopologicalBound:
     def test_plane_substitution(self):
-        assert remez_bound_topological(2.0, 3, 2, count=5) == pytest.approx(64.0)
+        assert remez_bound_topological(2.0, 3, 2) == pytest.approx(64.0)
 
     def test_unit_value(self):
-        assert remez_bound_topological(8.0, 1, 2, count=1) == pytest.approx(1.0)
+        assert remez_bound_topological(8.0, 1, 2) == pytest.approx(1.0)
 
     def test_oval_count_hypothesis(self):
-        with pytest.raises(ValidationError, match=r"25 ovals present, hypothesis requires at least 26"):
-            remez_bound_topological(1.0, 6, 2, count=25)
-        # 26 ovals satisfy the degree-6 hypothesis
-        assert remez_bound_topological(1.0, 6, 2, count=26) == pytest.approx(8.0**6)
-
-    def test_count_check_can_be_deferred(self):
-        val = remez_bound_topological(1.0, 6, 2, count=25, enforce_count=False)
-        assert val == pytest.approx(8.0**6)
+        # the degree-6 formula value; whether 26 ovals are present is judged by the reports
+        assert remez_bound_topological(1.0, 6, 2) == pytest.approx(8.0**6)
 
     def test_ovals_required(self):
         assert [ovals_required(d, 2) for d in (1, 2, 3, 6)] == [1, 2, 5, 26]
@@ -43,13 +37,20 @@ class TestTopologicalBound:
 
     def test_mu_positive(self):
         with pytest.raises(ValidationError, match=r"minimal domain area must be positive"):
-            remez_bound_topological(0.0, 2, 2, count=10)
+            remez_bound_topological(0.0, 2, 2)
+
+    @pytest.mark.parametrize(
+        "d, n, message", [(-1, 2, r"degree must be >= 0, got -1"), (2, 0, r"ambient dimension must be >= 1, got 0")]
+    )
+    def test_degree_and_dimension_rejected(self, d, n, message):
+        with pytest.raises(ValidationError, match=message):
+            remez_bound_topological(1.0, d, n)
 
     @pytest.mark.parametrize("mu, d", [(4e-18, 18), (4e-320, 1)])
     def test_overflow_rejected(self, mu, d):
         # the power overflows at the first pair; 8/mu is already infinite at the second
         with pytest.raises(ValidationError, match=r"^bound \(4n/mu\)\^d overflows a double"):
-            remez_bound_topological(mu, d, 2, count=0, enforce_count=False)
+            remez_bound_topological(mu, d, 2)
 
 
 class TestBrudnyiGanzburg:
