@@ -31,7 +31,6 @@ __all__ = [
     "build_nesting_forest",
     "build_domains",
     "mu",
-    "point_in_polygon",
     "points_in_polygon",
     "points_in_domain",
     "shoelace_area",
@@ -214,14 +213,14 @@ def _first_touching(ovals) -> tuple[int | None, tuple[int, int] | None]:
     return (None if crossed == n else crossed), (None if best == n * n else divmod(best, n))
 
 
-def _oval_fault(oval: Oval, enforce_ball: bool) -> str | None:
+def _oval_fault(oval: Oval) -> str | None:
     """Message of the first failed per-oval check that needs no edge pairs, or None."""
     verts = oval.vertices
     if len(verts) < 3:
         return f"oval {oval.id} has {len(verts)} vertices, need at least 3"
     if not np.all(np.isfinite(verts)):
         return f"oval {oval.id} has non-finite vertex coordinates"
-    if enforce_ball and not np.all(in_unit_ball(verts)):
+    if not np.all(in_unit_ball(verts)):
         return f"oval {oval.id} has vertices outside the unit ball"
     prev, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
     # zero-length edges and fold-back spikes (consecutive edges collinear and overlapping)
@@ -231,20 +230,18 @@ def _oval_fault(oval: Oval, enforce_ball: bool) -> str | None:
     return None
 
 
-def validate_configuration(ovals, enforce_ball: bool = True) -> OvalConfiguration:
+def validate_configuration(ovals) -> OvalConfiguration:
     """Check every configuration invariant and return the validated bundle.
 
     Each oval is checked in full before the next: id, vertex count, finiteness,
     unit ball, zero-length edges and fold-back spikes, touching edges, area.
     One sweep finds the touching edges, of one oval or two, among the ovals
     before the first that fails a cheaper check; a touching pair comes last.
-    Set ``enforce_ball=False`` to admit coordinates outside the unit disc
-    (areas and nesting are scale-free; the normalized bounds are not).
     """
     ovals = tuple(ovals)
     seen_ids, passed, fault = set(), ovals, None
     for k, o in enumerate(ovals):
-        if fault := (f"duplicate oval id {o.id}" if o.id in seen_ids else _oval_fault(o, enforce_ball)):
+        if fault := (f"duplicate oval id {o.id}" if o.id in seen_ids else _oval_fault(o)):
             passed = ovals[:k]
             break
         seen_ids.add(o.id)
@@ -261,23 +258,17 @@ def validate_configuration(ovals, enforce_ball: bool = True) -> OvalConfiguratio
     return OvalConfiguration(ovals)
 
 
-def point_in_polygon(vertices: np.ndarray, point) -> bool:
-    """Even-odd ray crossing with a deterministic horizontal ray.
-
-    Rays passing within 1e-12 of a vertex level are nudged upward by 1e-12
-    until clear, keeping the test deterministic without randomization. Points
-    on the boundary are not meaningful here; validated configurations keep
-    query points strictly off every boundary.
-    """
-    return bool(points_in_polygon(vertices, np.asarray([point], dtype=float))[0])
-
-
 def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Even-odd ray crossing with a deterministic horizontal ray, one flag per point.
+
+    Rays within 1e-12 of a vertex level are nudged up by 1e-12 until clear, a
+    loop that is deterministic and terminates. Points on a boundary get no
+    meaningful answer; validated configurations keep query points off them.
+    """
     verts = np.asarray(vertices, dtype=float)
     pts = np.asarray(points, dtype=float)
     vy = verts[:, 1]
     ry = pts[:, 1].copy()
-    # nudge rays off vertex levels; loop is deterministic and terminates
     for _ in range(64):
         clash = np.any(np.abs(vy[None, :] - ry[:, None]) < _RAY_NUDGE, axis=1)
         if not np.any(clash):
@@ -302,7 +293,7 @@ def contains(a: Oval, b: Oval) -> bool:
     ``b`` is inside ``a`` or none is; testing the single representative
     vertex ``b.vertices[0]`` therefore decides containment.
     """
-    return point_in_polygon(a.vertices, b.vertices[0])
+    return points_in_polygon(a.vertices, b.vertices[:1])[0]
 
 
 def build_nesting_forest(config: OvalConfiguration) -> NestingForest:

@@ -25,9 +25,7 @@ from .errors import ValidationError
 __all__ = [
     "MultiPoly",
     "basis_size",
-    "chebyshev",
     "compose",
-    "derivative_norm_pointwise",
     "derivatives_of_order",
     "eval_poly",
     "eval_polys",
@@ -290,13 +288,6 @@ def derivatives_of_order(p: MultiPoly, k: int) -> list[tuple[tuple[int, ...], Mu
     return out
 
 
-def derivative_norm_pointwise(p: MultiPoly, k: int, x) -> float:
-    """Sum over |alpha| = k of |d^alpha p (x)|, each multi-index once."""
-    if k < 0:
-        raise ValidationError(f"derivative order must be >= 0, got {k}")
-    return float(sum(abs(v) for v in eval_polys([q for _, q in derivatives_of_order(p, k)], x)))
-
-
 def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
     """Exact symbolic substitution f(omega_1(t), ..., omega_n(t)).
 
@@ -328,20 +319,6 @@ def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
     # one canonicalisation of all term rows, summed in term order
     exps = np.concatenate([t.exps for t in terms])
     return MultiPoly.from_rows(tvars, exps, np.concatenate([t.coefs for t in terms]))
-
-
-def chebyshev(d: int) -> MultiPoly:
-    """Univariate Chebyshev polynomial T_d via the three-term recurrence."""
-    if d < 0:
-        raise ValidationError(f"Chebyshev degree must be >= 0, got {d}")
-    t_prev = MultiPoly(1, {(0,): 1.0})
-    if d == 0:
-        return t_prev
-    t_cur = MultiPoly(1, {(1,): 1.0})
-    two_t = MultiPoly(1, {(1,): 2.0})
-    for _ in range(d - 1):
-        t_prev, t_cur = t_cur, two_t * t_cur - t_prev
-    return t_cur
 
 
 def basis_size(n: int, d: int) -> int:

@@ -1,11 +1,10 @@
 """Remez-type bounds and a numerical Remez-constant estimator.
 
 The Remez constant of a set Z in the unit ball is the smallest K with
-sup_B |P| <= K sup_Z |P| over all degree-d polynomials P. Two closed-form
-upper bounds are provided (the topological formula, which assumes
+sup_B |P| <= K sup_Z |P| over all degree-d polynomials P. One closed-form
+upper bound is provided (the topological formula, which assumes
 ``ovals_required(d, n)`` ovals, a count the reports judge in their
-``hypothesis_ok`` entries, and the classical growth formula through
-Chebyshev polynomials), and a linear-programming estimator computes a
+``hypothesis_ok`` entries), and a linear-programming estimator computes a
 certified lower estimate for a sampled Z: for each candidate point x0 it
 maximizes P(x0) over the polytope {|P| <= 1 on the samples}, whose rows
 ``vandermonde`` takes from ``poly.eval_polys`` at the unit monomials.
@@ -30,13 +29,12 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .geometry import in_unit_ball
-from .poly import MultiPoly, basis_size, chebyshev, eval_poly, eval_polys, monomials
+from .poly import MultiPoly, basis_size, eval_polys, monomials
 
 __all__ = [
     "RemezEstimate",
     "ovals_required",
     "remez_bound_topological",
-    "brudnyi_ganzburg_bound",
     "remez_estimate_lp",
     "inverse_remez",
     "vandermonde",
@@ -87,21 +85,6 @@ def remez_bound_topological(mu: float, d: int, n: int) -> float:
     if math.isinf(value):
         raise ValidationError(f"bound (4n/mu)^d overflows a double at mu = {mu:.6g}, d = {d}, n = {n}")
     return value
-
-
-def brudnyi_ganzburg_bound(lam: float, d: int, n: int) -> float:
-    """Sup-norm growth factor T_d((1 + w)/(1 - w)) with w = (1-lam)^(1/n).
-
-    ``lam`` is the measure fraction |subset| / |body|; the bound decreases
-    monotonically to 1 as the subset fills the body.
-    """
-    if not 0.0 < lam <= 1.0:
-        raise ValidationError(f"measure fraction must lie in (0, 1], got {lam}")
-    w = (1.0 - lam) ** (1.0 / n)
-    if w >= 1.0:
-        raise ValidationError(f"measure fraction must lie in (0, 1], got {lam}")
-    arg = (1.0 + w) / (1.0 - w)
-    return float(eval_poly(chebyshev(d), [arg]))
 
 
 def vandermonde(points: np.ndarray, n: int, d: int) -> np.ndarray:

@@ -5,8 +5,7 @@ smooth function vanishing on Z with max |f| = 1 on the unit ball satisfies
 ||f^(d+1)|| >= R. This module computes every lower bound the package knows:
 from the inverse Remez constant, from the topological domain decomposition
 (in two variants whose shapes disagree; both are reported, see
-``RigidityReport``), and from one-dimensional divided differences, including
-the restriction of a function to a line for sets with interior points.
+``RigidityReport``), and from one-dimensional divided differences.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .remez import ovals_required, remez_bound_topological
 
 __all__ = [
@@ -27,7 +24,6 @@ __all__ = [
     "rigidity_topological_composed",
     "divided_difference",
     "rigidity_1d_bound",
-    "interior_line_bound",
     "rigidity_report",
 ]
 
@@ -115,80 +111,6 @@ def rigidity_1d_bound(xs, z0: float, fz0: float, d: int) -> float:
     values = [0.0 if x != z0 else float(fz0) for x in nodes]
     dd = divided_difference(nodes, values)
     return max(_factorial(d + 1) * abs(dd), 0.0)
-
-
-def interior_line_bound(f_sampler, z0, zint, d: int, samples: int = 2048) -> float:
-    """Rigidity bound from restricting a function to a line.
-
-    The segment through z0 and zint is extended to a full chord of the unit
-    ball and affinely parametrized over [-1, 1]. Zeros of the restriction are
-    located by sign changes on a uniform grid plus bisection to 1e-10; the
-    d+1 zeros nearest to zint feed the one-dimensional bound with the
-    sampled value at z0 as witness. Returns 0 when d+1 zeros cannot be
-    located or the witness sits on a zero.
-    """
-    z0 = np.asarray(z0, dtype=float)
-    zint = np.asarray(zint, dtype=float)
-    if z0.shape != zint.shape:
-        raise ValidationError("z0 and zint must have the same dimension")
-    gap = float(np.linalg.norm(zint - z0))
-    if gap == 0.0:
-        raise ValidationError("z0 and zint must be distinct")
-    if samples < d + 2:
-        raise ValidationError(f"need at least d+2 = {d + 2} samples")
-    u = (zint - z0) / gap
-    # chord of the unit ball along z0 + t u
-    b = float(np.dot(z0, u))
-    disc = b * b - float(np.dot(z0, z0)) + 1.0
-    if disc <= 0:
-        raise ValidationError("the line misses the interior of the unit ball")
-    t_lo, t_hi = -b - math.sqrt(disc), -b + math.sqrt(disc)
-    center = z0 + u * (t_lo + t_hi) / 2.0
-    radius = (t_hi - t_lo) / 2.0
-
-    def g(tau: float) -> float:
-        point = center + radius * tau * u
-        try:
-            return float(f_sampler(point))
-        except Exception as exc:  # noqa: BLE001 - caller-supplied sampler
-            raise SolverError(f"sampler failed at {point}: {exc}") from exc
-
-    taus = np.linspace(-1.0, 1.0, samples)
-    vals = np.array([g(t) for t in taus])
-    zeros: list[float] = []
-    for i in range(len(taus) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            zeros.append(float(taus[i]))
-            continue
-        if va * vb < 0.0:
-            lo, hi, flo = taus[i], taus[i + 1], va
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                fm = g(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        zeros.append(float(taus[-1]))
-    if len(zeros) < d + 1:
-        return 0.0
-
-    tau_int = float(np.dot(zint - center, u)) / radius
-    tau_0 = float(np.dot(z0 - center, u)) / radius
-    zeros.sort(key=lambda t: (abs(t - tau_int), t))
-    picked = sorted(zeros[: d + 1])
-    if any(abs(t - tau_0) < 1e-9 for t in picked):
-        return 0.0
-    fz0 = g(tau_0)
-    if fz0 == 0.0:
-        return 0.0
-    return rigidity_1d_bound(picked, tau_0, fz0, d)
 
 
 @dataclass

@@ -45,9 +45,9 @@ def ball_annulus():
 
 
 @pytest.fixture
-def side2_annulus():
-    """The side-2/side-1 concentric squares; needs the ball-check opt-out."""
-    return validate_configuration([square(2.0, 1), square(1.0, 2)], enforce_ball=False)
+def side1_annulus():
+    """Concentric squares of side 1 and 0.5: domain areas 0.75 and 0.25."""
+    return validate_configuration([square(1.0, 1), square(0.5, 2)])
 
 
 def _fits_inside(center, radius, parent_center, parent_radius) -> bool:

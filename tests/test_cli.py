@@ -608,8 +608,8 @@ class TestErrorPaths:
 # Runs in a fresh interpreter: the test process has long since loaded scipy.
 _SCIPY_PROBE = """
 import json, sys
-import rigidkit
-loaded = [("import rigidkit", 0, "scipy.optimize" in sys.modules)]
+import rigidkit.cli
+loaded = [("import rigidkit.cli", 0, "scipy.optimize" in sys.modules)]
 from rigidkit.cli import main
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
@@ -647,7 +647,7 @@ class TestLazyScipy:
         assert proc.returncode == 0, proc.stderr
         loaded = [tuple(step) for step in json.loads(proc.stdout)]
         assert loaded == [
-            ("import rigidkit", 0, False),
+            ("import rigidkit.cli", 0, False),
             ("decompose", 0, False),
             ("bounds", 0, False),
             ("rigidity-1d", 0, False),

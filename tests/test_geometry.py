@@ -18,7 +18,6 @@ from rigidkit.geometry import (
     in_unit_ball,
     lattice,
     mu,
-    point_in_polygon,
     points_in_domain,
     points_in_polygon,
     regular_polygon,
@@ -33,6 +32,22 @@ def rect(x0, x1, y0, y1, oval_id) -> Oval:
     return Oval(id=oval_id, vertices=np.array([[x1, y1], [x0, y1], [x0, y0], [x1, y0]]))
 
 
+def ray_cast(vertices, point) -> bool:
+    """Reference for ``points_in_polygon``: one point, pure Python, even-odd rule.
+
+    An edge counts when its ends lie on opposite sides of the ray's level,
+    a vertex exactly on the level counting as below it, which is where the
+    upward nudge of ``points_in_polygon`` puts it.
+    """
+    px, py = (float(c) for c in point)
+    verts = np.asarray(vertices, dtype=float).tolist()
+    inside = False
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        if (y1 > py) != (y2 > py) and x1 + (py - y1) * (x2 - x1) / (y2 - y1) > px:
+            inside = not inside
+    return inside
+
+
 class TestValidation:
     def test_single_square(self):
         config = validate_configuration([square(1.0, 1)])
@@ -40,9 +55,7 @@ class TestValidation:
 
     def test_crossing_squares_rejected(self):
         with pytest.raises(ValidationError, match=r"boundaries of ovals 1 and 2 intersect"):
-            validate_configuration(
-                [square(1.0, 1), square(1.0, 2, center=(0.5, 0.0))], enforce_ball=False
-            )
+            validate_configuration([square(0.5, 1), square(0.5, 2, center=(0.25, 0.0))])
 
     def test_bow_tie_rejected(self):
         verts = np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.0], [0.0, 0.5]])
@@ -61,16 +74,11 @@ class TestValidation:
     def test_non_finite_vertex_rejected(self, bad):
         verts = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, bad]])
         with pytest.raises(ValidationError, match=r"oval 1 has non-finite vertex coordinates"):
-            validate_configuration([Oval(id=1, vertices=verts)], enforce_ball=False)
-
-    def test_ball_check_opt_out(self):
-        config = validate_configuration([square(2.0, 1), square(1.0, 2)], enforce_ball=False)
-        assert config.N == 2
+            validate_configuration([Oval(id=1, vertices=verts)])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match=r"^duplicate oval id 1$"):
-            validate_configuration([square(0.4, 1), square(0.4, 1, center=(0.6, 0.0))],
-                                   enforce_ball=False)
+            validate_configuration([square(0.4, 1), square(0.4, 1, center=(0.6, 0.0))])
 
     @pytest.mark.parametrize("chunk", [1, 7, geometry._PAIR_CHUNK])
     def test_first_of_several_intersecting_pairs(self, chunk, monkeypatch):
@@ -168,16 +176,16 @@ class TestValidation:
 
 
 class TestContains:
-    def test_nested_squares(self, side2_annulus):
-        outer = side2_annulus.oval_by_id(1)
-        inner = side2_annulus.oval_by_id(2)
+    def test_nested_squares(self, side1_annulus):
+        outer = side1_annulus.oval_by_id(1)
+        inner = side1_annulus.oval_by_id(2)
         assert contains(outer, inner)
         assert not contains(inner, outer)
 
     def test_side_by_side(self):
-        a = square(1.0, 1, center=(-0.8, 0.0))
-        b = square(1.0, 2, center=(0.8, 0.0))
-        config = validate_configuration([a, b], enforce_ball=False)
+        a = square(0.5, 1, center=(-0.4, 0.0))
+        b = square(0.5, 2, center=(0.4, 0.0))
+        config = validate_configuration([a, b])
         a, b = config.ovals
         assert not contains(a, b)
         assert not contains(b, a)
@@ -252,7 +260,7 @@ class TestForest:
             any(y in levels[j] for j in range(len(reps)) if j != i) for i, y in enumerate(reps[:, 1].tolist())
         )
         for p in config.ovals:
-            single = [point_in_polygon(p.vertices, r) for r in reps]
+            single = [ray_cast(p.vertices, r) for r in reps]
             assert points_in_polygon(p.vertices, reps).tolist() == single
         forest = build_nesting_forest(config)
         for o in config.ovals:
@@ -280,14 +288,14 @@ class TestDomains:
         assert domains[0].holes == ()
         assert domains[0].area == pytest.approx(1.0)
 
-    def test_annulus_areas(self, side2_annulus):
-        domains = build_domains(build_nesting_forest(side2_annulus))
+    def test_annulus_areas(self, side1_annulus):
+        domains = build_domains(build_nesting_forest(side1_annulus))
         areas = sorted(d.area for d in domains)
-        assert areas == pytest.approx([1.0, 3.0])
+        assert areas == pytest.approx([0.25, 0.75])
 
-    def test_points_in_domain_excludes_holes(self, side2_annulus):
-        outer, inner = build_domains(build_nesting_forest(side2_annulus))
-        pts = np.array([[0.0, 0.0], [0.75, 0.0], [1.5, 0.0]])
+    def test_points_in_domain_excludes_holes(self, side1_annulus):
+        outer, inner = build_domains(build_nesting_forest(side1_annulus))
+        pts = np.array([[0.0, 0.0], [0.375, 0.0], [0.75, 0.0]])
         assert points_in_domain(outer, pts).tolist() == [False, True, False]
         assert points_in_domain(inner, pts).tolist() == [True, False, False]
 
@@ -316,10 +324,10 @@ class TestDomains:
 
     def test_adding_inner_oval_splits_area(self):
         base = [square(1.2, 1)]
-        config = validate_configuration(base, enforce_ball=False)
+        config = validate_configuration(base)
         [dom] = build_domains(build_nesting_forest(config))
         inner = square(0.5, 2)
-        config2 = validate_configuration(base + [inner], enforce_ball=False)
+        config2 = validate_configuration(base + [inner])
         domains2 = build_domains(build_nesting_forest(config2))
         assert len(domains2) == 2
         outer_dom = next(d for d in domains2 if d.outer.id == 1)
@@ -332,10 +340,10 @@ class TestAreas:
         dom = build_domains(build_nesting_forest(validate_configuration([square(1.0, 1)])))[0]
         assert dom.area == pytest.approx(1.0)
 
-    def test_square_with_hole(self, side2_annulus):
-        domains = build_domains(build_nesting_forest(side2_annulus))
+    def test_square_with_hole(self, side1_annulus):
+        domains = build_domains(build_nesting_forest(side1_annulus))
         ring = next(d for d in domains if d.holes)
-        assert ring.area == pytest.approx(3.0)
+        assert ring.area == pytest.approx(0.75)
 
     def test_regular_64gon(self):
         oval = regular_polygon((0.0, 0.0), 1.0, 64, 1)
@@ -347,9 +355,9 @@ class TestAreas:
         fan = 0.5 * np.abs(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]).sum()
         assert fan == pytest.approx(expected, rel=1e-12)
 
-    def test_mu(self, side2_annulus):
-        domains = build_domains(build_nesting_forest(side2_annulus))
-        assert mu(domains) == pytest.approx(1.0)
+    def test_mu(self, side1_annulus):
+        domains = build_domains(build_nesting_forest(side1_annulus))
+        assert mu(domains) == pytest.approx(0.25)
         assert mu(domains) == min(d.area for d in domains)
 
     def test_mu_single(self):
@@ -371,21 +379,21 @@ class TestBallAnnulusFixture:
 class TestPointInPolygon:
     def test_basic(self):
         verts = square(2.0, 1).vertices
-        assert point_in_polygon(verts, (0.0, 0.0))
-        assert not point_in_polygon(verts, (2.0, 0.0))
+        assert points_in_polygon(verts, [(0.0, 0.0)])[0]
+        assert not points_in_polygon(verts, [(2.0, 0.0)])[0]
 
     def test_ray_through_vertex(self):
         # the horizontal ray from the query passes exactly through two vertices
         verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        assert point_in_polygon(verts, (0.0, 0.0))
-        assert not point_in_polygon(verts, (1.5, 0.0))
+        assert points_in_polygon(verts, [(0.0, 0.0)])[0]
+        assert not points_in_polygon(verts, [(1.5, 0.0)])[0]
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
         verts = regular_polygon((0.1, -0.2), 0.5, 17, 1).vertices
         pts = rng.uniform(-1, 1, size=(200, 2))
         batch = points_in_polygon(verts, pts)
-        single = np.array([point_in_polygon(verts, p) for p in pts])
+        single = np.array([ray_cast(verts, p) for p in pts])
         assert np.array_equal(batch, single)
 
 

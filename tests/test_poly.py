@@ -7,11 +7,10 @@ from rigidkit.errors import ValidationError
 from rigidkit.poly import (
     MultiPoly,
     basis_size,
-    chebyshev,
     compose,
-    derivative_norm_pointwise,
     derivatives_of_order,
     eval_poly,
+    eval_polys,
     monomials,
     partial_derivative,
     random_poly,
@@ -199,6 +198,11 @@ class TestDerivatives:
         assert by_alpha[(1, 1)].is_zero()
 
 
+def derivative_norm_pointwise(p: MultiPoly, k: int, x) -> float:
+    """Sum over |alpha| = k of |d^alpha p (x)|, each multi-index once."""
+    return float(sum(abs(v) for v in eval_polys([q for _, q in derivatives_of_order(p, k)], x)))
+
+
 class TestDerivativeNorm:
     def test_second_derivative_of_square(self):
         p = MultiPoly(1, {(2,): 1.0})
@@ -245,6 +249,14 @@ class TestCompose:
     def test_wrong_component_count(self):
         with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             compose(x2_plus_y2(), [MultiPoly(1, {(1,): 1.0})])
+
+
+def chebyshev(d: int) -> MultiPoly:
+    """T_d by the three-term recurrence, an exact check of chained products and differences."""
+    t_prev, t_cur = MultiPoly.constant(1, 1.0), MultiPoly.variable(1, 0)
+    for _ in range(d):
+        t_prev, t_cur = t_cur, 2.0 * MultiPoly.variable(1, 0) * t_cur - t_prev
+    return t_prev
 
 
 class TestChebyshev:

@@ -6,7 +6,6 @@ import pytest
 from rigidkit.errors import SolverError, ValidationError
 from rigidkit.poly import MultiPoly, basis_size, eval_poly, monomials
 from rigidkit.remez import (
-    brudnyi_ganzburg_bound,
     inverse_remez,
     ovals_required,
     remez_bound_topological,
@@ -51,27 +50,6 @@ class TestTopologicalBound:
         # the power overflows at the first pair; 8/mu is already infinite at the second
         with pytest.raises(ValidationError, match=r"^bound \(4n/mu\)\^d overflows a double"):
             remez_bound_topological(mu, d, 2)
-
-
-class TestBrudnyiGanzburg:
-    def test_full_measure(self):
-        for d in (1, 3, 7):
-            assert brudnyi_ganzburg_bound(1.0, d, 2) == pytest.approx(1.0)
-
-    def test_half_measure_line(self):
-        assert brudnyi_ganzburg_bound(0.5, 1, 1) == pytest.approx(3.0)
-        assert brudnyi_ganzburg_bound(0.5, 2, 1) == pytest.approx(17.0)
-
-    def test_strictly_decreasing_in_lambda(self):
-        lams = np.linspace(0.05, 1.0, 40)
-        for d in (1, 2, 4):
-            vals = [brudnyi_ganzburg_bound(lam, d, 2) for lam in lams]
-            assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_lambda_range(self):
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValidationError, match=r"measure fraction must lie in \(0, 1\]"):
-                brudnyi_ganzburg_bound(bad, 2, 2)
 
 
 class TestVandermonde:

@@ -8,7 +8,6 @@ from rigidkit.poly import MultiPoly, eval_poly, partial_derivative, random_poly
 from rigidkit.rigidity import (
     FORMULAS,
     divided_difference,
-    interior_line_bound,
     rigidity_1d_bound,
     rigidity_from_remez,
     rigidity_report,
@@ -186,37 +185,3 @@ class TestReport:
         data = rep.to_json_dict()
         assert data["degree"] == 2
         assert all({"formula", "value", "hypothesis_ok", "provenance"} <= set(e) for e in data["bounds"])
-
-
-class TestInteriorLine:
-    def test_matches_direct_1d_bound(self):
-        # cubic in x with zeros at -0.5, 0, 0.5 along the x-axis chord
-        f = MultiPoly(2, {(3, 0): 1.0, (1, 0): -0.25})  # x(x-0.5)(x+0.5)
-        z0 = np.array([0.9, 0.0])
-        zint = np.array([0.0, 0.0])
-        fz0 = float(eval_poly(f, z0))
-
-        def sampler(pt):
-            return eval_poly(f, pt)
-
-        got = interior_line_bound(sampler, z0, zint, 2, samples=4096)
-        want = rigidity_1d_bound([-0.5, 0.0, 0.5], 0.9, fz0, 2)
-        assert got == pytest.approx(want, rel=1e-5)
-        assert got >= math.factorial(3) / 2**3 * abs(fz0) - 1e-9
-
-    def test_no_zeros_returns_zero(self):
-        def sampler(pt):
-            return 1.0 + pt[0] ** 2
-
-        assert interior_line_bound(sampler, [0.9, 0.0], [0.0, 0.0], 2) == 0.0
-
-    def test_identically_zero_on_line(self):
-        # f = y vanishes on the whole x-axis chord; witness value 0 -> no bound
-        def sampler(pt):
-            return pt[1]
-
-        assert interior_line_bound(sampler, [0.9, 0.0], [0.0, 0.0], 1) == 0.0
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValidationError):
-            interior_line_bound(lambda p: 1.0, [0.1, 0.1], [0.1, 0.1], 1)
