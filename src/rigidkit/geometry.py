@@ -27,7 +27,6 @@ __all__ = [
     "NestingForest",
     "Domain",
     "validate_configuration",
-    "contains",
     "build_nesting_forest",
     "build_domains",
     "mu",
@@ -285,23 +284,14 @@ def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sum(crossing, axis=1) % 2 == 1
 
 
-def contains(a: Oval, b: Oval) -> bool:
-    """True iff oval ``b`` lies strictly inside oval ``a``.
-
-    Under the validated-configuration precondition the boundaries are
-    disjoint, so by the Jordan separation property either every vertex of
-    ``b`` is inside ``a`` or none is; testing the single representative
-    vertex ``b.vertices[0]`` therefore decides containment.
-    """
-    return points_in_polygon(a.vertices, b.vertices[:1])[0]
-
-
 def build_nesting_forest(config: OvalConfiguration) -> NestingForest:
     """Containment hierarchy: depth = 1 + number of strictly containing ovals.
 
     The parent of an oval is its deepest container, i.e. the smallest one; ties
     go to the first in configuration order. One batched ray cast per oval over
-    every oval's representative vertex gives the whole containment matrix.
+    every oval's representative vertex gives the whole containment matrix:
+    validated boundaries are disjoint, so by Jordan separation an oval lies
+    inside another exactly when its first vertex does.
     """
     ovals = config.ovals
     reps = np.array([o.vertices[0] for o in ovals])

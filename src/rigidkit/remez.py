@@ -15,9 +15,13 @@ yields interpolation-weight upper bounds for all remaining candidates
 skipped. On well-behaved inputs this collapses thousands of LPs to a few
 while returning exactly the max a full sweep would.
 
-``linprog`` is imported inside ``remez_estimate_lp``, after the rank test
-and before the LP loop: loading its module takes about half a second of CPU,
-and no other tool in the package solves an LP, so only an LP run pays it.
+Each LP is solved in numpy by the simplex method of ``_simplex``. The first
+LP of a call starts from m well-spread sample rows and takes dual steps;
+every later one starts from the optimal basis of the nearest solved
+candidate, a vertex of the same polytope, and takes primal steps. Each
+optimum carries a dual certificate y = A_B^{-T} psi >= 0 summing to the
+value, which makes the value an upper bound for that LP as well; a failed
+check or a run past ``_PIVOT_CAP`` pivots is a SolverError.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ __all__ = [
 ]
 
 _OBJECTIVE_CAP = 1e12
+_PIVOT_CAP = 5000  # simplex pivots one LP may take before the solve counts as failed
+_REFACTOR = 50  # pivots between full re-inversions of the basis matrix
+_STALL = 10  # degenerate pivots in a row after which Bland's rule prices until a step moves
 
 
 @dataclass
@@ -115,6 +122,108 @@ def _infinite(phi: np.ndarray, n: int, d: int, diagnostics: dict) -> RemezEstima
     return RemezEstimate(d, math.inf, MultiPoly.from_rows(n, monomials(n, d), vt[-1]), None, diagnostics)
 
 
+def _ratio(num: np.ndarray, den: np.ndarray, keys: np.ndarray, bland: bool):
+    """Index k minimizing num/den over den > 1e-9 max|den|, and whether the step is degenerate.
+
+    Of the indices within 1e-12 of the minimum the pivot is the one with the
+    largest den, or under Bland's rule the lowest key; the step is degenerate
+    when num_k is 0 to that tolerance. None if no den qualifies.
+    """
+    live = den > 1e-9 * np.abs(den).max()
+    if not live.any():
+        return None
+    t = np.full(len(den), np.inf)
+    t[live] = num[live] / den[live]
+    tol = 1e-12 * max(1.0, num[live].max())
+    ties = np.flatnonzero(live & (num - t.min() * den <= tol))
+    k = int(ties[np.argmin(keys[ties])] if bland else ties[np.argmax(den[ties])])
+    return k, num[k] <= tol
+
+
+def _spread_rows(phi: np.ndarray) -> np.ndarray:
+    """m independent rows of Phi, each the largest after projecting out the rows picked before it."""
+    rest, rows = phi.copy(), []
+    for _ in range(phi.shape[1]):
+        rows.append(int(np.argmax(np.sum(rest**2, axis=1))))
+        u = rest[rows[-1]] / np.linalg.norm(rest[rows[-1]])
+        rest -= np.outer(rest @ u, u)
+    return np.array(rows)
+
+
+def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarray):
+    """Maximize psi.c over |Phi c| <= 1 from the basis matrix A_B = signs * Phi[rows].
+
+    While the vertex c = A_B^{-1} 1 is feasible, primal steps move it along an
+    edge: the row with the most negative dual weight y = A_B^{-T} psi per edge
+    length leaves (steepest edge). While y >= 0, dual steps restore
+    feasibility: the most violated row enters. When neither holds, as for a
+    cold start, the rows with y < 0 change sign, which makes y >= 0. Bland's
+    rule takes over once ``_STALL`` steps in a row were degenerate, until a
+    step moves again. A_B^{-1} gets rank-1 updates and is re-inverted every
+    ``_REFACTOR`` pivots and at the end. Returns the optimal (rows, signs, c,
+    pivots), certified by max |Phi c| <= 1 + 1e-9 + m eps |c|_1 and by
+    y >= 0 to 1e-9 relative with sum(y) = psi.c, or None when an edge of the
+    polytope is unbounded. Sign changes count as pivots.
+    """
+    rows, signs, index = rows.copy(), signs.copy(), np.arange(len(phi))
+    since, bland, pivots, stall = _REFACTOR, False, 0, 0
+    while True:
+        if since >= _REFACTOR:
+            try:
+                binv = np.linalg.inv(signs[:, None] * phi[rows])
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"LP basis matrix is singular: {exc}") from exc
+            since = 0
+        c, y = binv.sum(axis=1), psi @ binv
+        v = phi @ c
+        size = np.abs(v)
+        # 1e-9 past the rounding error of each Phi_j . c, at most m eps |c|_1 since |Phi_jk| <= 1
+        bound = 1.0 + 1e-9 + len(c) * np.finfo(float).eps * np.abs(c).sum()
+        neg = y < -1e-9 * max(1.0, np.abs(y).max())
+        primal_ok = size.max() <= bound
+        if primal_ok and not neg.any():
+            if since:  # re-invert, then price again
+                since = _REFACTOR
+                continue
+            if abs(y.sum() - psi @ c) > 1e-9 * max(1.0, abs(psi @ c)):
+                raise SolverError(f"LP certificate failed: dual sum {y.sum():.17g} against value {psi @ c:.17g}")
+            return rows, signs, c, pivots
+        if pivots == _PIVOT_CAP:
+            raise SolverError(f"LP solver reached no optimal basis within {_PIVOT_CAP} pivots")
+        pivots += 1
+        if primal_ok:
+            if bland:
+                r = int(np.flatnonzero(neg)[np.argmin(rows[neg])])
+            else:  # the edge of row r is column r of the inverse
+                r = int(np.argmin(np.where(neg, y / np.sqrt(np.sum(binv**2, axis=0)), np.inf)))
+            s = -(phi @ binv[:, r])
+            s[rows[rows != rows[r]]] = 0.0
+            hit = _ratio(np.maximum(1.0 - np.sign(s) * v, 0.0), np.abs(s), index, bland)
+            if hit is None:
+                return None
+            q, degenerate = hit
+            sign = 1.0 if s[q] > 0.0 else -1.0
+        elif not neg.any():
+            q = int(np.flatnonzero(size > bound)[0] if bland else np.argmax(size))
+            sign = 1.0 if v[q] > 0.0 else -1.0
+            hit = _ratio(np.maximum(y, 0.0), sign * phi[q] @ binv, rows, bland)
+            if hit is None:
+                raise SolverError("LP dual step found no row to leave")
+            r, degenerate = hit
+        else:
+            signs[neg] *= -1.0
+            since = _REFACTOR
+            continue
+        w = sign * phi[q] @ binv
+        col = binv[:, r] / w[r]
+        binv -= np.outer(col, w)
+        binv[:, r] = col
+        rows[r], signs[r] = q, sign
+        stall = stall + 1 if degenerate else 0
+        bland = stall >= _STALL
+        since += 1
+
+
 def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
     """Lower estimate of the Remez constant of the sampled set.
 
@@ -145,11 +254,9 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
     if len(zpts) < m or sigma.min() <= 1e-12 * max(1.0, sigma.max()):
         return _infinite(phi, n, d, diagnostics)
 
-    from scipy.optimize import linprog
-
-    a_ub = np.vstack([phi, -phi])
-    b_ub = np.ones(len(a_ub))
     psi = vandermonde(cand, n, d)  # candidate basis rows
+    basis_rows = np.zeros((len(cand), m), dtype=np.int64)
+    basis_signs = np.ones((len(cand), m))
 
     ub = np.full(len(cand), np.inf)
     solved = np.zeros(len(cand), dtype=bool)
@@ -167,33 +274,34 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
             break
         if best_coeffs is None:
             pick = first
+            start = _spread_rows(phi), np.ones(m)
         else:
             masked = np.where(open_mask, ub, -np.inf)
             pick = int(np.argmax(masked))
+            done = np.flatnonzero(solved)
+            near = done[np.argmin(np.sum((cand[done] - cand[pick]) ** 2, axis=1))]
+            start = basis_rows[near], basis_signs[near]
         solved[pick] = True
 
-        res = linprog(-psi[pick], A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        out = _simplex(phi, psi[pick], *start)
         diagnostics["lp_solved"] += 1
-        diagnostics["lp_iterations"] += int(getattr(res, "nit", 0) or 0)
-        if res.status == 3 or (res.status == 0 and -res.fun > _OBJECTIVE_CAP):
+        if out is None or psi[pick] @ out[2] > _OBJECTIVE_CAP:
             diagnostics["unbounded_at"] = cand[pick].tolist()
             return _infinite(phi, n, d, diagnostics)
-        if res.status != 0:
-            raise SolverError(f"LP solver failed with status {res.status}: {res.message}")
+        basis_rows[pick], basis_signs[pick], coeffs, pivots = out
+        diagnostics["lp_iterations"] += pivots
 
-        value = float(-res.fun)
+        value = float(psi[pick] @ coeffs)
         ub[pick] = value
         if value > best_value:
             best_value = value
-            best_coeffs = res.x.copy()
+            best_coeffs = coeffs
             best_point = cand[pick].copy()
 
         # Active sample nodes give interpolation-weight upper bounds for all
         # other candidates: P(x) = sum w_i P(z_i) whenever phi(x) = Phi_S^T w,
         # so any feasible P obeys |P(x)| <= sum |w_i|.
-        slack = b_ub - a_ub @ res.x
-        active_rows = np.flatnonzero(slack <= 1e-7)
-        nodes = np.unique(active_rows % len(zpts))
+        nodes = np.flatnonzero(1.0 - np.abs(phi @ coeffs) <= 1e-7)
         if len(nodes) >= m:
             phi_s = phi[nodes]
             w, residual_ss, rank, _ = np.linalg.lstsq(phi_s.T, psi.T, rcond=None)

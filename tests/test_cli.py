@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CIRCLE_SIDES, square, write_config_json
-from rigidkit import __version__
+from rigidkit import __version__, remez
 from rigidkit.cli import _candidate_grid, main
 from rigidkit.geometry import regular_polygon
 
@@ -592,34 +592,27 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
     def test_lp_solver_failure_exit3(self, halfline_path, monkeypatch, capsys):
-        import scipy.optimize
-
-        failed = scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", nit=0)
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
-        code = main(["remez-lp", "--degree", "2", "--z", halfline_path, "--grid", "64"])
+        monkeypatch.setattr(remez, "_PIVOT_CAP", 0)  # the cubic needs at least one pivot
+        code = main(["remez-lp", "--degree", "3", "--z", halfline_path, "--grid", "64"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == (
-            "solver error: LP solver failed with status 4: numerical difficulties\n"
-        )
+        assert captured.err == "solver error: LP solver reached no optimal basis within 0 pivots\n"
 
 
-# Runs in a fresh interpreter: the test process has long since loaded scipy.
-_SCIPY_PROBE = """
+# Runs in a fresh interpreter where importing scipy fails, so a run that needs
+# it ends with an error instead of loading it.
+_NO_SCIPY_PROBE = """
 import json, sys
+sys.modules["scipy"] = None
 import rigidkit.cli
-loaded = [("import rigidkit.cli", 0, "scipy.optimize" in sys.modules)]
 from rigidkit.cli import main
-for argv in json.loads(sys.argv[1]):
-    code = main(argv)
-    loaded.append((argv[0], code, "scipy.optimize" in sys.modules))
-print(json.dumps(loaded))
+print(json.dumps([(argv[0], main(argv)) for argv in json.loads(sys.argv[1])]))
 """
 
 
-class TestLazyScipy:
-    def test_only_lp_subcommands_load_scipy(
+class TestNoScipy:
+    def test_no_subcommand_loads_scipy(
         self, annulus_path, fxy_path, curve_points_path, grid_points_path,
         halfline_path, tmp_path,
     ):
@@ -638,24 +631,15 @@ class TestLazyScipy:
             ],
             ["verify-proof", "--poly", fxy_path, "--config", annulus_path, "--grid", "12"],
             ["remez-lp", "--degree", "2", "--z", halfline_path, "--grid", "64"],
+            ["rigidity", "--config", annulus_path, "--degree", "2", "--grid", "8", "--samples-per-oval", "16"],
         ]
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, json.dumps([r + ["--out", out] for r in runs])],
+            [sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps([r + ["--out", out] for r in runs])],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = [tuple(step) for step in json.loads(proc.stdout)]
-        assert loaded == [
-            ("import rigidkit.cli", 0, False),
-            ("decompose", 0, False),
-            ("bounds", 0, False),
-            ("rigidity-1d", 0, False),
-            ("curve-check", 0, False),
-            ("boxdim", 0, False),
-            ("verify-proof", 0, False),
-            ("remez-lp", 0, True),
-        ]
+        assert [tuple(step) for step in json.loads(proc.stdout)] == [(r[0], 0) for r in runs]
 
 
 class TestConsoleScript:

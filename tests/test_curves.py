@@ -14,7 +14,7 @@ from rigidkit.curves import (
 )
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import regular_polygon, validate_configuration
-from rigidkit.poly import MultiPoly, eval_poly, random_poly
+from rigidkit.poly import MultiPoly, random_poly
 
 
 def chebyshev_params(k: int) -> np.ndarray:

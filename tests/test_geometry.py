@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from rigidkit.geometry import (
     build_domains,
     build_nesting_forest,
     config_from_json_dict,
-    contains,
     in_unit_ball,
     lattice,
     mu,
@@ -176,32 +174,38 @@ class TestValidation:
 
 
 class TestContains:
+    """Containment as the nesting forest records it: depth 1 + the number of containing ovals."""
+
     def test_nested_squares(self, side1_annulus):
-        outer = side1_annulus.oval_by_id(1)
-        inner = side1_annulus.oval_by_id(2)
-        assert contains(outer, inner)
-        assert not contains(inner, outer)
+        forest = build_nesting_forest(side1_annulus)
+        assert [forest.nodes[i].depth for i in (1, 2)] == [1, 2]
+        assert forest.nodes[2].parent == 1
+        assert forest.nodes[1].parent is None
 
     def test_side_by_side(self):
         a = square(0.5, 1, center=(-0.4, 0.0))
         b = square(0.5, 2, center=(0.4, 0.0))
-        config = validate_configuration([a, b])
-        a, b = config.ovals
-        assert not contains(a, b)
-        assert not contains(b, a)
+        forest = build_nesting_forest(validate_configuration([a, b]))
+        assert [forest.nodes[i].depth for i in (1, 2)] == [1, 1]
+        assert sorted(forest.roots()) == [1, 2]
 
     def test_strict_partial_order(self):
+        # the containing ovals of each oval, by the pure-Python ray cast, are
+        # exactly its ancestors in the forest: a chain, so containment is a
+        # strict partial order whose depth is the chain length
         rng = np.random.default_rng(31)
         for _ in range(5):
             config = random_circle_config(rng)
+            forest = build_nesting_forest(config)
             for o in config.ovals:
-                assert not contains(o, o)
-            for a, b in permutations(config.ovals, 2):
-                if contains(a, b):
-                    assert not contains(b, a)
-            for a, b, c in permutations(config.ovals, 3):
-                if contains(a, b) and contains(b, c):
-                    assert contains(a, c)
+                containing = {p.id for p in config.ovals if p.id != o.id and ray_cast(p.vertices, o.vertices[0])}
+                ancestors, node = set(), forest.nodes[o.id]
+                while node.parent is not None:
+                    assert node.parent not in ancestors and node.parent != o.id
+                    ancestors.add(node.parent)
+                    node = forest.nodes[node.parent]
+                assert containing == ancestors
+                assert forest.nodes[o.id].depth == 1 + len(ancestors)
 
 
 class TestForest:
@@ -240,7 +244,7 @@ class TestForest:
         config = forest.config
         for node in forest.nodes.values():
             o = config.oval_by_id(node.oval_id)
-            containing = sum(1 for other in config.ovals if other.id != o.id and contains(other, o))
+            containing = sum(1 for other in config.ovals if other.id != o.id and ray_cast(other.vertices, o.vertices[0]))
             assert node.depth == containing + 1
 
     def test_batched_nesting_on_vertex_levels_matches_pairwise(self):
@@ -264,7 +268,7 @@ class TestForest:
             assert points_in_polygon(p.vertices, reps).tolist() == single
         forest = build_nesting_forest(config)
         for o in config.ovals:
-            containing = sum(contains(p, o) for p in config.ovals if p.id != o.id)
+            containing = sum(ray_cast(p.vertices, o.vertices[0]) for p in config.ovals if p.id != o.id)
             assert forest.nodes[o.id].depth == 1 + containing
         assert {i: forest.nodes[i].depth for i in (1, 2, 3, 4, 6)} == {1: 1, 2: 2, 3: 3, 4: 1, 6: 1}
         assert [forest.nodes[i].parent for i in (2, 3)] == [1, 2]

@@ -4,8 +4,8 @@ Every vertex coordinate is dyadic (a multiple of a power of two well inside
 double precision), so the float predicates compute exactly and must agree
 with rational arithmetic. Validation is compared with a brute-force
 ``fractions.Fraction`` test over every edge pair, of one oval and of two, that
-predicts the exact error message; the nesting forest with the tree the
-configuration was built from and with per-pair ``contains``.
+predicts the exact error message; the nesting forest's parents, children and
+depths with the tree the configuration was built from.
 """
 
 from fractions import Fraction
@@ -21,7 +21,6 @@ from rigidkit.geometry import (  # noqa: E402
     Oval,
     build_domains,
     build_nesting_forest,
-    contains,
     shoelace_area,
     validate_configuration,
 )
@@ -242,7 +241,10 @@ def test_forest_depth_counts_containing_ovals(case):
     forest = build_nesting_forest(validate_configuration(ovals))
     for o in ovals:
         node = forest.nodes[o.id]
-        assert node.depth == 1 + sum(contains(p, o) for p in ovals if p.id != o.id)
+        ancestors, parent = 0, parents[o.id]
+        while parent is not None:
+            ancestors, parent = ancestors + 1, parents[parent]
+        assert node.depth == 1 + ancestors
         assert node.parent == parents[o.id]
         assert node.children == [c.id for c in ovals if parents[c.id] == o.id]
 

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import concentric_ring_config, square
+from rigidkit import remez
+from rigidkit.cli import _boundary_samples, _candidate_grid
 from rigidkit.errors import SolverError, ValidationError
+from rigidkit.geometry import validate_configuration
 from rigidkit.poly import MultiPoly, basis_size, eval_poly, monomials
 from rigidkit.remez import (
     inverse_remez,
@@ -133,19 +137,24 @@ class TestEstimatorProperties:
             remez_estimate_lp(np.linspace(-1.0, 1.0, 9), 2, zs)
 
     def test_solver_failure_raises(self, monkeypatch):
-        import scipy.optimize
+        # a cubic on 16 points of [-1, 0] needs at least one pivot from its cold start
+        monkeypatch.setattr(remez, "_PIVOT_CAP", 0)
+        with pytest.raises(SolverError, match=r"^LP solver reached no optimal basis within 0 pivots$"):
+            remez_estimate_lp(np.linspace(-1.0, 0.0, 16), 3, np.linspace(-1.0, 1.0, 9))
 
-        failed = scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", nit=0)
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
-        message = r"^LP solver failed with status 4: numerical difficulties$"
-        with pytest.raises(SolverError, match=message):
-            remez_estimate_lp([[-1.0], [0.0]], 1, [[1.0]])
+    def test_infeasible_start_is_repaired_by_dual_steps(self):
+        # samples -1, 0, 1 at degree 1: the basis {P(-1) = 1, P(0) = -1} prices
+        # optimal for psi = (0, -1), but its P = -1 - 2t has |P(1)| = 3; dual
+        # steps reach max -c1 = 1 at P = -t
+        phi = vandermonde(np.array([[-1.0], [0.0], [1.0]]), 1, 1)
+        psi = np.array([0.0, -1.0])
+        rows, signs, c, pivots = remez._simplex(phi, psi, np.array([0, 1]), np.array([1.0, -1.0]))
+        assert psi @ c == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(phi @ c).max() <= 1.0 + 1e-12
+        assert pivots >= 1
 
     def test_unbounded_lp_is_infinite_with_nullspace_witness(self, monkeypatch):
-        import scipy.optimize
-
-        unbounded = scipy.optimize.OptimizeResult(status=3, message="unbounded", nit=2)
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: unbounded)
+        monkeypatch.setattr(remez, "_ratio", lambda *args: None)  # every primal ray unbounded
         zs = [[-1.0], [0.0]]
         est = remez_estimate_lp(zs, 1, [[1.0]])
         assert est.is_infinite
@@ -156,7 +165,93 @@ class TestEstimatorProperties:
         assert est.witness_point is None
         assert est.diagnostics["unbounded_at"] == [1.0]
         assert est.diagnostics["lp_solved"] == 1
-        assert est.diagnostics["lp_iterations"] == 2
+        assert est.diagnostics["lp_iterations"] == 0
+
+    def test_value_past_objective_cap_is_infinite(self, monkeypatch):
+        monkeypatch.setattr(remez, "_OBJECTIVE_CAP", 2.0)  # the LP value is 3
+        est = remez_estimate_lp([[-1.0], [0.0]], 1, [[1.0]])
+        assert est.is_infinite
+        assert est.diagnostics["unbounded_at"] == [1.0]
+
+
+def _recorded_lps(zsamples, d, candidates):
+    """The estimate and every LP it solved, as (phi, psi, rows, signs, c, pivots)."""
+    lps = []
+    solve = remez._simplex
+
+    def record(phi, psi, rows, signs):
+        out = solve(phi, psi, rows, signs)
+        lps.append((phi, psi, *out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(remez, "_simplex", record)
+        est = remez_estimate_lp(zsamples, d, candidates)
+    return est, lps
+
+
+def _golden_inputs(case):
+    """Samples, degree and candidates of the LP goldens (see test_golden.py)."""
+    if case == "remez-lp-halfline":
+        ts = np.array([float(f"{t:.12f}") for t in np.linspace(-1.0, 0.0, 64)])
+        return ts[:, None], 2, _candidate_grid(1, 64)
+    # remez-lp-annulus and rigidity-annulus solve the same LPs
+    config = validate_configuration([square(math.sqrt(2.0), 1), square(1.0, 2)])
+    return _boundary_samples(config, 32), 2, _candidate_grid(2, 16)
+
+
+@pytest.fixture(scope="module")
+def ladder10_lps():
+    """The 10-ring ladder of concentric 48-gons at degree 4: 64 samples per ring, grid 24."""
+    config = concentric_ring_config([0.95 * (10 - i) / 10 for i in range(10)])
+    return _recorded_lps(_boundary_samples(config, 64), 4, _candidate_grid(2, 24))
+
+
+def _assert_matches_highs(lps):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for phi, psi, _, _, c, _ in lps:
+        res = linprog(-psi, A_ub=np.vstack([phi, -phi]), b_ub=np.ones(2 * len(phi)), bounds=(None, None), method="highs")
+        assert res.status == 0
+        assert psi @ c == pytest.approx(-res.fun, rel=1e-9, abs=0.0)
+
+
+class TestSimplexAgainstHighs:
+    """HiGHS, through scipy, is a test-only oracle for every LP the simplex solves."""
+
+    @pytest.mark.parametrize("case", ["remez-lp-halfline", "remez-lp-annulus"])
+    def test_golden_inputs(self, case):
+        est, lps = _recorded_lps(*_golden_inputs(case))
+        assert len(lps) == est.diagnostics["lp_solved"] > 0
+        _assert_matches_highs(lps)
+
+    def test_ten_ring_ladder(self, ladder10_lps):
+        est, lps = ladder10_lps
+        assert len(lps) == est.diagnostics["lp_solved"] > 100
+        _assert_matches_highs(lps)
+
+
+class TestSimplexCertificate:
+    def test_symmetric_ladder_certified_under_cap(self, ladder10_lps):
+        # concentric regular 48-gons make many vertices degenerate
+        est, lps = ladder10_lps
+        for phi, psi, rows, signs, c, pivots in lps:
+            assert pivots < remez._PIVOT_CAP
+            y = np.linalg.solve((signs[:, None] * phi[rows]).T, psi)
+            assert np.abs(phi @ c).max() <= 1.0 + 1e-9
+            assert y.min() >= -1e-9 * np.abs(y).max()
+            assert y.sum() == pytest.approx(psi @ c, rel=1e-9)
+        assert est.value == max(psi @ c for _, psi, _, _, c, _ in lps)
+        assert est.diagnostics["lp_iterations"] == sum(lp[-1] for lp in lps)
+
+    @pytest.mark.parametrize("count, d", [(8192, 6), (2048, 10)])
+    def test_dense_halfline_meets_chebyshev(self, count, d):
+        # T_d(2t + 1) is feasible on samples of [-1, 0] and is T_d(3) at t = 1,
+        # so the estimate at candidate 1 is at least T_d(3), and barely more
+        # on dense samples; dual steps from spread rows take few pivots
+        cheb = {6: 19601.0, 10: 22619537.0}[d]
+        est = remez_estimate_lp(np.linspace(-1.0, 0.0, count), d, [[1.0]])
+        assert cheb * (1.0 - 1e-9) <= est.value <= cheb * (1.0 + 1e-4)
+        assert est.diagnostics["lp_iterations"] < 100
 
 
 class TestInverseRemez:
