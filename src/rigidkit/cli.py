@@ -178,7 +178,7 @@ def _cmd_remez_lp(args) -> dict:
         "degree": args.degree,
         "n": n,
         **_estimate_fields(est),
-        "witness_poly": None if est.witness_poly is None else est.witness_poly.to_json_dict(),
+        "witness_poly": est.witness_poly.to_json_dict(),
         "witness_point": None if est.witness_point is None else [float(v) for v in est.witness_point],
         "formula": "min K with sup_B |P| <= K sup_Z |P| (LP on sampled constraints)",
     }

@@ -396,7 +396,10 @@ def config_from_json_dict(data: dict) -> OvalConfiguration:
     ovals = []
     for entry in raw:
         try:
-            ovals.append(Oval(id=int(entry["id"]), vertices=np.asarray(entry["vertices"], dtype=float)))
-        except (KeyError, TypeError, ValueError) as exc:
+            oval_id = int(entry["id"])  # a NaN or an infinity is a malformed entry
+            ovals.append(Oval(id=oval_id, vertices=np.asarray(entry["vertices"], dtype=float)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed oval entry: {exc}") from exc
+        if oval_id != entry["id"]:  # 2.0 reads as 2, as exponents do
+            raise ValidationError(f"oval id must be an integer, got {entry['id']!r}")
     return validate_configuration(ovals)

@@ -9,11 +9,13 @@ certified lower estimate for a sampled Z: for each candidate point x0 it
 maximizes P(x0) over the polytope {|P| <= 1 on the samples}, whose rows
 ``vandermonde`` takes from ``poly.eval_polys`` at the unit monomials.
 
-The per-candidate LPs share one constraint polytope, so each solved LP
-yields interpolation-weight upper bounds for all remaining candidates
-(through its active constraint nodes); provably suboptimal candidates are
-skipped. On well-behaved inputs this collapses thousands of LPs to a few
-while returning exactly the max a full sweep would.
+The per-candidate LPs share one constraint polytope, so the optimal basis
+of each solved LP bounds every remaining candidate: with A_B the basis
+rows, P(x) = w . (A_B c) for the weights w = A_B^{-T} psi(x), and
+|A_B c| <= 1, so |P(x)| <= |w|_1. Candidates whose bound is no better than
+the best value so far are skipped, which returns exactly the max a full
+sweep would. The estimate is infinite only when a rank test finds the
+samples on the zero set of a degree-d polynomial, which is the witness.
 
 Each LP is solved in numpy by the simplex method of ``_simplex``. The first
 LP of a call starts from m well-spread sample rows and takes dual steps;
@@ -21,7 +23,8 @@ every later one starts from the optimal basis of the nearest solved
 candidate, a vertex of the same polytope, and takes primal steps. Each
 optimum carries a dual certificate y = A_B^{-T} psi >= 0 summing to the
 value, which makes the value an upper bound for that LP as well; a failed
-check or a run past ``_PIVOT_CAP`` pivots is a SolverError.
+check, a ratio test with no row to pivot on or a run past ``_PIVOT_CAP``
+pivots is a SolverError.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "vandermonde",
 ]
 
-_OBJECTIVE_CAP = 1e12
 _PIVOT_CAP = 5000  # simplex pivots one LP may take before the solve counts as failed
 _REFACTOR = 50  # pivots between full re-inversions of the basis matrix
 _STALL = 10  # degenerate pivots in a row after which Bland's rule prices until a step moves
@@ -56,8 +58,8 @@ class RemezEstimate:
 
     degree: int
     value: float  # math.inf when the sampled set is polynomially degenerate
-    witness_poly: MultiPoly | None
-    witness_point: np.ndarray | None
+    witness_poly: MultiPoly  # vanishes on the samples when the value is infinite
+    witness_point: np.ndarray | None  # None when the value is infinite
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -116,22 +118,16 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
-def _infinite(phi: np.ndarray, n: int, d: int, diagnostics: dict) -> RemezEstimate:
-    """Infinite estimate, witnessed by the unit coefficient vector that annihilates all samples."""
-    _, _, vt = np.linalg.svd(phi, full_matrices=True)
-    return RemezEstimate(d, math.inf, MultiPoly.from_rows(n, monomials(n, d), vt[-1]), None, diagnostics)
-
-
 def _ratio(num: np.ndarray, den: np.ndarray, keys: np.ndarray, bland: bool):
     """Index k minimizing num/den over den > 1e-9 max|den|, and whether the step is degenerate.
 
     Of the indices within 1e-12 of the minimum the pivot is the one with the
     largest den, or under Bland's rule the lowest key; the step is degenerate
-    when num_k is 0 to that tolerance. None if no den qualifies.
+    when num_k is 0 to that tolerance. Raises SolverError if no den qualifies.
     """
     live = den > 1e-9 * np.abs(den).max()
     if not live.any():
-        return None
+        raise SolverError("LP ratio test found no row to pivot on")
     t = np.full(len(den), np.inf)
     t[live] = num[live] / den[live]
     tol = 1e-12 * max(1.0, num[live].max())
@@ -161,9 +157,10 @@ def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarr
     rule takes over once ``_STALL`` steps in a row were degenerate, until a
     step moves again. A_B^{-1} gets rank-1 updates and is re-inverted every
     ``_REFACTOR`` pivots and at the end. Returns the optimal (rows, signs, c,
-    pivots), certified by max |Phi c| <= 1 + 1e-9 + m eps |c|_1 and by
-    y >= 0 to 1e-9 relative with sum(y) = psi.c, or None when an edge of the
-    polytope is unbounded. Sign changes count as pivots.
+    pivots, binv), certified by max |Phi c| <= 1 + 1e-9 + m eps |c|_1 and by
+    y >= 0 to 1e-9 relative with sum(y) = psi.c; binv is A_B^{-1}, freshly
+    inverted. Sign changes count as pivots. No edge is unbounded: the row
+    that leaves a feasible basis bounds its own edge from the opposite face.
     """
     rows, signs, index = rows.copy(), signs.copy(), np.arange(len(phi))
     since, bland, pivots, stall = _REFACTOR, False, 0, 0
@@ -187,7 +184,7 @@ def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarr
                 continue
             if abs(y.sum() - psi @ c) > 1e-9 * max(1.0, abs(psi @ c)):
                 raise SolverError(f"LP certificate failed: dual sum {y.sum():.17g} against value {psi @ c:.17g}")
-            return rows, signs, c, pivots
+            return rows, signs, c, pivots, binv
         if pivots == _PIVOT_CAP:
             raise SolverError(f"LP solver reached no optimal basis within {_PIVOT_CAP} pivots")
         pivots += 1
@@ -198,18 +195,12 @@ def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarr
                 r = int(np.argmin(np.where(neg, y / np.sqrt(np.sum(binv**2, axis=0)), np.inf)))
             s = -(phi @ binv[:, r])
             s[rows[rows != rows[r]]] = 0.0
-            hit = _ratio(np.maximum(1.0 - np.sign(s) * v, 0.0), np.abs(s), index, bland)
-            if hit is None:
-                return None
-            q, degenerate = hit
+            q, degenerate = _ratio(np.maximum(1.0 - np.sign(s) * v, 0.0), np.abs(s), index, bland)
             sign = 1.0 if s[q] > 0.0 else -1.0
         elif not neg.any():
             q = int(np.flatnonzero(size > bound)[0] if bland else np.argmax(size))
             sign = 1.0 if v[q] > 0.0 else -1.0
-            hit = _ratio(np.maximum(y, 0.0), sign * phi[q] @ binv, rows, bland)
-            if hit is None:
-                raise SolverError("LP dual step found no row to leave")
-            r, degenerate = hit
+            r, degenerate = _ratio(np.maximum(y, 0.0), sign * phi[q] @ binv, rows, bland)
         else:
             signs[neg] *= -1.0
             since = _REFACTOR
@@ -252,7 +243,10 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
         "pruned": 0,
     }
     if len(zpts) < m or sigma.min() <= 1e-12 * max(1.0, sigma.max()):
-        return _infinite(phi, n, d, diagnostics)
+        # the last right singular vector annihilates every sample; only a
+        # short Phi needs the full factor to reach the null space
+        vt = np.linalg.svd(phi, full_matrices=len(phi) < m)[2]
+        return RemezEstimate(d, math.inf, MultiPoly.from_rows(n, monomials(n, d), vt[-1]), None, diagnostics)
 
     psi = vandermonde(cand, n, d)  # candidate basis rows
     basis_rows = np.zeros((len(cand), m), dtype=np.int64)
@@ -283,45 +277,22 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
             start = basis_rows[near], basis_signs[near]
         solved[pick] = True
 
-        out = _simplex(phi, psi[pick], *start)
+        basis_rows[pick], basis_signs[pick], coeffs, pivots, binv = _simplex(phi, psi[pick], *start)
         diagnostics["lp_solved"] += 1
-        if out is None or psi[pick] @ out[2] > _OBJECTIVE_CAP:
-            diagnostics["unbounded_at"] = cand[pick].tolist()
-            return _infinite(phi, n, d, diagnostics)
-        basis_rows[pick], basis_signs[pick], coeffs, pivots = out
         diagnostics["lp_iterations"] += pivots
 
         value = float(psi[pick] @ coeffs)
-        ub[pick] = value
         if value > best_value:
             best_value = value
             best_coeffs = coeffs
             best_point = cand[pick].copy()
 
-        # Active sample nodes give interpolation-weight upper bounds for all
-        # other candidates: P(x) = sum w_i P(z_i) whenever phi(x) = Phi_S^T w,
-        # so any feasible P obeys |P(x)| <= sum |w_i|.
-        nodes = np.flatnonzero(1.0 - np.abs(phi @ coeffs) <= 1e-7)
-        if len(nodes) >= m:
-            phi_s = phi[nodes]
-            w, residual_ss, rank, _ = np.linalg.lstsq(phi_s.T, psi.T, rcond=None)
-            if rank == m:
-                resid = phi_s.T @ w - psi.T
-                ok = np.sqrt(np.sum(resid**2, axis=0)) <= 1e-8 * (1.0 + np.sqrt(np.sum(psi.T**2, axis=0)))
-                new_ub = np.sum(np.abs(w), axis=0)
-                update = ok & ~solved
-                ub[update] = np.minimum(ub[update], new_ub[update])
+        # the basis weights bound P at every candidate (module docstring)
+        ub = np.minimum(ub, np.abs(psi @ binv).sum(axis=1))
 
     diagnostics["pruned"] = int(np.sum(~solved))
-    value = max(1.0, best_value)
-    witness_poly = None if best_coeffs is None else MultiPoly.from_rows(n, monomials(n, d), best_coeffs)
-    return RemezEstimate(
-        degree=d,
-        value=value,
-        witness_poly=witness_poly,
-        witness_point=best_point,
-        diagnostics=diagnostics,
-    )
+    witness_poly = MultiPoly.from_rows(n, monomials(n, d), best_coeffs)
+    return RemezEstimate(d, max(1.0, best_value), witness_poly, best_point, diagnostics)
 
 
 def inverse_remez(e: RemezEstimate) -> float:

@@ -561,6 +561,30 @@ class TestErrorPaths:
         cfg.write_text('{"ovals": [{"id": 1, "vertices": [[0.5, 0.0], [0.0, 0.5], [-0.5, NaN]]}]}')
         expect_exit2(["decompose", "--config", str(cfg)], capsys, "oval 1 has non-finite vertex")
 
+    @pytest.mark.parametrize(
+        "oval_id, fragment",
+        [
+            ("Infinity", "malformed oval entry: cannot convert float infinity to integer"),
+            ("NaN", "malformed oval entry: cannot convert float NaN to integer"),
+            ("1.5", "oval id must be an integer, got 1.5"),
+        ],
+    )
+    def test_bad_oval_id_exit2(self, oval_id, fragment, tmp_path, capsys):
+        # 1.5 must not truncate to 1 and then clash with the second oval's id
+        cfg = tmp_path / "c.json"
+        outer = "[[0.9, 0.0], [0.0, 0.9], [-0.9, 0.0], [0.0, -0.9]]"
+        inner = "[[0.3, 0.0], [0.0, 0.3], [-0.3, 0.0], [0.0, -0.3]]"
+        cfg.write_text('{"ovals": [{"id": %s, "vertices": %s}, {"id": 1, "vertices": %s}]}' % (oval_id, outer, inner))
+        expect_exit2(["decompose", "--config", str(cfg)], capsys, fragment)
+
+    def test_integral_float_oval_id_reads_as_int(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"ovals": [{"id": 2.0, "vertices": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]}]}')
+        code, report = run_cli(["decompose", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert report["forest"] == {"2": {"children": [], "depth": 1, "parent": None}}
+        assert report["domains"][0]["outer"] == 2
+
     def test_bounds_zero_dimension_exit2(self, annulus_path, capsys):
         argv = ["bounds", "--config", annulus_path, "--degree", "2", "--n", "0"]
         expect_exit2(argv, capsys, "ambient dimension must be >= 1, got 0")

@@ -1,4 +1,4 @@
-"""Source hygiene of the ``rigidkit`` package: honest ``__all__`` lists, no dead imports."""
+"""Source hygiene: honest ``__all__`` lists in ``rigidkit``, no dead imports there or in the tests."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rigidkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def module_name(path: Path) -> str:
@@ -46,7 +47,7 @@ def test_unused_import_finder_sees_dead_and_live_names():
     assert unused_imports(source) == ["os (line 2)", "tau (line 4)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

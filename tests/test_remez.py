@@ -8,7 +8,7 @@ from rigidkit import remez
 from rigidkit.cli import _boundary_samples, _candidate_grid
 from rigidkit.errors import SolverError, ValidationError
 from rigidkit.geometry import validate_configuration
-from rigidkit.poly import MultiPoly, basis_size, eval_poly, monomials
+from rigidkit.poly import basis_size, eval_poly
 from rigidkit.remez import (
     inverse_remez,
     ovals_required,
@@ -148,34 +148,31 @@ class TestEstimatorProperties:
         # steps reach max -c1 = 1 at P = -t
         phi = vandermonde(np.array([[-1.0], [0.0], [1.0]]), 1, 1)
         psi = np.array([0.0, -1.0])
-        rows, signs, c, pivots = remez._simplex(phi, psi, np.array([0, 1]), np.array([1.0, -1.0]))
+        rows, signs, c, pivots, binv = remez._simplex(phi, psi, np.array([0, 1]), np.array([1.0, -1.0]))
         assert psi @ c == pytest.approx(1.0, abs=1e-12)
         assert np.abs(phi @ c).max() <= 1.0 + 1e-12
         assert pivots >= 1
+        assert binv @ (signs[:, None] * phi[rows]) == pytest.approx(np.eye(2), abs=1e-12)
 
-    def test_unbounded_lp_is_infinite_with_nullspace_witness(self, monkeypatch):
-        monkeypatch.setattr(remez, "_ratio", lambda *args: None)  # every primal ray unbounded
-        zs = [[-1.0], [0.0]]
-        est = remez_estimate_lp(zs, 1, [[1.0]])
+    def test_ratio_test_without_a_pivot_row_raises(self):
+        with pytest.raises(SolverError, match=r"^LP ratio test found no row to pivot on$"):
+            remez._ratio(np.ones(3), np.array([0.0, -1.0, 0.0]), np.arange(3), False)
+
+    def test_dense_collinear_samples_infinite_with_witness(self):
+        # 8192 samples of the line y = x at degree 4 (m = 15): the rank test
+        # reports infinite without an 8192 x 8192 factor
+        t = np.linspace(-0.7, 0.7, 8192)
+        zs = np.column_stack([t, t])
+        est = remez_estimate_lp(zs, 4, [[0.9, 0.0]])
         assert est.is_infinite
-        assert inverse_remez(est) == 0.0
-        # the witness is the last right singular vector of the sample Vandermonde
-        vt = np.linalg.svd(vandermonde(np.array(zs), 1, 1))[2]
-        assert est.witness_poly == MultiPoly.from_rows(1, monomials(1, 1), vt[-1])
         assert est.witness_point is None
-        assert est.diagnostics["unbounded_at"] == [1.0]
-        assert est.diagnostics["lp_solved"] == 1
-        assert est.diagnostics["lp_iterations"] == 0
-
-    def test_value_past_objective_cap_is_infinite(self, monkeypatch):
-        monkeypatch.setattr(remez, "_OBJECTIVE_CAP", 2.0)  # the LP value is 3
-        est = remez_estimate_lp([[-1.0], [0.0]], 1, [[1.0]])
-        assert est.is_infinite
-        assert est.diagnostics["unbounded_at"] == [1.0]
+        w = est.witness_poly
+        assert not w.is_zero()
+        assert np.abs(w([zs[:, 0], zs[:, 1]])).max() <= 1e-9 * w.coefficient_norm()
 
 
 def _recorded_lps(zsamples, d, candidates):
-    """The estimate and every LP it solved, as (phi, psi, rows, signs, c, pivots)."""
+    """The estimate and every LP it solved, as (phi, psi, rows, signs, c, pivots, binv)."""
     lps = []
     solve = remez._simplex
 
@@ -209,7 +206,7 @@ def ladder10_lps():
 
 def _assert_matches_highs(lps):
     linprog = pytest.importorskip("scipy.optimize").linprog
-    for phi, psi, _, _, c, _ in lps:
+    for phi, psi, _, _, c, *_ in lps:
         res = linprog(-psi, A_ub=np.vstack([phi, -phi]), b_ub=np.ones(2 * len(phi)), bounds=(None, None), method="highs")
         assert res.status == 0
         assert psi @ c == pytest.approx(-res.fun, rel=1e-9, abs=0.0)
@@ -234,14 +231,14 @@ class TestSimplexCertificate:
     def test_symmetric_ladder_certified_under_cap(self, ladder10_lps):
         # concentric regular 48-gons make many vertices degenerate
         est, lps = ladder10_lps
-        for phi, psi, rows, signs, c, pivots in lps:
+        for phi, psi, rows, signs, c, pivots, _ in lps:
             assert pivots < remez._PIVOT_CAP
             y = np.linalg.solve((signs[:, None] * phi[rows]).T, psi)
             assert np.abs(phi @ c).max() <= 1.0 + 1e-9
             assert y.min() >= -1e-9 * np.abs(y).max()
             assert y.sum() == pytest.approx(psi @ c, rel=1e-9)
-        assert est.value == max(psi @ c for _, psi, _, _, c, _ in lps)
-        assert est.diagnostics["lp_iterations"] == sum(lp[-1] for lp in lps)
+        assert est.value == max(psi @ c for _, psi, _, _, c, *_ in lps)
+        assert est.diagnostics["lp_iterations"] == sum(lp[5] for lp in lps)
 
     @pytest.mark.parametrize("count, d", [(8192, 6), (2048, 10)])
     def test_dense_halfline_meets_chebyshev(self, count, d):
@@ -252,6 +249,46 @@ class TestSimplexCertificate:
         est = remez_estimate_lp(np.linspace(-1.0, 0.0, count), d, [[1.0]])
         assert cheb * (1.0 - 1e-9) <= est.value <= cheb * (1.0 + 1e-4)
         assert est.diagnostics["lp_iterations"] < 100
+
+
+def _scattered_inputs():
+    """40 random samples of the annulus 0.3 <= |x| <= 0.9 and 60 random candidates, degree 3."""
+    rng = np.random.default_rng(4)
+    r, theta = rng.uniform(0.3, 0.9, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)]), 3, rng.uniform(-0.7, 0.7, (60, 2))
+
+
+class TestPruningMatchesFullSweep:
+    """The basis-weight pruning returns exactly the max of solving every candidate."""
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            _golden_inputs("remez-lp-annulus"),
+            (
+                _boundary_samples(concentric_ring_config([0.95 * (5 - i) / 5 for i in range(5)]), 64),
+                3,
+                _candidate_grid(2, 24),
+            ),
+            # here the first LP is not the max, so an unsound bound prunes the maximiser
+            _scattered_inputs(),
+        ],
+        ids=["remez-lp-annulus", "ladder5-d3", "scattered-d3"],
+    )
+    def test_estimate_is_max_of_every_lp(self, inputs):
+        zsamples, d, candidates = inputs
+        est, lps = _recorded_lps(zsamples, d, candidates)
+        phi, psi = vandermonde(zsamples, 2, d), vandermonde(candidates, 2, d)
+        start = remez._spread_rows(phi), np.ones(phi.shape[1])
+        values = np.array([p @ remez._simplex(phi, p, *start)[2] for p in psi])
+        solved = {lp[1].tobytes() for lp in lps}
+        pruned = np.array([p.tobytes() not in solved for p in psi])
+        assert pruned.sum() == est.diagnostics["pruned"] > 0
+        assert est.value == pytest.approx(values.max(), rel=1e-9, abs=0.0)
+        assert values[pruned].max() <= est.value * (1.0 + 1e-9)
+        # every optimal basis bounds P at every candidate by its weights
+        for *_, binv in lps:
+            assert np.all(np.abs(psi @ binv).sum(axis=1) >= values * (1.0 - 1e-9))
 
 
 class TestInverseRemez:
