@@ -33,7 +33,7 @@ from .poly import MultiPoly
 from .remez import inverse_remez, ovals_required, remez_bound_topological, remez_estimate_lp
 from .rigidity import FORMULAS, rigidity_1d_bound, rigidity_report
 from .curves import composition_report, crossing_count, fit_curve
-from .prooftrace import bezout_check, default_perturbation, domain_pigeonhole_report
+from .prooftrace import bezout_check, domain_pigeonhole_report
 from .svg import render_svg
 
 __all__ = ["main"]
@@ -153,7 +153,8 @@ def _cmd_decompose(args) -> dict:
 
 
 def _boundary_samples(config, per_oval: int) -> np.ndarray:
-    return np.concatenate([sample_boundary(o, per_oval) for o in config.ovals], axis=0)
+    # an empty configuration gives a (0, 2) array, which the estimator rejects as bad input
+    return np.concatenate([np.zeros((0, 2)), *(sample_boundary(o, per_oval) for o in config.ovals)], axis=0)
 
 
 def _estimate_fields(est) -> dict:
@@ -288,9 +289,7 @@ def _cmd_boxdim(args) -> dict:
 def _cmd_verify_proof(args) -> dict:
     p = MultiPoly.from_json_dict(_load_json(args.poly))
     config = config_from_json_dict(_load_json(args.config))
-    report = domain_pigeonhole_report(
-        p, config, newton_grid=args.grid, perturbation=default_perturbation(p, args.eps)
-    )
+    report = domain_pigeonhole_report(p, config, args.grid, args.eps)
     body = report.to_json_dict()
     if args.degree is not None and args.degree != report.degree:
         body["bezout_at_degree"] = bezout_check(report.critical_points, args.degree).to_json_dict()

@@ -34,12 +34,13 @@ __all__ = [
     "DomainPigeonholeReport",
     "find_critical_points",
     "perturb_linear",
-    "default_perturbation",
     "bezout_check",
     "domain_pigeonhole_report",
 ]
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# the generic tilt direction: the unit vector along (1, golden ratio)
+_TILT = (1.0 / math.hypot(1.0, _GOLDEN), _GOLDEN / math.hypot(1.0, _GOLDEN))
 _DET_FLOOR = 1e-14
 _STEP_FLOOR = 1e-13
 _MAX_ITER = 80
@@ -201,35 +202,18 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     )
 
 
-def default_perturbation(p: MultiPoly, eps: float = 1e-6) -> tuple[float, float, float]:
-    """Deterministic generic direction (1, golden ratio) with size eps * max(||p||, 1)."""
-    norm = math.hypot(1.0, _GOLDEN)
-    return (1.0 / norm, _GOLDEN / norm, eps * max(p.coefficient_norm(), 1.0))
-
-
-def perturb_linear(p: MultiPoly, xi=None) -> MultiPoly:
-    """p + eps * (a*x + b*y) for xi = (a, b, eps); a generic tilt.
+def perturb_linear(p: MultiPoly, t: float) -> MultiPoly:
+    """p + t * (a*x + b*y) for the fixed unit direction (a, b) along (1, golden ratio); a generic tilt.
 
     Adding a tiny linear form splits degenerate critical points, so the
     perturbed polynomial is Morse for all but finitely many directions.
-    The direction is normalized to a unit vector; the default xi comes from
-    ``default_perturbation``.
     """
     if p.nvars != 2:
         raise ValidationError(f"expected dimension 2, got {p.nvars}")
-    if xi is None:
-        xi = default_perturbation(p)
-    if len(xi) != 3:
-        raise ValidationError(f"perturbation must be (a, b, eps), got {xi!r}")
-    a, b, eps = (float(v) for v in xi)
-    if eps <= 0.0:
-        raise ValidationError(f"perturbation size must be positive, got {eps}")
-    norm = math.hypot(a, b)
-    if norm == 0.0:
-        raise ValidationError("perturbation direction must be nonzero")
-    a, b = a / norm, b / norm
-    tilt = MultiPoly(2, {(1, 0): eps * a, (0, 1): eps * b})
-    return p + tilt
+    if not t > 0.0:
+        raise ValidationError(f"perturbation size must be positive, got {t}")
+    a, b = _TILT
+    return p + MultiPoly(2, {(1, 0): t * a, (0, 1): t * b})
 
 
 @dataclass
@@ -277,7 +261,7 @@ class DomainPigeonholeReport:
     """Per-domain sup evidence plus critical-point accounting."""
 
     degree: int
-    perturbation: tuple[float, float, float]
+    tilt: float
     bezout: BezoutVerdict
     critical_points: CriticalPointSet
     assignments: list[int | None]
@@ -290,10 +274,7 @@ class DomainPigeonholeReport:
     def to_json_dict(self) -> dict:
         return {
             "degree": self.degree,
-            "perturbation": {
-                "direction": [self.perturbation[0], self.perturbation[1]],
-                "eps": self.perturbation[2],
-            },
+            "perturbation": {"direction": list(_TILT), "eps": self.tilt},
             "bezout": self.bezout.to_json_dict(),
             "critical_points": self.critical_points.to_json_dict(),
             "assignments": self.assignments,
@@ -308,23 +289,26 @@ class DomainPigeonholeReport:
 def domain_pigeonhole_report(
     p: MultiPoly,
     config: OvalConfiguration,
+    newton_grid: int,
+    eps: float,
     samples: int = 512,
     interior_grid: int = 33,
-    newton_grid: int = 48,
-    perturbation=None,
 ) -> DomainPigeonholeReport:
     """Assemble the pigeonhole evidence for p over a nested-oval config.
 
-    The polynomial is first tilted by a tiny generic linear form so its
-    critical points are isolated; everything below refers to the perturbed
-    polynomial. Per domain the report compares the max of |p| on ``samples``
-    boundary points per ring against an interior lattice max and flags
-    domains whose interior max wins, which forces an interior critical point
-    for a smooth function. Critical points are then located over the
-    configuration bounding box and assigned to the unique domain containing
-    them (or none). A critical value exceeding every boundary sample while
-    its point sits outside all domains is recorded as a confinement
-    violation: the decomposition fails to trap that extremum.
+    The polynomial is first tilted by ``perturb_linear`` with size
+    t = eps * max(||p||, 1), so its critical points are isolated; the report
+    gives t as the perturbation's ``eps`` next to the fixed direction, and
+    everything below refers to the perturbed polynomial. Per domain the
+    report compares the max of |p| on ``samples`` boundary points per ring
+    against an interior lattice max and flags domains whose interior max
+    wins, which forces an interior critical point for a smooth function.
+    Critical points are then located by Newton from a ``newton_grid`` x
+    ``newton_grid`` seed lattice over the configuration bounding box and
+    assigned to the unique domain containing them (or none). A critical
+    value exceeding every boundary sample while its point sits outside all
+    domains is recorded as a confinement violation: the decomposition fails
+    to trap that extremum.
 
     Boundary samples at count k nest inside those at 2k, and the interior
     lattice at g points per axis nests inside 2g-1, so maxima (and flags
@@ -332,8 +316,8 @@ def domain_pigeonhole_report(
     """
     if p.nvars != 2:
         raise ValidationError(f"expected dimension 2, got {p.nvars}")
-    xi = perturbation if perturbation is not None else default_perturbation(p)
-    pt_poly = perturb_linear(p, xi)
+    tilt = eps * max(p.coefficient_norm(), 1.0)
+    pt_poly = perturb_linear(p, tilt)
     d = pt_poly.degree
 
     domains = build_domains(build_nesting_forest(config))
@@ -389,7 +373,7 @@ def domain_pigeonhole_report(
     violations = [i for i, v in zip(free, crit_vals.tolist()) if v > global_bmax]
     return DomainPigeonholeReport(
         degree=d,
-        perturbation=tuple(float(v) for v in xi),
+        tilt=tilt,
         bezout=bez,
         critical_points=cps,
         assignments=assignments,

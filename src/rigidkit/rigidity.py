@@ -22,7 +22,6 @@ __all__ = [
     "rigidity_from_remez",
     "rigidity_topological_literal",
     "rigidity_topological_composed",
-    "divided_difference",
     "rigidity_1d_bound",
     "rigidity_report",
 ]
@@ -71,46 +70,32 @@ def rigidity_topological_composed(mu: float, d: int, n: int) -> float:
     return _factorial(d + 1) / 2.0 * (mu / (4.0 * n)) ** d
 
 
-def divided_difference(xs, fs) -> float:
-    """Top-order Newton divided difference over strictly increasing nodes."""
-    xs = [float(x) for x in xs]
-    fs = [float(f) for f in fs]
-    if len(xs) != len(fs) or not xs:
-        raise ValidationError("xs and fs must be nonempty and of equal length")
-    for a, b in zip(xs, xs[1:]):
-        if a == b:
-            raise ValidationError(f"duplicate node {a}")
-        if a > b:
-            raise ValidationError("nodes must be strictly increasing")
-    table = list(fs)
-    k = len(xs)
-    for order in range(1, k):
-        for i in range(k - order):
-            table[i] = (table[i + 1] - table[i]) / (xs[i + order] - xs[i])
-    return table[0]
-
-
 def rigidity_1d_bound(xs, z0: float, fz0: float, d: int) -> float:
     """One-dimensional rigidity bound through d+1 zeros and a witness point.
 
-    The divided difference over the zeros (value 0) and z0 (value fz0)
-    collapses to fz0 / prod(z0 - x_i); times (d+1)! it lower-bounds the max
-    of |f^(d+1)| for any smooth f with this data. With all nodes in [-1, 1]
-    and |fz0| = 1 the result is at least (d+1)!/2^(d+1).
+    The top divided difference over the zeros (value 0) and z0 (value fz0)
+    is fz0 / prod(z0 - x_i); times (d+1)! it lower-bounds the max of
+    |f^(d+1)| for any smooth f with this data. With all nodes in [-1, 1] and
+    |fz0| = 1 the result is at least (d+1)!/2^(d+1).
+
+    |fz0| is divided by one gap |z0 - x_i| at a time, since a product of
+    tiny gaps can round to 0 where the quotient only overflows to inf. The
+    zeros go in decreasing order, the order in which a Newton table divides
+    when z0 is the largest node, so such inputs give the table's bits.
     """
-    xs = sorted(float(x) for x in xs)
+    xs = sorted((float(x) for x in xs), reverse=True)
     if not all(math.isfinite(v) for v in (*xs, z0, fz0)):
         raise ValidationError("zeros, witness point and witness value must be finite")
     if len(xs) != d + 1:
         raise ValidationError(f"need exactly d+1 = {d + 1} zeros, got {len(xs)}")
     if len(set(xs)) != len(xs):
         raise ValidationError("zero nodes must be distinct")
-    if any(x == z0 for x in xs):
+    if z0 in xs:
         raise ValidationError(f"witness point {z0} coincides with a zero")
-    nodes = sorted(xs + [float(z0)])
-    values = [0.0 if x != z0 else float(fz0) for x in nodes]
-    dd = divided_difference(nodes, values)
-    return max(_factorial(d + 1) * abs(dd), 0.0)
+    quotient = abs(fz0)
+    for x in xs:
+        quotient /= abs(z0 - x)
+    return _factorial(d + 1) * quotient
 
 
 @dataclass

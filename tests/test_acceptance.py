@@ -277,7 +277,7 @@ def test_criterion_7_critical_points_and_pigeonhole():
         max_excess = 0
         for _ in range(500):
             d = int(rng.integers(2, 6))
-            q = perturb_linear(random_poly(2, d, rng))
+            q = perturb_linear(random_poly(2, d, rng), 1e-6)
             found = find_critical_points(q, ((-1.3, -1.3), (1.3, 1.3)), 12)
             max_excess = max(max_excess, found.n_clusters - (q.degree - 1) ** 2)
         count_ok = max_excess <= 0
@@ -286,7 +286,7 @@ def test_criterion_7_critical_points_and_pigeonhole():
         pigeonhole_ok = True
         for radii in ((0.95, 0.55), (0.95, 0.65, 0.35)):
             report = domain_pigeonhole_report(
-                vanishing_ring_poly(radii), concentric_ring_config(radii)
+                vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=48, eps=1e-6
             )
             flagged = [e for e in report.domains if e["flagged"]]
             flagged_total += len(flagged)

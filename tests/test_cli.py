@@ -453,6 +453,15 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == "error: configuration has no domains\n"
 
+    def test_empty_configuration_remez_lp_exit2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"ovals": []}')
+        code = main(["remez-lp", "--z", str(empty), "--degree", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: zsamples must be a nonempty 2D point array\n"
+
     def test_empty_configuration_svg_exit2(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text('{"ovals": []}')
@@ -536,6 +545,14 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("solver error: report has a non-finite number: ")
+
+    def test_tiny_zero_gaps_exit3(self, capsys):
+        # each gap is 1e-200: the quotient overflows to inf, while their product would round to 0
+        code = main(["rigidity-1d", "--zeros=0,1e-200,3e-200", "--z0", "2e-200", "--degree", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
         assert captured.err.startswith("solver error: report has a non-finite number: ")
 
     def test_bounds_negative_degree_exit2(self, annulus_path, capsys):

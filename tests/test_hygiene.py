@@ -1,4 +1,4 @@
-"""Source hygiene: honest ``__all__`` lists in ``rigidkit``, no dead imports there or in the tests."""
+"""Source hygiene: honest ``__all__`` lists in ``rigidkit``, no dead imports there, in the tests or in the bench."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rigidkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 
 
 def module_name(path: Path) -> str:
@@ -47,7 +48,11 @@ def test_unused_import_finder_sees_dead_and_live_names():
     assert unused_imports(source) == ["os (line 2)", "tau (line 4)"]
 
 
-@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS + BENCH,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS] + [f"bench/{p.name}" for p in BENCH],
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -11,7 +11,6 @@ from rigidkit.geometry import regular_polygon, validate_configuration
 from rigidkit.poly import MultiPoly, eval_polys, partial_derivative, random_poly
 from rigidkit.prooftrace import (
     bezout_check,
-    default_perturbation,
     domain_pigeonhole_report,
     find_critical_points,
     perturb_linear,
@@ -174,9 +173,9 @@ class TestSettledSeeds:
     def test_three_rings_match_unfrozen_run(self, monkeypatch):
         # the verify-proof-rings golden: radii 0.25, 0.5, 0.75 at seed grid 24
         p, config = vanishing_ring_poly((0.25, 0.5, 0.75)), concentric_ring_config((0.25, 0.5, 0.75))
-        frozen = domain_pigeonhole_report(p, config, newton_grid=24)
+        frozen = domain_pigeonhole_report(p, config, newton_grid=24, eps=1e-6)
         monkeypatch.setattr(prooftrace, "_STEP_FLOOR", 0.0)
-        full = domain_pigeonhole_report(p, config, newton_grid=24)
+        full = domain_pigeonhole_report(p, config, newton_grid=24, eps=1e-6)
         assert frozen.critical_points.n_clusters == full.critical_points.n_clusters > 0
         self.assert_same_points(frozen.critical_points, full.critical_points)
         assert frozen.assignments == full.assignments
@@ -194,7 +193,7 @@ class TestSettledSeeds:
 
     def test_off_centre_rings_settle_within_a_third_of_the_iterations(self):
         p, config = off_centre_rings(4)
-        report = domain_pigeonhole_report(p, config, newton_grid=48)
+        report = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6)
         assert report.critical_points.n_clusters == 7
         assert report.bezout.verdict == "consistent"
         d = report.critical_points.diagnostics
@@ -298,7 +297,7 @@ class TestNewtonReference:
         rng = np.random.default_rng(41)
         clustered = 0
         for _ in range(100):
-            p = perturb_linear(random_poly(2, int(rng.integers(2, 7)), rng))
+            p = perturb_linear(random_poly(2, int(rng.integers(2, 7)), rng), 1e-6)
             x0, y0 = rng.uniform(-1.5, 0.5, size=2)
             box = ((x0, y0), (x0 + rng.uniform(0.2, 2.5), y0 + rng.uniform(0.2, 2.5)))
             clustered += assert_matches_reference(p, box, int(rng.integers(8, 33))) > 0
@@ -307,66 +306,42 @@ class TestNewtonReference:
 
 
 class TestPerturbation:
-    def test_xi_is_a_flat_triple(self):
-        p = MultiPoly(2, {(2, 0): 1.0})
-        q = perturb_linear(p, (0.0, 1.0, 1e-6))
-        assert q.exps.tolist() == [[0, 1], [2, 0]]
-        assert q.coefs[0] == pytest.approx(1e-6)
-        with pytest.raises(ValidationError, match="perturbation must be"):
-            perturb_linear(p, ((0.0, 1.0), 1e-6))
-
     def test_gradient_never_vanishes_after_tilt(self):
-        q = perturb_linear(MultiPoly(2, {(2, 0): 1.0}), (0.0, 1.0, 1e-6))
+        q = perturb_linear(MultiPoly(2, {(2, 0): 1.0}), 1e-6)
         cps = find_critical_points(q, BOX, 16)
         assert cps.n_clusters == 0
 
     def test_zero_eps_rejected(self):
-        with pytest.raises(ValidationError):
-            perturb_linear(MultiPoly(2, {(2, 0): 1.0}), (0.0, 1.0, 0.0))
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValidationError):
-            perturb_linear(MultiPoly(2, {(2, 0): 1.0}), (0.0, 0.0, 1e-6))
-
-    def test_direction_normalized(self):
-        p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        q = perturb_linear(p, (3.0, 4.0, 1e-4))
-        assert q.exps.tolist() == [[0, 1], [1, 0], [0, 2], [2, 0]]
-        assert q.coefs[1] == pytest.approx(0.6e-4)
-        assert q.coefs[0] == pytest.approx(0.8e-4)
+        with pytest.raises(ValidationError, match="perturbation size must be positive, got 0.0"):
+            perturb_linear(MultiPoly(2, {(2, 0): 1.0}), 0.0)
 
     def test_shifted_quadratic_minimizer(self):
         p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        a, b, eps = 0.6, 0.8, 1e-3
-        q = perturb_linear(p, (a, b, eps))
+        (a, b), eps = prooftrace._TILT, 1e-3
+        q = perturb_linear(p, eps)
         cps = find_critical_points(q, BOX, 8)
         assert cps.n_clusters == 1
         expected = (-eps * a / 2.0, -eps * b / 2.0)
         assert math.hypot(*(cps.representatives[0] - expected)) <= 1e-5
 
-    def test_default_perturbation(self):
-        p = MultiPoly(2, {(2, 0): 4.0})
-        a, b, eps = default_perturbation(p)
-        assert math.hypot(a, b) == pytest.approx(1.0)
-        assert b / a == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0)
-        assert eps == pytest.approx(4e-6)
-        assert default_perturbation(MultiPoly(2, {}))[2] == pytest.approx(1e-6)
-
     @pytest.mark.parametrize("norm, eps", [(0.0, 1e-6), (0.25, 1e-6), (0.25, 1e-3), (1.0, 1e-4), (4.0, 1e-3)])
     def test_tilt_size_is_eps_times_norm_floored_at_one(self, norm, eps):
         p = MultiPoly(2, {(2, 0): norm})
         assert p.coefficient_norm() == norm
-        direction = default_perturbation(p)[:2]
-        assert default_perturbation(p, eps) == (*direction, eps * max(norm, 1.0))
+        report = domain_pigeonhole_report(p, two_ring_config(), newton_grid=4, eps=eps)
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        direction = [1.0 / math.hypot(1.0, golden), golden / math.hypot(1.0, golden)]
+        assert report.to_json_dict()["perturbation"] == {"direction": direction, "eps": eps * max(norm, 1.0)}
+        assert math.hypot(*direction) == 1.0
 
     def test_critical_points_stable_under_eps_halving(self):
         rng = np.random.default_rng(17)
         checked = 0
         for _ in range(10):
             p = random_poly(2, 3, rng)
-            a, b, eps0 = default_perturbation(p)
-            full = find_critical_points(perturb_linear(p, (a, b, eps0)), BOX, 16)
-            half = find_critical_points(perturb_linear(p, (a, b, eps0 / 2.0)), BOX, 16)
+            eps0 = 1e-6 * max(p.coefficient_norm(), 1.0)
+            full = find_critical_points(perturb_linear(p, eps0), BOX, 16)
+            half = find_critical_points(perturb_linear(p, eps0 / 2.0), BOX, 16)
             for rep in full.representatives:
                 gaps = [math.hypot(*(rep - other)) for other in half.representatives]
                 assert gaps and min(gaps) <= 1e-4
@@ -404,14 +379,14 @@ class TestBezout:
         for _ in range(40):
             d = int(rng.integers(2, 6))
             p = random_poly(2, d, rng)
-            q = perturb_linear(p)
+            q = perturb_linear(p, 1e-6)
             cps = find_critical_points(q, ((-1.2, -1.2), (1.2, 1.2)), 10)
             assert bezout_check(cps, d).verdict == "consistent"
 
 
 class TestPigeonhole:
     def test_two_ring_fixture(self):
-        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config())
+        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6)
         flagged = [e for e in report.domains if e["flagged"]]
         assert len(flagged) == 2
         for entry in flagged:
@@ -420,21 +395,21 @@ class TestPigeonhole:
         assert report.bezout.verdict == "consistent"
 
     def test_constant_poly(self):
-        report = domain_pigeonhole_report(MultiPoly.constant(2, 1.0), two_ring_config())
+        report = domain_pigeonhole_report(MultiPoly.constant(2, 1.0), two_ring_config(), newton_grid=48, eps=1e-6)
         assert all(not e["flagged"] for e in report.domains)
         assert report.critical_points.n_clusters == 0
 
     def test_linear_form(self):
         p = MultiPoly(2, {(1, 0): 0.3, (0, 1): 0.2})
-        report = domain_pigeonhole_report(p, two_ring_config())
+        report = domain_pigeonhole_report(p, two_ring_config(), newton_grid=48, eps=1e-6)
         assert report.critical_points.n_clusters == 0
         assert all(not e["flagged"] for e in report.domains)
 
     def test_flags_monotone_under_sample_doubling(self):
         p = two_ring_poly()
         config = two_ring_config()
-        coarse = domain_pigeonhole_report(p, config, samples=128, interior_grid=17)
-        fine = domain_pigeonhole_report(p, config, samples=256, interior_grid=33)
+        coarse = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=128, interior_grid=17)
+        fine = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=256, interior_grid=33)
         for a, b in zip(coarse.domains, fine.domains):
             assert a["oval_id"] == b["oval_id"]
             if a["flagged"]:
@@ -443,8 +418,8 @@ class TestPigeonhole:
     def test_interior_and_boundary_maxima_grow(self):
         p = two_ring_poly()
         config = two_ring_config()
-        coarse = domain_pigeonhole_report(p, config, samples=128, interior_grid=17)
-        fine = domain_pigeonhole_report(p, config, samples=256, interior_grid=33)
+        coarse = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=128, interior_grid=17)
+        fine = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=256, interior_grid=33)
         for a, b in zip(coarse.domains, fine.domains):
             assert b["boundary_max"] >= a["boundary_max"] - 1e-15
             if a["interior_max"] is not None:
@@ -453,14 +428,15 @@ class TestPigeonhole:
     def test_unconfined_maximum_is_a_violation(self):
         # the maximum of 1 - x^2 - y^2 sits at the origin, outside the only domain, and beats its boundary
         config = validate_configuration([regular_polygon((0.5, 0.0), 0.2, 48)])
-        report = domain_pigeonhole_report(MultiPoly(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}), config)
+        cap = MultiPoly(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
+        report = domain_pigeonhole_report(cap, config, newton_grid=48, eps=1e-6)
         assert report.assignments == [None]
         assert report.confinement_violations == [0]
         assert report.global_boundary_max == pytest.approx(0.91, abs=1e-6)
 
     def test_unconfined_minimum_is_not_a_violation(self):
         config = validate_configuration([regular_polygon((0.5, 0.0), 0.2, 48)])
-        report = domain_pigeonhole_report(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), config)
+        report = domain_pigeonhole_report(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), config, newton_grid=48, eps=1e-6)
         assert report.assignments == [None]
         assert report.confinement_violations == []
 
@@ -478,12 +454,12 @@ class TestPigeonhole:
 
         monkeypatch.setattr(prooftrace, "sample_boundary", counted_sample)
         monkeypatch.setattr(prooftrace, "eval_poly", counted_eval)
-        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config())
+        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6)
         assert calls["sample"] == 2
         # the boundary, one interior lattice per domain, and the unassigned critical points
         assert calls["eval"] == 1 + len(report.domains) + 1
 
     def test_report_json_shape(self):
-        data = domain_pigeonhole_report(two_ring_poly(), two_ring_config()).to_json_dict()
+        data = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6).to_json_dict()
         assert {"degree", "perturbation", "bezout", "critical_points", "domains"} <= set(data)
         assert all({"oval_id", "boundary_max", "interior_max", "flagged"} <= set(e) for e in data["domains"])

@@ -4,55 +4,15 @@ import numpy as np
 import pytest
 
 from rigidkit.errors import ValidationError
-from rigidkit.poly import MultiPoly, eval_poly, partial_derivative, random_poly
+from rigidkit.poly import MultiPoly, eval_poly, partial_derivative
 from rigidkit.rigidity import (
     FORMULAS,
-    divided_difference,
     rigidity_1d_bound,
     rigidity_from_remez,
     rigidity_report,
     rigidity_topological_composed,
     rigidity_topological_literal,
 )
-
-
-class TestDividedDifference:
-    def test_slope(self):
-        assert divided_difference([0.0, 1.0], [0.0, 2.0]) == pytest.approx(2.0)
-
-    def test_three_nodes(self):
-        assert divided_difference([0.0, 1.0, 2.0], [0.0, 0.0, 2.0]) == pytest.approx(1.0)
-
-    def test_monic_leading_coefficient(self):
-        rng = np.random.default_rng(23)
-        for d in range(1, 5):
-            for _ in range(10):
-                xs = np.sort(rng.uniform(-1.0, 1.0, size=d + 2))
-                while np.min(np.diff(xs)) < 1e-3:
-                    xs = np.sort(rng.uniform(-1.0, 1.0, size=d + 2))
-                lower = random_poly(1, d, rng)
-                fs = [x ** (d + 1) + lower([x]) for x in xs]
-                assert divided_difference(xs, fs) == pytest.approx(1.0, rel=1e-7)
-
-    def test_annihilates_low_degree(self):
-        rng = np.random.default_rng(29)
-        for k in range(1, 5):
-            p = random_poly(1, k, rng)
-            xs = np.sort(rng.uniform(-1.0, 1.0, size=k + 2))
-            while np.min(np.diff(xs)) < 1e-2:
-                xs = np.sort(rng.uniform(-1.0, 1.0, size=k + 2))
-            dd = divided_difference(xs, [p([x]) for x in xs])
-            assert abs(dd) <= 1e-9 * max(1.0, p.coefficient_norm())
-
-    def test_node_order_enforced(self):
-        with pytest.raises(ValidationError, match=r"duplicate node 0.0"):
-            divided_difference([0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
-        with pytest.raises(ValidationError, match=r"nodes must be strictly increasing"):
-            divided_difference([1.0, 0.0], [0.0, 0.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            divided_difference([], [])
 
 
 class TestRigidity1D:
