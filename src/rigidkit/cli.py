@@ -153,8 +153,9 @@ def _cmd_decompose(args) -> dict:
 
 
 def _boundary_samples(config, per_oval: int) -> np.ndarray:
-    # an empty configuration gives a (0, 2) array, which the estimator rejects as bad input
-    return np.concatenate([np.zeros((0, 2)), *(sample_boundary(o, per_oval) for o in config.ovals)], axis=0)
+    if not config.ovals:
+        raise ValidationError("configuration has no domains")
+    return np.concatenate([sample_boundary(o, per_oval) for o in config.ovals], axis=0)
 
 
 def _estimate_fields(est) -> dict:

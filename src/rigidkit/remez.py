@@ -9,22 +9,26 @@ certified lower estimate for a sampled Z: for each candidate point x0 it
 maximizes P(x0) over the polytope {|P| <= 1 on the samples}, whose rows
 ``vandermonde`` takes from ``poly.eval_polys`` at the unit monomials.
 
-The per-candidate LPs share one constraint polytope, so the optimal basis
-of each solved LP bounds every remaining candidate: with A_B the basis
-rows, P(x) = w . (A_B c) for the weights w = A_B^{-T} psi(x), and
-|A_B c| <= 1, so |P(x)| <= |w|_1. Candidates whose bound is no better than
-the best value so far are skipped, which returns exactly the max a full
-sweep would. The estimate is infinite only when a rank test finds the
-samples on the zero set of a degree-d polynomial, which is the witness.
+The per-candidate LPs share one constraint polytope, so every basis of it
+bounds every candidate: with A_B the basis rows, P(x) = w . (A_B c) for the
+weights w = A_B^{-T} psi(x), and |A_B c| <= 1 for every feasible c, so
+|P(x)| <= |w|_1. Each candidate keeps the least bound of the bases met so
+far, and candidates whose bound is no better than the best value so far are
+skipped, which returns exactly the max a full sweep would. The estimate is
+infinite only when a rank test finds the samples on the zero set of a
+degree-d polynomial, which is the witness.
 
-Each LP is solved in numpy by the simplex method of ``_simplex``. The first
-LP of a call starts from m well-spread sample rows and takes dual steps;
-every later one starts from the optimal basis of the nearest solved
-candidate, a vertex of the same polytope, and takes primal steps. Each
-optimum carries a dual certificate y = A_B^{-T} psi >= 0 summing to the
-value, which makes the value an upper bound for that LP as well; a failed
-check, a ratio test with no row to pivot on or a run past ``_PIVOT_CAP``
-pivots is a SolverError.
+Each LP is solved in numpy by the dual simplex method of ``_simplex``,
+starting from the basis that gives its candidate its bound; the first basis
+is m well-spread sample rows. Dual steps lower the bound |w|_1 of the
+current basis until it is the optimum, so an LP stops as soon as that bound
+is no better than the best value, and the basis it stops at bounds every
+candidate like any other. Each optimum carries a dual certificate
+y = A_B^{-T} psi >= 0 summing to the value, which makes the value an upper
+bound for that LP as well; the witness drops the coefficients inside the
+rounding term m eps |c|_1 that the certificate allows. A failed check, a
+ratio test with no row to pivot on or a run past ``_PIVOT_CAP`` pivots is a
+SolverError.
 """
 
 from __future__ import annotations
@@ -146,66 +150,62 @@ def _spread_rows(phi: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarray):
-    """Maximize psi.c over |Phi c| <= 1 from the basis matrix A_B = signs * Phi[rows].
+def _inverse(phi: np.ndarray, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """A_B^{-1} for the basis matrix A_B = signs * Phi[rows]; a singular A_B is a SolverError."""
+    try:
+        return np.linalg.inv(signs[:, None] * phi[rows])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"LP basis matrix is singular: {exc}") from exc
 
-    While the vertex c = A_B^{-1} 1 is feasible, primal steps move it along an
-    edge: the row with the most negative dual weight y = A_B^{-T} psi per edge
-    length leaves (steepest edge). While y >= 0, dual steps restore
-    feasibility: the most violated row enters. When neither holds, as for a
-    cold start, the rows with y < 0 change sign, which makes y >= 0. Bland's
+
+def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarray, cutoff: float):
+    """Maximize psi.c over |Phi c| <= 1 by dual steps from the basis matrix A_B = signs * Phi[rows].
+
+    Every basis bounds the value by |y|_1 for its weights y = A_B^{-T} psi
+    (module docstring), and the run stops as soon as that bound is at most
+    ``cutoff``. Otherwise the rows with y < 0 change sign, which makes y >= 0
+    and the bound sum(y), and dual steps lower it while keeping y >= 0: the
+    row of Phi that the vertex c = A_B^{-1} 1 violates most enters. Bland's
     rule takes over once ``_STALL`` steps in a row were degenerate, until a
     step moves again. A_B^{-1} gets rank-1 updates and is re-inverted every
-    ``_REFACTOR`` pivots and at the end. Returns the optimal (rows, signs, c,
-    pivots, binv), certified by max |Phi c| <= 1 + 1e-9 + m eps |c|_1 and by
-    y >= 0 to 1e-9 relative with sum(y) = psi.c; binv is A_B^{-1}, freshly
-    inverted. Sign changes count as pivots. No edge is unbounded: the row
-    that leaves a feasible basis bounds its own edge from the opposite face.
+    ``_REFACTOR`` pivots and before either end test passes. Returns (rows,
+    signs, c, pivots, binv) with binv = A_B^{-1}, freshly inverted. An
+    optimum is certified by max |Phi c| <= 1 + 1e-9 + m eps |c|_1 and by
+    y >= 0 to 1e-9 relative with sum(y) = psi.c; a stopped run returns
+    c = None. Sign changes count as pivots.
     """
-    rows, signs, index = rows.copy(), signs.copy(), np.arange(len(phi))
+    rows, signs = rows.copy(), signs.copy()
     since, bland, pivots, stall = _REFACTOR, False, 0, 0
     while True:
         if since >= _REFACTOR:
-            try:
-                binv = np.linalg.inv(signs[:, None] * phi[rows])
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"LP basis matrix is singular: {exc}") from exc
-            since = 0
+            binv, since = _inverse(phi, rows, signs), 0
         c, y = binv.sum(axis=1), psi @ binv
         v = phi @ c
         size = np.abs(v)
         # 1e-9 past the rounding error of each Phi_j . c, at most m eps |c|_1 since |Phi_jk| <= 1
         bound = 1.0 + 1e-9 + len(c) * np.finfo(float).eps * np.abs(c).sum()
         neg = y < -1e-9 * max(1.0, np.abs(y).max())
-        primal_ok = size.max() <= bound
-        if primal_ok and not neg.any():
-            if since:  # re-invert, then price again
+        optimal = size.max() <= bound and not neg.any()
+        if optimal or np.abs(y).sum() <= cutoff:
+            if since:  # re-invert, then test again
                 since = _REFACTOR
                 continue
+            if not optimal:
+                return rows, signs, None, pivots, binv
             if abs(y.sum() - psi @ c) > 1e-9 * max(1.0, abs(psi @ c)):
                 raise SolverError(f"LP certificate failed: dual sum {y.sum():.17g} against value {psi @ c:.17g}")
             return rows, signs, c, pivots, binv
         if pivots == _PIVOT_CAP:
             raise SolverError(f"LP solver reached no optimal basis within {_PIVOT_CAP} pivots")
         pivots += 1
-        if primal_ok:
-            if bland:
-                r = int(np.flatnonzero(neg)[np.argmin(rows[neg])])
-            else:  # the edge of row r is column r of the inverse
-                r = int(np.argmin(np.where(neg, y / np.sqrt(np.sum(binv**2, axis=0)), np.inf)))
-            s = -(phi @ binv[:, r])
-            s[rows[rows != rows[r]]] = 0.0
-            q, degenerate = _ratio(np.maximum(1.0 - np.sign(s) * v, 0.0), np.abs(s), index, bland)
-            sign = 1.0 if s[q] > 0.0 else -1.0
-        elif not neg.any():
-            q = int(np.flatnonzero(size > bound)[0] if bland else np.argmax(size))
-            sign = 1.0 if v[q] > 0.0 else -1.0
-            r, degenerate = _ratio(np.maximum(y, 0.0), sign * phi[q] @ binv, rows, bland)
-        else:
+        if neg.any():  # negating rows negates the matching columns of the inverse
             signs[neg] *= -1.0
-            since = _REFACTOR
+            binv[:, neg] *= -1.0
             continue
+        q = int(np.flatnonzero(size > bound)[0] if bland else np.argmax(size))
+        sign = 1.0 if v[q] > 0.0 else -1.0
         w = sign * phi[q] @ binv
+        r, degenerate = _ratio(np.maximum(y, 0.0), w, rows, bland)
         col = binv[:, r] / w[r]
         binv -= np.outer(col, w)
         binv[:, r] = col
@@ -239,6 +239,7 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
         "n_candidates": len(cand),
         "sigma_min": float(sigma.min()) if len(sigma) == m else 0.0,
         "lp_solved": 0,
+        "lp_stopped": 0,
         "lp_iterations": 0,
         "pruned": 0,
     }
@@ -249,49 +250,42 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
         return RemezEstimate(d, math.inf, MultiPoly.from_rows(n, monomials(n, d), vt[-1]), None, diagnostics)
 
     psi = vandermonde(cand, n, d)  # candidate basis rows
-    basis_rows = np.zeros((len(cand), m), dtype=np.int64)
-    basis_signs = np.ones((len(cand), m))
-
-    ub = np.full(len(cand), np.inf)
-    solved = np.zeros(len(cand), dtype=bool)
+    # every basis met so far, and each candidate's least bound with the basis that gives it
+    bases = [(_spread_rows(phi), np.ones(m))]
+    ub = np.abs(psi @ _inverse(phi, *bases[0])).sum(axis=1)
+    source = np.zeros(len(cand), dtype=np.int64)
+    started = np.zeros(len(cand), dtype=bool)
     best_value = -np.inf
     best_coeffs: np.ndarray | None = None
     best_point: np.ndarray | None = None
 
-    # farthest candidate from the sample centroid tends to maximize growth
-    centroid = zpts.mean(axis=0)
-    first = int(np.argmax(np.sum((cand - centroid) ** 2, axis=1)))
-
     while True:
-        open_mask = ~solved & (ub > best_value)
+        open_mask = ~started & (ub > best_value)
         if not np.any(open_mask):
             break
-        if best_coeffs is None:
-            pick = first
-            start = _spread_rows(phi), np.ones(m)
-        else:
-            masked = np.where(open_mask, ub, -np.inf)
-            pick = int(np.argmax(masked))
-            done = np.flatnonzero(solved)
-            near = done[np.argmin(np.sum((cand[done] - cand[pick]) ** 2, axis=1))]
-            start = basis_rows[near], basis_signs[near]
-        solved[pick] = True
+        pick = int(np.argmax(np.where(open_mask, ub, -np.inf)))
+        started[pick] = True
 
-        basis_rows[pick], basis_signs[pick], coeffs, pivots, binv = _simplex(phi, psi[pick], *start)
+        rows, signs, coeffs, pivots, binv = _simplex(phi, psi[pick], *bases[source[pick]], best_value)
         diagnostics["lp_solved"] += 1
         diagnostics["lp_iterations"] += pivots
-
-        value = float(psi[pick] @ coeffs)
-        if value > best_value:
-            best_value = value
+        if coeffs is None:
+            diagnostics["lp_stopped"] += 1
+        elif psi[pick] @ coeffs > best_value:
+            best_value = float(psi[pick] @ coeffs)
             best_coeffs = coeffs
             best_point = cand[pick].copy()
 
         # the basis weights bound P at every candidate (module docstring)
-        ub = np.minimum(ub, np.abs(psi @ binv).sum(axis=1))
+        bases.append((rows, signs))
+        weights = np.abs(psi @ binv).sum(axis=1)
+        tighter = weights < ub
+        ub[tighter], source[tighter] = weights[tighter], len(bases) - 1
 
-    diagnostics["pruned"] = int(np.sum(~solved))
-    witness_poly = MultiPoly.from_rows(n, monomials(n, d), best_coeffs)
+    diagnostics["pruned"] = len(cand) - diagnostics["lp_solved"]
+    # drop coefficients inside the rounding term m eps |c|_1 that the certificate allows
+    tiny = np.abs(best_coeffs) <= m * np.finfo(float).eps * np.abs(best_coeffs).sum()
+    witness_poly = MultiPoly.from_rows(n, monomials(n, d), np.where(tiny, 0.0, best_coeffs))
     return RemezEstimate(d, max(1.0, best_value), witness_poly, best_point, diagnostics)
 
 

@@ -460,7 +460,7 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: zsamples must be a nonempty 2D point array\n"
+        assert captured.err == "error: configuration has no domains\n"
 
     def test_empty_configuration_svg_exit2(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

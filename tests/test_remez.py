@@ -148,11 +148,22 @@ class TestEstimatorProperties:
         # steps reach max -c1 = 1 at P = -t
         phi = vandermonde(np.array([[-1.0], [0.0], [1.0]]), 1, 1)
         psi = np.array([0.0, -1.0])
-        rows, signs, c, pivots, binv = remez._simplex(phi, psi, np.array([0, 1]), np.array([1.0, -1.0]))
+        rows, signs, c, pivots, binv = remez._simplex(phi, psi, np.array([0, 1]), np.array([1.0, -1.0]), -np.inf)
         assert psi @ c == pytest.approx(1.0, abs=1e-12)
         assert np.abs(phi @ c).max() <= 1.0 + 1e-12
         assert pivots >= 1
         assert binv @ (signs[:, None] * phi[rows]) == pytest.approx(np.eye(2), abs=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [2.0, 3.0])
+    def test_start_basis_under_cutoff_stops_at_once(self, cutoff):
+        # the same start basis has weights y = (1, 1): its bound 2 is at or
+        # below the cutoff, so the run stops before any step, with no vertex
+        phi = vandermonde(np.array([[-1.0], [0.0], [1.0]]), 1, 1)
+        start = np.array([0, 1]), np.array([1.0, -1.0])
+        rows, signs, c, pivots, binv = remez._simplex(phi, np.array([0.0, -1.0]), *start, cutoff)
+        assert c is None and pivots == 0
+        assert np.array_equal(rows, start[0]) and np.array_equal(signs, start[1])
+        assert binv == pytest.approx(np.linalg.inv(start[1][:, None] * phi[start[0]]), abs=1e-15)
 
     def test_ratio_test_without_a_pivot_row_raises(self):
         with pytest.raises(SolverError, match=r"^LP ratio test found no row to pivot on$"):
@@ -172,13 +183,13 @@ class TestEstimatorProperties:
 
 
 def _recorded_lps(zsamples, d, candidates):
-    """The estimate and every LP it solved, as (phi, psi, rows, signs, c, pivots, binv)."""
+    """The estimate and every LP it started, as (phi, psi, cutoff, rows, signs, c, pivots, binv); c is None if stopped."""
     lps = []
     solve = remez._simplex
 
-    def record(phi, psi, rows, signs):
-        out = solve(phi, psi, rows, signs)
-        lps.append((phi, psi, *out))
+    def record(phi, psi, rows, signs, cutoff):
+        out = solve(phi, psi, rows, signs, cutoff)
+        lps.append((phi, psi, cutoff, *out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -205,11 +216,16 @@ def ladder10_lps():
 
 
 def _assert_matches_highs(lps):
+    """Optimal LPs match HiGHS; a stopped LP's optimum and its basis weights are at most its cutoff."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    for phi, psi, _, _, c, *_ in lps:
+    for phi, psi, cutoff, rows, signs, c, *_ in lps:
         res = linprog(-psi, A_ub=np.vstack([phi, -phi]), b_ub=np.ones(2 * len(phi)), bounds=(None, None), method="highs")
         assert res.status == 0
-        assert psi @ c == pytest.approx(-res.fun, rel=1e-9, abs=0.0)
+        if c is None:
+            assert -res.fun <= cutoff * (1.0 + 1e-9)
+            assert np.abs(np.linalg.solve((signs[:, None] * phi[rows]).T, psi)).sum() <= cutoff
+        else:
+            assert psi @ c == pytest.approx(-res.fun, rel=1e-9, abs=0.0)
 
 
 class TestSimplexAgainstHighs:
@@ -223,7 +239,8 @@ class TestSimplexAgainstHighs:
 
     def test_ten_ring_ladder(self, ladder10_lps):
         est, lps = ladder10_lps
-        assert len(lps) == est.diagnostics["lp_solved"] > 100
+        assert len(lps) == est.diagnostics["lp_solved"] > 50
+        assert est.diagnostics["lp_stopped"] > 0
         _assert_matches_highs(lps)
 
 
@@ -231,14 +248,30 @@ class TestSimplexCertificate:
     def test_symmetric_ladder_certified_under_cap(self, ladder10_lps):
         # concentric regular 48-gons make many vertices degenerate
         est, lps = ladder10_lps
-        for phi, psi, rows, signs, c, pivots, _ in lps:
-            assert pivots < remez._PIVOT_CAP
+        optima = [lp for lp in lps if lp[5] is not None]
+        assert all(lp[6] < remez._PIVOT_CAP for lp in lps)
+        for phi, psi, _, rows, signs, c, *_ in optima:
             y = np.linalg.solve((signs[:, None] * phi[rows]).T, psi)
             assert np.abs(phi @ c).max() <= 1.0 + 1e-9
             assert y.min() >= -1e-9 * np.abs(y).max()
             assert y.sum() == pytest.approx(psi @ c, rel=1e-9)
-        assert est.value == max(psi @ c for _, psi, _, _, c, *_ in lps)
-        assert est.diagnostics["lp_iterations"] == sum(lp[5] for lp in lps)
+        assert est.value == max(psi @ c for _, psi, _, _, _, c, *_ in optima)
+        assert est.diagnostics["lp_stopped"] == len(lps) - len(optima)
+        assert est.diagnostics["lp_iterations"] == sum(lp[6] for lp in lps)
+
+    def test_no_cutoff_always_reaches_a_certified_optimum(self):
+        # from every basis the estimate returned, stopped ones too, each candidate runs to an optimum
+        zsamples, d, candidates = _scattered_inputs()
+        _, lps = _recorded_lps(zsamples, d, candidates)
+        phi, psi = vandermonde(zsamples, 2, d), vandermonde(candidates, 2, d)
+        for _, _, _, rows, signs, *_ in lps:
+            for p in psi[::6]:
+                _, _, c, _, binv = remez._simplex(phi, p, rows, signs, -np.inf)
+                assert c is not None
+                y = p @ binv
+                assert np.abs(phi @ c).max() <= 1.0 + 1e-9
+                assert y.min() >= -1e-9 * np.abs(y).max()
+                assert y.sum() == pytest.approx(p @ c, rel=1e-9)
 
     @pytest.mark.parametrize("count, d", [(8192, 6), (2048, 10)])
     def test_dense_halfline_meets_chebyshev(self, count, d):
@@ -259,7 +292,7 @@ def _scattered_inputs():
 
 
 class TestPruningMatchesFullSweep:
-    """The basis-weight pruning returns exactly the max of solving every candidate."""
+    """The basis-weight pruning and the stop rule return exactly the max of solving every candidate."""
 
     @pytest.mark.parametrize(
         "inputs",
@@ -280,13 +313,16 @@ class TestPruningMatchesFullSweep:
         est, lps = _recorded_lps(zsamples, d, candidates)
         phi, psi = vandermonde(zsamples, 2, d), vandermonde(candidates, 2, d)
         start = remez._spread_rows(phi), np.ones(phi.shape[1])
-        values = np.array([p @ remez._simplex(phi, p, *start)[2] for p in psi])
-        solved = {lp[1].tobytes() for lp in lps}
-        pruned = np.array([p.tobytes() not in solved for p in psi])
-        assert pruned.sum() == est.diagnostics["pruned"] > 0
+        values = np.array([p @ remez._simplex(phi, p, *start, -np.inf)[2] for p in psi])
+        optimal = {lp[1].tobytes() for lp in lps if lp[5] is not None}
+        unsolved = np.array([p.tobytes() not in optimal for p in psi])
+        diag = est.diagnostics
+        assert diag["lp_solved"] + diag["pruned"] == diag["n_candidates"] == len(psi)
+        assert diag["lp_solved"] == len(lps) and diag["pruned"] > 0
+        assert unsolved.sum() == diag["pruned"] + diag["lp_stopped"]
         assert est.value == pytest.approx(values.max(), rel=1e-9, abs=0.0)
-        assert values[pruned].max() <= est.value * (1.0 + 1e-9)
-        # every optimal basis bounds P at every candidate by its weights
+        assert values[unsolved].max() <= est.value * (1.0 + 1e-9)
+        # every basis a run returns, optimal or stopped, bounds P at every candidate by its weights
         for *_, binv in lps:
             assert np.all(np.abs(psi @ binv).sum(axis=1) >= values * (1.0 - 1e-9))
 
