@@ -37,7 +37,6 @@ __all__ = [
     "sample_boundary",
     "lattice",
     "bounding_box",
-    "regular_polygon",
     "config_from_json_dict",
 ]
 
@@ -92,9 +91,6 @@ class NestingForest:
 
     config: OvalConfiguration
     nodes: dict[int, ForestNode]
-
-    def roots(self) -> list[int]:
-        return [nid for nid, node in self.nodes.items() if node.parent is None]
 
 
 @dataclass(frozen=True)
@@ -375,14 +371,6 @@ def bounding_box(ovals) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("no ovals to bound")
     verts = np.concatenate([o.vertices for o in ovals], axis=0)
     return verts.min(axis=0), verts.max(axis=0)
-
-
-def regular_polygon(center, radius: float, k: int, oval_id: int = 0) -> Oval:
-    """Regular k-gon approximating the circle of the given center and radius."""
-    theta = 2.0 * np.pi * np.arange(k) / k
-    cx, cy = center
-    verts = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
-    return Oval(id=oval_id, vertices=verts)
 
 
 def config_from_json_dict(data: dict) -> OvalConfiguration:

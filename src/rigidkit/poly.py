@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -101,12 +100,6 @@ class MultiPoly:
     def constant(cls, nvars: int, value: float) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: value})
 
-    @classmethod
-    def variable(cls, nvars: int, axis: int) -> "MultiPoly":
-        exp = [0] * nvars
-        exp[axis] = 1
-        return cls(nvars, {tuple(exp): 1.0})
-
     @property
     def degree(self) -> int:
         """Max total degree over stored terms; 0 for the zero polynomial."""
@@ -115,29 +108,14 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not len(self.coefs)
 
-    def __call__(self, x):
-        return eval_poly(self, x)
-
-    def _plus(self, other, sign: float) -> "MultiPoly":
+    def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         exps = np.concatenate([self.exps, other.exps])
-        return MultiPoly.from_rows(self.nvars, exps, np.concatenate([self.coefs, sign * other.coefs]))
-
-    def __add__(self, other) -> "MultiPoly":
-        return self._plus(other, 1.0)
+        return MultiPoly.from_rows(self.nvars, exps, np.concatenate([self.coefs, other.coefs]))
 
     __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly.from_rows(self.nvars, self.exps, -self.coefs)
-
-    def __sub__(self, other) -> "MultiPoly":
-        return self._plus(other, -1.0)
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return (-self)._plus(other, 1.0)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, numbers.Real):
@@ -151,19 +129,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k) -> "MultiPoly":
-        n = operator.index(k) if hasattr(k, "__index__") else -1
-        if n < 0:
-            raise ValidationError(f"polynomial power must be a nonnegative int, got {k}")
-        out = MultiPoly.constant(self.nvars, 1.0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def _coerce(self, other):
         """``other`` as a polynomial in the same variables, or NotImplemented."""
         if isinstance(other, MultiPoly):
@@ -173,20 +138,6 @@ class MultiPoly:
         if isinstance(other, numbers.Real):
             return MultiPoly.constant(self.nvars, float(other))
         return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.nvars == other.nvars
-            and np.array_equal(self.exps, other.exps)
-            and np.array_equal(self.coefs, other.coefs)
-        )
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return f"MultiPoly({self.nvars}, 0)"
-        parts = [f"{c:g}*x^{e}" for e, c in zip(self.exps.tolist(), self.coefs.tolist())]
-        return f"MultiPoly({self.nvars}, {' + '.join(parts)})"
 
     def coefficient_norm(self) -> float:
         """Max absolute coefficient; 0 for the zero polynomial."""
@@ -337,8 +288,3 @@ def monomials(n: int, d: int) -> list[tuple[int, ...]]:
     for total in range(d + 1):
         out.extend(multi_indices(n, total))
     return out
-
-
-def random_poly(n: int, d: int, rng: np.random.Generator, scale: float = 1.0) -> MultiPoly:
-    """Dense random polynomial with iid uniform coefficients in [-scale, scale]."""
-    return MultiPoly(n, {exp: float(rng.uniform(-scale, scale)) for exp in monomials(n, d)})

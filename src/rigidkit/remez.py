@@ -53,7 +53,6 @@ __all__ = [
 
 _PIVOT_CAP = 5000  # simplex pivots one LP may take before the solve counts as failed
 _REFACTOR = 50  # pivots between full re-inversions of the basis matrix
-_STALL = 10  # degenerate pivots in a row after which Bland's rule prices until a step moves
 
 
 @dataclass
@@ -122,12 +121,12 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
-def _ratio(num: np.ndarray, den: np.ndarray, keys: np.ndarray, bland: bool):
-    """Index k minimizing num/den over den > 1e-9 max|den|, and whether the step is degenerate.
+def _ratio(num: np.ndarray, den: np.ndarray, lex: np.ndarray) -> int:
+    """Index k minimizing num/den over den > 1e-9 max|den|, ties broken lexicographically.
 
-    Of the indices within 1e-12 of the minimum the pivot is the one with the
-    largest den, or under Bland's rule the lowest key; the step is degenerate
-    when num_k is 0 to that tolerance. Raises SolverError if no den qualifies.
+    Of the indices within 1e-12 of the minimum the pivot is the one whose
+    column lex[:, k] / den[k] is lexicographically least. Raises SolverError
+    if no den qualifies.
     """
     live = den > 1e-9 * np.abs(den).max()
     if not live.any():
@@ -136,8 +135,8 @@ def _ratio(num: np.ndarray, den: np.ndarray, keys: np.ndarray, bland: bool):
     t[live] = num[live] / den[live]
     tol = 1e-12 * max(1.0, num[live].max())
     ties = np.flatnonzero(live & (num - t.min() * den <= tol))
-    k = int(ties[np.argmin(keys[ties])] if bland else ties[np.argmax(den[ties])])
-    return k, num[k] <= tol
+    keys = lex[:, ties] / den[ties]
+    return int(ties[np.lexsort(keys[::-1])[0]])
 
 
 def _spread_rows(phi: np.ndarray) -> np.ndarray:
@@ -165,17 +164,25 @@ def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarr
     (module docstring), and the run stops as soon as that bound is at most
     ``cutoff``. Otherwise the rows with y < 0 change sign, which makes y >= 0
     and the bound sum(y), and dual steps lower it while keeping y >= 0: the
-    row of Phi that the vertex c = A_B^{-1} 1 violates most enters. Bland's
-    rule takes over once ``_STALL`` steps in a row were degenerate, until a
-    step moves again. A_B^{-1} gets rank-1 updates and is re-inverted every
-    ``_REFACTOR`` pivots and before either end test passes. Returns (rows,
-    signs, c, pivots, binv) with binv = A_B^{-1}, freshly inverted. An
-    optimum is certified by max |Phi c| <= 1 + 1e-9 + m eps |c|_1 and by
-    y >= 0 to 1e-9 relative with sum(y) = psi.c; a stopped run returns
-    c = None. Sign changes count as pivots.
+    row of Phi that the vertex c = A_B^{-1} 1 violates most enters, and the
+    ratio test picks the row that leaves. Its ties are broken
+    lexicographically (Dantzig, Orden & Wolfe 1955) with A0, the basis
+    matrix at the first dual step, which comes after the sign changes: the
+    leaving row r has the least (y_r, (A0 A_B^{-1})[:, r]) / w_r. That is
+    the dual simplex on psi + sum_k eps^k A0[k] for an infinitesimal
+    eps > 0, whose weights y(eps) = y + sum_k eps^k (A0 A_B^{-1})[k] start
+    lexicographically positive (there A0 A_B^{-1} = I and y >= 0) and stay
+    so. Each step lowers the bound sum(y(eps)) by a lexicographically
+    positive amount, so no basis repeats and the run ends; ``_PIVOT_CAP`` is
+    only a backstop against round-off. A_B^{-1} gets rank-1 updates and is
+    re-inverted every ``_REFACTOR`` pivots and before either end test
+    passes. Returns (rows, signs, c, pivots, binv) with binv = A_B^{-1},
+    freshly inverted. An optimum is certified by max |Phi c| <= 1 + 1e-9 +
+    m eps |c|_1 and by y >= 0 to 1e-9 relative with sum(y) = psi.c; a
+    stopped run returns c = None. Sign changes count as pivots.
     """
     rows, signs = rows.copy(), signs.copy()
-    since, bland, pivots, stall = _REFACTOR, False, 0, 0
+    since, pivots, a0 = _REFACTOR, 0, None
     while True:
         if since >= _REFACTOR:
             binv, since = _inverse(phi, rows, signs), 0
@@ -202,16 +209,16 @@ def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarr
             signs[neg] *= -1.0
             binv[:, neg] *= -1.0
             continue
-        q = int(np.flatnonzero(size > bound)[0] if bland else np.argmax(size))
+        if a0 is None:
+            a0 = signs[:, None] * phi[rows]
+        q = int(np.argmax(size))
         sign = 1.0 if v[q] > 0.0 else -1.0
         w = sign * phi[q] @ binv
-        r, degenerate = _ratio(np.maximum(y, 0.0), w, rows, bland)
+        r = _ratio(np.maximum(y, 0.0), w, a0 @ binv)
         col = binv[:, r] / w[r]
         binv -= np.outer(col, w)
         binv[:, r] = col
         rows[r], signs[r] = q, sign
-        stall = stall + 1 if degenerate else 0
-        bland = stall >= _STALL
         since += 1
 
 

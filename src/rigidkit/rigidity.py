@@ -122,12 +122,6 @@ class RigidityReport:
     d: int
     bounds: list[BoundEntry] = field(default_factory=list)
 
-    def entry(self, formula: str) -> BoundEntry:
-        for e in self.bounds:
-            if e.formula == formula:
-                return e
-        raise KeyError(formula)
-
     def to_json_dict(self) -> dict:
         return {"degree": self.d, "bounds": [e.to_json_dict() for e in self.bounds]}
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rigidkit.geometry import Oval, regular_polygon, validate_configuration
-from rigidkit.poly import MultiPoly
+from rigidkit.geometry import Oval, validate_configuration
+from rigidkit.poly import MultiPoly, monomials
 
 CIRCLE_SIDES = 48
 
@@ -48,6 +48,14 @@ def ball_annulus():
 def side1_annulus():
     """Concentric squares of side 1 and 0.5: domain areas 0.75 and 0.25."""
     return validate_configuration([square(1.0, 1), square(0.5, 2)])
+
+
+def regular_polygon(center, radius: float, k: int, oval_id: int = 0) -> Oval:
+    """Regular k-gon approximating the circle of the given center and radius."""
+    theta = 2.0 * np.pi * np.arange(k) / k
+    cx, cy = center
+    verts = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
+    return Oval(id=oval_id, vertices=verts)
 
 
 def _fits_inside(center, radius, parent_center, parent_radius) -> bool:
@@ -169,6 +177,21 @@ def vanishing_ring_poly(radii) -> MultiPoly:
     for r in radii:
         prod = prod * MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -(r * r)})
     return prod
+
+
+def random_poly(n: int, d: int, rng: np.random.Generator, scale: float = 1.0) -> MultiPoly:
+    """Dense random polynomial with iid uniform coefficients in [-scale, scale]."""
+    return MultiPoly(n, {exp: float(rng.uniform(-scale, scale)) for exp in monomials(n, d)})
+
+
+def same_poly(p: MultiPoly, q: MultiPoly) -> bool:
+    """Whether p and q have the same variable count, exponent rows and coefficients."""
+    return p.nvars == q.nvars and np.array_equal(p.exps, q.exps) and np.array_equal(p.coefs, q.coefs)
+
+
+def forest_roots(forest) -> list[int]:
+    """Ids of the ovals that no other oval contains."""
+    return [nid for nid, node in forest.nodes.items() if node.parent is None]
 
 
 def write_config_json(config, path) -> str:

@@ -15,8 +15,10 @@ import numpy as np
 import conftest
 from conftest import (
     concentric_ring_config,
+    forest_roots,
     random_circle_config,
     random_circle_config_exact,
+    random_poly,
     square,
     vanishing_ring_poly,
     write_config_json,
@@ -30,7 +32,7 @@ from rigidkit.fractal import (
     rigidity_threshold_check,
 )
 from rigidkit.geometry import build_domains, build_nesting_forest, mu, sample_boundary, shoelace_area
-from rigidkit.poly import MultiPoly, compose, eval_poly, random_poly
+from rigidkit.poly import MultiPoly, compose, eval_poly
 from rigidkit.prooftrace import domain_pigeonhole_report, find_critical_points, perturb_linear
 from rigidkit.remez import remez_estimate_lp
 from rigidkit.rigidity import rigidity_1d_bound
@@ -99,7 +101,7 @@ def test_criterion_2_decomposition_counts_and_areas():
                 continue
             total = sum(d.area for d in domains)
             root_total = sum(
-                shoelace_area(config.oval_by_id(rid).vertices) for rid in forest.roots()
+                shoelace_area(config.oval_by_id(rid).vertices) for rid in forest_roots(forest)
             )
             if abs(total - root_total) > 1e-9 * max(1.0, abs(root_total)):
                 bad.append((trial, "area"))

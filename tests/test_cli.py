@@ -10,10 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CIRCLE_SIDES, square, write_config_json
+from conftest import CIRCLE_SIDES, regular_polygon, square, write_config_json
 from rigidkit import __version__, remez
 from rigidkit.cli import _candidate_grid, main
-from rigidkit.geometry import regular_polygon
 
 
 def run_cli(argv, capsys):

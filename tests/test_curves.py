@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_poly, regular_polygon
 from rigidkit import curves, geometry
 from rigidkit.curves import (
     ParamCurve,
@@ -13,8 +14,8 @@ from rigidkit.curves import (
     fit_curve,
 )
 from rigidkit.errors import ValidationError
-from rigidkit.geometry import regular_polygon, validate_configuration
-from rigidkit.poly import MultiPoly, random_poly
+from rigidkit.geometry import validate_configuration
+from rigidkit.poly import MultiPoly
 
 
 def chebyshev_params(k: int) -> np.ndarray:

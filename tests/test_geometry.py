@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_circle_config, square, write_config_json
+from conftest import forest_roots, random_circle_config, regular_polygon, square, write_config_json
 from rigidkit import geometry
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import (
@@ -18,7 +18,6 @@ from rigidkit.geometry import (
     mu,
     points_in_domain,
     points_in_polygon,
-    regular_polygon,
     sample_boundary,
     shoelace_area,
     validate_configuration,
@@ -187,7 +186,7 @@ class TestContains:
         b = square(0.5, 2, center=(0.4, 0.0))
         forest = build_nesting_forest(validate_configuration([a, b]))
         assert [forest.nodes[i].depth for i in (1, 2)] == [1, 1]
-        assert sorted(forest.roots()) == [1, 2]
+        assert sorted(forest_roots(forest)) == [1, 2]
 
     def test_strict_partial_order(self):
         # the containing ovals of each oval, by the pure-Python ray cast, are
@@ -216,7 +215,7 @@ class TestForest:
             regular_polygon((0.0, 0.6), 0.2, 16, 3),
         ]
         forest = build_nesting_forest(validate_configuration(ovals))
-        assert sorted(forest.roots()) == [1, 2, 3]
+        assert sorted(forest_roots(forest)) == [1, 2, 3]
         assert all(node.depth == 1 for node in forest.nodes.values())
 
     def test_chain_depths(self):
@@ -321,7 +320,7 @@ class TestDomains:
             forest = build_nesting_forest(config)
             domains = build_domains(forest)
             assert len(domains) == config.N
-            roots = [config.oval_by_id(i) for i in forest.roots()]
+            roots = [config.oval_by_id(i) for i in forest_roots(forest)]
             total_roots = sum(shoelace_area(o.vertices) for o in roots)
             total_domains = sum(d.area for d in domains)
             assert total_domains == pytest.approx(total_roots, rel=1e-9)

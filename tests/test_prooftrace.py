@@ -4,11 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import concentric_ring_config, vanishing_ring_poly
+from conftest import concentric_ring_config, random_poly, regular_polygon, vanishing_ring_poly
 from rigidkit import prooftrace
 from rigidkit.errors import ValidationError
-from rigidkit.geometry import regular_polygon, validate_configuration
-from rigidkit.poly import MultiPoly, eval_polys, partial_derivative, random_poly
+from rigidkit.geometry import validate_configuration
+from rigidkit.poly import MultiPoly, eval_polys, partial_derivative
 from rigidkit.prooftrace import (
     bezout_check,
     domain_pigeonhole_report,

@@ -77,7 +77,7 @@ class TestEstimatorTwoPoint:
         w = est.witness_poly
         assert w is not None
         assert abs(eval_poly(w, est.witness_point)) == pytest.approx(3.0, abs=1e-6)
-        assert max(abs(w([-1.0])), abs(w([0.0]))) <= 1.0 + 1e-9
+        assert max(abs(eval_poly(w, [-1.0])), abs(eval_poly(w, [0.0]))) <= 1.0 + 1e-9
 
     def test_chebyshev_growth_degree2(self):
         zs = np.linspace(-1.0, 0.0, 512).reshape(-1, 1)
@@ -117,7 +117,7 @@ class TestEstimatorProperties:
         assert est.is_infinite
         w = est.witness_poly
         assert w is not None and not w.is_zero()
-        onz = max(abs(w(z)) for z in zs)
+        onz = max(abs(eval_poly(w, z)) for z in zs)
         assert onz <= 1e-9 * w.coefficient_norm()
         assert inverse_remez(est) == 0.0
 
@@ -167,7 +167,17 @@ class TestEstimatorProperties:
 
     def test_ratio_test_without_a_pivot_row_raises(self):
         with pytest.raises(SolverError, match=r"^LP ratio test found no row to pivot on$"):
-            remez._ratio(np.ones(3), np.array([0.0, -1.0, 0.0]), np.arange(3), False)
+            remez._ratio(np.ones(3), np.array([0.0, -1.0, 0.0]), np.eye(3))
+
+    def test_ratio_test_breaks_ties_lexicographically(self):
+        # rows 0-2 tie at ratio 0, with keys lex[:, r] / den[r] of (1, 0, 0),
+        # (1, -1, 0) and (1, 1, -2): row 1 is the least, not row 2 of the
+        # largest den nor row 0 of the lowest index; row 3's key is less
+        # still, but its ratio is 1
+        num = np.array([0.0, 0.0, 0.0, 1.0])
+        den = np.array([1.0, 2.0, 4.0, 1.0])
+        lex = np.array([[1.0, 2.0, 4.0, 0.0], [0.0, -2.0, 4.0, -5.0], [0.0, 0.0, -8.0, 0.0]])
+        assert remez._ratio(num, den, lex) == 1
 
     def test_dense_collinear_samples_infinite_with_witness(self):
         # 8192 samples of the line y = x at degree 4 (m = 15): the rank test
@@ -179,7 +189,7 @@ class TestEstimatorProperties:
         assert est.witness_point is None
         w = est.witness_poly
         assert not w.is_zero()
-        assert np.abs(w([zs[:, 0], zs[:, 1]])).max() <= 1e-9 * w.coefficient_norm()
+        assert np.abs(eval_poly(w, [zs[:, 0], zs[:, 1]])).max() <= 1e-9 * w.coefficient_norm()
 
 
 def _recorded_lps(zsamples, d, candidates):
@@ -258,6 +268,17 @@ class TestSimplexCertificate:
         assert est.value == max(psi @ c for _, psi, _, _, _, c, *_ in optima)
         assert est.diagnostics["lp_stopped"] == len(lps) - len(optima)
         assert est.diagnostics["lp_iterations"] == sum(lp[6] for lp in lps)
+
+    def test_full_sweep_of_ten_ring_ladder_finishes_every_lp(self, ladder10_lps):
+        # every candidate from the spread basis with no cutoff, so no stop hides a slow LP
+        est, lps = ladder10_lps
+        phi, psi = lps[0][0], vandermonde(_candidate_grid(2, 24), 2, 4)
+        start = remez._spread_rows(phi), np.ones(phi.shape[1])
+        runs = [remez._simplex(phi, p, *start, -np.inf) for p in psi]
+        assert len(runs) == est.diagnostics["n_candidates"] == 408
+        assert max(run[3] for run in runs) < 1000
+        best = max(p @ run[2] for p, run in zip(psi, runs))
+        assert best == pytest.approx(est.value, rel=1e-12, abs=0.0)
 
     def test_no_cutoff_always_reaches_a_certified_optimum(self):
         # from every basis the estimate returned, stopped ones too, each candidate runs to an optimum

@@ -113,11 +113,15 @@ class TestClosedFormBounds:
         assert comp[0] > comp[1] > comp[2]
 
 
+def entries(rep) -> dict:
+    """The report's bound entries by formula name."""
+    return {e.formula: e for e in rep.bounds}
+
+
 class TestReport:
     def test_always_carries_both_topological_entries(self):
         rep = rigidity_report(2, mu_value=4.0, n=2, oval_count=10)
-        lit = rep.entry("topological_literal")
-        comp = rep.entry("topological_composed")
+        lit, comp = entries(rep)["topological_literal"], entries(rep)["topological_composed"]
         assert lit.value == pytest.approx(2.0 / 3.0)
         assert comp.value == pytest.approx(0.75)
         assert lit.provenance == FORMULAS["topological_literal"]
@@ -126,12 +130,13 @@ class TestReport:
 
     def test_hypothesis_flag_when_too_few_ovals(self):
         rep = rigidity_report(6, mu_value=1.0, n=2, oval_count=25)
-        assert not rep.entry("topological_literal").hypothesis_ok
-        assert "26" in rep.entry("topological_literal").note
+        lit = entries(rep)["topological_literal"]
+        assert not lit.hypothesis_ok
+        assert "26" in lit.note
 
     def test_from_remez_entry(self):
         rep = rigidity_report(2, mu_value=1.0, n=2, oval_count=5, inv_remez=1.0 / 17.0)
-        assert rep.entry("from_remez").value == pytest.approx(3.0 / 17.0)
+        assert entries(rep)["from_remez"].value == pytest.approx(3.0 / 17.0)
 
     @pytest.mark.parametrize("missing", ["mu_value", "oval_count"])
     def test_mu_and_oval_count_required(self, missing):
