@@ -153,8 +153,6 @@ def _cmd_decompose(args) -> dict:
 
 
 def _boundary_samples(config, per_oval: int) -> np.ndarray:
-    if not config.ovals:
-        raise ValidationError("configuration has no domains")
     return np.concatenate([sample_boundary(o, per_oval) for o in config.ovals], axis=0)
 
 
@@ -204,7 +202,7 @@ def _cmd_bounds(args) -> dict:
             "hypothesis_ok": count >= required,
             "ovals_required": required,
         },
-        "rigidity": rep.to_json_dict(),
+        "rigidity": rep,
     }
 
 
@@ -221,7 +219,7 @@ def _cmd_rigidity(args) -> dict:
         "mu": mu_val,
         "oval_count": count,
         "remez_estimate": estimate,
-        "rigidity": rep.to_json_dict(),
+        "rigidity": rep,
     }
 
 
@@ -265,7 +263,7 @@ def _cmd_curve_check(args) -> dict:
             "components": [c.to_json_dict() for c in curve.components],
             "max_image_norm": curve.max_image_norm(),
         },
-        "composition": comp.to_json_dict(),
+        "composition": comp,
         "composition_formula": (
             "sum_{k=ceil((d+1)/s)}^{d+1} |f^(k)(omega(t))| >= c * |g^(d+1)(t)|"
         ),
@@ -278,9 +276,9 @@ def _cmd_boxdim(args) -> dict:
     cloud = PointCloud(points)
     scales = _parse_floats(args.scales, "scales list")
     fit = box_dimension_estimate(cloud, scales)
-    threshold = rigidity_threshold_check(fit.slope, cloud.dim, args.degree)
+    threshold = rigidity_threshold_check(fit["slope"], cloud.dim, args.degree)
     return {
-        "fit": fit.to_json_dict(),
+        "fit": fit,
         "slope_formula": "least-squares slope of log N(eps) vs log(1/eps)",
         "threshold": threshold,
         "threshold_formula": "beta > n - 1/(d+1)",
@@ -291,12 +289,11 @@ def _cmd_verify_proof(args) -> dict:
     p = MultiPoly.from_json_dict(_load_json(args.poly))
     config = config_from_json_dict(_load_json(args.config))
     report = domain_pigeonhole_report(p, config, args.grid, args.eps)
-    body = report.to_json_dict()
-    if args.degree is not None and args.degree != report.degree:
-        body["bezout_at_degree"] = bezout_check(report.critical_points, args.degree).to_json_dict()
+    if args.degree is not None and args.degree != report["degree"]:
+        report["bezout_at_degree"] = bezout_check(report["critical_points"]["n_clusters"], args.degree)
     return {
         "bezout_formula": "at most (d-1)^2 isolated critical points",
-        **body,
+        **report,
     }
 
 

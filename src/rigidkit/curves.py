@@ -12,7 +12,7 @@ ceil((d+1)/s) .. d+1 along the curve dominates a constant multiple of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_poly
 
 __all__ = [
     "ParamCurve",
-    "CompositionReport",
     "fit_curve",
     "composition_report",
     "crossing_count",
@@ -99,48 +98,17 @@ def fit_curve(points, s: int) -> ParamCurve:
     return curve
 
 
-@dataclass
-class CompositionReport:
-    """Pointwise composition-inequality data on a parameter grid.
-
-    ``c_hat`` is an empirical lower estimate of the unknown positive constant
-    relating the two sides; it is None when the right side degenerates
-    identically (which happens whenever deg(f) * s <= d by degree count).
-    """
-
-    degree: int
-    s: int
-    k_lo: int
-    k_hi: int
-    taus: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    c_hat: float | None
-    all_degenerate: bool
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "s": self.s,
-            "order_range": [self.k_lo, self.k_hi],
-            "c_hat": self.c_hat,
-            "all_degenerate": self.all_degenerate,
-            "pointwise": [
-                {"t": float(t), "lhs": float(a), "rhs": float(b)}
-                for t, a, b in zip(self.taus, self.lhs, self.rhs)
-            ],
-            "diagnostics": self.diagnostics,
-        }
-
-
-def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> CompositionReport:
-    """Probe the composition inequality for f along the curve.
+def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> dict:
+    """Probe the composition inequality for f along the curve; a JSON body.
 
     LHS(t) sums the pointwise derivative norms of f of orders
     ceil((d+1)/s) .. d+1 at omega(t); RHS(t) = |g^(d+1)(t)| for the exact
-    symbolic composition g = f(omega). The reported c_hat is the minimal
-    LHS/RHS over grid points where RHS exceeds the degeneracy floor 1e-12.
+    symbolic composition g = f(omega), both reported per grid point under
+    ``pointwise``. The reported c_hat is the minimal LHS/RHS over grid
+    points where RHS exceeds the degeneracy floor 1e-12: an empirical lower
+    estimate of the unknown positive constant relating the two sides. It is
+    None, and ``all_degenerate`` true, when RHS degenerates at every grid
+    point, which happens whenever deg(f) * s <= d by degree count.
 
     The lower order bound is the minimal number of chain-rule blocks of size
     at most s partitioning d+1, i.e. ceil((d+1)/s); for a straight line
@@ -170,18 +138,17 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> C
     live = rhs > _RHS_FLOOR
     all_degenerate = not bool(np.any(live))
     c_hat = None if all_degenerate else float(np.min(lhs[live] / rhs[live]))
-    return CompositionReport(
-        degree=d,
-        s=s,
-        k_lo=k_lo,
-        k_hi=k_hi,
-        taus=taus,
-        lhs=lhs,
-        rhs=rhs,
-        c_hat=c_hat,
-        all_degenerate=all_degenerate,
-        diagnostics={"g_degree": g.degree, "live_points": int(np.sum(live))},
-    )
+    return {
+        "degree": d,
+        "s": s,
+        "order_range": [k_lo, k_hi],
+        "c_hat": c_hat,
+        "all_degenerate": all_degenerate,
+        "pointwise": [
+            {"t": t, "lhs": a, "rhs": b} for t, a, b in zip(taus.tolist(), lhs.tolist(), rhs.tolist())
+        ],
+        "diagnostics": {"g_degree": g.degree, "live_points": int(np.sum(live))},
+    }
 
 
 def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> int:
@@ -199,8 +166,6 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> 
         raise ValidationError(f"expected dimension 2, got {omega.dim}")
     if not tol >= 0.0:
         raise ValidationError(f"crossing tolerance must be >= 0, got {tol}")
-    if not config.ovals:
-        return 0
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
     pts = omega.eval(taus)
     p0, p1 = pts[:-1], pts[1:]

@@ -8,7 +8,7 @@ ladder of scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import ValidationError
 
 __all__ = [
     "PointCloud",
-    "BoxDimensionFit",
     "covering_number",
     "box_dimension_estimate",
     "rigidity_threshold",
@@ -72,35 +71,15 @@ def covering_number(cloud: PointCloud, eps: float) -> int:
     return int(np.unique(cells, axis=0).shape[0])
 
 
-@dataclass
-class BoxDimensionFit:
-    """Least-squares fit of log N(eps) against log(1/eps)."""
+def box_dimension_estimate(cloud: PointCloud, eps_list) -> dict:
+    """Estimate the upper box dimension from covering numbers; a JSON body.
 
-    slope: float
-    intercept: float
-    residual: float
-    scales: np.ndarray
-    counts: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "scales": [float(e) for e in self.scales],
-            "counts": [int(c) for c in self.counts],
-            "diagnostics": self.diagnostics,
-        }
-
-
-def box_dimension_estimate(cloud: PointCloud, eps_list) -> BoxDimensionFit:
-    """Estimate the upper box dimension from covering numbers.
-
-    Requires at least three finite, strictly decreasing positive scales. The slope
-    of the affine least-squares fit to (log 1/eps, log N(eps)) is the
-    estimate; the residual is the root-mean-square misfit, a sanity signal
-    for whether the scales sit in a genuine scaling regime.
+    Requires at least three finite, strictly decreasing positive scales. The
+    ``slope`` of the affine least-squares fit to (log 1/eps, log N(eps)) is
+    the estimate, next to its ``intercept``; the ``residual`` is the
+    root-mean-square misfit, a sanity signal for whether the scales sit in a
+    genuine scaling regime. The ``scales`` and their ``counts`` N(eps) are
+    reported as given and counted.
     """
     scales = np.asarray(list(eps_list), dtype=float)
     if scales.size < 3:
@@ -114,14 +93,14 @@ def box_dimension_estimate(cloud: PointCloud, eps_list) -> BoxDimensionFit:
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ coef
     residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    return BoxDimensionFit(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        residual=residual,
-        scales=scales,
-        counts=counts,
-        diagnostics={"n_scales": int(scales.size), "n_points": cloud.size},
-    )
+    return {
+        "slope": float(coef[0]),
+        "intercept": float(coef[1]),
+        "residual": residual,
+        "scales": scales.tolist(),
+        "counts": counts.tolist(),
+        "diagnostics": {"n_scales": int(scales.size), "n_points": cloud.size},
+    }
 
 
 def rigidity_threshold(n: int, d: int) -> float:

@@ -232,8 +232,11 @@ def validate_configuration(ovals) -> OvalConfiguration:
     unit ball, zero-length edges and fold-back spikes, touching edges, area.
     One sweep finds the touching edges, of one oval or two, among the ovals
     before the first that fails a cheaper check; a touching pair comes last.
+    A configuration without ovals has no domains and is rejected.
     """
     ovals = tuple(ovals)
+    if not ovals:
+        raise ValidationError("configuration has no domains")
     seen_ids, passed, fault = set(), ovals, None
     for k, o in enumerate(ovals):
         if fault := (f"duplicate oval id {o.id}" if o.id in seen_ids else _oval_fault(o)):

@@ -12,7 +12,7 @@ assembles the per-domain evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .poly import MultiPoly, eval_poly, eval_polys, partial_derivative
 
 __all__ = [
     "CriticalPointSet",
-    "BezoutVerdict",
-    "DomainPigeonholeReport",
     "find_critical_points",
     "perturb_linear",
     "bezout_check",
@@ -51,16 +49,15 @@ _MERGE_RADIUS = 1e-6
 class CriticalPointSet:
     """Clustered Newton solutions of grad p = 0.
 
-    Representatives are pairwise farther apart than the merge radius; each
-    carries the number of converged seeds merged into it. Gradient norms at
-    representatives satisfy the acceptance filter used by
+    Representatives are pairwise farther apart than the merge radius 1e-6;
+    each carries the number of converged seeds merged into it. Gradient
+    norms at representatives satisfy the acceptance filter used by
     ``find_critical_points``.
     """
 
     representatives: np.ndarray
     gradient_norms: np.ndarray
     cluster_sizes: np.ndarray
-    merge_radius: float
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -70,10 +67,10 @@ class CriticalPointSet:
     def to_json_dict(self) -> dict:
         return {
             "n_clusters": self.n_clusters,
-            "merge_radius": self.merge_radius,
-            "representatives": [[float(a), float(b)] for a, b in self.representatives],
-            "gradient_norms": [float(g) for g in self.gradient_norms],
-            "cluster_sizes": [int(s) for s in self.cluster_sizes],
+            "merge_radius": _MERGE_RADIUS,
+            "representatives": self.representatives.tolist(),
+            "gradient_norms": self.gradient_norms.tolist(),
+            "cluster_sizes": self.cluster_sizes.tolist(),
             "diagnostics": self.diagnostics,
         }
 
@@ -130,7 +127,7 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
 
     def empty(note: str) -> CriticalPointSet:
         sizes = np.zeros(0, dtype=np.int64)
-        return CriticalPointSet(np.zeros((0, 2)), np.zeros(0), sizes, _MERGE_RADIUS, {**diagnostics, "note": note})
+        return CriticalPointSet(np.zeros((0, 2)), np.zeros(0), sizes, {**diagnostics, "note": note})
 
     if gx.is_zero() and gy.is_zero():
         return empty("gradient vanishes identically")
@@ -197,7 +194,6 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
         representatives=cand[reps],
         gradient_norms=gn[reps],
         cluster_sizes=np.array(sizes, dtype=np.int64),
-        merge_radius=_MERGE_RADIUS,
         diagnostics={**diagnostics, "gradient_tolerance": grad_tol},
     )
 
@@ -216,74 +212,27 @@ def perturb_linear(p: MultiPoly, t: float) -> MultiPoly:
     return p + MultiPoly(2, {(1, 0): t * a, (0, 1): t * b})
 
 
-@dataclass
-class BezoutVerdict:
-    """Cluster count against the (d-1)^2 critical-point bound."""
+def bezout_check(n_clusters: int, d: int) -> dict:
+    """Check a critical-point cluster count against (d-1)^2.
 
-    degree: int
-    bound: int
-    n_clusters: int
-    verdict: str
-    note: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def bezout_check(cps: CriticalPointSet, d: int) -> BezoutVerdict:
-    """Check the cluster count against (d-1)^2.
-
+    Returns the JSON body ``{degree, bound, n_clusters, verdict, note}``.
     An exceeded bound is impossible for a degree-d polynomial with isolated
     critical points, so a violation is labeled a numerical artifact (split
     clusters, or a positive-dimensional critical set sampled at many
-    points), never a counterexample.
+    points), never a counterexample; ``note`` is None when consistent.
     """
     if d < 1:
         raise ValidationError(f"degree must be >= 1, got {d}")
     bound = (d - 1) ** 2
-    if cps.n_clusters <= bound:
-        return BezoutVerdict(degree=d, bound=bound, n_clusters=cps.n_clusters, verdict="consistent")
-    return BezoutVerdict(
-        degree=d,
-        bound=bound,
-        n_clusters=cps.n_clusters,
-        verdict="violation",
-        note=(
+    body = {"degree": d, "bound": bound, "n_clusters": n_clusters, "verdict": "consistent", "note": None}
+    if n_clusters > bound:
+        body["verdict"] = "violation"
+        body["note"] = (
             "cluster count exceeds the degree bound; this is a numerical "
             "artifact (split clusters or a positive-dimensional critical "
             "set sampled repeatedly), not a counterexample"
-        ),
-    )
-
-
-@dataclass
-class DomainPigeonholeReport:
-    """Per-domain sup evidence plus critical-point accounting."""
-
-    degree: int
-    tilt: float
-    bezout: BezoutVerdict
-    critical_points: CriticalPointSet
-    assignments: list[int | None]
-    domains: list[dict]
-    global_boundary_max: float
-    pigeonhole_forced: bool
-    n_without_critical_point: int
-    confinement_violations: list[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "perturbation": {"direction": list(_TILT), "eps": self.tilt},
-            "bezout": self.bezout.to_json_dict(),
-            "critical_points": self.critical_points.to_json_dict(),
-            "assignments": self.assignments,
-            "domains": self.domains,
-            "global_boundary_max": self.global_boundary_max,
-            "pigeonhole_forced": self.pigeonhole_forced,
-            "n_without_critical_point": self.n_without_critical_point,
-            "confinement_violations": self.confinement_violations,
-        }
+        )
+    return body
 
 
 def domain_pigeonhole_report(
@@ -293,8 +242,8 @@ def domain_pigeonhole_report(
     eps: float,
     samples: int = 512,
     interior_grid: int = 33,
-) -> DomainPigeonholeReport:
-    """Assemble the pigeonhole evidence for p over a nested-oval config.
+) -> dict:
+    """Assemble the pigeonhole evidence for p over a nested-oval config as a JSON body.
 
     The polynomial is first tilted by ``perturb_linear`` with size
     t = eps * max(||p||, 1), so its critical points are isolated; the report
@@ -313,6 +262,11 @@ def domain_pigeonhole_report(
     Boundary samples at count k nest inside those at 2k, and the interior
     lattice at g points per axis nests inside 2g-1, so maxima (and flags
     already raised) are monotone under sample doubling.
+
+    The body holds the degree and the perturbation, the ``bezout_check``
+    verdict, the critical points as ``CriticalPointSet.to_json_dict`` gives
+    them, each point's domain (outer oval id, or None) in ``assignments``,
+    one entry per domain, and the pigeonhole tallies.
     """
     if p.nvars != 2:
         raise ValidationError(f"expected dimension 2, got {p.nvars}")
@@ -321,12 +275,9 @@ def domain_pigeonhole_report(
     d = pt_poly.degree
 
     domains = build_domains(build_nesting_forest(config))
-    if not domains:
-        raise ValidationError("configuration has no domains")
     lo, hi = bounding_box(config.ovals)
     span = max(*(hi - lo), 1e-3)
     cps = find_critical_points(pt_poly, (lo - 0.05 * span, hi + 0.05 * span), newton_grid)
-    bez = bezout_check(cps, d)
 
     # each critical point goes to the first domain containing it, if any
     assignments: list[int | None] = [None] * cps.n_clusters
@@ -371,15 +322,15 @@ def domain_pigeonhole_report(
     reps = cps.representatives[free]
     crit_vals = np.abs(eval_poly(pt_poly, [reps[:, 0], reps[:, 1]]))
     violations = [i for i, v in zip(free, crit_vals.tolist()) if v > global_bmax]
-    return DomainPigeonholeReport(
-        degree=d,
-        tilt=tilt,
-        bezout=bez,
-        critical_points=cps,
-        assignments=assignments,
-        domains=dom_entries,
-        global_boundary_max=global_bmax,
-        pigeonhole_forced=len(domains) > cps.n_clusters,
-        n_without_critical_point=n_without,
-        confinement_violations=violations,
-    )
+    return {
+        "degree": d,
+        "perturbation": {"direction": list(_TILT), "eps": tilt},
+        "bezout": bezout_check(cps.n_clusters, d),
+        "critical_points": cps.to_json_dict(),
+        "assignments": assignments,
+        "domains": dom_entries,
+        "global_boundary_max": global_bmax,
+        "pigeonhole_forced": len(domains) > cps.n_clusters,
+        "n_without_critical_point": n_without,
+        "confinement_violations": violations,
+    }

@@ -59,7 +59,6 @@ _REFACTOR = 50  # pivots between full re-inversions of the basis matrix
 class RemezEstimate:
     """Outcome of the LP estimator: a lower estimate of the Remez constant."""
 
-    degree: int
     value: float  # math.inf when the sampled set is polynomially degenerate
     witness_poly: MultiPoly  # vanishes on the samples when the value is infinite
     witness_point: np.ndarray | None  # None when the value is infinite
@@ -254,7 +253,7 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
         # the last right singular vector annihilates every sample; only a
         # short Phi needs the full factor to reach the null space
         vt = np.linalg.svd(phi, full_matrices=len(phi) < m)[2]
-        return RemezEstimate(d, math.inf, MultiPoly.from_rows(n, monomials(n, d), vt[-1]), None, diagnostics)
+        return RemezEstimate(math.inf, MultiPoly.from_rows(n, monomials(n, d), vt[-1]), None, diagnostics)
 
     psi = vandermonde(cand, n, d)  # candidate basis rows
     # every basis met so far, and each candidate's least bound with the basis that gives it
@@ -293,7 +292,7 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
     # drop coefficients inside the rounding term m eps |c|_1 that the certificate allows
     tiny = np.abs(best_coeffs) <= m * np.finfo(float).eps * np.abs(best_coeffs).sum()
     witness_poly = MultiPoly.from_rows(n, monomials(n, d), np.where(tiny, 0.0, best_coeffs))
-    return RemezEstimate(d, max(1.0, best_value), witness_poly, best_point, diagnostics)
+    return RemezEstimate(max(1.0, best_value), witness_poly, best_point, diagnostics)
 
 
 def inverse_remez(e: RemezEstimate) -> float:

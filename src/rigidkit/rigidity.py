@@ -5,20 +5,17 @@ smooth function vanishing on Z with max |f| = 1 on the unit ball satisfies
 ||f^(d+1)|| >= R. This module computes every lower bound the package knows:
 from the inverse Remez constant, from the topological domain decomposition
 (in two variants whose shapes disagree; both are reported, see
-``RigidityReport``), and from one-dimensional divided differences.
+``rigidity_report``), and from one-dimensional divided differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 
 from .errors import ValidationError
 from .remez import ovals_required, remez_bound_topological
 
 __all__ = [
-    "BoundEntry",
-    "RigidityReport",
     "rigidity_from_remez",
     "rigidity_topological_literal",
     "rigidity_topological_composed",
@@ -98,43 +95,17 @@ def rigidity_1d_bound(xs, z0: float, fz0: float, d: int) -> float:
     return _factorial(d + 1) * quotient
 
 
-@dataclass
-class BoundEntry:
-    """One named lower bound with its formula and hypothesis status.
-
-    ``value`` is asserted as a rigidity bound only when ``hypothesis_ok`` is
-    true; the value is still computed for reporting whenever the arithmetic
-    is defined.
-    """
-
-    formula: str
-    value: float | None
-    hypothesis_ok: bool
-    provenance: str
-    note: str = ""
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class RigidityReport:
-    d: int
-    bounds: list[BoundEntry] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {"degree": self.d, "bounds": [e.to_json_dict() for e in self.bounds]}
-
-
 def rigidity_report(
     d: int, mu_value: float, oval_count: int, n: int = 2, inv_remez: float | None = None
-) -> RigidityReport:
-    """Assemble every applicable bound into one report.
+) -> dict:
+    """Assemble every applicable bound into one JSON body ``{degree, bounds}``.
 
-    Each bound is one ``(formula, value, hypothesis_ok, note)`` row; its
-    provenance is ``FORMULAS[formula]``. The two topological entries are
-    always present; their hypothesis flag records whether ``oval_count``
-    reaches ``ovals_required(d, n)``. The two shapes disagree as mu shrinks
+    Each bound is one ``{formula, value, hypothesis_ok, provenance, note}``
+    entry, with provenance ``FORMULAS[formula]``. A value is asserted as a
+    rigidity bound only when ``hypothesis_ok`` is true; it is still computed
+    for reporting whenever the arithmetic is defined. The two topological
+    entries are always present; their hypothesis flag records whether
+    ``oval_count`` reaches ``ovals_required(d, n)``. The two shapes disagree as mu shrinks
     and are deliberately reported side by side. The ``from_remez`` entry is
     added when an inverse Remez constant is supplied.
     """
@@ -146,4 +117,10 @@ def rigidity_report(
     note = "" if count_ok else f"oval count {oval_count} below required {required}"
     rows.append(("topological_literal", rigidity_topological_literal(mu_value, d, n), count_ok, note))
     rows.append(("topological_composed", rigidity_topological_composed(mu_value, d, n), count_ok, note))
-    return RigidityReport(d, [BoundEntry(f, value, ok, FORMULAS[f], note) for f, value, ok, note in rows])
+    return {
+        "degree": d,
+        "bounds": [
+            {"formula": f, "value": value, "hypothesis_ok": ok, "provenance": FORMULAS[f], "note": note}
+            for f, value, ok, note in rows
+        ],
+    }

@@ -205,11 +205,11 @@ def test_criterion_5_symbolic_composition_matches_numeric():
                 bad.append((trial, "degree"))
                 continue
             report = composition_report(f, omega, max(1, g.degree - 1), 128)
-            if report.all_degenerate:
+            if report["all_degenerate"]:
                 degenerate += 1
-                if report.c_hat is not None:
+                if report["c_hat"] is not None:
                     bad.append((trial, "degenerate with c_hat"))
-            elif report.c_hat is None or report.c_hat <= 0.0:
+            elif report["c_hat"] is None or report["c_hat"] <= 0.0:
                 bad.append((trial, "nonpositive c_hat"))
         crit.ok = not bad
         crit.detail = (
@@ -227,11 +227,11 @@ def test_criterion_6_box_dimension_estimates():
         mids = (np.arange(256) + 0.5) / 256.0
         px, py = np.meshgrid(mids, mids, indexing="ij")
         plane = PointCloud(np.stack([px.ravel(), py.ravel()], axis=1))
-        plane_slope = box_dimension_estimate(plane, scales).slope
+        plane_slope = box_dimension_estimate(plane, scales)["slope"]
 
         seg_x = (np.arange(4096) + 0.5) / 4096.0
         segment = PointCloud(np.stack([seg_x, np.full_like(seg_x, 0.3)], axis=1))
-        seg_slope = box_dimension_estimate(segment, scales).slope
+        seg_slope = box_dimension_estimate(segment, scales)["slope"]
 
         rng = np.random.default_rng(61)
         pts = rng.uniform(-0.9, 0.9, size=(50, 2))
@@ -240,7 +240,7 @@ def test_criterion_6_box_dimension_estimates():
         gap = float(np.min(dist[np.triu_indices(50, k=1)]))
         cloud_slope = box_dimension_estimate(
             PointCloud(pts), [gap / 4.0, gap / 8.0, gap / 16.0]
-        ).slope
+        )["slope"]
 
         exact = (
             rigidity_threshold(2, 1) == 1.5
@@ -290,10 +290,10 @@ def test_criterion_7_critical_points_and_pigeonhole():
             report = domain_pigeonhole_report(
                 vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=48, eps=1e-6
             )
-            flagged = [e for e in report.domains if e["flagged"]]
+            flagged = [e for e in report["domains"] if e["flagged"]]
             flagged_total += len(flagged)
             pigeonhole_ok = pigeonhole_ok and all(e["has_critical_point"] for e in flagged)
-            pigeonhole_ok = pigeonhole_ok and report.confinement_violations == []
+            pigeonhole_ok = pigeonhole_ok and report["confinement_violations"] == []
         pigeonhole_ok = pigeonhole_ok and flagged_total >= 5
 
         crit.ok = nine_ok and count_ok and pigeonhole_ok

@@ -439,13 +439,22 @@ class TestErrorPaths:
         expect_exit2(["decompose", "--config", str(bad)], capsys, "'ovals' must be a list")
 
     @pytest.mark.parametrize(
-        "argv", [["decompose"], ["bounds", "--degree", "2"], ["rigidity", "--degree", "2"], ["verify-proof"]]
+        "argv",
+        [
+            ["decompose"],
+            ["bounds", "--degree", "2"],
+            ["rigidity", "--degree", "2"],
+            ["verify-proof"],
+            ["curve-check", "--s", "2", "--degree", "3"],
+        ],
     )
-    def test_empty_configuration_exit2(self, argv, tmp_path, fxy_path, capsys):
+    def test_empty_configuration_exit2(self, argv, tmp_path, fxy_path, curve_points_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text('{"ovals": []}')
         if argv[0] == "verify-proof":
             argv = argv + ["--poly", fxy_path]
+        if argv[0] == "curve-check":
+            argv = argv + ["--f", fxy_path, "--points", curve_points_path]
         code = main(argv + ["--config", str(empty)])
         captured = capsys.readouterr()
         assert code == 2

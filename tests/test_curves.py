@@ -159,6 +159,11 @@ class TestParamCurve:
         assert np.allclose(pts[:, 1], ts**2)
 
 
+def pointwise(rep, key: str) -> np.ndarray:
+    """One column of the report's per-grid-point rows."""
+    return np.array([row[key] for row in rep["pointwise"]])
+
+
 class TestCompositionReport:
     def test_line_case_collapses_to_top_order(self):
         f = random_poly(2, 3, np.random.default_rng(3))
@@ -167,7 +172,7 @@ class TestCompositionReport:
             s=1,
         )
         rep = composition_report(f, line, 2, 64)
-        assert rep.k_lo == rep.k_hi == 3
+        assert rep["order_range"][0] == rep["order_range"][1] == 3
 
     def test_quadratic_example(self):
         f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
@@ -175,11 +180,11 @@ class TestCompositionReport:
             components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
         )
         rep = composition_report(f, omega, 3, 256)
-        assert (rep.k_lo, rep.k_hi) == (2, 4)
+        assert tuple(rep["order_range"]) == (2, 4)
         # g = t^2 + t^4, g'''' = 24; LHS = |f_xx| + |f_xy| + |f_yy| = 4
-        assert not rep.all_degenerate
-        assert rep.c_hat == pytest.approx(1.0 / 6.0, rel=1e-12)
-        assert np.allclose(rep.rhs, 24.0)
+        assert not rep["all_degenerate"]
+        assert rep["c_hat"] == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert np.allclose(pointwise(rep, "rhs"), 24.0)
 
     def test_degenerate_when_degree_too_low(self):
         f = MultiPoly(2, {(1, 0): 1.0, (0, 1): 2.0})  # degree 1
@@ -187,8 +192,8 @@ class TestCompositionReport:
             components=(MultiPoly(1, {(1,): 0.5}), MultiPoly(1, {(2,): 0.5})), s=2
         )
         rep = composition_report(f, omega, 3, 64)  # deg g <= 2 < 4
-        assert rep.all_degenerate
-        assert rep.c_hat is None
+        assert rep["all_degenerate"]
+        assert rep["c_hat"] is None
 
     def test_positivity_wherever_rhs_lives(self):
         rng = np.random.default_rng(19)
@@ -199,10 +204,11 @@ class TestCompositionReport:
             comp = tuple(random_poly(1, s, rng, scale=0.4) for _ in range(2))
             omega = ParamCurve(components=comp, s=s)
             rep = composition_report(f, omega, d, 128)
-            live = rep.rhs > 1e-12
-            assert np.all(rep.lhs[live] > 0.0)
-            if not rep.all_degenerate:
-                assert np.max(rep.lhs) >= rep.c_hat * np.max(rep.rhs) - 1e-9
+            lhs, rhs = pointwise(rep, "lhs"), pointwise(rep, "rhs")
+            live = rhs > 1e-12
+            assert np.all(lhs[live] > 0.0)
+            if not rep["all_degenerate"]:
+                assert np.max(lhs) >= rep["c_hat"] * np.max(rhs) - 1e-9
 
     def test_degree_budget(self):
         rng = np.random.default_rng(37)
@@ -237,7 +243,7 @@ class TestCompositionReport:
         omega = ParamCurve(
             components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
         )
-        assert len(composition_report(f, omega, 3, 16).rhs) == 16
+        assert len(composition_report(f, omega, 3, 16)["pointwise"]) == 16
         for bad in (17, 10**20):
             with pytest.raises(ValidationError, match=f"lattice of {bad} points per axis in 1D exceeds 16 points"):
                 composition_report(f, omega, 3, bad)
@@ -247,7 +253,7 @@ class TestCompositionReport:
         omega = ParamCurve(
             components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
         )
-        data = composition_report(f, omega, 3, 16).to_json_dict()
+        data = composition_report(f, omega, 3, 16)
         assert data["order_range"] == [2, 4]
         assert len(data["pointwise"]) == 16
         assert {"t", "lhs", "rhs"} <= set(data["pointwise"][0])
@@ -270,8 +276,6 @@ class TestCrossingCount:
         seg = ParamCurve(components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1)
         with pytest.raises(ValidationError, match=r"^crossing tolerance must be >= 0, got"):
             crossing_count(seg, config, tol)
-        with pytest.raises(ValidationError, match=r"^crossing tolerance must be >= 0, got"):
-            crossing_count(seg, validate_configuration([]), tol)
 
     def test_disjoint_segment(self):
         config = validate_configuration([self.circle(0.2, center=(0.0, 0.7))])
@@ -279,7 +283,6 @@ class TestCrossingCount:
             components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
         )
         assert crossing_count(seg, config, 1e-3) == 0
-        assert crossing_count(seg, validate_configuration([]), 1e-3) == 0
 
     def test_parabola_four_crossings(self):
         config = validate_configuration([self.circle(0.288)])

@@ -84,14 +84,14 @@ class TestBoxDimension:
     def test_plane_sample_slope_two(self):
         cloud = PointCloud(midpoint_grid(256))
         fit = box_dimension_estimate(cloud, [2.0**-k for k in range(3, 7)])
-        assert fit.slope == pytest.approx(2.0, abs=0.1)
-        assert fit.residual <= 1e-9
+        assert fit["slope"] == pytest.approx(2.0, abs=0.1)
+        assert fit["residual"] <= 1e-9
 
     def test_segment_slope_one(self):
         ts = (np.arange(4096) + 0.5) / 4096
         pts = np.stack([ts, np.full_like(ts, 0.3)], axis=1)
         fit = box_dimension_estimate(PointCloud(pts), [2.0**-k for k in range(3, 7)])
-        assert fit.slope == pytest.approx(1.0, abs=0.1)
+        assert fit["slope"] == pytest.approx(1.0, abs=0.1)
 
     def test_finite_cloud_saturates(self):
         rng = np.random.default_rng(11)
@@ -101,7 +101,7 @@ class TestBoxDimension:
         min_gap = np.min(gaps[gaps > 0])
         scales = [min_gap / 4.0 / 2**k for k in range(4)]
         fit = box_dimension_estimate(PointCloud(pts), scales)
-        assert abs(fit.slope) <= 0.1
+        assert abs(fit["slope"]) <= 0.1
 
     def test_scale_validation(self):
         cloud = PointCloud(np.array([[0.1, 0.1]]))
@@ -113,8 +113,7 @@ class TestBoxDimension:
             box_dimension_estimate(cloud, [0.5, 0.25, -0.1])
 
     def test_fit_json(self):
-        fit = box_dimension_estimate(PointCloud(midpoint_grid(32)), [0.25, 0.125, 0.0625])
-        data = fit.to_json_dict()
+        data = box_dimension_estimate(PointCloud(midpoint_grid(32)), [0.25, 0.125, 0.0625])
         assert {"slope", "intercept", "residual", "scales", "counts"} <= set(data)
         assert data["counts"] == [16, 64, 256]
 

@@ -50,6 +50,11 @@ class TestValidation:
         config = validate_configuration([square(1.0, 1)])
         assert config.N == 1
 
+    @pytest.mark.parametrize("ovals", [[], ()])
+    def test_empty_configuration_rejected(self, ovals):
+        with pytest.raises(ValidationError, match=r"^configuration has no domains$"):
+            validate_configuration(ovals)
+
     def test_crossing_squares_rejected(self):
         with pytest.raises(ValidationError, match=r"boundaries of ovals 1 and 2 intersect"):
             validate_configuration([square(0.5, 1), square(0.5, 2, center=(0.25, 0.0))])

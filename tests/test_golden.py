@@ -1,10 +1,11 @@
 """Recorded report bodies of all eight subcommands, compared byte for byte.
 
-Inputs are built from the conftest helpers; the manifest (paths, digests,
-timestamp) is stripped and the rest must match ``tests/golden/<case>.json``
-exactly, so any change to a reported float shows up here. After a deliberate
-change, re-record with ``PYTHONPATH=src python tests/test_golden.py`` and say
-in CHANGES.md why the bodies moved.
+Inputs are built once per module from the conftest helpers; the manifest
+(paths, digests, timestamp) is stripped and the rest must match
+``tests/golden/<case>.json`` exactly, so any change to a reported float
+shows up here. After a deliberate change, re-record with
+``PYTHONPATH=src python tests/test_golden.py`` and say in CHANGES.md why the
+bodies moved.
 """
 
 import json
@@ -52,7 +53,8 @@ def _write(path: Path, text: str) -> str:
     return str(path)
 
 
-def _argv(case: str, workdir: Path) -> list[str]:
+def write_inputs(workdir: Path) -> dict[str, list[str]]:
+    """Write every case's input files under ``workdir``; return each case's argv."""
     annulus = write_config_json([square(math.sqrt(2.0), 1), square(1.0, 2)], workdir / "annulus.json")
     rings = write_config_json(concentric_ring_config(RINGS), workdir / "rings.json")
     # 30 concentric 48-gons, and 40 circles that mix disjoint groups with nesting
@@ -102,20 +104,24 @@ def _argv(case: str, workdir: Path) -> list[str]:
         "boxdim-circle": [
             "boxdim", "--points", circle, "--scales", "0.3,0.15,0.075,0.0375", "--degree", "2",
         ],
-    }[case]
+    }
 
 
-def _body(case: str, workdir: Path) -> str:
-    out = workdir / f"{case}.out.json"
-    assert main(_argv(case, workdir) + ["--out", str(out)]) == 0
+def _body(argv: list[str], out: Path) -> str:
+    assert main(argv + ["--out", str(out)]) == 0
     report = json.loads(out.read_text())
     del report["manifest"]
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.fixture(scope="module")
+def golden_argv(tmp_path_factory) -> dict[str, list[str]]:
+    return write_inputs(tmp_path_factory.mktemp("golden-inputs"))
+
+
 @pytest.mark.parametrize("case", CASES)
-def test_report_body_matches_golden(case, tmp_path):
-    assert _body(case, tmp_path) == (GOLDEN / f"{case}.json").read_text()
+def test_report_body_matches_golden(case, golden_argv, tmp_path):
+    assert _body(golden_argv[case], tmp_path / "out.json") == (GOLDEN / f"{case}.json").read_text()
 
 
 if __name__ == "__main__":
@@ -123,6 +129,7 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
+        argvs = write_inputs(Path(tmp))
         for case in CASES:
-            (GOLDEN / f"{case}.json").write_text(_body(case, Path(tmp)))
+            (GOLDEN / f"{case}.json").write_text(_body(argvs[case], Path(tmp) / "out.json"))
             print(f"recorded {case}", file=sys.stderr)

@@ -1,5 +1,5 @@
 """Source hygiene: honest ``__all__`` lists in ``rigidkit``, no dead imports there, in the tests or in the bench,
-and no function in ``rigidkit`` that no subcommand calls."""
+no function in ``rigidkit`` that no subcommand calls, and report bodies made of plain JSON types."""
 
 import ast
 import importlib
@@ -7,10 +7,17 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import concentric_ring_config, vanishing_ring_poly
 from rigidkit.cli import main
-from test_golden import CASES, _argv
+from rigidkit.curves import ParamCurve, composition_report
+from rigidkit.fractal import PointCloud, box_dimension_estimate
+from rigidkit.poly import MultiPoly
+from rigidkit.prooftrace import bezout_check, domain_pigeonhole_report
+from rigidkit.rigidity import rigidity_report
+from test_golden import CASES, write_inputs
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rigidkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -89,7 +96,8 @@ def test_every_function_is_reached_by_a_subcommand(tmp_path):
     # the golden invocations, plus a decompose that renders SVG and a
     # verify-proof whose Newton search keeps no seed (a linear polynomial has
     # a singular Hessian everywhere)
-    runs = [_argv(case, tmp_path) for case in CASES]
+    argvs = write_inputs(tmp_path)
+    runs = [argvs[case] for case in CASES]
     annulus = str(tmp_path / "annulus.json")
     linear = tmp_path / "linear.json"
     linear.write_text(json.dumps({"nvars": 2, "terms": [{"exp": [1, 0], "coef": 1.0}]}))
@@ -110,3 +118,35 @@ def test_every_function_is_reached_by_a_subcommand(tmp_path):
     called = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in seen}
     missing = [f"{path.name}:{line} {name}" for path, line, name in defined_functions() if (path, line) not in called]
     assert missing == []
+
+
+def non_json_leaves(body, where="body") -> list[str]:
+    """Paths to the values of ``body`` that are not exactly dict, list, str, int, float, bool or None."""
+    if type(body) is dict:
+        return [bad for k, v in body.items() for bad in non_json_leaves(v, f"{where}[{k!r}]")]
+    if type(body) is list:
+        return [bad for i, v in enumerate(body) for bad in non_json_leaves(v, f"{where}[{i}]")]
+    return [] if type(body) in (str, int, float, bool, type(None)) else [f"{where}: {type(body).__name__}"]
+
+
+def test_non_json_leaf_finder_sees_numpy_values():
+    assert non_json_leaves({"a": [1, 2.0, None], "b": {"c": "x", "d": True}}) == []
+    assert non_json_leaves({"a": [np.float64(1.0)], "b": np.arange(2)}) == ["body['a'][0]: float64", "body['b']: ndarray"]
+
+
+def test_report_bodies_hold_plain_json_types():
+    quadric = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
+    parabola = ParamCurve((MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), 2)
+    mids = (np.arange(32) + 0.5) / 32.0
+    grid = np.stack([g.ravel() for g in np.meshgrid(mids, mids, indexing="ij")], axis=1)
+    radii = (0.95, 0.55)
+    bodies = {
+        "bezout_check": bezout_check(9, 2),
+        "domain_pigeonhole_report": domain_pigeonhole_report(
+            vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=16, eps=1e-6
+        ),
+        "composition_report": composition_report(quadric, parabola, 3, 16),
+        "box_dimension_estimate": box_dimension_estimate(PointCloud(grid), [0.25, 0.125, 0.0625]),
+        "rigidity_report": rigidity_report(2, mu_value=1.0, oval_count=5, inv_remez=0.1),
+    }
+    assert {name: non_json_leaves(body) for name, body in bodies.items()} == {name: [] for name in bodies}

@@ -67,7 +67,7 @@ class TestFindCriticalPoints:
             for i in range(len(reps)):
                 for j in range(i + 1, len(reps)):
                     gap = math.hypot(*(reps[i] - reps[j]))
-                    assert gap > cps.merge_radius
+                    assert gap > prooftrace._MERGE_RADIUS
 
     def test_merge_radius_separates_close_critical_points(self):
         # grad p = (x^2 - delta x, y) vanishes at (0, 0) and (delta, 0), 1.5 merge
@@ -159,15 +159,15 @@ class TestSettledSeeds:
 
     @staticmethod
     def assert_same_points(frozen, full):
-        assert np.array_equal(frozen.cluster_sizes, full.cluster_sizes)
-        assert np.allclose(frozen.representatives, full.representatives, rtol=0.0, atol=1e-12)
+        assert np.array_equal(frozen["cluster_sizes"], full["cluster_sizes"])
+        assert np.allclose(frozen["representatives"], full["representatives"], rtol=0.0, atol=1e-12)
 
     def test_nine_wells_match_unfrozen_run(self, monkeypatch):
         frozen = find_critical_points(nine_well_poly(), BOX, 24)
         monkeypatch.setattr(prooftrace, "_STEP_FLOOR", 0.0)
         full = find_critical_points(nine_well_poly(), BOX, 24)
         assert frozen.n_clusters == full.n_clusters == 9
-        self.assert_same_points(frozen, full)
+        self.assert_same_points(frozen.to_json_dict(), full.to_json_dict())
         assert frozen.diagnostics["seed_iterations"] < full.diagnostics["seed_iterations"]
 
     def test_three_rings_match_unfrozen_run(self, monkeypatch):
@@ -176,10 +176,10 @@ class TestSettledSeeds:
         frozen = domain_pigeonhole_report(p, config, newton_grid=24, eps=1e-6)
         monkeypatch.setattr(prooftrace, "_STEP_FLOOR", 0.0)
         full = domain_pigeonhole_report(p, config, newton_grid=24, eps=1e-6)
-        assert frozen.critical_points.n_clusters == full.critical_points.n_clusters > 0
-        self.assert_same_points(frozen.critical_points, full.critical_points)
-        assert frozen.assignments == full.assignments
-        assert [e["flagged"] for e in frozen.domains] == [e["flagged"] for e in full.domains]
+        assert frozen["critical_points"]["n_clusters"] == full["critical_points"]["n_clusters"] > 0
+        self.assert_same_points(frozen["critical_points"], full["critical_points"])
+        assert frozen["assignments"] == full["assignments"]
+        assert [e["flagged"] for e in frozen["domains"]] == [e["flagged"] for e in full["domains"]]
 
     def test_degenerate_critical_point_settles_before_its_hessian_turns_singular(self, monkeypatch):
         # x^3 + y^2: Newton halves x each step, so the Hessian determinant 12x shrinks only linearly
@@ -194,9 +194,9 @@ class TestSettledSeeds:
     def test_off_centre_rings_settle_within_a_third_of_the_iterations(self):
         p, config = off_centre_rings(4)
         report = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6)
-        assert report.critical_points.n_clusters == 7
-        assert report.bezout.verdict == "consistent"
-        d = report.critical_points.diagnostics
+        assert report["critical_points"]["n_clusters"] == 7
+        assert report["bezout"]["verdict"] == "consistent"
+        d = report["critical_points"]["diagnostics"]
         assert d["seeds"] == 48 * 48
         assert d["seed_iterations"] <= 80 * d["seeds"] / 3
 
@@ -331,7 +331,7 @@ class TestPerturbation:
         report = domain_pigeonhole_report(p, two_ring_config(), newton_grid=4, eps=eps)
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         direction = [1.0 / math.hypot(1.0, golden), golden / math.hypot(1.0, golden)]
-        assert report.to_json_dict()["perturbation"] == {"direction": direction, "eps": eps * max(norm, 1.0)}
+        assert report["perturbation"] == {"direction": direction, "eps": eps * max(norm, 1.0)}
         assert math.hypot(*direction) == 1.0
 
     def test_critical_points_stable_under_eps_halving(self):
@@ -353,26 +353,26 @@ class TestBezout:
     def test_consistent_verdicts(self):
         p = nine_well_poly()
         cps = find_critical_points(p, BOX, 24)
-        v = bezout_check(cps, 4)
-        assert v.verdict == "consistent"
-        assert v.bound == 9 and v.n_clusters == 9
+        v = bezout_check(cps.n_clusters, 4)
+        assert v["verdict"] == "consistent"
+        assert v["bound"] == 9 and v["n_clusters"] == 9
 
     def test_small_cases(self):
         p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
         cps = find_critical_points(p, BOX, 8)
-        assert bezout_check(cps, 2).verdict == "consistent"
-        assert bezout_check(cps, 3).bound == 4
+        assert bezout_check(cps.n_clusters, 2)["verdict"] == "consistent"
+        assert bezout_check(cps.n_clusters, 3)["bound"] == 4
 
     def test_degree_six_bound_is_25(self):
         p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
         cps = find_critical_points(p, BOX, 8)
-        assert bezout_check(cps, 6).bound == 25
+        assert bezout_check(cps.n_clusters, 6)["bound"] == 25
 
     def test_violation_labeled_numerical(self):
         cps = find_critical_points(nine_well_poly(), BOX, 24)
-        v = bezout_check(cps, 2)  # wrong degree on purpose: 9 > 1
-        assert v.verdict == "violation"
-        assert "numerical" in v.note
+        v = bezout_check(cps.n_clusters, 2)  # wrong degree on purpose: 9 > 1
+        assert v["verdict"] == "violation"
+        assert "numerical" in v["note"]
 
     def test_random_perturbed_polys_within_bound(self):
         rng = np.random.default_rng(29)
@@ -381,36 +381,36 @@ class TestBezout:
             p = random_poly(2, d, rng)
             q = perturb_linear(p, 1e-6)
             cps = find_critical_points(q, ((-1.2, -1.2), (1.2, 1.2)), 10)
-            assert bezout_check(cps, d).verdict == "consistent"
+            assert bezout_check(cps.n_clusters, d)["verdict"] == "consistent"
 
 
 class TestPigeonhole:
     def test_two_ring_fixture(self):
         report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6)
-        flagged = [e for e in report.domains if e["flagged"]]
+        flagged = [e for e in report["domains"] if e["flagged"]]
         assert len(flagged) == 2
         for entry in flagged:
             assert entry["has_critical_point"]
-        assert report.confinement_violations == []
-        assert report.bezout.verdict == "consistent"
+        assert report["confinement_violations"] == []
+        assert report["bezout"]["verdict"] == "consistent"
 
     def test_constant_poly(self):
         report = domain_pigeonhole_report(MultiPoly.constant(2, 1.0), two_ring_config(), newton_grid=48, eps=1e-6)
-        assert all(not e["flagged"] for e in report.domains)
-        assert report.critical_points.n_clusters == 0
+        assert all(not e["flagged"] for e in report["domains"])
+        assert report["critical_points"]["n_clusters"] == 0
 
     def test_linear_form(self):
         p = MultiPoly(2, {(1, 0): 0.3, (0, 1): 0.2})
         report = domain_pigeonhole_report(p, two_ring_config(), newton_grid=48, eps=1e-6)
-        assert report.critical_points.n_clusters == 0
-        assert all(not e["flagged"] for e in report.domains)
+        assert report["critical_points"]["n_clusters"] == 0
+        assert all(not e["flagged"] for e in report["domains"])
 
     def test_flags_monotone_under_sample_doubling(self):
         p = two_ring_poly()
         config = two_ring_config()
         coarse = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=128, interior_grid=17)
         fine = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=256, interior_grid=33)
-        for a, b in zip(coarse.domains, fine.domains):
+        for a, b in zip(coarse["domains"], fine["domains"]):
             assert a["oval_id"] == b["oval_id"]
             if a["flagged"]:
                 assert b["flagged"]
@@ -420,7 +420,7 @@ class TestPigeonhole:
         config = two_ring_config()
         coarse = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=128, interior_grid=17)
         fine = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=256, interior_grid=33)
-        for a, b in zip(coarse.domains, fine.domains):
+        for a, b in zip(coarse["domains"], fine["domains"]):
             assert b["boundary_max"] >= a["boundary_max"] - 1e-15
             if a["interior_max"] is not None:
                 assert b["interior_max"] >= a["interior_max"] - 1e-15
@@ -430,15 +430,15 @@ class TestPigeonhole:
         config = validate_configuration([regular_polygon((0.5, 0.0), 0.2, 48)])
         cap = MultiPoly(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
         report = domain_pigeonhole_report(cap, config, newton_grid=48, eps=1e-6)
-        assert report.assignments == [None]
-        assert report.confinement_violations == [0]
-        assert report.global_boundary_max == pytest.approx(0.91, abs=1e-6)
+        assert report["assignments"] == [None]
+        assert report["confinement_violations"] == [0]
+        assert report["global_boundary_max"] == pytest.approx(0.91, abs=1e-6)
 
     def test_unconfined_minimum_is_not_a_violation(self):
         config = validate_configuration([regular_polygon((0.5, 0.0), 0.2, 48)])
         report = domain_pigeonhole_report(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), config, newton_grid=48, eps=1e-6)
-        assert report.assignments == [None]
-        assert report.confinement_violations == []
+        assert report["assignments"] == [None]
+        assert report["confinement_violations"] == []
 
     def test_each_oval_sampled_and_evaluated_once(self, monkeypatch):
         calls = {"sample": 0, "eval": 0}
@@ -457,9 +457,9 @@ class TestPigeonhole:
         report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6)
         assert calls["sample"] == 2
         # the boundary, one interior lattice per domain, and the unassigned critical points
-        assert calls["eval"] == 1 + len(report.domains) + 1
+        assert calls["eval"] == 1 + len(report["domains"]) + 1
 
     def test_report_json_shape(self):
-        data = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6).to_json_dict()
+        data = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6)
         assert {"degree", "perturbation", "bezout", "critical_points", "domains"} <= set(data)
         assert all({"oval_id", "boundary_max", "interior_max", "flagged"} <= set(e) for e in data["domains"])
