@@ -30,10 +30,10 @@ from .geometry import (
     sample_boundary,
 )
 from .poly import MultiPoly
-from .remez import inverse_remez, ovals_required, remez_bound_topological, remez_estimate_lp
-from .rigidity import FORMULAS, rigidity_1d_bound, rigidity_report
+from .remez import inverse_remez, remez_estimate_lp
+from .rigidity import FORMULAS, ovals_required, remez_bound_topological, rigidity_1d_bound, rigidity_report
 from .curves import composition_report, crossing_count, fit_curve
-from .prooftrace import bezout_check, domain_pigeonhole_report
+from .prooftrace import domain_pigeonhole_report
 from .svg import render_svg
 
 __all__ = ["main"]
@@ -188,12 +188,12 @@ def _cmd_bounds(args) -> dict:
     config = config_from_json_dict(_load_json(args.config))
     mu_val = mu(build_domains(build_nesting_forest(config)))
     count = config.N
-    required = ovals_required(args.degree, args.n)
-    remez_val = remez_bound_topological(mu_val, args.degree, args.n)
-    rep = rigidity_report(args.degree, mu_value=mu_val, n=args.n, oval_count=count)
+    required = ovals_required(args.degree)
+    remez_val = remez_bound_topological(mu_val, args.degree)
+    rep = rigidity_report(args.degree, mu_value=mu_val, oval_count=count)
     return {
         "degree": args.degree,
-        "n": args.n,
+        "n": 2,  # the topological bounds are planar
         "mu": mu_val,
         "oval_count": count,
         "remez_topological": {
@@ -213,7 +213,7 @@ def _cmd_rigidity(args) -> dict:
     zsamples = _boundary_samples(config, args.samples_per_oval)
     est = remez_estimate_lp(zsamples, args.degree, _candidate_grid(2, args.grid))
     estimate = _estimate_fields(est)
-    rep = rigidity_report(args.degree, mu_value=mu_val, n=2, oval_count=count, inv_remez=estimate["inverse"])
+    rep = rigidity_report(args.degree, mu_value=mu_val, oval_count=count, inv_remez=estimate["inverse"])
     return {
         "degree": args.degree,
         "mu": mu_val,
@@ -235,13 +235,13 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def _cmd_rigidity_1d(args) -> dict:
     zeros = sorted(_parse_floats(args.zeros, "zeros list"))
-    bound = rigidity_1d_bound(zeros, args.z0, args.fz0, args.degree)
+    bound = rigidity_1d_bound(zeros, args.z0, args.degree)
     floor = math.factorial(args.degree + 1) / 2 ** (args.degree + 1)
     return {
         "degree": args.degree,
         "zeros": zeros,
         "z0": args.z0,
-        "fz0": args.fz0,
+        "fz0": 1.0,
         "bound": bound,
         "formula": FORMULAS["one_dimensional"],
         "universal_floor": floor,
@@ -289,8 +289,6 @@ def _cmd_verify_proof(args) -> dict:
     p = MultiPoly.from_json_dict(_load_json(args.poly))
     config = config_from_json_dict(_load_json(args.config))
     report = domain_pigeonhole_report(p, config, args.grid, args.eps)
-    if args.degree is not None and args.degree != report["degree"]:
-        report["bezout_at_degree"] = bezout_check(report["critical_points"]["n_clusters"], args.degree)
     return {
         "bezout_formula": "at most (d-1)^2 isolated critical points",
         **report,
@@ -335,10 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--grid", type=int, default=64, help="candidate grid points per axis")
     r.add_argument("--samples-per-oval", type=int, default=256)
 
-    b = command("bounds", _cmd_bounds, "closed-form Remez and rigidity bounds from mu", ("config",))
+    b = command("bounds", _cmd_bounds, "closed-form planar Remez and rigidity bounds from mu", ("config",))
     b.add_argument("--config", required=True)
     b.add_argument("--degree", type=int, required=True)
-    b.add_argument("--n", type=int, default=2, help="ambient dimension for the formulas")
 
     g = command("rigidity", _cmd_rigidity, "full pipeline: geometry, LP estimate, rigidity report", ("config",))
     g.add_argument("--config", required=True)
@@ -346,10 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--grid", type=int, default=64)
     g.add_argument("--samples-per-oval", type=int, default=256)
 
-    r1 = command("rigidity-1d", _cmd_rigidity_1d, "divided-difference lower bound on a line", ())
+    r1 = command("rigidity-1d", _cmd_rigidity_1d, "divided-difference lower bound on [-1, 1] for |f(z0)| = 1", ())
     r1.add_argument("--zeros", required=True, help="comma-separated zeros, d+1 of them")
-    r1.add_argument("--z0", type=_finite_float, required=True, help="witness point")
-    r1.add_argument("--fz0", type=_finite_float, default=1.0, help="|f(z0)| after normalization")
+    r1.add_argument("--z0", type=_finite_float, required=True, help="witness point in [-1, 1], where |f| = 1")
     r1.add_argument("--degree", type=int, required=True)
 
     c = command(
@@ -373,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--poly", required=True, help="polynomial JSON")
     v.add_argument("--config", required=True)
-    v.add_argument("--degree", type=int, default=None, help="also check the count at this degree")
     v.add_argument("--grid", type=int, default=64, help="Newton seed grid per axis")
     v.add_argument("--eps", type=_finite_float, default=1e-6, help="tilt size is eps * max(coefficient norm, 1)")
 

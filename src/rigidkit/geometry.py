@@ -70,12 +70,6 @@ class OvalConfiguration:
     def N(self) -> int:
         return len(self.ovals)
 
-    def oval_by_id(self, oval_id: int) -> Oval:
-        for o in self.ovals:
-            if o.id == oval_id:
-                return o
-        raise KeyError(oval_id)
-
 
 @dataclass
 class ForestNode:
@@ -315,10 +309,10 @@ def build_domains(forest: NestingForest) -> list[Domain]:
     what makes the minimal-area quantity well defined for any nesting. Each
     area, the outer oval's shoelace area minus its holes', is computed once, here.
     """
+    by_id = {o.id: o for o in forest.config.ovals}
     domains = []
     for o in forest.config.ovals:
-        node = forest.nodes[o.id]
-        holes = tuple(forest.config.oval_by_id(c) for c in node.children)
+        holes = tuple(by_id[c] for c in forest.nodes[o.id].children)
         area = shoelace_area(o.vertices) - sum(shoelace_area(h.vertices) for h in holes)
         if area <= 0:
             raise ValidationError(f"domain of oval {o.id} has non-positive area {area}")

@@ -43,6 +43,8 @@ _DET_FLOOR = 1e-14
 _STEP_FLOOR = 1e-13
 _MAX_ITER = 80
 _MERGE_RADIUS = 1e-6
+_BOUNDARY_SAMPLES = 512  # pigeonhole samples per ring
+_INTERIOR_GRID = 33  # pigeonhole interior lattice points per axis
 
 
 @dataclass
@@ -235,23 +237,17 @@ def bezout_check(n_clusters: int, d: int) -> dict:
     return body
 
 
-def domain_pigeonhole_report(
-    p: MultiPoly,
-    config: OvalConfiguration,
-    newton_grid: int,
-    eps: float,
-    samples: int = 512,
-    interior_grid: int = 33,
-) -> dict:
+def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_grid: int, eps: float) -> dict:
     """Assemble the pigeonhole evidence for p over a nested-oval config as a JSON body.
 
     The polynomial is first tilted by ``perturb_linear`` with size
     t = eps * max(||p||, 1), so its critical points are isolated; the report
     gives t as the perturbation's ``eps`` next to the fixed direction, and
     everything below refers to the perturbed polynomial. Per domain the
-    report compares the max of |p| on ``samples`` boundary points per ring
-    against an interior lattice max and flags domains whose interior max
-    wins, which forces an interior critical point for a smooth function.
+    report compares the max of |p| on ``_BOUNDARY_SAMPLES`` points per ring
+    against the max on an interior lattice of ``_INTERIOR_GRID`` points per
+    axis and flags domains whose interior max wins, which forces an interior
+    critical point for a smooth function.
     Critical points are then located by Newton from a ``newton_grid`` x
     ``newton_grid`` seed lattice over the configuration bounding box and
     assigned to the unique domain containing them (or none). A critical
@@ -287,15 +283,15 @@ def domain_pigeonhole_report(
                 assignments[i] = dom.outer.id
 
     # each oval is sampled once: as its own domain's outer ring and as its parent's hole
-    bpts = np.concatenate([sample_boundary(o, samples) for o in config.ovals], axis=0)
-    bvals = np.abs(eval_poly(pt_poly, [bpts[:, 0], bpts[:, 1]])).reshape(config.N, samples)
+    bpts = np.concatenate([sample_boundary(o, _BOUNDARY_SAMPLES) for o in config.ovals], axis=0)
+    bvals = np.abs(eval_poly(pt_poly, [bpts[:, 0], bpts[:, 1]])).reshape(config.N, _BOUNDARY_SAMPLES)
     oval_max = dict(zip((o.id for o in config.ovals), np.max(bvals, axis=1).tolist()))
     global_bmax = max(0.0, *oval_max.values())
 
     dom_entries: list[dict] = []
     for dom in domains:
         bmax = max(0.0, *(oval_max[ring.id] for ring in (dom.outer, *dom.holes)))
-        grid_pts = lattice(*bounding_box([dom.outer]), interior_grid)
+        grid_pts = lattice(*bounding_box([dom.outer]), _INTERIOR_GRID)
         inside = points_in_domain(dom, grid_pts)
         if np.any(inside):
             ivals = np.abs(eval_poly(pt_poly, [grid_pts[inside, 0], grid_pts[inside, 1]]))

@@ -1,13 +1,12 @@
-"""Remez-type bounds and a numerical Remez-constant estimator.
+"""The linear-programming estimator of the Remez constant.
 
 The Remez constant of a set Z in the unit ball is the smallest K with
-sup_B |P| <= K sup_Z |P| over all degree-d polynomials P. One closed-form
-upper bound is provided (the topological formula, which assumes
-``ovals_required(d, n)`` ovals, a count the reports judge in their
-``hypothesis_ok`` entries), and a linear-programming estimator computes a
-certified lower estimate for a sampled Z: for each candidate point x0 it
-maximizes P(x0) over the polytope {|P| <= 1 on the samples}, whose rows
-``vandermonde`` takes from ``poly.eval_polys`` at the unit monomials.
+sup_B |P| <= K sup_Z |P| over all degree-d polynomials P. This module
+computes a certified lower estimate for a sampled Z: for each candidate
+point x0 it maximizes P(x0) over the polytope {|P| <= 1 on the samples},
+whose rows ``vandermonde`` takes from ``poly.eval_polys`` at the unit
+monomials. The closed-form topological bound and its oval-count hypothesis
+live in ``rigidity`` with the other closed-form bounds.
 
 The per-candidate LPs share one constraint polytope, so every basis of it
 bounds every candidate: with A_B the basis rows, P(x) = w . (A_B c) for the
@@ -44,8 +43,6 @@ from .poly import MultiPoly, basis_size, eval_polys, monomials
 
 __all__ = [
     "RemezEstimate",
-    "ovals_required",
-    "remez_bound_topological",
     "remez_estimate_lp",
     "inverse_remez",
     "vandermonde",
@@ -69,40 +66,10 @@ class RemezEstimate:
         return math.isinf(self.value)
 
 
-def ovals_required(d: int, n: int) -> int:
-    """Oval count (d-1)^n + 1 that the topological bounds at degree d in R^n assume."""
-    if n < 1:
-        raise ValidationError(f"ambient dimension must be >= 1, got {n}")
-    if d < 0:
-        raise ValidationError(f"degree must be >= 0, got {d}")
-    return (d - 1) ** n + 1
-
-
-def remez_bound_topological(mu: float, d: int, n: int) -> float:
-    """Closed-form bound (4n/mu)^d for configurations of many disjoint ovals.
-
-    The bound assumes at least ``ovals_required(d, n)`` ovals; the reports
-    judge that count in their ``hypothesis_ok`` entries, so this function
-    only evaluates the formula, which reads (8/mu)^d in the plane. A value
-    past the largest double is a ValidationError, not infinity.
-    """
-    if mu <= 0:
-        raise ValidationError(f"minimal domain area must be positive, got {mu}")
-    ovals_required(d, n)  # rejects n < 1 and d < 0
-    try:
-        value = (4.0 * n / mu) ** d
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        raise ValidationError(f"bound (4n/mu)^d overflows a double at mu = {mu:.6g}, d = {d}, n = {n}")
-    return value
-
-
-def vandermonde(points: np.ndarray, n: int, d: int) -> np.ndarray:
-    """One row per point; column j is ``eval_polys`` of the j-th monomial of ``monomials(n, d)``."""
+def vandermonde(points: np.ndarray, d: int) -> np.ndarray:
+    """One row per n-dimensional point; column j is ``eval_polys`` of the j-th monomial of ``monomials(n, d)``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != n:
-        raise ValidationError(f"points have dimension {pts.shape[1]}, expected {n}")
+    n = pts.shape[1]
     units = [MultiPoly.from_rows(n, exp, [1.0]) for exp in monomials(n, d)]
     return np.column_stack(eval_polys(units, list(pts.T)))
 
@@ -237,7 +204,7 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
     if cand.shape[1] != n:
         raise ValidationError(f"candidate dimension {cand.shape[1]} != sample dimension {n}")
     m = basis_size(n, d)
-    phi = vandermonde(zpts, n, d)
+    phi = vandermonde(zpts, d)
 
     sigma = np.linalg.svd(phi, compute_uv=False)
     diagnostics: dict = {
@@ -255,7 +222,7 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
         vt = np.linalg.svd(phi, full_matrices=len(phi) < m)[2]
         return RemezEstimate(math.inf, MultiPoly.from_rows(n, monomials(n, d), vt[-1]), None, diagnostics)
 
-    psi = vandermonde(cand, n, d)  # candidate basis rows
+    psi = vandermonde(cand, d)  # candidate basis rows
     # every basis met so far, and each candidate's least bound with the basis that gives it
     bases = [(_spread_rows(phi), np.ones(m))]
     ub = np.abs(psi @ _inverse(phi, *bases[0])).sum(axis=1)

@@ -100,9 +100,8 @@ def test_criterion_2_decomposition_counts_and_areas():
                 bad.append((trial, "count"))
                 continue
             total = sum(d.area for d in domains)
-            root_total = sum(
-                shoelace_area(config.oval_by_id(rid).vertices) for rid in forest_roots(forest)
-            )
+            by_id = {o.id: o for o in config.ovals}
+            root_total = sum(shoelace_area(by_id[rid].vertices) for rid in forest_roots(forest))
             if abs(total - root_total) > 1e-9 * max(1.0, abs(root_total)):
                 bad.append((trial, "area"))
         crit.ok = not bad
@@ -168,7 +167,7 @@ def test_criterion_4_divided_difference_bound_sound_and_floored():
                 m = float(np.max(np.abs(fvals)))
                 i0 = int(np.argmax(np.abs(fvals)))
                 z0 = float(ts[i0])
-                bound = rigidity_1d_bound(list(nodes), z0, 1.0, d)
+                bound = rigidity_1d_bound(list(nodes), z0, d)
                 exact = fact * abs(lead) / m
                 if not (bound <= exact + 1e-9 and bound >= floor - 1e-12):
                     bad += 1

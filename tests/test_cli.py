@@ -137,6 +137,19 @@ class TestBounds:
         assert report["remez_topological"]["hypothesis_ok"] is False
         assert report["remez_topological"]["ovals_required"] == 26
 
+    def test_three_rings_short_of_the_planar_count(self, chain_path, capsys):
+        # d = 3 has (3-1)^2 = 4 critical points to outnumber, so 3 rings are too few;
+        # no option lowers that count (an ambient dimension of 1 once made it 3)
+        argv = ["bounds", "--config", chain_path, "--degree", "3"]
+        with pytest.raises(SystemExit):
+            main(argv + ["--n", "1"])
+        code, report = run_cli(argv, capsys)
+        assert code == 0
+        assert report["n"] == 2
+        assert report["remez_topological"]["hypothesis_ok"] is False
+        assert report["remez_topological"]["ovals_required"] == 5
+        assert not any(e["hypothesis_ok"] for e in report["rigidity"]["bounds"])
+
 
 class TestRemezLP:
     def test_candidate_grid_keeps_every_1d_point(self):
@@ -192,6 +205,12 @@ class TestRigidity1D:
         assert report["bound"] == pytest.approx(expected, rel=1e-12)
         assert report["universal_floor"] == pytest.approx(0.75)
         assert report["bound"] >= report["universal_floor"]
+        assert report["fz0"] == 1.0
+
+    def test_zeros_outside_interval_exit2(self, capsys):
+        # nodes off [-1, 1] would put the bound under the universal floor
+        argv = ["rigidity-1d", "--zeros=-3,3", "--z0", "4", "--degree", "1"]
+        expect_exit2(argv, capsys, "zeros and witness point must be finite and lie in [-1, 1]")
 
 
 class TestCurveCheck:
@@ -254,16 +273,16 @@ class TestVerifyProof:
         assert len(report["domains"]) == 2
         assert report["confinement_violations"] == []
 
-    def test_extra_degree_check(self, fxy_path, annulus_path, capsys):
-        code, report = run_cli(
-            [
-                "verify-proof", "--poly", fxy_path, "--config", annulus_path,
-                "--grid", "12", "--degree", "5",
-            ],
-            capsys,
-        )
+    def test_extra_degree_check(self, annulus_path, tmp_path, capsys):
+        # x^4 - x^2 + y^4 - y^2 has 9 critical points, (d-1)^2 at its own degree 4
+        poly = tmp_path / "quartic.json"
+        terms = [([4, 0], 1.0), ([2, 0], -1.0), ([0, 4], 1.0), ([0, 2], -1.0)]
+        poly.write_text(json.dumps({"nvars": 2, "terms": [{"exp": e, "coef": c} for e, c in terms]}))
+        code, report = run_cli(["verify-proof", "--poly", str(poly), "--config", annulus_path, "--grid", "12"], capsys)
         assert code == 0
-        assert report["bezout_at_degree"]["bound"] == 16
+        assert report["critical_points"]["n_clusters"] == 9
+        assert report["bezout"] == {"degree": 4, "bound": 9, "n_clusters": 9, "verdict": "consistent", "note": None}
+        assert "bezout_at_degree" not in report
 
 
 _MANIFEST_CASES = {
@@ -281,7 +300,7 @@ _MANIFEST_CASES = {
     "bounds": (
         ["bounds", "--config", "{annulus}", "--degree", "2"],
         ["annulus"],
-        {"config", "degree", "n"},
+        {"config", "degree"},
     ),
     "rigidity": (
         ["rigidity", "--config", "{annulus}", "--degree", "1", "--grid", "8", "--samples-per-oval", "16"],
@@ -291,7 +310,7 @@ _MANIFEST_CASES = {
     "rigidity-1d": (
         ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--z0", "0.9", "--degree", "2"],
         [],
-        {"zeros", "z0", "fz0", "degree"},
+        {"zeros", "z0", "degree"},
     ),
     "curve-check": (
         ["curve-check", "--f", "{fxy}", "--points", "{curve}", "--s", "2", "--degree", "3", "--tgrid", "64"],
@@ -314,7 +333,7 @@ _MANIFEST_CASES = {
     "verify-proof": (
         ["verify-proof", "--poly", "{fxy}", "--config", "{annulus}", "--grid", "8"],
         ["fxy", "annulus"],
-        {"poly", "config", "degree", "grid", "eps"},
+        {"poly", "config", "grid", "eps"},
     ),
 }
 
@@ -404,7 +423,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_zero_exit2(self, value, capsys):
         argv = ["rigidity-1d", f"--zeros={value},0.1,0.2", "--z0", "0.9", "--degree", "2"]
-        expect_exit2(argv, capsys, "zeros, witness point and witness value must be finite")
+        expect_exit2(argv, capsys, "zeros and witness point must be finite and lie in [-1, 1]")
 
     def test_scale_past_int64_cells_exit2(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
@@ -610,9 +629,27 @@ class TestErrorPaths:
         assert report["forest"] == {"2": {"children": [], "depth": 1, "parent": None}}
         assert report["domains"][0]["outer"] == 2
 
-    def test_bounds_zero_dimension_exit2(self, annulus_path, capsys):
-        argv = ["bounds", "--config", annulus_path, "--degree", "2", "--n", "0"]
-        expect_exit2(argv, capsys, "ambient dimension must be >= 1, got 0")
+    def test_bounds_zero_dimension_exit2(self, tmp_path, capsys):
+        # the dimension comes from the vertices, and zero-dimensional ones fail validation
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"ovals": [{"id": 1, "vertices": [[], [], []]}]}')
+        expect_exit2(["bounds", "--config", str(cfg), "--degree", "2"], capsys, "vertices must be an (k, 2) array")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--config", "{annulus}", "--degree", "3", "--n", "1"],
+            ["verify-proof", "--poly", "{fxy}", "--config", "{annulus}", "--grid", "8", "--degree", "3"],
+            ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--z0", "0.9", "--degree", "2", "--fz0", "0.01"],
+        ],
+        ids=["bounds-n", "verify-proof-degree", "rigidity-1d-fz0"],
+    )
+    def test_deleted_option_systemexit2(self, argv, annulus_path, fxy_path, capsys):
+        # the input fixes each value: the plane, the polynomial's degree, |f(z0)| = 1
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(annulus=annulus_path, fxy=fxy_path) for arg in argv])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--out", "--svg"])
     def test_unwritable_output_exit2(self, flag, annulus_path, capsys):
@@ -624,7 +661,10 @@ class TestErrorPaths:
         "argv",
         [
             ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--degree", "2", "--z0"],
-            ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--degree", "2", "--z0", "0.9", "--fz0"],
+            [
+                "curve-check", "--f", "f.json", "--points", "p.csv", "--s", "2", "--degree", "1",
+                "--config", "c.json", "--tol",
+            ],
             ["curve-check", "--f", "f.json", "--points", "p.csv", "--s", "2", "--degree", "1", "--tol"],
             ["verify-proof", "--poly", "p.json", "--config", "c.json", "--eps"],
         ],

@@ -246,8 +246,8 @@ class TestForest:
         assert depths == [1, 2, 2, 3]
         # oracle: depth = 1 + number of ovals containing the oval
         config = forest.config
-        for node in forest.nodes.values():
-            o = config.oval_by_id(node.oval_id)
+        for o in config.ovals:
+            node = forest.nodes[o.id]
             containing = sum(1 for other in config.ovals if other.id != o.id and ray_cast(other.vertices, o.vertices[0]))
             assert node.depth == containing + 1
 
@@ -325,7 +325,8 @@ class TestDomains:
             forest = build_nesting_forest(config)
             domains = build_domains(forest)
             assert len(domains) == config.N
-            roots = [config.oval_by_id(i) for i in forest_roots(forest)]
+            by_id = {o.id: o for o in config.ovals}
+            roots = [by_id[i] for i in forest_roots(forest)]
             total_roots = sum(shoelace_area(o.vertices) for o in roots)
             total_domains = sum(d.area for d in domains)
             assert total_domains == pytest.approx(total_roots, rel=1e-9)

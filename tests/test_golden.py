@@ -85,13 +85,13 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
             "--tgrid", "64", "--config", rings,
         ],
         "verify-proof-annulus": [
-            "verify-proof", "--poly", fxy_path, "--config", annulus, "--grid", "32", "--degree", "3",
+            "verify-proof", "--poly", fxy_path, "--config", annulus, "--grid", "32",
         ],
         "verify-proof-rings": ["verify-proof", "--poly", ring_path, "--config", rings, "--grid", "24"],
         "decompose-ladder": ["decompose", "--config", ladder],
         "decompose-scattered": ["decompose", "--config", scattered],
         "bounds-ladder": ["bounds", "--config", ladder, "--degree", "6"],
-        "bounds-scattered": ["bounds", "--config", scattered, "--degree", "10", "--n", "3"],
+        "bounds-scattered": ["bounds", "--config", scattered, "--degree", "10"],
         "remez-lp-halfline": ["remez-lp", "--degree", "2", "--z", halfline, "--grid", "64"],
         "remez-lp-annulus": [
             "remez-lp", "--degree", "2", "--z", annulus, "--grid", "16", "--samples-per-oval", "32",

@@ -209,7 +209,7 @@ class TestBitIdentity:
                     if e:
                         col = col * pts[:, axis] ** e
                 cols.append(col)
-            assert np.array_equal(vandermonde(pts, n, d), np.column_stack(cols))
+            assert np.array_equal(vandermonde(pts, d), np.column_stack(cols))
 
     def test_sum_and_difference_match_dict_merge(self):
         rng = np.random.default_rng(24)

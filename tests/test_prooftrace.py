@@ -405,21 +405,25 @@ class TestPigeonhole:
         assert report["critical_points"]["n_clusters"] == 0
         assert all(not e["flagged"] for e in report["domains"])
 
-    def test_flags_monotone_under_sample_doubling(self):
-        p = two_ring_poly()
-        config = two_ring_config()
-        coarse = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=128, interior_grid=17)
-        fine = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=256, interior_grid=33)
+    @staticmethod
+    def coarse_and_fine(monkeypatch) -> list[dict]:
+        """Two-ring reports at 128 boundary samples and a 17-point lattice, then at 256 and 33."""
+        reports = []
+        for samples, grid in ((128, 17), (256, 33)):
+            monkeypatch.setattr(prooftrace, "_BOUNDARY_SAMPLES", samples)
+            monkeypatch.setattr(prooftrace, "_INTERIOR_GRID", grid)
+            reports.append(domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6))
+        return reports
+
+    def test_flags_monotone_under_sample_doubling(self, monkeypatch):
+        coarse, fine = self.coarse_and_fine(monkeypatch)
         for a, b in zip(coarse["domains"], fine["domains"]):
             assert a["oval_id"] == b["oval_id"]
             if a["flagged"]:
                 assert b["flagged"]
 
-    def test_interior_and_boundary_maxima_grow(self):
-        p = two_ring_poly()
-        config = two_ring_config()
-        coarse = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=128, interior_grid=17)
-        fine = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6, samples=256, interior_grid=33)
+    def test_interior_and_boundary_maxima_grow(self, monkeypatch):
+        coarse, fine = self.coarse_and_fine(monkeypatch)
         for a, b in zip(coarse["domains"], fine["domains"]):
             assert b["boundary_max"] >= a["boundary_max"] - 1e-15
             if a["interior_max"] is not None:

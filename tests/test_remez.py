@@ -9,63 +9,47 @@ from rigidkit.cli import _boundary_samples, _candidate_grid
 from rigidkit.errors import SolverError, ValidationError
 from rigidkit.geometry import validate_configuration
 from rigidkit.poly import basis_size, eval_poly
-from rigidkit.remez import (
-    inverse_remez,
-    ovals_required,
-    remez_bound_topological,
-    remez_estimate_lp,
-    vandermonde,
-)
+from rigidkit.remez import inverse_remez, remez_estimate_lp, vandermonde
+from rigidkit.rigidity import ovals_required, remez_bound_topological
 
 
 class TestTopologicalBound:
     def test_plane_substitution(self):
-        assert remez_bound_topological(2.0, 3, 2) == pytest.approx(64.0)
+        assert remez_bound_topological(2.0, 3) == pytest.approx(64.0)
 
     def test_unit_value(self):
-        assert remez_bound_topological(8.0, 1, 2) == pytest.approx(1.0)
+        assert remez_bound_topological(8.0, 1) == pytest.approx(1.0)
 
     def test_oval_count_hypothesis(self):
         # the degree-6 formula value; whether 26 ovals are present is judged by the reports
-        assert remez_bound_topological(1.0, 6, 2) == pytest.approx(8.0**6)
+        assert remez_bound_topological(1.0, 6) == pytest.approx(8.0**6)
 
     def test_ovals_required(self):
-        assert [ovals_required(d, 2) for d in (1, 2, 3, 6)] == [1, 2, 5, 26]
-        assert ovals_required(3, 3) == 9
-        for bad in (0, -1):
-            with pytest.raises(ValidationError, match=r"ambient dimension must be >= 1"):
-                ovals_required(3, bad)
+        assert [ovals_required(d) for d in (1, 2, 3, 6)] == [1, 2, 5, 26]
         with pytest.raises(ValidationError, match=r"degree must be >= 0, got -1"):
-            ovals_required(-1, 2)
+            ovals_required(-1)
 
     def test_mu_positive(self):
         with pytest.raises(ValidationError, match=r"minimal domain area must be positive"):
-            remez_bound_topological(0.0, 2, 2)
+            remez_bound_topological(0.0, 2)
 
-    @pytest.mark.parametrize(
-        "d, n, message", [(-1, 2, r"degree must be >= 0, got -1"), (2, 0, r"ambient dimension must be >= 1, got 0")]
-    )
-    def test_degree_and_dimension_rejected(self, d, n, message):
-        with pytest.raises(ValidationError, match=message):
-            remez_bound_topological(1.0, d, n)
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValidationError, match=r"degree must be >= 0, got -1"):
+            remez_bound_topological(1.0, -1)
 
     @pytest.mark.parametrize("mu, d", [(4e-18, 18), (4e-320, 1)])
     def test_overflow_rejected(self, mu, d):
         # the power overflows at the first pair; 8/mu is already infinite at the second
         with pytest.raises(ValidationError, match=r"^bound \(4n/mu\)\^d overflows a double"):
-            remez_bound_topological(mu, d, 2)
+            remez_bound_topological(mu, d)
 
 
 class TestVandermonde:
     def test_shape_and_columns(self):
         pts = np.array([[0.1, 0.2], [0.3, -0.4], [0.0, 0.0]])
-        phi = vandermonde(pts, 2, 2)
+        phi = vandermonde(pts, 2)
         assert phi.shape == (3, basis_size(2, 2))
         assert np.allclose(phi[:, 0], 1.0)  # constant column first (graded-lex)
-
-    def test_dimension_check(self):
-        with pytest.raises(ValidationError):
-            vandermonde(np.zeros((2, 3)), 2, 1)
 
 
 class TestEstimatorTwoPoint:
@@ -146,7 +130,7 @@ class TestEstimatorProperties:
         # samples -1, 0, 1 at degree 1: the basis {P(-1) = 1, P(0) = -1} prices
         # optimal for psi = (0, -1), but its P = -1 - 2t has |P(1)| = 3; dual
         # steps reach max -c1 = 1 at P = -t
-        phi = vandermonde(np.array([[-1.0], [0.0], [1.0]]), 1, 1)
+        phi = vandermonde(np.array([[-1.0], [0.0], [1.0]]), 1)
         psi = np.array([0.0, -1.0])
         rows, signs, c, pivots, binv = remez._simplex(phi, psi, np.array([0, 1]), np.array([1.0, -1.0]), -np.inf)
         assert psi @ c == pytest.approx(1.0, abs=1e-12)
@@ -158,7 +142,7 @@ class TestEstimatorProperties:
     def test_start_basis_under_cutoff_stops_at_once(self, cutoff):
         # the same start basis has weights y = (1, 1): its bound 2 is at or
         # below the cutoff, so the run stops before any step, with no vertex
-        phi = vandermonde(np.array([[-1.0], [0.0], [1.0]]), 1, 1)
+        phi = vandermonde(np.array([[-1.0], [0.0], [1.0]]), 1)
         start = np.array([0, 1]), np.array([1.0, -1.0])
         rows, signs, c, pivots, binv = remez._simplex(phi, np.array([0.0, -1.0]), *start, cutoff)
         assert c is None and pivots == 0
@@ -272,7 +256,7 @@ class TestSimplexCertificate:
     def test_full_sweep_of_ten_ring_ladder_finishes_every_lp(self, ladder10_lps):
         # every candidate from the spread basis with no cutoff, so no stop hides a slow LP
         est, lps = ladder10_lps
-        phi, psi = lps[0][0], vandermonde(_candidate_grid(2, 24), 2, 4)
+        phi, psi = lps[0][0], vandermonde(_candidate_grid(2, 24), 4)
         start = remez._spread_rows(phi), np.ones(phi.shape[1])
         runs = [remez._simplex(phi, p, *start, -np.inf) for p in psi]
         assert len(runs) == est.diagnostics["n_candidates"] == 408
@@ -284,7 +268,7 @@ class TestSimplexCertificate:
         # from every basis the estimate returned, stopped ones too, each candidate runs to an optimum
         zsamples, d, candidates = _scattered_inputs()
         _, lps = _recorded_lps(zsamples, d, candidates)
-        phi, psi = vandermonde(zsamples, 2, d), vandermonde(candidates, 2, d)
+        phi, psi = vandermonde(zsamples, d), vandermonde(candidates, d)
         for _, _, _, rows, signs, *_ in lps:
             for p in psi[::6]:
                 _, _, c, _, binv = remez._simplex(phi, p, rows, signs, -np.inf)
@@ -332,7 +316,7 @@ class TestPruningMatchesFullSweep:
     def test_estimate_is_max_of_every_lp(self, inputs):
         zsamples, d, candidates = inputs
         est, lps = _recorded_lps(zsamples, d, candidates)
-        phi, psi = vandermonde(zsamples, 2, d), vandermonde(candidates, 2, d)
+        phi, psi = vandermonde(zsamples, d), vandermonde(candidates, d)
         start = remez._spread_rows(phi), np.ones(phi.shape[1])
         values = np.array([p @ remez._simplex(phi, p, *start, -np.inf)[2] for p in psi])
         optimal = {lp[1].tobytes() for lp in lps if lp[5] is not None}

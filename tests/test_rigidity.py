@@ -17,13 +17,10 @@ from rigidkit.rigidity import (
 
 class TestRigidity1D:
     def test_two_zeros_right_witness(self):
-        assert rigidity_1d_bound([-1.0, 0.0], 1.0, 1.0, 1) == pytest.approx(1.0)
+        assert rigidity_1d_bound([-1.0, 0.0], 1.0, 1) == pytest.approx(1.0)
 
     def test_witness_between_zeros(self):
-        assert rigidity_1d_bound([-1.0, 1.0], 0.0, 1.0, 1) == pytest.approx(2.0)
-
-    def test_zero_witness_value(self):
-        assert rigidity_1d_bound([-1.0, 0.0], 1.0, 0.0, 1) == 0.0
+        assert rigidity_1d_bound([-1.0, 1.0], 0.0, 1) == pytest.approx(2.0)
 
     def test_floor_on_random_configurations(self):
         rng = np.random.default_rng(41)
@@ -36,7 +33,7 @@ class TestRigidity1D:
                 which = rng.integers(0, d + 2)
                 z0 = nodes[which]
                 xs = np.delete(nodes, which)
-                assert rigidity_1d_bound(xs, z0, 1.0, d) >= floor - 1e-12
+                assert rigidity_1d_bound(xs, z0, d) >= floor - 1e-12
 
     def test_sound_against_exact_derivative(self):
         # f = degree-(d+1) polynomial vanishing on xs, sup-normalized on [-1,1]
@@ -57,8 +54,7 @@ class TestRigidity1D:
                 z0 = float(grid[idx])
                 if np.min(np.abs(xs - z0)) < 1e-9:
                     continue
-                fz0 = float(eval_poly(f, [z0]))
-                bound = rigidity_1d_bound(xs, z0, fz0, d)
+                bound = rigidity_1d_bound(xs, z0, d)  # |f(z0)| = 1 up to rounding
                 deriv = f
                 for _ in range(d + 1):
                     deriv = partial_derivative(deriv, 0)
@@ -66,19 +62,25 @@ class TestRigidity1D:
                 assert bound <= exact + 1e-9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("slot", ["zero", "z0", "fz0"])
+    @pytest.mark.parametrize("slot", ["zero", "z0"])
     def test_non_finite_input_checked(self, slot, bad):
-        args = {"zero": ([bad, 0.0], 1.0, 1.0), "z0": ([-1.0, 0.0], bad, 1.0), "fz0": ([-1.0, 0.0], 1.0, bad)}[slot]
-        with pytest.raises(ValidationError, match=r"zeros, witness point and witness value must be finite"):
+        args = {"zero": ([bad, 0.0], 1.0), "z0": ([-1.0, 0.0], bad)}[slot]
+        with pytest.raises(ValidationError, match=r"zeros and witness point must be finite and lie in \[-1, 1\]"):
             rigidity_1d_bound(*args, 1)
+
+    @pytest.mark.parametrize("xs, z0", [([-3.0, 3.0], 0.5), ([-0.5, 0.5], 4.0), ([-1.0, 1.0 + 1e-6], 0.0)])
+    def test_nodes_outside_interval_rejected(self, xs, z0):
+        # the (d+1)!/2^(d+1) floor holds only for nodes in [-1, 1]
+        with pytest.raises(ValidationError, match=r"zeros and witness point must be finite and lie in \[-1, 1\]"):
+            rigidity_1d_bound(xs, z0, 1)
 
     def test_node_count_checked(self):
         with pytest.raises(ValidationError, match=r"need exactly d\+1 = 2 zeros, got 3"):
-            rigidity_1d_bound([-1.0, 0.0, 1.0], 0.5, 1.0, 1)
+            rigidity_1d_bound([-1.0, 0.0, 1.0], 0.5, 1)
 
     def test_witness_collision_checked(self):
         with pytest.raises(ValidationError, match=r"witness point 0.0 coincides with a zero"):
-            rigidity_1d_bound([-1.0, 0.0], 0.0, 1.0, 1)
+            rigidity_1d_bound([-1.0, 0.0], 0.0, 1)
 
 
 class TestClosedFormBounds:
@@ -96,19 +98,19 @@ class TestClosedFormBounds:
             rigidity_from_remez(1.5, 2)
 
     def test_literal(self):
-        assert rigidity_topological_literal(8.0, 1, 2) == pytest.approx(0.5)
-        assert rigidity_topological_literal(4.0, 2, 2) == pytest.approx(2.0 / 3.0)
-        assert rigidity_topological_literal(1.0, 6, 2) == pytest.approx(8.0**6 / 5040.0)
+        assert rigidity_topological_literal(8.0, 1) == pytest.approx(0.5)
+        assert rigidity_topological_literal(4.0, 2) == pytest.approx(2.0 / 3.0)
+        assert rigidity_topological_literal(1.0, 6) == pytest.approx(8.0**6 / 5040.0)
 
     def test_composed(self):
-        assert rigidity_topological_composed(8.0, 1, 2) == pytest.approx(1.0)
-        assert rigidity_topological_composed(8.0, 2, 2) == pytest.approx(3.0)
-        assert rigidity_topological_composed(4.0, 2, 2) == pytest.approx(0.75)
+        assert rigidity_topological_composed(8.0, 1) == pytest.approx(1.0)
+        assert rigidity_topological_composed(8.0, 2) == pytest.approx(3.0)
+        assert rigidity_topological_composed(4.0, 2) == pytest.approx(0.75)
 
     def test_shapes_disagree_as_mu_shrinks(self):
         # the two printed forms move in opposite directions; both are reported
-        lit = [rigidity_topological_literal(m, 2, 2) for m in (1.0, 0.5, 0.25)]
-        comp = [rigidity_topological_composed(m, 2, 2) for m in (1.0, 0.5, 0.25)]
+        lit = [rigidity_topological_literal(m, 2) for m in (1.0, 0.5, 0.25)]
+        comp = [rigidity_topological_composed(m, 2) for m in (1.0, 0.5, 0.25)]
         assert lit[0] < lit[1] < lit[2]
         assert comp[0] > comp[1] > comp[2]
 
@@ -120,7 +122,7 @@ def entries(rep) -> dict:
 
 class TestReport:
     def test_always_carries_both_topological_entries(self):
-        rep = rigidity_report(2, mu_value=4.0, n=2, oval_count=10)
+        rep = rigidity_report(2, mu_value=4.0, oval_count=10)
         lit, comp = entries(rep)["topological_literal"], entries(rep)["topological_composed"]
         assert lit["value"] == pytest.approx(2.0 / 3.0)
         assert comp["value"] == pytest.approx(0.75)
@@ -129,13 +131,13 @@ class TestReport:
         assert lit["hypothesis_ok"] and comp["hypothesis_ok"]  # 10 >= (2-1)^2+1
 
     def test_hypothesis_flag_when_too_few_ovals(self):
-        rep = rigidity_report(6, mu_value=1.0, n=2, oval_count=25)
+        rep = rigidity_report(6, mu_value=1.0, oval_count=25)
         lit = entries(rep)["topological_literal"]
         assert not lit["hypothesis_ok"]
         assert "26" in lit["note"]
 
     def test_from_remez_entry(self):
-        rep = rigidity_report(2, mu_value=1.0, n=2, oval_count=5, inv_remez=1.0 / 17.0)
+        rep = rigidity_report(2, mu_value=1.0, oval_count=5, inv_remez=1.0 / 17.0)
         assert entries(rep)["from_remez"]["value"] == pytest.approx(3.0 / 17.0)
 
     @pytest.mark.parametrize("missing", ["mu_value", "oval_count"])
@@ -146,6 +148,6 @@ class TestReport:
             rigidity_report(2, **kwargs)
 
     def test_json_shape(self):
-        data = rigidity_report(2, mu_value=1.0, n=2, oval_count=5)
+        data = rigidity_report(2, mu_value=1.0, oval_count=5)
         assert data["degree"] == 2
         assert all({"formula", "value", "hypothesis_ok", "provenance"} <= set(e) for e in data["bounds"])
