@@ -51,14 +51,18 @@ def _load_json(path: str) -> dict:
     raw = _read_bytes(path)
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _load_points_csv(path: str) -> np.ndarray:
     rows = []
     width = None
-    for ln, line in enumerate(_read_bytes(path).decode("utf-8").splitlines(), start=1):
+    try:
+        text = _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"malformed point in {path}: {exc}") from exc
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -256,7 +260,7 @@ def _cmd_curve_check(args) -> dict:
     comp = composition_report(f, curve, args.degree, args.tgrid)
     crossings = None
     if args.config:
-        crossings = crossing_count(curve, config_from_json_dict(_load_json(args.config)), args.tol)
+        crossings = crossing_count(curve, config_from_json_dict(_load_json(args.config)))
     return {
         "curve": {
             "s": curve.s,
@@ -288,7 +292,7 @@ def _cmd_boxdim(args) -> dict:
 def _cmd_verify_proof(args) -> dict:
     p = MultiPoly.from_json_dict(_load_json(args.poly))
     config = config_from_json_dict(_load_json(args.config))
-    report = domain_pigeonhole_report(p, config, args.grid, args.eps)
+    report = domain_pigeonhole_report(p, config, args.grid)
     return {
         "bezout_formula": "at most (d-1)^2 isolated critical points",
         **report,
@@ -296,16 +300,6 @@ def _cmd_verify_proof(args) -> dict:
 
 
 # --- parser --------------------------------------------------------------
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r1 = command("rigidity-1d", _cmd_rigidity_1d, "divided-difference lower bound on [-1, 1] for |f(z0)| = 1", ())
     r1.add_argument("--zeros", required=True, help="comma-separated zeros, d+1 of them")
-    r1.add_argument("--z0", type=_finite_float, required=True, help="witness point in [-1, 1], where |f| = 1")
+    r1.add_argument("--z0", type=float, required=True, help="witness point in [-1, 1], where |f| = 1")
     r1.add_argument("--degree", type=int, required=True)
 
     c = command(
@@ -357,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--degree", type=int, required=True, help="derivative order d")
     c.add_argument("--tgrid", type=int, default=512)
     c.add_argument("--config", default=None, help="optional configuration for crossing count")
-    c.add_argument("--tol", type=_finite_float, default=1e-9, help="crossing isolation tolerance")
 
     x = command("boxdim", _cmd_boxdim, "box-counting dimension estimate and threshold verdict", ("points",))
     x.add_argument("--points", required=True, help="points CSV")
@@ -370,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--poly", required=True, help="polynomial JSON")
     v.add_argument("--config", required=True)
     v.add_argument("--grid", type=int, default=64, help="Newton seed grid per axis")
-    v.add_argument("--eps", type=_finite_float, default=1e-6, help="tilt size is eps * max(coefficient norm, 1)")
 
     return parser
 

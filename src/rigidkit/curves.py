@@ -30,6 +30,7 @@ __all__ = [
 _IMAGE_GRID = 1000
 _RHS_FLOOR = 1e-12
 _SUBDIVISIONS = 4096
+_MERGE_TOL = 1e-9  # crossing hits closer than this in t are one incidence
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,7 @@ class ParamCurve:
 
     def eval(self, t):
         """Curve point(s) at parameter t; vectorizes over numpy arrays."""
-        coords = eval_polys(self.components, [t])
-        if isinstance(t, np.ndarray):
-            return np.stack(coords, axis=-1)
-        return np.array(coords, dtype=float)
+        return np.stack(eval_polys(self.components, [t]), axis=-1)
 
     def max_image_norm(self) -> float:
         taus = np.linspace(-1.0, 1.0, _IMAGE_GRID)
@@ -151,8 +149,8 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
     }
 
 
-def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> int:
-    """Number of tol-isolated parameter values where the curve meets Z.
+def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
+    """Number of isolated parameter values where the curve meets Z.
 
     The curve is subdivided into 4096 chords. The chord-edge pairs whose
     bounding boxes overlap come from the box-pair sweep that validation uses,
@@ -160,12 +158,10 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> 
     for its crossing parameters; a pair counts where the chord and the edge
     are not parallel and both parameters lie in [0, 1], so a touch counts
     and a collinear overlap does not. The hit is interpolated linearly along
-    the chord, and hits closer than tol >= 0 merge into one incidence.
+    the chord, and hits closer than 1e-9 in t merge into one incidence.
     """
     if omega.dim != 2:
         raise ValidationError(f"expected dimension 2, got {omega.dim}")
-    if not tol >= 0.0:
-        raise ValidationError(f"crossing tolerance must be >= 0, got {tol}")
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
     pts = omega.eval(taus)
     p0, p1 = pts[:-1], pts[1:]
@@ -184,5 +180,5 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration, tol: float) -> 
     hits = np.sort(np.concatenate(hits))
     if not hits.size:
         return 0
-    # a gap above tol to the previous hit starts a new incidence, so chains merge
-    return 1 + int(np.sum(np.diff(hits) > tol))
+    # a gap above the merge distance to the previous hit starts a new incidence, so chains merge
+    return 1 + int(np.sum(np.diff(hits) > _MERGE_TOL))

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _BALL_TOL = 1e-9
-_RAY_NUDGE = 1e-12
 _PAIR_CHUNK = 1 << 14  # candidate box pairs per step of the box-pair sweep; bounds its memory
 _MAX_LATTICE = 1 << 24  # points in one lattice, far above every grid in use; bounds its memory
 
@@ -253,23 +252,18 @@ def validate_configuration(ovals) -> OvalConfiguration:
 def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Even-odd ray crossing with a deterministic horizontal ray, one flag per point.
 
-    Rays within 1e-12 of a vertex level are nudged up by 1e-12 until clear, a
-    loop that is deterministic and terminates. Points on a boundary get no
-    meaningful answer; validated configurations keep query points off them.
+    An edge counts when its ends lie on opposite sides of the ray's level,
+    a vertex exactly on the level counting as below it; this half-open rule
+    counts a ray through a vertex consistently, so no ray needs moving.
+    Points on a boundary get no meaningful answer; validated configurations
+    keep query points off them.
     """
     verts = np.asarray(vertices, dtype=float)
     pts = np.asarray(points, dtype=float)
-    vy = verts[:, 1]
-    ry = pts[:, 1].copy()
-    for _ in range(64):
-        clash = np.any(np.abs(vy[None, :] - ry[:, None]) < _RAY_NUDGE, axis=1)
-        if not np.any(clash):
-            break
-        ry[clash] += _RAY_NUDGE
     x1, y1 = verts[:, 0][None, :], verts[:, 1][None, :]
     x2 = np.roll(verts[:, 0], -1)[None, :]
     y2 = np.roll(verts[:, 1], -1)[None, :]
-    RY = ry[:, None]
+    RY = pts[:, 1][:, None]
     straddle = (y1 > RY) != (y2 > RY)
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = x1 + (RY - y1) * (x2 - x1) / (y2 - y1)

@@ -43,6 +43,12 @@ _DET_FLOOR = 1e-14
 _STEP_FLOOR = 1e-13
 _MAX_ITER = 80
 _MERGE_RADIUS = 1e-6
+# the pigeonhole tilt relative to max(||p||, 1): small next to p, so the count
+# is evidence about p, yet at least 50 times the gradient tolerance
+# 1e-8 * (1 + ||p||), since on a degenerate critical set of p the tilted
+# gradient has norm t, and below the tolerance the whole set would pass as
+# many clusters
+_TILT_EPS = 1e-6
 _BOUNDARY_SAMPLES = 512  # pigeonhole samples per ring
 _INTERIOR_GRID = 33  # pigeonhole interior lattice points per axis
 
@@ -237,11 +243,11 @@ def bezout_check(n_clusters: int, d: int) -> dict:
     return body
 
 
-def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_grid: int, eps: float) -> dict:
+def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_grid: int) -> dict:
     """Assemble the pigeonhole evidence for p over a nested-oval config as a JSON body.
 
     The polynomial is first tilted by ``perturb_linear`` with size
-    t = eps * max(||p||, 1), so its critical points are isolated; the report
+    t = 1e-6 * max(||p||, 1), so its critical points are isolated; the report
     gives t as the perturbation's ``eps`` next to the fixed direction, and
     everything below refers to the perturbed polynomial. Per domain the
     report compares the max of |p| on ``_BOUNDARY_SAMPLES`` points per ring
@@ -266,7 +272,7 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
     """
     if p.nvars != 2:
         raise ValidationError(f"expected dimension 2, got {p.nvars}")
-    tilt = eps * max(p.coefficient_norm(), 1.0)
+    tilt = _TILT_EPS * max(p.coefficient_norm(), 1.0)
     pt_poly = perturb_linear(p, tilt)
     d = pt_poly.degree
 

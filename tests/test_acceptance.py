@@ -286,9 +286,7 @@ def test_criterion_7_critical_points_and_pigeonhole():
         flagged_total = 0
         pigeonhole_ok = True
         for radii in ((0.95, 0.55), (0.95, 0.65, 0.35)):
-            report = domain_pigeonhole_report(
-                vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=48, eps=1e-6
-            )
+            report = domain_pigeonhole_report(vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=48)
             flagged = [e for e in report["domains"] if e["flagged"]]
             flagged_total += len(flagged)
             pigeonhole_ok = pigeonhole_ok and all(e["has_critical_point"] for e in flagged)

@@ -315,7 +315,7 @@ _MANIFEST_CASES = {
     "curve-check": (
         ["curve-check", "--f", "{fxy}", "--points", "{curve}", "--s", "2", "--degree", "3", "--tgrid", "64"],
         ["fxy", "curve"],
-        {"f", "points", "s", "degree", "tgrid", "config", "tol"},
+        {"f", "points", "s", "degree", "tgrid", "config"},
     ),
     "curve-check-config": (
         [
@@ -323,7 +323,7 @@ _MANIFEST_CASES = {
             "--tgrid", "64", "--config", "{annulus}",
         ],
         ["fxy", "curve", "annulus"],
-        {"f", "points", "s", "degree", "tgrid", "config", "tol"},
+        {"f", "points", "s", "degree", "tgrid", "config"},
     ),
     "boxdim": (
         ["boxdim", "--points", "{grid}", "--scales", "0.25,0.125,0.0625", "--degree", "1"],
@@ -333,7 +333,7 @@ _MANIFEST_CASES = {
     "verify-proof": (
         ["verify-proof", "--poly", "{fxy}", "--config", "{annulus}", "--grid", "8"],
         ["fxy", "annulus"],
-        {"poly", "config", "grid", "eps"},
+        {"poly", "config", "grid"},
     ),
 }
 
@@ -403,6 +403,25 @@ class TestErrorPaths:
         bad.write_text("{nope")
         code, _ = run_cli(["decompose", "--config", str(bad)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "name, content, argv, fragment",
+        [
+            ("c.json", b'{"ovals": [\xff]}', ["decompose", "--config"], "malformed JSON in"),
+            ("p.csv", b"0.1,0.2\n\xff\n", ["boxdim", "--scales", "0.5,0.25", "--degree", "1", "--points"],
+             "malformed point in"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_undecodable_input_exit2(self, name, content, argv, fragment, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(content)
+        expect_exit2(argv + [str(path)], capsys, f"{fragment} {path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_deeply_nested_json_exit2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"ovals": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        expect_exit2(["decompose", "--config", str(deep)], capsys, f"malformed JSON in {deep}: maximum recursion depth")
 
     def test_increasing_scales_exit2(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
@@ -551,17 +570,6 @@ class TestErrorPaths:
         argv = ["verify-proof", "--poly", str(path), "--config", annulus_path]
         expect_exit2(argv, capsys, fragment)
 
-    def test_negative_crossing_tolerance_exit2(self, fxy_path, annulus_path, tmp_path, capsys):
-        diagonal = tmp_path / "diagonal.csv"
-        diagonal.write_text("-0.4,-0.4\n0.4,0.4\n")
-        argv = [
-            "curve-check", "--f", fxy_path, "--points", str(diagonal), "--s", "1", "--degree", "1",
-            "--config", annulus_path,
-        ]
-        code, report = run_cli(argv + ["--tol=0"], capsys)
-        assert code == 0 and report["crossings"] == 2
-        expect_exit2(argv + ["--tol=-1"], capsys, "crossing tolerance must be >= 0, got -1.0")
-
     def test_non_finite_report_value_exit3(self, curve_points_path, tmp_path, capsys):
         huge = tmp_path / "huge.json"
         huge.write_text('{"nvars": 2, "terms": [{"exp": [3, 0], "coef": 1e308}, {"exp": [0, 3], "coef": 1e308}]}')
@@ -641,13 +649,17 @@ class TestErrorPaths:
             ["bounds", "--config", "{annulus}", "--degree", "3", "--n", "1"],
             ["verify-proof", "--poly", "{fxy}", "--config", "{annulus}", "--grid", "8", "--degree", "3"],
             ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--z0", "0.9", "--degree", "2", "--fz0", "0.01"],
+            ["verify-proof", "--poly", "{fxy}", "--config", "{annulus}", "--grid", "8", "--eps", "0.3"],
+            ["curve-check", "--f", "{fxy}", "--points", "{curve}", "--s", "2", "--degree", "3", "--tol", "1"],
         ],
-        ids=["bounds-n", "verify-proof-degree", "rigidity-1d-fz0"],
+        ids=["bounds-n", "verify-proof-degree", "rigidity-1d-fz0", "verify-proof-eps", "curve-check-tol"],
     )
-    def test_deleted_option_systemexit2(self, argv, annulus_path, fxy_path, capsys):
-        # the input fixes each value: the plane, the polynomial's degree, |f(z0)| = 1
+    def test_deleted_option_systemexit2(self, argv, annulus_path, fxy_path, curve_points_path, capsys):
+        # the input fixes the plane, the polynomial's degree and |f(z0)| = 1; the
+        # tilt and the crossing merge distance are fixed by the Newton and
+        # chord resolutions they must agree with
         with pytest.raises(SystemExit) as exc:
-            main([arg.format(annulus=annulus_path, fxy=fxy_path) for arg in argv])
+            main([arg.format(annulus=annulus_path, fxy=fxy_path, curve=curve_points_path) for arg in argv])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
@@ -657,23 +669,16 @@ class TestErrorPaths:
         expect_exit2(argv, capsys, "cannot write output file /nonexistent/x.out")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--degree", "2", "--z0"],
-            [
-                "curve-check", "--f", "f.json", "--points", "p.csv", "--s", "2", "--degree", "1",
-                "--config", "c.json", "--tol",
-            ],
-            ["curve-check", "--f", "f.json", "--points", "p.csv", "--s", "2", "--degree", "1", "--tol"],
-            ["verify-proof", "--poly", "p.json", "--config", "c.json", "--eps"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", [["rigidity-1d", "--zeros=-0.8,-0.2,0.5", "--degree", "2", "--z0"]])
     def test_non_finite_float_flag_systemexit2(self, argv, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv[:-1] + [f"{argv[-1]}={value}"])
-        assert exc.value.code == 2
-        assert f"invalid finite float value: '{value}'" in capsys.readouterr().err
+        argv = argv[:-1] + [f"{argv[-1]}={value}"]
+        if value == "abc":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"invalid float value: '{value}'" in capsys.readouterr().err
+        else:
+            expect_exit2(argv, capsys, "zeros and witness point must be finite and lie in [-1, 1]")
 
     def test_unknown_subcommand_systemexit2(self):
         with pytest.raises(SystemExit) as exc:

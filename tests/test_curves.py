@@ -268,21 +268,14 @@ class TestCrossingCount:
         seg = ParamCurve(
             components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
         )
-        assert crossing_count(seg, config, 1e-3) == 2
-
-    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
-    def test_negative_tolerance_rejected(self, tol):
-        config = validate_configuration([self.circle(0.5)])
-        seg = ParamCurve(components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1)
-        with pytest.raises(ValidationError, match=r"^crossing tolerance must be >= 0, got"):
-            crossing_count(seg, config, tol)
+        assert crossing_count(seg, config) == 2
 
     def test_disjoint_segment(self):
         config = validate_configuration([self.circle(0.2, center=(0.0, 0.7))])
         seg = ParamCurve(
             components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
         )
-        assert crossing_count(seg, config, 1e-3) == 0
+        assert crossing_count(seg, config) == 0
 
     def test_parabola_four_crossings(self):
         config = validate_configuration([self.circle(0.288)])
@@ -293,9 +286,9 @@ class TestCrossingCount:
             ),
             s=2,
         )
-        assert crossing_count(omega, config, 1e-3) == 4
+        assert crossing_count(omega, config) == 4
 
-    def test_chained_hits_merge_into_one_incidence_per_side(self):
+    def test_chained_hits_merge_into_one_incidence_per_side(self, monkeypatch):
         # rings delta apart meet the segment x = 0.9 t at parameters delta/0.9 apart
         delta = 0.02
         gap = delta / 0.9
@@ -303,10 +296,12 @@ class TestCrossingCount:
         seg = ParamCurve(
             components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
         )
-        assert crossing_count(seg, config, 0.5 * gap) == 6
-        # each hit is within tol of the previous one but the third is two gaps
-        # from the first: merging against a cluster's first hit would give 4
-        assert crossing_count(seg, config, 1.5 * gap) == 2
+        monkeypatch.setattr(curves, "_MERGE_TOL", 0.5 * gap)
+        assert crossing_count(seg, config) == 6
+        # each hit is within the merge distance of the previous one but the third is
+        # two gaps from the first: merging against a cluster's first hit would give 4
+        monkeypatch.setattr(curves, "_MERGE_TOL", 1.5 * gap)
+        assert crossing_count(seg, config) == 2
 
     def test_fitted_curve_through_boundary_points(self):
         # cubic interpolating four near-parabola points marked on the circle
@@ -320,7 +315,7 @@ class TestCrossingCount:
             angle = math.atan2(p[1], p[0]) % (2 * math.pi)
             marked.append(circle.vertices[round(angle / (2 * math.pi / k)) % k])
         curve = fit_curve(np.array(marked), 3)
-        assert crossing_count(curve, config, 1e-3) >= 4
+        assert crossing_count(curve, config) >= 4
 
     def test_fine_oval_counts_in_bounded_memory(self):
         # one (chords x edges) broadcast over all edges would need about 2 GB here
@@ -330,7 +325,7 @@ class TestCrossingCount:
         )
         tracemalloc.start()
         try:
-            assert crossing_count(seg, config, 1e-3) == 2
+            assert crossing_count(seg, config) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -342,19 +337,21 @@ class TestCrossingCount:
         config = validate_configuration([regular_polygon((0.0, 0.0), 0.5, 10_000, 1)])
         seg = ParamCurve(tuple(MultiPoly(1, {(1,): c}) for c in direction), s=1)
         start = time.process_time()
-        assert crossing_count(seg, config, 1e-3) == 2
+        assert crossing_count(seg, config) == 2
         assert time.process_time() - start < 0.1
 
-    def test_matches_all_pairs_reference(self, differential_cases):
+    def test_matches_all_pairs_reference(self, differential_cases, monkeypatch):
         for omega, config, hits in differential_cases:
             for tol in DIFFERENTIAL_TOLS:
-                assert crossing_count(omega, config, tol) == merged_count(hits, tol)
+                monkeypatch.setattr(curves, "_MERGE_TOL", tol)
+                assert crossing_count(omega, config) == merged_count(hits, tol)
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_small_sweep_chunks_match_reference(self, chunk, differential_cases, monkeypatch):
-        # steps this small cost about 0.2 s a call, so eight cases at tol 0
-        # stand for the rest: the chunk changes which pairs a step holds,
-        # never how hits merge
+        # steps this small cost about 0.2 s a call, so eight cases at merge
+        # distance 0 stand for the rest: the chunk changes which pairs a step
+        # holds, never how hits merge
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(curves, "_MERGE_TOL", 0.0)
         for omega, config, hits in differential_cases[:8]:
-            assert crossing_count(omega, config, 0.0) == merged_count(hits, 0.0)
+            assert crossing_count(omega, config) == merged_count(hits, 0.0)

@@ -33,8 +33,8 @@ def ray_cast(vertices, point) -> bool:
     """Reference for ``points_in_polygon``: one point, pure Python, even-odd rule.
 
     An edge counts when its ends lie on opposite sides of the ray's level,
-    a vertex exactly on the level counting as below it, which is where the
-    upward nudge of ``points_in_polygon`` puts it.
+    a vertex exactly on the level counting as below it, the half-open rule
+    that ``points_in_polygon`` applies too.
     """
     px, py = (float(c) for c in point)
     verts = np.asarray(vertices, dtype=float).tolist()
@@ -254,7 +254,7 @@ class TestForest:
     def test_batched_nesting_on_vertex_levels_matches_pairwise(self):
         # every representative vertex sits on a vertex y-level of another
         # polygon, and the left square's ray runs along the top edge of the
-        # middle square, so the ray nudge has to move the batched points
+        # middle square, so the half-open rule decides the batched points
         octagon = Oval(id=1, vertices=0.25 * np.array(
             [[2, 1], [1, 2], [-1, 2], [-2, 1], [-2, -1], [-1, -2], [1, -2], [2, -1]], dtype=float))
         middle = square(0.5, 2)

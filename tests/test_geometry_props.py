@@ -182,7 +182,7 @@ def nested_configs(draw):
     An oval drawn in a cell of half-size h has half-size h/2, so it stays
     clear of its neighbours; the square of half-size r/4 is strictly inside
     every shape of half-size r, and its four quarters are the child cells.
-    Concentric shapes share vertex y-levels, so the ray nudge runs.
+    Concentric shapes share vertex y-levels, so rays run through vertices.
     """
     ovals, parents = [], {}
 

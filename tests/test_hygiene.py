@@ -1,6 +1,8 @@
 """Source hygiene: honest ``__all__`` lists in ``rigidkit``, no dead imports there, in the tests or in the bench,
-no function in ``rigidkit`` that no subcommand calls, and report bodies made of plain JSON types."""
+no function in ``rigidkit`` that no subcommand calls, no CLI option that no subcommand run sets, and report bodies
+made of plain JSON types."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import concentric_ring_config, vanishing_ring_poly
-from rigidkit.cli import main
+from rigidkit.cli import build_parser, main
 from rigidkit.curves import ParamCurve, composition_report
 from rigidkit.fractal import PointCloud, box_dimension_estimate
 from rigidkit.poly import MultiPoly
@@ -92,10 +94,10 @@ def defined_functions() -> list[tuple[Path, int, str]]:
     return out
 
 
-def test_every_function_is_reached_by_a_subcommand(tmp_path):
-    # the golden invocations, plus a decompose that renders SVG and a
-    # verify-proof whose Newton search keeps no seed (a linear polynomial has
-    # a singular Hessian everywhere)
+def subcommand_runs(tmp_path: Path) -> list[list[str]]:
+    """The golden invocations, plus a decompose that renders SVG and a
+    verify-proof whose Newton search keeps no seed (a linear polynomial has
+    a singular Hessian everywhere), each writing its report to a file."""
     argvs = write_inputs(tmp_path)
     runs = [argvs[case] for case in CASES]
     annulus = str(tmp_path / "annulus.json")
@@ -103,6 +105,11 @@ def test_every_function_is_reached_by_a_subcommand(tmp_path):
     linear.write_text(json.dumps({"nvars": 2, "terms": [{"exp": [1, 0], "coef": 1.0}]}))
     runs.append(["decompose", "--config", annulus, "--svg", str(tmp_path / "annulus.svg")])
     runs.append(["verify-proof", "--poly", str(linear), "--config", annulus, "--grid", "2"])
+    return [argv + ["--out", str(tmp_path / "out.json")] for argv in runs]
+
+
+def test_every_function_is_reached_by_a_subcommand(tmp_path):
+    runs = subcommand_runs(tmp_path)
     seen = set()
 
     def profile(frame, event, arg):
@@ -111,13 +118,27 @@ def test_every_function_is_reached_by_a_subcommand(tmp_path):
 
     sys.setprofile(profile)
     try:
-        codes = [main(argv + ["--out", str(tmp_path / "out.json")]) for argv in runs]
+        codes = [main(argv) for argv in runs]
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(runs)
     called = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in seen}
     missing = [f"{path.name}:{line} {name}" for path, line, name in defined_functions() if (path, line) not in called]
     assert missing == []
+
+
+def test_every_option_is_set_by_a_subcommand_run(tmp_path):
+    # an option that no run sets holds one value in use, so it is a constant
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        f"{name} {flag}"
+        for name, cmd in subparsers.choices.items()
+        for action in cmd._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    passed = {f"{argv[0]} {arg.split('=')[0]}" for argv in subcommand_runs(tmp_path) for arg in argv[1:]}
+    assert sorted(options - passed) == []
 
 
 def non_json_leaves(body, where="body") -> list[str]:
@@ -143,7 +164,7 @@ def test_report_bodies_hold_plain_json_types():
     bodies = {
         "bezout_check": bezout_check(9, 2),
         "domain_pigeonhole_report": domain_pigeonhole_report(
-            vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=16, eps=1e-6
+            vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=16
         ),
         "composition_report": composition_report(quadric, parabola, 3, 16),
         "box_dimension_estimate": box_dimension_estimate(PointCloud(grid), [0.25, 0.125, 0.0625]),

@@ -173,9 +173,9 @@ class TestSettledSeeds:
     def test_three_rings_match_unfrozen_run(self, monkeypatch):
         # the verify-proof-rings golden: radii 0.25, 0.5, 0.75 at seed grid 24
         p, config = vanishing_ring_poly((0.25, 0.5, 0.75)), concentric_ring_config((0.25, 0.5, 0.75))
-        frozen = domain_pigeonhole_report(p, config, newton_grid=24, eps=1e-6)
+        frozen = domain_pigeonhole_report(p, config, newton_grid=24)
         monkeypatch.setattr(prooftrace, "_STEP_FLOOR", 0.0)
-        full = domain_pigeonhole_report(p, config, newton_grid=24, eps=1e-6)
+        full = domain_pigeonhole_report(p, config, newton_grid=24)
         assert frozen["critical_points"]["n_clusters"] == full["critical_points"]["n_clusters"] > 0
         self.assert_same_points(frozen["critical_points"], full["critical_points"])
         assert frozen["assignments"] == full["assignments"]
@@ -193,7 +193,7 @@ class TestSettledSeeds:
 
     def test_off_centre_rings_settle_within_a_third_of_the_iterations(self):
         p, config = off_centre_rings(4)
-        report = domain_pigeonhole_report(p, config, newton_grid=48, eps=1e-6)
+        report = domain_pigeonhole_report(p, config, newton_grid=48)
         assert report["critical_points"]["n_clusters"] == 7
         assert report["bezout"]["verdict"] == "consistent"
         d = report["critical_points"]["diagnostics"]
@@ -325,10 +325,11 @@ class TestPerturbation:
         assert math.hypot(*(cps.representatives[0] - expected)) <= 1e-5
 
     @pytest.mark.parametrize("norm, eps", [(0.0, 1e-6), (0.25, 1e-6), (0.25, 1e-3), (1.0, 1e-4), (4.0, 1e-3)])
-    def test_tilt_size_is_eps_times_norm_floored_at_one(self, norm, eps):
+    def test_tilt_size_is_eps_times_norm_floored_at_one(self, norm, eps, monkeypatch):
         p = MultiPoly(2, {(2, 0): norm})
         assert p.coefficient_norm() == norm
-        report = domain_pigeonhole_report(p, two_ring_config(), newton_grid=4, eps=eps)
+        monkeypatch.setattr(prooftrace, "_TILT_EPS", eps)
+        report = domain_pigeonhole_report(p, two_ring_config(), newton_grid=4)
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         direction = [1.0 / math.hypot(1.0, golden), golden / math.hypot(1.0, golden)]
         assert report["perturbation"] == {"direction": direction, "eps": eps * max(norm, 1.0)}
@@ -339,7 +340,7 @@ class TestPerturbation:
         checked = 0
         for _ in range(10):
             p = random_poly(2, 3, rng)
-            eps0 = 1e-6 * max(p.coefficient_norm(), 1.0)
+            eps0 = prooftrace._TILT_EPS * max(p.coefficient_norm(), 1.0)
             full = find_critical_points(perturb_linear(p, eps0), BOX, 16)
             half = find_critical_points(perturb_linear(p, eps0 / 2.0), BOX, 16)
             for rep in full.representatives:
@@ -386,7 +387,7 @@ class TestBezout:
 
 class TestPigeonhole:
     def test_two_ring_fixture(self):
-        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6)
+        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48)
         flagged = [e for e in report["domains"] if e["flagged"]]
         assert len(flagged) == 2
         for entry in flagged:
@@ -395,13 +396,13 @@ class TestPigeonhole:
         assert report["bezout"]["verdict"] == "consistent"
 
     def test_constant_poly(self):
-        report = domain_pigeonhole_report(MultiPoly.constant(2, 1.0), two_ring_config(), newton_grid=48, eps=1e-6)
+        report = domain_pigeonhole_report(MultiPoly.constant(2, 1.0), two_ring_config(), newton_grid=48)
         assert all(not e["flagged"] for e in report["domains"])
         assert report["critical_points"]["n_clusters"] == 0
 
     def test_linear_form(self):
         p = MultiPoly(2, {(1, 0): 0.3, (0, 1): 0.2})
-        report = domain_pigeonhole_report(p, two_ring_config(), newton_grid=48, eps=1e-6)
+        report = domain_pigeonhole_report(p, two_ring_config(), newton_grid=48)
         assert report["critical_points"]["n_clusters"] == 0
         assert all(not e["flagged"] for e in report["domains"])
 
@@ -412,7 +413,7 @@ class TestPigeonhole:
         for samples, grid in ((128, 17), (256, 33)):
             monkeypatch.setattr(prooftrace, "_BOUNDARY_SAMPLES", samples)
             monkeypatch.setattr(prooftrace, "_INTERIOR_GRID", grid)
-            reports.append(domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6))
+            reports.append(domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48))
         return reports
 
     def test_flags_monotone_under_sample_doubling(self, monkeypatch):
@@ -433,14 +434,14 @@ class TestPigeonhole:
         # the maximum of 1 - x^2 - y^2 sits at the origin, outside the only domain, and beats its boundary
         config = validate_configuration([regular_polygon((0.5, 0.0), 0.2, 48)])
         cap = MultiPoly(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
-        report = domain_pigeonhole_report(cap, config, newton_grid=48, eps=1e-6)
+        report = domain_pigeonhole_report(cap, config, newton_grid=48)
         assert report["assignments"] == [None]
         assert report["confinement_violations"] == [0]
         assert report["global_boundary_max"] == pytest.approx(0.91, abs=1e-6)
 
     def test_unconfined_minimum_is_not_a_violation(self):
         config = validate_configuration([regular_polygon((0.5, 0.0), 0.2, 48)])
-        report = domain_pigeonhole_report(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), config, newton_grid=48, eps=1e-6)
+        report = domain_pigeonhole_report(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), config, newton_grid=48)
         assert report["assignments"] == [None]
         assert report["confinement_violations"] == []
 
@@ -458,12 +459,12 @@ class TestPigeonhole:
 
         monkeypatch.setattr(prooftrace, "sample_boundary", counted_sample)
         monkeypatch.setattr(prooftrace, "eval_poly", counted_eval)
-        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6)
+        report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48)
         assert calls["sample"] == 2
         # the boundary, one interior lattice per domain, and the unassigned critical points
         assert calls["eval"] == 1 + len(report["domains"]) + 1
 
     def test_report_json_shape(self):
-        data = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48, eps=1e-6)
+        data = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48)
         assert {"degree", "perturbation", "bezout", "critical_points", "domains"} <= set(data)
         assert all({"oval_id", "boundary_max", "interior_max", "flagged"} <= set(e) for e in data["domains"])
