@@ -11,32 +11,45 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import importlib
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import SolverError, ValidationError
-from .fractal import PointCloud, box_dimension_estimate, rigidity_threshold_check
-from .geometry import (
-    build_domains,
-    build_nesting_forest,
-    config_from_json_dict,
-    in_unit_ball,
-    lattice,
-    mu,
-    sample_boundary,
-)
-from .poly import MultiPoly
-from .remez import inverse_remez, remez_estimate_lp
-from .rigidity import FORMULAS, ovals_required, remez_bound_topological, rigidity_1d_bound, rigidity_report
-from .curves import composition_report, crossing_count, fit_curve
-from .prooftrace import domain_pigeonhole_report
-from .svg import render_svg
 
 __all__ = ["main"]
+
+# The library names the subcommands call, by home module. Each function here
+# binds the names it calls with ``_load`` first, so a subcommand imports only
+# its own modules, and numpy only when one of them needs it.
+_NAMES = {
+    "geometry": ("build_domains", "build_nesting_forest", "candidate_grid", "config_from_json_dict", "mu",
+                 "sample_boundary"),
+    "poly": ("MultiPoly",),
+    "remez": ("inverse_remez", "remez_estimate_lp"),
+    "rigidity": ("FORMULAS", "ovals_required", "remez_bound_topological", "rigidity_1d_bound", "rigidity_report"),
+    "curves": ("composition_report", "crossing_count", "fit_curve"),
+    "prooftrace": ("domain_pigeonhole_report",),
+    "fractal": ("PointCloud", "box_dimension_estimate", "rigidity_threshold_check"),
+    "svg": ("render_svg",),
+}
+
+
+def __getattr__(name: str):
+    """``rigidkit.cli.<name>`` for a name in ``_NAMES``: import its home module and return it, caching nothing."""
+    for home, names in _NAMES.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{home}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load(*homes: str) -> None:
+    """Bind the names of ``homes`` in this module; a binding already set, such as a patched wrapper, wins."""
+    for home in homes:
+        for name in _NAMES[home]:
+            globals().setdefault(name, __getattr__(name))
 
 
 def _read_bytes(path: str) -> bytes:
@@ -56,6 +69,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_points_csv(path: str) -> np.ndarray:
+    import numpy as np
     rows = []
     width = None
     try:
@@ -80,17 +94,6 @@ def _load_points_csv(path: str) -> np.ndarray:
     if not rows:
         raise ValidationError(f"no points in {path}")
     return np.array(rows, dtype=float)
-
-
-def _candidate_grid(n: int, k: int) -> np.ndarray:
-    """k-per-axis lattice over [-1,1]^n clipped to the Euclidean ball."""
-    if k < 2:
-        raise ValidationError(f"candidate grid must be >= 2 points per axis, got {k}")
-    pts = lattice((-1.0,) * n, (1.0,) * n, k)
-    pts = pts[in_unit_ball(pts)]
-    if not len(pts):
-        raise ValidationError(f"no point of the {k}-per-axis candidate grid lies in the unit ball")
-    return pts
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -126,6 +129,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_decompose(args) -> dict:
+    _load("geometry")
     config = config_from_json_dict(_load_json(args.config))
     forest = build_nesting_forest(config)
     domains = build_domains(forest)
@@ -151,17 +155,21 @@ def _cmd_decompose(args) -> dict:
         "mu_formula": "min over domains of area(W_j)",
     }
     if args.svg:
+        _load("svg")
         _emit(render_svg(domains), args.svg)
         report["svg"] = args.svg
     return report
 
 
 def _boundary_samples(config, per_oval: int) -> np.ndarray:
+    import numpy as np
+    _load("geometry")
     return np.concatenate([sample_boundary(o, per_oval) for o in config.ovals], axis=0)
 
 
 def _estimate_fields(est) -> dict:
     """The estimate entries that ``remez-lp`` and ``rigidity`` both report."""
+    _load("remez")
     return {
         "infinite": est.is_infinite,
         "value": None if est.is_infinite else est.value,
@@ -171,12 +179,13 @@ def _estimate_fields(est) -> dict:
 
 
 def _cmd_remez_lp(args) -> dict:
+    _load("geometry", "remez")
     if args.z.endswith(".json"):
         zsamples = _boundary_samples(config_from_json_dict(_load_json(args.z)), args.samples_per_oval)
     else:
         zsamples = _load_points_csv(args.z)
     n = zsamples.shape[1]
-    candidates = _candidate_grid(n, args.grid)
+    candidates = candidate_grid(n, args.grid)
     est = remez_estimate_lp(zsamples, args.degree, candidates)
     return {
         "degree": args.degree,
@@ -189,6 +198,7 @@ def _cmd_remez_lp(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
+    _load("geometry", "rigidity")
     config = config_from_json_dict(_load_json(args.config))
     mu_val = mu(build_domains(build_nesting_forest(config)))
     count = config.N
@@ -211,11 +221,12 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_rigidity(args) -> dict:
+    _load("geometry", "remez", "rigidity")
     config = config_from_json_dict(_load_json(args.config))
     mu_val = mu(build_domains(build_nesting_forest(config)))
     count = config.N
     zsamples = _boundary_samples(config, args.samples_per_oval)
-    est = remez_estimate_lp(zsamples, args.degree, _candidate_grid(2, args.grid))
+    est = remez_estimate_lp(zsamples, args.degree, candidate_grid(2, args.grid))
     estimate = _estimate_fields(est)
     rep = rigidity_report(args.degree, mu_value=mu_val, oval_count=count, inv_remez=estimate["inverse"])
     return {
@@ -238,6 +249,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _cmd_rigidity_1d(args) -> dict:
+    _load("rigidity")
     zeros = sorted(_parse_floats(args.zeros, "zeros list"))
     bound = rigidity_1d_bound(zeros, args.z0, args.degree)
     floor = math.factorial(args.degree + 1) / 2 ** (args.degree + 1)
@@ -254,6 +266,7 @@ def _cmd_rigidity_1d(args) -> dict:
 
 
 def _cmd_curve_check(args) -> dict:
+    _load("geometry", "poly", "curves")
     f = MultiPoly.from_json_dict(_load_json(args.f))
     points = _load_points_csv(args.points)
     curve = fit_curve(points, args.s)
@@ -276,6 +289,7 @@ def _cmd_curve_check(args) -> dict:
 
 
 def _cmd_boxdim(args) -> dict:
+    _load("fractal")
     points = _load_points_csv(args.points)
     cloud = PointCloud(points)
     scales = _parse_floats(args.scales, "scales list")
@@ -290,6 +304,7 @@ def _cmd_boxdim(args) -> dict:
 
 
 def _cmd_verify_proof(args) -> dict:
+    _load("geometry", "poly", "prooftrace")
     p = MultiPoly.from_json_dict(_load_json(args.poly))
     config = config_from_json_dict(_load_json(args.config))
     report = domain_pigeonhole_report(p, config, args.grid)

@@ -103,10 +103,11 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
     ceil((d+1)/s) .. d+1 at omega(t); RHS(t) = |g^(d+1)(t)| for the exact
     symbolic composition g = f(omega), both reported per grid point under
     ``pointwise``. The reported c_hat is the minimal LHS/RHS over grid
-    points where RHS exceeds the degeneracy floor 1e-12: an empirical lower
-    estimate of the unknown positive constant relating the two sides. It is
-    None, and ``all_degenerate`` true, when RHS degenerates at every grid
-    point, which happens whenever deg(f) * s <= d by degree count.
+    points where RHS exceeds the degeneracy floor 1e-12. As a minimum over
+    finitely many points, it is at or above the infimum over [-1, 1]: an
+    empirical upper estimate of the best constant c with LHS >= c * RHS.
+    It is None, and ``all_degenerate`` true, when RHS degenerates at every
+    grid point, which happens whenever deg(f) * s <= d by degree count.
 
     The lower order bound is the minimal number of chain-rule blocks of size
     at most s partitioning d+1, i.e. ceil((d+1)/s); for a straight line

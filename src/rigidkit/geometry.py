@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .errors import ValidationError
 
 __all__ = [
@@ -36,11 +37,11 @@ __all__ = [
     "in_unit_ball",
     "sample_boundary",
     "lattice",
+    "candidate_grid",
     "bounding_box",
     "config_from_json_dict",
 ]
 
-_BALL_TOL = 1e-9
 _PAIR_CHUNK = 1 << 14  # candidate box pairs per step of the box-pair sweep; bounds its memory
 _MAX_LATTICE = 1 << 24  # points in one lattice, far above every grid in use; bounds its memory
 
@@ -103,9 +104,9 @@ def shoelace_area(vertices: np.ndarray) -> float:
 
 
 def in_unit_ball(points) -> np.ndarray:
-    """Mask of the rows of ``points`` that lie in the closed unit ball, up to ``_BALL_TOL``."""
+    """Mask of the rows of ``points`` that lie in the closed unit ball, up to ``errors.BALL_TOL``."""
     pts = np.asarray(points, dtype=float)
-    return np.sqrt(np.sum(pts**2, axis=-1)) <= 1.0 + _BALL_TOL
+    return np.sqrt(np.sum(pts**2, axis=-1)) <= 1.0 + errors.BALL_TOL
 
 
 def _cross(o, a, b):
@@ -354,6 +355,17 @@ def lattice(lo, hi, k: int) -> np.ndarray:
         raise ValidationError(f"a lattice of {k} points per axis in {len(lo)}D exceeds {_MAX_LATTICE} points")
     axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def candidate_grid(n: int, k: int) -> np.ndarray:
+    """k-per-axis lattice over [-1,1]^n clipped to the Euclidean ball."""
+    if k < 2:
+        raise ValidationError(f"candidate grid must be >= 2 points per axis, got {k}")
+    pts = lattice((-1.0,) * n, (1.0,) * n, k)
+    pts = pts[in_unit_ball(pts)]
+    if not len(pts):
+        raise ValidationError(f"no point of the {k}-per-axis candidate grid lies in the unit ball")
+    return pts
 
 
 def bounding_box(ovals) -> tuple[np.ndarray, np.ndarray]:

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from . import errors
 from .errors import ValidationError
-from .geometry import in_unit_ball
 
 __all__ = [
     "ovals_required",
@@ -108,7 +106,7 @@ def rigidity_1d_bound(xs, z0: float, d: int) -> float:
     The top divided difference over the zeros (value 0) and z0 (value 1)
     is 1 / prod(z0 - x_i); times (d+1)! it lower-bounds the max of
     |f^(d+1)| on [-1, 1] for any smooth f with this data. All nodes must lie
-    in [-1, 1] (``geometry.in_unit_ball``), so the result is at least
+    in [-1, 1] up to ``errors.BALL_TOL``, so the result is at least
     (d+1)!/2^(d+1).
 
     1 is divided by one gap |z0 - x_i| at a time, since a product of tiny
@@ -117,7 +115,7 @@ def rigidity_1d_bound(xs, z0: float, d: int) -> float:
     z0 is the largest node, so such inputs give the table's bits.
     """
     xs = sorted((float(x) for x in xs), reverse=True)
-    if not np.all(in_unit_ball(np.array([*xs, z0])[:, None])):
+    if not all(abs(v) <= 1.0 + errors.BALL_TOL for v in (*xs, z0)):
         raise ValidationError("zeros and witness point must be finite and lie in [-1, 1]")
     if len(xs) != d + 1:
         raise ValidationError(f"need exactly d+1 = {d + 1} zeros, got {len(xs)}")

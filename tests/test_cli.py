@@ -12,7 +12,9 @@ import pytest
 
 from conftest import CIRCLE_SIDES, regular_polygon, square, write_config_json
 from rigidkit import __version__, remez
-from rigidkit.cli import _candidate_grid, main
+from rigidkit.cli import main
+from rigidkit.geometry import candidate_grid
+from test_golden import write_inputs
 
 
 def run_cli(argv, capsys):
@@ -153,7 +155,7 @@ class TestBounds:
 
 class TestRemezLP:
     def test_candidate_grid_keeps_every_1d_point(self):
-        assert np.array_equal(_candidate_grid(1, 7), np.linspace(-1.0, 1.0, 7).reshape(-1, 1))
+        assert np.array_equal(candidate_grid(1, 7), np.linspace(-1.0, 1.0, 7).reshape(-1, 1))
 
     def test_halfline_degree2(self, halfline_path, capsys):
         code, report = run_cli(
@@ -734,6 +736,56 @@ class TestNoScipy:
         )
         assert proc.returncode == 0, proc.stderr
         assert [tuple(step) for step in json.loads(proc.stdout)] == [(r[0], 0) for r in runs]
+
+
+# Runs the CLI as ``python -m rigidkit.cli`` does, then prints the rigidkit
+# modules and numpy that the run loaded, as a JSON list on the last line.
+_LOADED_PROBE = """
+import json, runpy, sys
+sys.argv = ["rigidkit", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("rigidkit.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("rigidkit.") or m == "numpy")))
+"""
+
+# each run's golden case (None: no input files) and extra arguments, and what it loads beyond rigidkit.errors
+_LOADS = [
+    ((None, "--version"), set()),
+    ((None, "--help"), set()),
+    (("rigidity-1d-line",), {"rigidity"}),
+    (("boxdim-circle",), {"fractal", "numpy"}),
+    (("decompose-scattered",), {"geometry", "numpy"}),
+    (("decompose-scattered", "--svg", "{tmp}/out.svg"), {"geometry", "svg", "numpy"}),
+    (("bounds-scattered",), {"geometry", "rigidity", "numpy"}),
+    (("remez-lp-annulus",), {"geometry", "poly", "remez", "numpy"}),
+    (("rigidity-annulus",), {"geometry", "poly", "remez", "rigidity", "numpy"}),
+    (("curve-check-annulus",), {"curves", "geometry", "poly", "numpy"}),
+    (("verify-proof-annulus",), {"prooftrace", "geometry", "poly", "numpy"}),
+]
+
+
+class TestLazyImports:
+    @pytest.fixture(scope="class")
+    def golden_argv(self, tmp_path_factory):
+        return write_inputs(tmp_path_factory.mktemp("golden-inputs"))
+
+    @pytest.mark.parametrize(
+        "run, loads", _LOADS, ids=[" ".join(r for r in run if r and "{" not in r) for run, _ in _LOADS]
+    )
+    def test_each_subcommand_loads_only_its_modules(self, run, loads, golden_argv, tmp_path):
+        case, *extra = run
+        argv = [arg.format(tmp=tmp_path) for arg in extra]
+        if case is not None:
+            argv = golden_argv[case] + argv + ["--out", str(tmp_path / "out.json")]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_PROBE, json.dumps(argv)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert set(loaded) == {"rigidkit.errors"} | {m if m == "numpy" else f"rigidkit.{m}" for m in loads}
 
 
 class TestConsoleScript:

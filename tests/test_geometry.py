@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import forest_roots, random_circle_config, regular_polygon, square, write_config_json
-from rigidkit import geometry
+from rigidkit import errors, geometry
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import (
     Oval,
     bounding_box,
     build_domains,
     build_nesting_forest,
+    candidate_grid,
     config_from_json_dict,
     in_unit_ball,
     lattice,
@@ -22,6 +23,7 @@ from rigidkit.geometry import (
     shoelace_area,
     validate_configuration,
 )
+from rigidkit.rigidity import rigidity_1d_bound
 from rigidkit.svg import render_svg
 
 
@@ -481,7 +483,6 @@ class TestUnitBall:
         assert in_unit_ball(np.zeros((0, 2))).shape == (0,)
 
     def test_every_ball_check_reads_one_tolerance(self, monkeypatch):
-        from rigidkit.cli import _candidate_grid
         from rigidkit.curves import fit_curve
         from rigidkit.remez import remez_estimate_lp
 
@@ -489,15 +490,29 @@ class TestUnitBall:
         checks = [
             lambda: validate_configuration([regular_polygon((0.0, 0.0), 1.2, 8, 1)]),
             lambda: remez_estimate_lp(wide, 1, wide),
-            lambda: _candidate_grid(2, 2),
+            lambda: candidate_grid(2, 2),
             lambda: fit_curve([[1.2, 0.0]], 1),
+            lambda: rigidity_1d_bound([1.2, 0.0], 0.5, 1),
         ]
         for check in checks:
-            with pytest.raises(ValidationError, match="unit ball"):
+            with pytest.raises(ValidationError, match=r"unit ball|\[-1, 1\]"):
                 check()
-        monkeypatch.setattr(geometry, "_BALL_TOL", 0.5)
+        monkeypatch.setattr(errors, "BALL_TOL", 0.5)
         for check in checks:
             check()
+
+    @pytest.mark.parametrize(
+        "v", [s * x for x in (0.0, 1.0, 1.0 + 0.5e-9, 1.0 + 2e-9, 1e-300, 1e300, math.nan, math.inf) for s in (1, -1)]
+    )
+    def test_scalar_ball_check_decides_as_in_unit_ball(self, v):
+        with np.errstate(over="ignore"):  # 1e300 squared overflows to inf, which lies outside
+            inside = bool(in_unit_ball([[v]])[0])
+        for zeros, z0 in (([v], 0.25), ([0.5], v)):
+            if inside:
+                rigidity_1d_bound(zeros, z0, 0)
+            else:
+                with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+                    rigidity_1d_bound(zeros, z0, 0)
 
 
 class TestJsonInterface:

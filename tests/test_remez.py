@@ -5,9 +5,9 @@ import pytest
 
 from conftest import concentric_ring_config, square
 from rigidkit import remez
-from rigidkit.cli import _boundary_samples, _candidate_grid
+from rigidkit.cli import _boundary_samples
 from rigidkit.errors import SolverError, ValidationError
-from rigidkit.geometry import validate_configuration
+from rigidkit.geometry import candidate_grid, validate_configuration
 from rigidkit.poly import basis_size, eval_poly
 from rigidkit.remez import inverse_remez, remez_estimate_lp, vandermonde
 from rigidkit.rigidity import ovals_required, remez_bound_topological
@@ -196,17 +196,17 @@ def _golden_inputs(case):
     """Samples, degree and candidates of the LP goldens (see test_golden.py)."""
     if case == "remez-lp-halfline":
         ts = np.array([float(f"{t:.12f}") for t in np.linspace(-1.0, 0.0, 64)])
-        return ts[:, None], 2, _candidate_grid(1, 64)
+        return ts[:, None], 2, candidate_grid(1, 64)
     # remez-lp-annulus and rigidity-annulus solve the same LPs
     config = validate_configuration([square(math.sqrt(2.0), 1), square(1.0, 2)])
-    return _boundary_samples(config, 32), 2, _candidate_grid(2, 16)
+    return _boundary_samples(config, 32), 2, candidate_grid(2, 16)
 
 
 @pytest.fixture(scope="module")
 def ladder10_lps():
     """The 10-ring ladder of concentric 48-gons at degree 4: 64 samples per ring, grid 24."""
     config = concentric_ring_config([0.95 * (10 - i) / 10 for i in range(10)])
-    return _recorded_lps(_boundary_samples(config, 64), 4, _candidate_grid(2, 24))
+    return _recorded_lps(_boundary_samples(config, 64), 4, candidate_grid(2, 24))
 
 
 def _assert_matches_highs(lps):
@@ -256,7 +256,7 @@ class TestSimplexCertificate:
     def test_full_sweep_of_ten_ring_ladder_finishes_every_lp(self, ladder10_lps):
         # every candidate from the spread basis with no cutoff, so no stop hides a slow LP
         est, lps = ladder10_lps
-        phi, psi = lps[0][0], vandermonde(_candidate_grid(2, 24), 4)
+        phi, psi = lps[0][0], vandermonde(candidate_grid(2, 24), 4)
         start = remez._spread_rows(phi), np.ones(phi.shape[1])
         runs = [remez._simplex(phi, p, *start, -np.inf) for p in psi]
         assert len(runs) == est.diagnostics["n_candidates"] == 408
@@ -306,7 +306,7 @@ class TestPruningMatchesFullSweep:
             (
                 _boundary_samples(concentric_ring_config([0.95 * (5 - i) / 5 for i in range(5)]), 64),
                 3,
-                _candidate_grid(2, 24),
+                candidate_grid(2, 24),
             ),
             # here the first LP is not the max, so an unsound bound prunes the maximiser
             _scattered_inputs(),

@@ -2,6 +2,8 @@
 
 ``bench/tracing.py`` skips a binding it cannot find and only notes it, so a
 refactor that moves or renames one would silently zero a traced layer.
+A ``rigidkit.cli`` binding must also be the object its subcommand calls at
+call time, or patching it records nothing.
 """
 
 import importlib
@@ -10,6 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import rigidkit.cli as cli
+from test_golden import write_inputs
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -23,3 +28,49 @@ BINDINGS = sorted({(module_name, attr) for module_name, attr, _ in tracing.TARGE
 @pytest.mark.parametrize("module_name, attr", BINDINGS, ids=[f"{m}.{a}" for m, a in BINDINGS])
 def test_traced_binding_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+CLI_BINDINGS = sorted(attr for module_name, attr, _ in tracing.TARGETS if module_name == "rigidkit.cli")
+
+# golden cases, with any extra arguments, whose subcommand calls each traced ``rigidkit.cli`` binding
+REACHED_BY = {
+    "build_nesting_forest": [("decompose-scattered",), ("bounds-scattered",), ("rigidity-annulus",)],
+    "build_domains": [("decompose-scattered",), ("bounds-scattered",), ("rigidity-annulus",)],
+    "mu": [("decompose-scattered",), ("bounds-scattered",), ("rigidity-annulus",)],
+    "sample_boundary": [("remez-lp-annulus",), ("rigidity-annulus",)],
+    "render_svg": [("decompose-scattered", "--svg", "{tmp}/out.svg")],
+    "remez_estimate_lp": [("remez-lp-halfline",), ("rigidity-annulus",)],
+    "domain_pigeonhole_report": [("verify-proof-annulus",)],
+    "fit_curve": [("curve-check-annulus",)],
+    "composition_report": [("curve-check-annulus",)],
+    "crossing_count": [("curve-check-annulus",)],
+    "box_dimension_estimate": [("boxdim-circle",)],
+    "rigidity_report": [("bounds-scattered",), ("rigidity-annulus",)],
+    "rigidity_1d_bound": [("rigidity-1d-line",)],
+}
+RUNS = [(attr, run) for attr, runs in REACHED_BY.items() for run in runs]
+
+
+@pytest.fixture(scope="module")
+def golden_argv(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("golden-inputs"))
+
+
+def test_every_traced_cli_binding_has_a_run():
+    assert sorted(REACHED_BY) == CLI_BINDINGS
+
+
+@pytest.mark.parametrize("attr, run", RUNS, ids=[f"{attr}-{run[0]}" for attr, run in RUNS])
+def test_traced_cli_binding_is_the_one_called(attr, run, golden_argv, monkeypatch, tmp_path):
+    calls = []
+    real = getattr(cli, attr)
+
+    def recording(*args, **kwargs):
+        calls.append(attr)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, attr, recording)
+    case, *extra = run
+    argv = golden_argv[case] + [arg.format(tmp=tmp_path) for arg in extra] + ["--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert calls
