@@ -153,7 +153,8 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
 def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
     """Number of isolated parameter values where the curve meets Z.
 
-    The curve is subdivided into 4096 chords. The chord-edge pairs whose
+    The curve is subdivided into 4096 chords. The edges are the
+    configuration's stacked edge array, and the chord-edge pairs whose
     bounding boxes overlap come from the box-pair sweep that validation uses,
     so memory stays bounded whatever the vertex count. Each pair is solved
     for its crossing parameters; a pair counts where the chord and the edge
@@ -166,8 +167,8 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
     pts = omega.eval(taus)
     p0, p1 = pts[:-1], pts[1:]
-    q0 = np.concatenate([o.vertices for o in config.ovals])
-    q1 = np.concatenate([np.roll(o.vertices, -1, axis=0) for o in config.ovals])
+    q0 = config.vertices
+    q1 = q0[config.succ]
     hits = [np.empty(0)]
     for a, b in _box_pairs(p0, p1, (q0, q1)):
         d1, d2, diff = p1[a] - p0[a], q1[b] - q0[b], q0[b] - p0[a]

@@ -6,10 +6,14 @@ configuration decomposes the plane into one compact domain per oval: the
 region bounded by that oval outside and by its immediate children inside.
 The minimal domain area mu drives all topological bounds downstream.
 
-Polygons stand in for smooth ovals and may be sampled finely: one box-pair
-sweep with bounded memory finds the edge pairs that validation tests and the
-chord-edge pairs that ``curves.crossing_count`` solves. The discretization
-error of areas is the caller's modeling responsibility.
+Polygons stand in for smooth ovals and may be sampled finely. Validation
+stacks every vertex once, oval after oval, into one edge array, and the
+configuration keeps it with each oval's shoelace area; the nesting forest,
+the domains and ``curves.crossing_count`` read those, not the ovals. With
+bounded memory, one box-pair sweep over horizontal strips finds the edge
+pairs that validation tests and the chord-edge pairs that the crossing
+count solves, and one ray cast over the edge array gives the forest. The
+discretization error of areas is the caller's modeling responsibility.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "mu",
     "points_in_polygon",
     "points_in_domain",
-    "shoelace_area",
     "in_unit_ball",
     "sample_boundary",
     "lattice",
@@ -62,13 +65,33 @@ class Oval:
 
 @dataclass(frozen=True)
 class OvalConfiguration:
-    """Validated oval collection: disjoint boundaries, each pair nested or apart."""
+    """Validated oval collection: disjoint boundaries, each pair nested or apart.
+
+    The other fields stack every vertex once, oval after oval, as ``_stack``
+    builds them, and hold each oval's shoelace area: positive, since the
+    order is counterclockwise.
+    """
 
     ovals: tuple[Oval, ...]
+    vertices: np.ndarray = field(repr=False, compare=False)  # (E, 2)
+    starts: np.ndarray = field(repr=False, compare=False)  # (N + 1,): oval k owns vertices starts[k]:starts[k + 1]
+    succ: np.ndarray = field(repr=False, compare=False)  # edge e runs from vertex e to vertex succ[e]
+    owner: np.ndarray = field(repr=False, compare=False)  # the oval of each vertex
+    areas: tuple[float, ...] = field(repr=False)
 
     @property
     def N(self) -> int:
         return len(self.ovals)
+
+
+def _stack(ovals) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every vertex of ``ovals`` once, oval after oval: vertices, starts, successors and owners."""
+    sizes = np.array([len(o.vertices) for o in ovals])
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    succ = np.arange(1, starts[-1] + 1)
+    held = sizes > 0  # an oval without vertices has no last vertex
+    succ[starts[1:][held] - 1] = starts[:-1][held]
+    return np.concatenate([o.vertices for o in ovals]), starts, succ, np.repeat(np.arange(len(ovals)), sizes)
 
 
 @dataclass
@@ -96,17 +119,17 @@ class Domain:
     area: float
 
 
-def shoelace_area(vertices: np.ndarray) -> float:
-    """Signed area of a closed polygon; positive for counterclockwise order."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def in_unit_ball(points) -> np.ndarray:
-    """Mask of the rows of ``points`` that lie in the closed unit ball, up to ``errors.BALL_TOL``."""
+    """Mask of the rows of ``points`` that lie in the closed unit ball, up to ``errors.BALL_TOL``.
+
+    A row with a coordinate above twice the radius in size, or not finite,
+    lies outside whatever the rounding; such a coordinate is not squared, so
+    no value overflows.
+    """
     pts = np.asarray(points, dtype=float)
-    return np.sqrt(np.sum(pts**2, axis=-1)) <= 1.0 + errors.BALL_TOL
+    radius = 1.0 + errors.BALL_TOL
+    small = np.abs(pts) <= 2.0 * radius
+    return np.all(small, axis=-1) & (np.sqrt(np.sum(np.where(small, pts, 0.0) ** 2, axis=-1)) <= radius)
 
 
 def _cross(o, a, b):
@@ -145,78 +168,132 @@ def _segments_intersect(p0, p1, q0, q1) -> np.ndarray:
     return proper | touch
 
 
-def _box_pairs(p0, p1, other=None):
-    """Index pairs (a, b) of segments whose bounding boxes overlap, in steps.
+def _windows(begin, count):
+    """(k, j) index pairs, j running over ``begin[k] .. begin[k] + count[k] - 1``, in steps.
 
-    Alone, the segments p0-p1 pair among themselves, each pair once; with
-    ``other = (q0, q1)``, segment a of p0-p1 pairs with segment b of q0-q1.
-    Sort-and-sweep (Shamos-Hoey 1976): with the b boxes sorted by min x, the
-    window of box a ends at the last b whose min x is at most a's max x. A
-    step holds at most ``_PAIR_CHUNK`` window entries, more only when one
-    window alone is longer; the constant is read when the step runs.
+    A step holds at most ``_PAIR_CHUNK`` pairs, more only when one window
+    alone is longer; the constant is read when the step runs.
     """
-    lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
-    lo_b, hi_b = (lo, hi) if other is None else (np.minimum(*other), np.maximum(*other))
-    order = np.argsort(lo_b[:, 0], kind="stable")
-    if other is None:  # windows start right after a itself
-        seq, begin = order, np.arange(1, len(order) + 1)
-    else:  # windows start at the first b whose running max of max x reaches a's min x
-        seq, begin = np.arange(len(lo)), np.searchsorted(np.maximum.accumulate(hi_b[order, 0]), lo[:, 0])
-    count = np.searchsorted(lo_b[order, 0], hi[seq, 0], side="right") - begin
     ends = np.cumsum(count)
     first = ends - count  # index of each window's first entry in the run of all windows
     start = 0
     while start < len(count):
         stop = max(int(np.searchsorted(ends, first[start] + _PAIR_CHUNK, side="right")), start + 1)
         k = np.repeat(np.arange(start, stop), count[start:stop])
-        a, b = seq[k], order[begin[k] + first[start] + np.arange(len(k)) - first[k]]
-        keep = (lo[a, 1] <= hi_b[b, 1]) & (lo_b[b, 1] <= hi[a, 1])
-        if other is not None:  # only a bipartite window holds b boxes that end left of a
-            keep &= lo[a, 0] <= hi_b[b, 0]
-        yield a[keep], b[keep]
+        yield k, begin[k] + first[start] + np.arange(len(k)) - first[k]
         start = stop
 
 
-def _first_touching(ovals) -> tuple[int | None, tuple[int, int] | None]:
-    """First oval whose own edges touch, and the first touching index pair i < j.
+def _box_pairs(p0, p1, other=None):
+    """Index pairs (a, b) of segments whose bounding boxes overlap, each pair once, in steps.
+
+    Alone, the segments p0-p1 pair among themselves; with ``other = (q0, q1)``,
+    segment a of p0-p1 pairs with segment b of q0-q1. Sort-and-sweep
+    (Shamos-Hoey 1976) on both axes: horizontal strips as tall as the mean
+    box, or taller when there would be more strips than boxes, cut the plane,
+    and each box enters every strip it meets. Within a strip a box's window
+    holds the boxes whose min x lies in its own x range: those after it in
+    min x order when the segments pair among themselves, and those of the
+    other set, ties going one way only, when there are two sets. A pair is
+    kept in the strip that holds the larger min y of the two, where both
+    boxes lie, if the boxes overlap in y. Steps follow ``_windows``.
+    """
+    if not len(p0) or other is not None and not len(other[0]):
+        return
+    lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
+    n_a = len(lo)  # boxes from here on are the other set's
+    if other is not None:
+        lo, hi = np.concatenate([lo, np.minimum(*other)]), np.concatenate([hi, np.maximum(*other)])
+    y0 = lo[:, 1].min()
+    tall = max(float(np.sum(hi[:, 1] - lo[:, 1])), float(hi[:, 1].max() - y0)) / len(lo) or 1.0
+    # each x by its rank among all box ends, so that (strip, x) keys are integers that compare exactly
+    xs = np.concatenate([lo[:, 0], hi[:, 0]])
+    by_x = np.argsort(xs, kind="stable")
+    rank = np.empty_like(by_x)
+    rank[by_x] = np.searchsorted(xs[by_x], xs[by_x])  # how many x ends are smaller
+
+    def entries(boxes):
+        """Entries of ``boxes`` by (strip, min x): box, whether the box starts in that strip, and both keys."""
+        s0 = ((lo[boxes, 1] - y0) / tall).astype(np.int64)
+        count = ((hi[boxes, 1] - y0) / tall).astype(np.int64) - s0 + 1
+        box = np.repeat(boxes, count)
+        up = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)  # strips above the box's first
+        key = (np.repeat(s0, count) + up) * len(rank) + rank[box]
+        order = np.argsort(key, kind="stable")
+        box, key = box[order], key[order]
+        return box, up[order] == 0, key, key + rank[len(lo) + box] - rank[box]
+
+    def sweep(q, t, begin):
+        """Entry k of q with the entries of t from begin[k] on whose key is at most k's (strip, max x) key."""
+        box_q, first_q, _, hi_q = q
+        box_t, first_t, lo_t, _ = t
+        for k, j in _windows(begin, np.searchsorted(lo_t, hi_q, side="right") - begin):
+            a, b = box_q[k], box_t[j]
+            keep = (first_q[k] | first_t[j]) & (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+            yield a[keep], b[keep]
+
+    if other is None:
+        e = entries(np.arange(n_a))
+        yield from sweep(e, e, np.arange(1, len(e[0]) + 1))
+        return
+    ea, eb = entries(np.arange(n_a)), entries(np.arange(n_a, len(lo)))
+    for a, b in sweep(ea, eb, np.searchsorted(eb[2], ea[2])):  # b's min x in [a's min x, a's max x]
+        yield a, b - n_a
+    for b, a in sweep(eb, ea, np.searchsorted(ea[2], eb[2], side="right")):  # a's min x in (b's, b's max x]
+        yield a, b - n_a
+
+
+def _first_touching(p0, succ, owner, count: int) -> tuple[int | None, tuple[int, int] | None]:
+    """First of ``count`` stacked ovals whose own edges touch, and the first touching index pair i < j.
 
     Edges whose bounding boxes overlap come from the box-pair sweep and go
     through the predicate. Cyclic neighbours on one oval share an endpoint by
     construction and are skipped. None where nothing touches.
     """
-    sizes = np.array([len(o.vertices) for o in ovals])
-    n, tails = len(ovals), np.cumsum(sizes)
-    owner = np.repeat(np.arange(n), sizes)
-    succ = np.arange(1, tails[-1] + 1)  # edge e runs from vertex e to vertex succ[e]
-    succ[tails - 1] = tails - sizes
-    p0 = np.concatenate([o.vertices for o in ovals])
     p1 = p0[succ]
-    crossed, best = n, n * n
+    crossed, best = count, count * count
     for a, b in _box_pairs(p0, p1):
         keep = (succ[a] != b) & (succ[b] != a)
         a, b = a[keep], b[keep]
         hit = _segments_intersect(p0[a], p1[a], p0[b], p1[b])
         i, j = owner[a[hit]], owner[b[hit]]
         crossed = int(np.min(i[i == j], initial=crossed))
-        best = int(np.min(np.minimum(i, j) * n + np.maximum(i, j), where=i != j, initial=best))
-    return (None if crossed == n else crossed), (None if best == n * n else divmod(best, n))
+        best = int(np.min(np.minimum(i, j) * count + np.maximum(i, j), where=i != j, initial=best))
+    return (None if crossed == count else crossed), (None if best == count * count else divmod(best, count))
 
 
-def _oval_fault(oval: Oval) -> str | None:
-    """Message of the first failed per-oval check that needs no edge pairs, or None."""
-    verts = oval.vertices
-    if len(verts) < 3:
-        return f"oval {oval.id} has {len(verts)} vertices, need at least 3"
-    if not np.all(np.isfinite(verts)):
-        return f"oval {oval.id} has non-finite vertex coordinates"
-    if not np.all(in_unit_ball(verts)):
-        return f"oval {oval.id} has vertices outside the unit ball"
-    prev, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
-    # zero-length edges and fold-back spikes (consecutive edges collinear and overlapping)
-    folded = (_cross(verts, prev, nxt) == 0) & (np.einsum("ij,ij->i", prev - verts, nxt - verts) > 0)
-    if np.any(np.all(verts == nxt, axis=1) | folded):
-        return f"oval {oval.id} has self-intersecting edges"
-    return None
+def _first_fault(ovals, verts, starts, succ, owner) -> tuple[int, str | None]:
+    """The first oval that fails a check needing no edge pairs, and that check's message; (N, None) if none.
+
+    The checks run on every vertex at once, in their order: id, vertex
+    count, finiteness, unit ball, then zero-length edges and fold-back
+    spikes (consecutive edges collinear and overlapping). An oval's first
+    failing check is the least check number among its own and its vertices'.
+    """
+    inside = in_unit_ball(verts)  # false for non-finite rows too
+    v = np.where(inside[:, None], verts, 0.0)  # an oval with a vertex outside has failed already
+    mid, nxt = v[succ], v[succ[succ]]  # each edge's end vertex, where it turns into the next edge
+    folded = (_cross(mid, v, nxt) == 0) & (np.einsum("ij,ij->i", v - mid, nxt - mid) > 0)
+    by_vertex = np.full(len(verts), 5)
+    by_vertex[np.all(v == mid, axis=1) | folded] = 4
+    by_vertex[~inside] = 3
+    by_vertex[~np.all(np.isfinite(verts), axis=1)] = 2
+    first = {}
+    check = np.where([first.setdefault(o.id, k) != k for k, o in enumerate(ovals)], 0, 5)
+    check[(check == 5) & (np.diff(starts) < 3)] = 1
+    np.minimum.at(check, owner, by_vertex)
+    failed = np.flatnonzero(check < 5)
+    if not failed.size:
+        return len(ovals), None
+    k = int(failed[0])
+    o = ovals[k]
+    return k, (
+        f"duplicate oval id {o.id}",
+        f"oval {o.id} has {len(o.vertices)} vertices, need at least 3",
+        f"oval {o.id} has non-finite vertex coordinates",
+        f"oval {o.id} has vertices outside the unit ball",
+        f"oval {o.id} has self-intersecting edges",
+    )[check[k]]
 
 
 def validate_configuration(ovals) -> OvalConfiguration:
@@ -224,76 +301,94 @@ def validate_configuration(ovals) -> OvalConfiguration:
 
     Each oval is checked in full before the next: id, vertex count, finiteness,
     unit ball, zero-length edges and fold-back spikes, touching edges, area.
-    One sweep finds the touching edges, of one oval or two, among the ovals
-    before the first that fails a cheaper check; a touching pair comes last.
-    A configuration without ovals has no domains and is rejected.
+    The cheap checks run on the stacked vertices at once. One sweep finds the
+    touching edges, of one oval or two, among the ovals before the first
+    that fails a cheaper check; a touching pair comes last. A configuration
+    without ovals has no domains and is rejected.
     """
     ovals = tuple(ovals)
     if not ovals:
         raise ValidationError("configuration has no domains")
-    seen_ids, passed, fault = set(), ovals, None
-    for k, o in enumerate(ovals):
-        if fault := (f"duplicate oval id {o.id}" if o.id in seen_ids else _oval_fault(o)):
-            passed = ovals[:k]
-            break
-        seen_ids.add(o.id)
-    crossed, pair = _first_touching(passed) if passed else (None, None)
-    for k, o in enumerate(passed):
+    verts, starts, succ, owner = _stack(ovals)
+    passed, fault = _first_fault(ovals, verts, starts, succ, owner)
+    end = starts[passed]
+    crossed, pair = _first_touching(verts[:end], succ[:end], owner[:end], passed) if passed else (None, None)
+    # one sum over each oval's own terms, so each area equals that polygon's alone bit for bit
+    x, y = verts[:end, 0], verts[:end, 1]
+    terms = x * y[succ[:end]] - x[succ[:end]] * y
+    bounds = starts[: passed + 1].tolist()
+    areas = tuple(0.5 * float(terms[i:j].sum()) for i, j in zip(bounds, bounds[1:]))
+    for k, area in enumerate(areas):
         if k == crossed:
-            raise ValidationError(f"oval {o.id} has self-intersecting edges")
-        if (area := shoelace_area(o.vertices)) <= 0:
-            raise ValidationError(f"domain of oval {o.id} has non-positive area {area}")
+            raise ValidationError(f"oval {ovals[k].id} has self-intersecting edges")
+        if area <= 0:
+            raise ValidationError(f"domain of oval {ovals[k].id} has non-positive area {area}")
     if fault:
         raise ValidationError(fault)
     if pair:
         raise ValidationError(f"boundaries of ovals {ovals[pair[0]].id} and {ovals[pair[1]].id} intersect")
-    return OvalConfiguration(ovals)
+    return OvalConfiguration(ovals, verts, starts, succ, owner, areas)
 
 
-def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Even-odd ray crossing with a deterministic horizontal ray, one flag per point.
+def _ray_crossings(p0, p1, points):
+    """Index pairs (e, r), in steps, where edge p0[e]-p1[e] crosses the horizontal ray from points[r] to +x.
 
     An edge counts when its ends lie on opposite sides of the ray's level,
     a vertex exactly on the level counting as below it; this half-open rule
-    counts a ray through a vertex consistently, so no ray needs moving.
+    counts a ray through a vertex consistently, so no ray needs moving. With
+    the points sorted by y, the rays an edge straddles are one run of them,
+    found by bisection; steps follow ``_windows``.
+    """
+    order = np.argsort(points[:, 1], kind="stable")
+    levels = points[order, 1]
+    low = np.searchsorted(levels, np.minimum(p0[:, 1], p1[:, 1]))
+    high = np.searchsorted(levels, np.maximum(p0[:, 1], p1[:, 1]))
+    for e, j in _windows(low, high - low):
+        r = order[j]
+        (x1, y1), (x2, y2) = p0[e].T, p1[e].T
+        crossing = x1 + (points[r, 1] - y1) * (x2 - x1) / (y2 - y1) > points[r, 0]
+        yield e[crossing], r[crossing]
+
+
+def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Even-odd rule with the rays of ``_ray_crossings``, one flag per point.
+
     Points on a boundary get no meaningful answer; validated configurations
     keep query points off them.
     """
     verts = np.asarray(vertices, dtype=float)
     pts = np.asarray(points, dtype=float)
-    x1, y1 = verts[:, 0][None, :], verts[:, 1][None, :]
-    x2 = np.roll(verts[:, 0], -1)[None, :]
-    y2 = np.roll(verts[:, 1], -1)[None, :]
-    RY = pts[:, 1][:, None]
-    straddle = (y1 > RY) != (y2 > RY)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = x1 + (RY - y1) * (x2 - x1) / (y2 - y1)
-    crossing = straddle & (xi > pts[:, 0][:, None])
-    return np.sum(crossing, axis=1) % 2 == 1
+    inside = np.zeros(len(pts), dtype=bool)
+    for _, r in _ray_crossings(verts, np.roll(verts, -1, axis=0), pts):
+        np.logical_xor.at(inside, r, True)
+    return inside
 
 
 def build_nesting_forest(config: OvalConfiguration) -> NestingForest:
     """Containment hierarchy: depth = 1 + number of strictly containing ovals.
 
     The parent of an oval is its deepest container, i.e. the smallest one; ties
-    go to the first in configuration order. One batched ray cast per oval over
-    every oval's representative vertex gives the whole containment matrix:
-    validated boundaries are disjoint, so by Jordan separation an oval lies
-    inside another exactly when its first vertex does.
+    go to the first in configuration order. Validated boundaries are
+    disjoint, so by Jordan separation an oval lies inside another exactly
+    when its first vertex does. One ray cast from every first vertex over
+    the stacked edges decides every pair: each oval's parity of crossings
+    says which rays start inside it.
     """
-    ovals = config.ovals
-    reps = np.array([o.vertices[0] for o in ovals])
-    # inside[p, o]: oval o lies inside oval p
-    inside = np.array([points_in_polygon(p.vertices, reps) for p in ovals]).reshape(len(ovals), len(ovals))
+    ovals, p0 = config.ovals, config.vertices
+    n = len(ovals)
+    inside = np.zeros(n * n, dtype=bool)  # inside[p * n + o]: oval o lies inside oval p
+    for e, r in _ray_crossings(p0, p0[config.succ], p0[config.starts[:-1]]):
+        np.logical_xor.at(inside, config.owner[e] * n + r, True)
+    inside = inside.reshape(n, n)
     np.fill_diagonal(inside, False)
     depth = 1 + inside.sum(axis=0)
-    nodes = {o.id: ForestNode(oval_id=o.id, depth=int(depth[k])) for k, o in enumerate(ovals)}
-    for k, o in enumerate(ovals):
-        cands = np.flatnonzero(inside[:, k])
-        if cands.size:
-            parent = ovals[cands[np.argmax(depth[cands])]].id
-            nodes[o.id].parent = parent
-            nodes[parent].children.append(o.id)
+    by_depth = np.argsort(-depth, kind="stable")
+    parent = by_depth[np.argmax(inside[by_depth], axis=0)]  # deepest container, first in order on ties
+    nodes = {o.id: ForestNode(oval_id=o.id, depth=d) for o, d in zip(ovals, depth.tolist())}
+    for k in np.flatnonzero(depth > 1).tolist():
+        child, p = ovals[k].id, ovals[parent[k]].id
+        nodes[child].parent = p
+        nodes[p].children.append(child)
     return NestingForest(config=config, nodes=nodes)
 
 
@@ -302,16 +397,18 @@ def build_domains(forest: NestingForest) -> list[Domain]:
 
     The returned list length always equals the oval count; this identity is
     what makes the minimal-area quantity well defined for any nesting. Each
-    area, the outer oval's shoelace area minus its holes', is computed once, here.
+    area is the outer oval's shoelace area minus its holes', as validation
+    stored them.
     """
-    by_id = {o.id: o for o in forest.config.ovals}
+    config = forest.config
+    index = {o.id: k for k, o in enumerate(config.ovals)}
     domains = []
-    for o in forest.config.ovals:
-        holes = tuple(by_id[c] for c in forest.nodes[o.id].children)
-        area = shoelace_area(o.vertices) - sum(shoelace_area(h.vertices) for h in holes)
+    for o, outer in zip(config.ovals, config.areas):
+        holes = [index[c] for c in forest.nodes[o.id].children]
+        area = outer - sum(config.areas[h] for h in holes)
         if area <= 0:
             raise ValidationError(f"domain of oval {o.id} has non-positive area {area}")
-        domains.append(Domain(outer=o, holes=holes, area=area))
+        domains.append(Domain(outer=o, holes=tuple(config.ovals[h] for h in holes), area=area))
     return domains
 
 

@@ -14,6 +14,17 @@ CIRCLE_SIDES = 48
 ACCEPTANCE_LINES: list[str] = []
 
 
+def shoelace_area(vertices) -> float:
+    """Reference signed area of one closed polygon, positive for counterclockwise order.
+
+    Validation stores each oval's area from the stacked vertices; this per-polygon
+    form is the formula it must reproduce bit for bit.
+    """
+    v = np.asarray(vertices, dtype=float)
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -19,6 +19,7 @@ from conftest import (
     random_circle_config,
     random_circle_config_exact,
     random_poly,
+    shoelace_area,
     square,
     vanishing_ring_poly,
     write_config_json,
@@ -31,7 +32,7 @@ from rigidkit.fractal import (
     rigidity_threshold,
     rigidity_threshold_check,
 )
-from rigidkit.geometry import build_domains, build_nesting_forest, mu, sample_boundary, shoelace_area
+from rigidkit.geometry import build_domains, build_nesting_forest, mu, sample_boundary
 from rigidkit.poly import MultiPoly, compose, eval_poly
 from rigidkit.prooftrace import domain_pigeonhole_report, find_critical_points, perturb_linear
 from rigidkit.remez import remez_estimate_lp

@@ -420,6 +420,17 @@ class TestErrorPaths:
         path.write_bytes(content)
         expect_exit2(argv + [str(path)], capsys, f"{fragment} {path}: 'utf-8' codec can't decode byte 0xff")
 
+    def test_huge_vertex_exit2_with_the_ball_message_alone(self, tmp_path):
+        # 1e300 squared overflows; the ball check decides without squaring it, so no warning reaches stderr
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"ovals": [{"id": 1, "vertices": [[0.5, 0.0], [0.0, 0.5], [-0.5, 1e300]]}]}))
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigidkit.cli", "decompose", "--config", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: oval 1 has vertices outside the unit ball\n")
+
     def test_deeply_nested_json_exit2(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text('{"ovals": ' + "[" * 100_000 + "]" * 100_000 + "}")

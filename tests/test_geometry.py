@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import forest_roots, random_circle_config, regular_polygon, square, write_config_json
+from conftest import forest_roots, random_circle_config, regular_polygon, shoelace_area, square, write_config_json
 from rigidkit import errors, geometry
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import (
@@ -20,7 +20,6 @@ from rigidkit.geometry import (
     points_in_domain,
     points_in_polygon,
     sample_boundary,
-    shoelace_area,
     validate_configuration,
 )
 from rigidkit.rigidity import rigidity_1d_bound
@@ -69,6 +68,19 @@ class TestValidation:
     def test_too_few_vertices(self):
         with pytest.raises(ValidationError, match=r"oval 1 has 2 vertices, need at least 3"):
             validate_configuration([Oval(id=1, vertices=np.array([[0.0, 0.0], [1.0, 0.0]]))])
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_short_oval_first_middle_or_last(self, rows, at):
+        # segment sums and per-oval reductions must not misread an oval with no, one or two vertices
+        ovals = [square(0.4, 1, center=(-0.5, 0.0)), square(0.4, 2, center=(0.5, 0.0))]
+        ovals.insert(at, Oval(id=9, vertices=np.full((rows, 2), 0.25)))
+        with pytest.raises(ValidationError, match=f"^oval 9 has {rows} vertices, need at least 3$"):
+            validate_configuration(ovals)
+        # an earlier oval's own fault still comes first
+        clockwise = Oval(id=3, vertices=square(0.25, 3, center=(0.0, 0.5)).vertices[::-1])
+        with pytest.raises(ValidationError, match=r"^domain of oval 3 has non-positive area -0\.0625$"):
+            validate_configuration([clockwise] + ovals)
 
     def test_outside_ball_rejected_by_default(self):
         with pytest.raises(ValidationError, match=r"oval 1 has vertices outside the unit ball"):
@@ -154,7 +166,8 @@ class TestValidation:
     def test_self_intersection_beats_later_crossing_pair(self):
         ovals = [self.pinched(5), square(0.2, 1, center=(0.5, 0.0)), square(0.2, 2, center=(0.6, 0.0))]
         # the sweep reports both; the pair never counts an oval's own contacts
-        assert geometry._first_touching(ovals) == (0, (1, 2))
+        verts, _, succ, owner = geometry._stack(ovals)
+        assert geometry._first_touching(verts, succ, owner, len(ovals)) == (0, (1, 2))
         with pytest.raises(ValidationError, match=r"^oval 5 has self-intersecting edges$"):
             validate_configuration(ovals)
 
@@ -177,6 +190,92 @@ class TestValidation:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_thousand_rings_validate_in_bounded_memory(self):
+        # 48 000 edges in 1000 concentric rings: every step of the sweep stays chunk-sized
+        ovals = [regular_polygon((0.0, 0.0), 0.95 * (1000 - i) / 1000, 48, i + 1) for i in range(1000)]
+        tracemalloc.start()
+        try:
+            assert validate_configuration(ovals).N == 1000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_areas_match_the_per_polygon_shoelace_bit_for_bit(self):
+        # vertex counts on both sides of numpy's pairwise-summation blocks, in one stacked array
+        rng = np.random.default_rng(11)
+        sizes = [1000, 300, 129, 128, 127, 17, 9, 8, 5, 3]
+        ovals = [regular_polygon((0.0, 0.0), 0.95 - 0.09 * i, k, i + 1) for i, k in enumerate(sizes)]
+        ovals = [Oval(id=o.id, vertices=np.roll(o.vertices + rng.uniform(-1e-7, 1e-7, o.vertices.shape), k, axis=0))
+                 for k, o in enumerate(ovals)]
+        config = validate_configuration(ovals)
+        assert config.areas == tuple(shoelace_area(o.vertices) for o in ovals)
+        for _ in range(5):
+            config = random_circle_config(rng)
+            assert config.areas == tuple(shoelace_area(o.vertices) for o in config.ovals)
+
+
+def brute_force_box_pairs(p0, p1, other=None):
+    """Sorted (a, b) with overlapping closed bounding boxes: a < b for one set, every a, b for two."""
+    lo_a, hi_a = np.minimum(p0, p1), np.maximum(p0, p1)
+    lo_b, hi_b = (lo_a, hi_a) if other is None else (np.minimum(*other), np.maximum(*other))
+    overlap = np.all(lo_a[:, None] <= hi_b[None], axis=2) & np.all(lo_b[None] <= hi_a[:, None], axis=2)
+    if other is None:
+        overlap = np.triu(overlap, 1)
+    return sorted(zip(*(idx.tolist() for idx in np.nonzero(overlap))))
+
+
+def swept_box_pairs(p0, p1, other=None):
+    out = []
+    for a, b in geometry._box_pairs(p0, p1, other):
+        out += zip(a.tolist(), b.tolist())
+    return sorted((min(a, b), max(a, b)) for a, b in out) if other is None else sorted(out)
+
+
+def segment_sets():
+    """Named (p0, p1) segment sets: random ones and the degenerate shapes the strips must survive."""
+    rng = np.random.default_rng(29)
+    p0 = rng.uniform(-1, 1, (150, 2))
+    short = (p0, p0 + rng.normal(0.0, 0.1, p0.shape))
+    grid = rng.integers(-4, 5, (120, 2)) / 4  # dyadic: many ties in x, in y and on strip edges
+    xs = rng.uniform(-1, 1, 80)
+    spanning = (np.vstack([short[0][:60], [[0.0, -1.0]]]), np.vstack([short[1][:60], [[0.1, 1.0]]]))
+    points = rng.integers(-3, 4, (60, 2)) / 4
+    dup = (np.vstack([short[0][:40]] * 3), np.vstack([short[1][:40]] * 3))
+    return {
+        "random": short,
+        "dyadic": (grid, grid + rng.integers(-2, 3, grid.shape) / 4),
+        "one horizontal line": (np.column_stack([xs, np.full(80, 0.3)]), np.column_stack([xs + 0.2, np.full(80, 0.3)])),
+        "one edge spans all y": spanning,
+        "zero-size boxes": (points, points.copy()),
+        "one hairline box among points": (np.vstack([points, [[0.1, 0.0]]]), np.vstack([points, [[0.1, 1e-200]]])),
+        "duplicate boxes": dup,
+        "reversed duplicates": (np.vstack([short[0][:40], short[1][:40]]), np.vstack([short[1][:40], short[0][:40]])),
+    }
+
+
+SETS = segment_sets()
+
+
+class TestBoxPairs:
+    """The sweep against the O(E^2) reference: the same pairs, each once, for any chunk size."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, geometry._PAIR_CHUNK])
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_self_pairs_match_brute_force(self, name, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        p0, p1 = SETS[name]
+        assert swept_box_pairs(p0, p1) == brute_force_box_pairs(p0, p1)
+
+    @pytest.mark.parametrize("chunk", [1, 7, geometry._PAIR_CHUNK])
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_bipartite_pairs_match_brute_force(self, name, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        p0, p1 = SETS[name]
+        for other in (SETS["random"], SETS["zero-size boxes"], (p0, p1), (p0[:1], p1[:1])):
+            assert swept_box_pairs(p0, p1, other) == brute_force_box_pairs(p0, p1, other)
+            assert swept_box_pairs(*other, (p0, p1)) == brute_force_box_pairs(*other, (p0, p1))
 
 
 class TestContains:
@@ -359,7 +458,7 @@ class TestAreas:
     def test_regular_64gon(self):
         oval = regular_polygon((0.0, 0.0), 1.0, 64, 1)
         expected = 32.0 * math.sin(2.0 * math.pi / 64.0)
-        assert shoelace_area(oval.vertices) == pytest.approx(expected, rel=1e-12)
+        assert validate_configuration([oval]).areas[0] == pytest.approx(expected, rel=1e-12)
         # cross-check: triangle fan from the centroid
         v = oval.vertices
         w = np.roll(v, -1, axis=0)
@@ -505,8 +604,7 @@ class TestUnitBall:
         "v", [s * x for x in (0.0, 1.0, 1.0 + 0.5e-9, 1.0 + 2e-9, 1e-300, 1e300, math.nan, math.inf) for s in (1, -1)]
     )
     def test_scalar_ball_check_decides_as_in_unit_ball(self, v):
-        with np.errstate(over="ignore"):  # 1e300 squared overflows to inf, which lies outside
-            inside = bool(in_unit_ball([[v]])[0])
+        inside = bool(in_unit_ball([[v]])[0])
         for zeros, z0 in (([v], 0.25), ([0.5], v)):
             if inside:
                 rigidity_1d_bound(zeros, z0, 0)

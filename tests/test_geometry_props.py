@@ -1,6 +1,6 @@
 """Property-based checks of validation, nesting and areas against exact oracles.
 
-Every vertex coordinate is dyadic (a multiple of a power of two well inside
+Every finite vertex coordinate is dyadic (a multiple of a power of two well inside
 double precision), so the float predicates compute exactly and must agree
 with rational arithmetic. Validation is compared with a brute-force
 ``fractions.Fraction`` test over every edge pair, of one oval and of two, that
@@ -8,6 +8,7 @@ predicts the exact error message; the nesting forest's parents, children and
 depths with the tree the configuration was built from.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,12 +17,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import shoelace_area  # noqa: E402
 from rigidkit.errors import ValidationError  # noqa: E402
 from rigidkit.geometry import (  # noqa: E402
     Oval,
     build_domains,
     build_nesting_forest,
-    shoelace_area,
     validate_configuration,
 )
 
@@ -101,16 +102,22 @@ def _exact_area(oval: Oval) -> Fraction:
 
 
 def exact_validation_message(ovals) -> str | None:
-    """Message validation must raise, or None: each oval's checks in configuration order, pairs last.
+    """Message validation must raise, or None: each oval checked in full before the next, pairs last.
 
-    The drawn ovals have at least three vertices inside the unit ball, so the
-    vertex-count, finiteness and ball checks never fire here.
+    Vertices lie well inside the unit ball or well outside it, so an exact
+    test of the squared norm against 1 decides as the tolerant float test does.
     """
     seen = set()
     for o in ovals:
         if o.id in seen:
             return f"duplicate oval id {o.id}"
         seen.add(o.id)
+        if len(o.vertices) < 3:
+            return f"oval {o.id} has {len(o.vertices)} vertices, need at least 3"
+        if not all(math.isfinite(c) for c in o.vertices.ravel().tolist()):
+            return f"oval {o.id} has non-finite vertex coordinates"
+        if any(Fraction(x) ** 2 + Fraction(y) ** 2 > 1 for x, y in o.vertices.tolist()):
+            return f"oval {o.id} has vertices outside the unit ball"
         if _exact_self_fault(o):
             return f"oval {o.id} has self-intersecting edges"
         if (area := _exact_area(o)) <= 0:
@@ -144,12 +151,15 @@ RAYS = ((1, 0), (1, 0.5), (1, 1), (0.5, 1), (0, 1), (-0.5, 1), (-1, 1), (-1, 0.5
 
 @st.composite
 def wild_ovals(draw, oval_id) -> Oval:
-    """A star-shaped dyadic polygon, possibly reordered, reversed, spiked or with a repeated vertex."""
+    """A star-shaped dyadic polygon, possibly reordered, reversed, spiked or with a repeated vertex.
+
+    Or cut to 0, 1 or 2 vertices, or with one coordinate not finite or far outside the unit ball.
+    """
     rays = sorted(draw(st.sets(st.integers(0, 15), min_size=3, max_size=10)))
     cx, cy = draw(st.integers(-8, 8)) / 16, draw(st.integers(-8, 8)) / 16
     verts = [(cx + RAYS[k][0] * r / 32, cy + RAYS[k][1] * r / 32)
              for k, r in zip(rays, draw(st.lists(st.integers(1, 4), min_size=len(rays), max_size=len(rays))))]
-    edit = draw(st.sampled_from(("star", "star", "shuffle", "clockwise", "spike", "repeat")))
+    edit = draw(st.sampled_from(("star", "star", "shuffle", "clockwise", "spike", "repeat", "cut", "bad")))
     if edit == "shuffle":
         verts = draw(st.permutations(verts))
     elif edit == "clockwise":
@@ -162,16 +172,23 @@ def wild_ovals(draw, oval_id) -> Oval:
         verts.insert(i + 1, (x1 + back * (x0 - x1), y1 + back * (y0 - y1)))
     elif edit == "repeat":
         verts.insert(draw(st.integers(0, len(verts))), verts[draw(st.integers(0, len(verts) - 1))])
-    return Oval(id=oval_id, vertices=np.array(verts))
+    elif edit == "cut":
+        verts = verts[: draw(st.integers(0, 2))]
+    elif edit == "bad":
+        i, axis = draw(st.integers(0, len(verts) - 1)), draw(st.integers(0, 1))
+        bad = draw(st.sampled_from((math.nan, math.inf, -math.inf, 1.5, -2.0, 1e300, -1e300)))
+        verts[i] = (bad, verts[i][1]) if axis == 0 else (verts[i][0], bad)
+    return Oval(id=oval_id, vertices=np.array(verts).reshape(-1, 2))
 
 
 @st.composite
 def wild_configs(draw):
-    """1..4 wild ovals, sometimes with a repeated id."""
-    count = draw(st.integers(1, 4))
+    """1..5 wild ovals, sometimes with an id repeated at a later place."""
+    count = draw(st.integers(1, 5))
     ids = list(draw(st.permutations(range(1, count + 1))))
     if count > 1 and draw(st.integers(0, 3)) == 0:
-        ids[draw(st.integers(1, count - 1))] = ids[0]
+        later = draw(st.integers(1, count - 1))
+        ids[later] = ids[draw(st.integers(0, later - 1))]
     return [draw(wild_ovals(oval_id)) for oval_id in ids]
 
 
