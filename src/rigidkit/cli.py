@@ -131,40 +131,30 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_decompose(args) -> dict:
     _load("geometry")
     config = config_from_json_dict(_load_json(args.config))
-    forest = build_nesting_forest(config)
-    domains = build_domains(forest)
+    parent, depth = build_nesting_forest(config)
+    areas = build_domains(config, parent)
+    ids = [o.id for o in config.ovals]
+    holes = [[] for _ in ids]
+    for k, p in enumerate(parent.tolist()):
+        if p >= 0:
+            holes[p].append(ids[k])
     report = {
         "forest": {
-            str(node.oval_id): {
-                "depth": node.depth,
-                "parent": node.parent,
-                "children": sorted(node.children),
-            }
-            for node in forest.nodes.values()
+            str(i): {"depth": d, "parent": None if p < 0 else ids[p], "children": sorted(h)}
+            for i, d, p, h in zip(ids, depth.tolist(), parent.tolist(), holes)
         },
         "domains": [
-            {
-                "outer": dom.outer.id,
-                "holes": sorted(h.id for h in dom.holes),
-                "area": dom.area,
-                "formula": "shoelace(outer) - sum of shoelace(holes)",
-            }
-            for dom in domains
+            {"outer": i, "holes": sorted(h), "area": a, "formula": "shoelace(outer) - sum of shoelace(holes)"}
+            for i, h, a in zip(ids, holes, areas.tolist())
         ],
-        "mu": mu(domains),
+        "mu": mu(areas),
         "mu_formula": "min over domains of area(W_j)",
     }
     if args.svg:
         _load("svg")
-        _emit(render_svg(domains), args.svg)
+        _emit(render_svg(config, parent, areas), args.svg)
         report["svg"] = args.svg
     return report
-
-
-def _boundary_samples(config, per_oval: int) -> np.ndarray:
-    import numpy as np
-    _load("geometry")
-    return np.concatenate([sample_boundary(o, per_oval) for o in config.ovals], axis=0)
 
 
 def _estimate_fields(est) -> dict:
@@ -181,7 +171,7 @@ def _estimate_fields(est) -> dict:
 def _cmd_remez_lp(args) -> dict:
     _load("geometry", "remez")
     if args.z.endswith(".json"):
-        zsamples = _boundary_samples(config_from_json_dict(_load_json(args.z)), args.samples_per_oval)
+        zsamples = sample_boundary(config_from_json_dict(_load_json(args.z)), args.samples_per_oval)
     else:
         zsamples = _load_points_csv(args.z)
     n = zsamples.shape[1]
@@ -200,7 +190,7 @@ def _cmd_remez_lp(args) -> dict:
 def _cmd_bounds(args) -> dict:
     _load("geometry", "rigidity")
     config = config_from_json_dict(_load_json(args.config))
-    mu_val = mu(build_domains(build_nesting_forest(config)))
+    mu_val = mu(build_domains(config, build_nesting_forest(config)[0]))
     count = config.N
     required = ovals_required(args.degree)
     remez_val = remez_bound_topological(mu_val, args.degree)
@@ -223,9 +213,9 @@ def _cmd_bounds(args) -> dict:
 def _cmd_rigidity(args) -> dict:
     _load("geometry", "remez", "rigidity")
     config = config_from_json_dict(_load_json(args.config))
-    mu_val = mu(build_domains(build_nesting_forest(config)))
+    mu_val = mu(build_domains(config, build_nesting_forest(config)[0]))
     count = config.N
-    zsamples = _boundary_samples(config, args.samples_per_oval)
+    zsamples = sample_boundary(config, args.samples_per_oval)
     est = remez_estimate_lp(zsamples, args.degree, candidate_grid(2, args.grid))
     estimate = _estimate_fields(est)
     rep = rigidity_report(args.degree, mu_value=mu_val, oval_count=count, inv_remez=estimate["inverse"])

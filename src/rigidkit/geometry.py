@@ -8,10 +8,12 @@ The minimal domain area mu drives all topological bounds downstream.
 
 Polygons stand in for smooth ovals and may be sampled finely. Validation
 stacks every vertex once, oval after oval, into one edge array, and the
-configuration keeps it with each oval's shoelace area; the nesting forest,
-the domains and ``curves.crossing_count`` read those, not the ovals. With
-bounded memory, one box-pair sweep over horizontal strips finds the edge
-pairs that validation tests and the chord-edge pairs that the crossing
+configuration keeps it with each oval's shoelace area. That is the only
+oval layout from then on: the nesting forest is a parent and a depth per
+oval, the domains are an area per oval, and point location, boundary
+sampling and ``curves.crossing_count`` read the edge array by oval index.
+With bounded memory, one box-pair sweep over horizontal strips finds the
+edge pairs that validation tests and the chord-edge pairs that the crossing
 count solves, and one ray cast over the edge array gives the forest. The
 discretization error of areas is the caller's modeling responsibility.
 """
@@ -28,20 +30,15 @@ from .errors import ValidationError
 __all__ = [
     "Oval",
     "OvalConfiguration",
-    "ForestNode",
-    "NestingForest",
-    "Domain",
     "validate_configuration",
     "build_nesting_forest",
     "build_domains",
     "mu",
-    "points_in_polygon",
     "points_in_domain",
     "in_unit_ball",
     "sample_boundary",
     "lattice",
     "candidate_grid",
-    "bounding_box",
     "config_from_json_dict",
 ]
 
@@ -92,31 +89,6 @@ def _stack(ovals) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     held = sizes > 0  # an oval without vertices has no last vertex
     succ[starts[1:][held] - 1] = starts[:-1][held]
     return np.concatenate([o.vertices for o in ovals]), starts, succ, np.repeat(np.arange(len(ovals)), sizes)
-
-
-@dataclass
-class ForestNode:
-    oval_id: int
-    depth: int
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
-
-
-@dataclass
-class NestingForest:
-    """Containment hierarchy; depth 1 nodes are contained in no other oval."""
-
-    config: OvalConfiguration
-    nodes: dict[int, ForestNode]
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Region bounded by ``outer`` from outside and by ``holes`` from inside, with its area."""
-
-    outer: Oval
-    holes: tuple[Oval, ...]
-    area: float
 
 
 def in_unit_ball(points) -> np.ndarray:
@@ -350,32 +322,18 @@ def _ray_crossings(p0, p1, points):
         yield e[crossing], r[crossing]
 
 
-def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Even-odd rule with the rays of ``_ray_crossings``, one flag per point.
+def build_nesting_forest(config: OvalConfiguration) -> tuple[np.ndarray, np.ndarray]:
+    """Containment hierarchy as (parent, depth) arrays in configuration order.
 
-    Points on a boundary get no meaningful answer; validated configurations
-    keep query points off them.
+    Depth is 1 + the number of strictly containing ovals. The parent of an
+    oval is its deepest container, i.e. the smallest one; ties go to the
+    first in configuration order, and a root's parent is -1. Validated
+    boundaries are disjoint, so by Jordan separation an oval lies inside
+    another exactly when its first vertex does. One ray cast from every
+    first vertex over the stacked edges decides every pair: each oval's
+    parity of crossings says which rays start inside it.
     """
-    verts = np.asarray(vertices, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    inside = np.zeros(len(pts), dtype=bool)
-    for _, r in _ray_crossings(verts, np.roll(verts, -1, axis=0), pts):
-        np.logical_xor.at(inside, r, True)
-    return inside
-
-
-def build_nesting_forest(config: OvalConfiguration) -> NestingForest:
-    """Containment hierarchy: depth = 1 + number of strictly containing ovals.
-
-    The parent of an oval is its deepest container, i.e. the smallest one; ties
-    go to the first in configuration order. Validated boundaries are
-    disjoint, so by Jordan separation an oval lies inside another exactly
-    when its first vertex does. One ray cast from every first vertex over
-    the stacked edges decides every pair: each oval's parity of crossings
-    says which rays start inside it.
-    """
-    ovals, p0 = config.ovals, config.vertices
-    n = len(ovals)
+    p0, n = config.vertices, config.N
     inside = np.zeros(n * n, dtype=bool)  # inside[p * n + o]: oval o lies inside oval p
     for e, r in _ray_crossings(p0, p0[config.succ], p0[config.starts[:-1]]):
         np.logical_xor.at(inside, config.owner[e] * n + r, True)
@@ -383,64 +341,74 @@ def build_nesting_forest(config: OvalConfiguration) -> NestingForest:
     np.fill_diagonal(inside, False)
     depth = 1 + inside.sum(axis=0)
     by_depth = np.argsort(-depth, kind="stable")
-    parent = by_depth[np.argmax(inside[by_depth], axis=0)]  # deepest container, first in order on ties
-    nodes = {o.id: ForestNode(oval_id=o.id, depth=d) for o, d in zip(ovals, depth.tolist())}
-    for k in np.flatnonzero(depth > 1).tolist():
-        child, p = ovals[k].id, ovals[parent[k]].id
-        nodes[child].parent = p
-        nodes[p].children.append(child)
-    return NestingForest(config=config, nodes=nodes)
+    parent = np.where(depth > 1, by_depth[np.argmax(inside[by_depth], axis=0)], -1)
+    return parent, depth
 
 
-def build_domains(forest: NestingForest) -> list[Domain]:
-    """One domain per oval: that oval outside, its direct children as holes.
+def build_domains(config: OvalConfiguration, parent: np.ndarray) -> np.ndarray:
+    """Area of each oval's domain, that oval outside and its direct children as holes.
 
-    The returned list length always equals the oval count; this identity is
-    what makes the minimal-area quantity well defined for any nesting. Each
-    area is the outer oval's shoelace area minus its holes', as validation
-    stored them.
+    One area per oval, in configuration order; this identity is what makes
+    the minimal-area quantity well defined for any nesting. Each area is the
+    outer oval's shoelace area minus the sum of its holes', as validation
+    stored them, the holes added in configuration order.
     """
-    config = forest.config
-    index = {o.id: k for k, o in enumerate(config.ovals)}
-    domains = []
-    for o, outer in zip(config.ovals, config.areas):
-        holes = [index[c] for c in forest.nodes[o.id].children]
-        area = outer - sum(config.areas[h] for h in holes)
-        if area <= 0:
-            raise ValidationError(f"domain of oval {o.id} has non-positive area {area}")
-        domains.append(Domain(outer=o, holes=tuple(config.ovals[h] for h in holes), area=area))
+    areas = np.asarray(config.areas)
+    held = parent >= 0
+    domains = areas - np.bincount(parent[held], weights=areas[held], minlength=config.N)
+    bad = np.flatnonzero(domains <= 0)
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(f"domain of oval {config.ovals[k].id} has non-positive area {domains[k].item()}")
     return domains
 
 
-def mu(domains) -> float:
-    """Minimal domain area of the decomposition."""
-    domains = list(domains)
-    if not domains:
+def mu(areas) -> float:
+    """Minimal domain area of the decomposition, from the areas ``build_domains`` returns."""
+    areas = np.asarray(areas, dtype=float)
+    if not areas.size:
         raise ValidationError("configuration has no domains")
-    return min(d.area for d in domains)
+    return float(areas.min())
 
 
-def points_in_domain(d: Domain, points: np.ndarray) -> np.ndarray:
-    """Mask of the (m, 2) points strictly inside the outer oval and outside every hole."""
-    inside = points_in_polygon(d.outer.vertices, points)
-    for hole in d.holes:
-        inside &= ~points_in_polygon(hole.vertices, points)
+def points_in_domain(config: OvalConfiguration, parent: np.ndarray, k: int, points) -> np.ndarray:
+    """Mask of the (m, 2) points strictly inside oval k and outside each of its holes.
+
+    One ray cast over the edges of oval k and of its direct children, with
+    the rule of ``_ray_crossings``: the holes lie inside oval k and apart
+    from each other, so an odd crossing count means inside oval k and in no
+    hole. Points on a boundary get no meaningful answer.
+    """
+    pts = np.asarray(points, dtype=float)
+    ring = parent == k
+    ring[k] = True
+    e = np.flatnonzero(ring[config.owner])
+    inside = np.zeros(len(pts), dtype=bool)
+    for _, r in _ray_crossings(config.vertices[e], config.vertices[config.succ[e]], pts):
+        np.logical_xor.at(inside, r, True)
     return inside
 
 
-def sample_boundary(oval: Oval, count: int) -> np.ndarray:
-    """``count`` points equally spaced by arc length along the boundary; 1 <= count <= ``_MAX_LATTICE``."""
+def sample_boundary(config: OvalConfiguration, count: int) -> np.ndarray:
+    """``count`` points per oval, equally spaced by arc length, oval after oval; 1 <= count <= ``_MAX_LATTICE``.
+
+    Each oval's arc length sums its own edges only, in order, so its samples
+    do not depend on the other ovals.
+    """
     if not 1 <= count <= _MAX_LATTICE:
         raise ValidationError(f"boundary sample count must be in 1..{_MAX_LATTICE}, got {count}")
-    p0 = oval.vertices
-    p1 = np.roll(p0, -1, axis=0)
-    seg = np.hypot(*(p1 - p0).T)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    targets = np.arange(count) * total / count
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
-    frac = (targets - cum[idx]) / seg[idx]
-    return p0[idx] + frac[:, None] * (p1[idx] - p0[idx])
+    p0 = config.vertices
+    step = p0[config.succ] - p0
+    seg = np.hypot(*step.T)
+    out = np.empty((config.N * count, 2))
+    bounds = config.starts.tolist()
+    for k, (i, j) in enumerate(zip(bounds, bounds[1:])):
+        cum = np.concatenate([[0.0], np.cumsum(seg[i:j])])
+        targets = np.arange(count) * cum[-1] / count
+        e = i + np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, j - i - 1)  # each sample's edge
+        frac = (targets - cum[e - i]) / seg[e]
+        out[k * count : (k + 1) * count] = p0[e] + frac[:, None] * step[e]
+    return out
 
 
 def lattice(lo, hi, k: int) -> np.ndarray:
@@ -463,14 +431,6 @@ def candidate_grid(n: int, k: int) -> np.ndarray:
     if not len(pts):
         raise ValidationError(f"no point of the {k}-per-axis candidate grid lies in the unit ball")
     return pts
-
-
-def bounding_box(ovals) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper corners of the axis-aligned box around every vertex of ``ovals``."""
-    if not ovals:
-        raise ValidationError("no ovals to bound")
-    verts = np.concatenate([o.vertices for o in ovals], axis=0)
-    return verts.min(axis=0), verts.max(axis=0)
 
 
 def config_from_json_dict(data: dict) -> OvalConfiguration:

@@ -33,6 +33,8 @@ __all__ = [
     "partial_derivative",
 ]
 
+_MAX_BASIS = 1 << 12  # basis monomials; an m x m factor then holds at most 2**24 entries
+
 
 class MultiPoly:
     """Real polynomial in ``nvars`` variables: graded-lex ``exps`` rows, nonzero ``coefs``.
@@ -273,12 +275,18 @@ def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
 
 
 def basis_size(n: int, d: int) -> int:
-    """Dimension of the space of n-variate polynomials of total degree <= d."""
+    """Dimension of the space of n-variate polynomials of total degree <= d, at most ``_MAX_BASIS``.
+
+    The LP estimator holds an m x m basis inverse and its rank test an m x m
+    SVD factor, so m is capped where those reach the 2**24 entries that
+    ``geometry`` allows a point set; a larger m is a ``ValidationError``
+    before any array is built.
+    """
     if n < 1 or d < 0:
         raise ValidationError(f"basis_size needs n >= 1, d >= 0, got n={n}, d={d}")
     size = math.comb(n + d, n)
-    if size > 10**9:
-        raise ValidationError(f"basis size {size} exceeds the desk-scale limit")
+    if size > _MAX_BASIS:
+        raise ValidationError(f"basis size {size} exceeds the limit {_MAX_BASIS}")
     return size
 
 

@@ -17,15 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (
-    OvalConfiguration,
-    bounding_box,
-    build_domains,
-    build_nesting_forest,
-    lattice,
-    points_in_domain,
-    sample_boundary,
-)
+from .geometry import OvalConfiguration, build_domains, build_nesting_forest, lattice, points_in_domain, sample_boundary
 from .poly import MultiPoly, eval_poly, eval_polys, partial_derivative
 
 __all__ = [
@@ -86,8 +78,8 @@ class CriticalPointSet:
 def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     """Multi-start Newton on the gradient system over a seed lattice.
 
-    ``box`` is the ``(lo, hi)`` corner pair that ``geometry.bounding_box``
-    returns, finite and with lo < hi on each axis. Seeds form a grid x grid
+    ``box`` is a ``(lo, hi)`` corner pair, as ``geometry.lattice`` takes it,
+    finite and with lo < hi on each axis. Seeds form a grid x grid
     lattice over the box. Newton steps use the exact Hessian and move only
     the live seeds, for at most 80 iterations; a seed is dropped for good
     when the Hessian determinant falls under 1e-14 times its scale or the
@@ -276,29 +268,34 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
     pt_poly = perturb_linear(p, tilt)
     d = pt_poly.degree
 
-    domains = build_domains(build_nesting_forest(config))
-    lo, hi = bounding_box(config.ovals)
+    parent, _ = build_nesting_forest(config)
+    areas = build_domains(config, parent).tolist()
+    ids = [o.id for o in config.ovals]
+    # each oval's box, and the configuration's around them
+    low = np.minimum.reduceat(config.vertices, config.starts[:-1], axis=0)
+    high = np.maximum.reduceat(config.vertices, config.starts[:-1], axis=0)
+    lo, hi = low.min(axis=0), high.max(axis=0)
     span = max(*(hi - lo), 1e-3)
     cps = find_critical_points(pt_poly, (lo - 0.05 * span, hi + 0.05 * span), newton_grid)
 
     # each critical point goes to the first domain containing it, if any
     assignments: list[int | None] = [None] * cps.n_clusters
-    for dom in domains:
-        for i in np.flatnonzero(points_in_domain(dom, cps.representatives)):
+    for k in range(config.N):
+        for i in np.flatnonzero(points_in_domain(config, parent, k, cps.representatives)):
             if assignments[i] is None:
-                assignments[i] = dom.outer.id
+                assignments[i] = ids[k]
 
     # each oval is sampled once: as its own domain's outer ring and as its parent's hole
-    bpts = np.concatenate([sample_boundary(o, _BOUNDARY_SAMPLES) for o in config.ovals], axis=0)
+    bpts = sample_boundary(config, _BOUNDARY_SAMPLES)
     bvals = np.abs(eval_poly(pt_poly, [bpts[:, 0], bpts[:, 1]])).reshape(config.N, _BOUNDARY_SAMPLES)
-    oval_max = dict(zip((o.id for o in config.ovals), np.max(bvals, axis=1).tolist()))
-    global_bmax = max(0.0, *oval_max.values())
+    oval_max = np.max(bvals, axis=1).tolist()
+    global_bmax = max(0.0, *oval_max)
 
     dom_entries: list[dict] = []
-    for dom in domains:
-        bmax = max(0.0, *(oval_max[ring.id] for ring in (dom.outer, *dom.holes)))
-        grid_pts = lattice(*bounding_box([dom.outer]), _INTERIOR_GRID)
-        inside = points_in_domain(dom, grid_pts)
+    for k in range(config.N):
+        bmax = max(0.0, oval_max[k], *(oval_max[h] for h in np.flatnonzero(parent == k)))
+        grid_pts = lattice(low[k], high[k], _INTERIOR_GRID)
+        inside = points_in_domain(config, parent, k, grid_pts)
         if np.any(inside):
             ivals = np.abs(eval_poly(pt_poly, [grid_pts[inside, 0], grid_pts[inside, 1]]))
             interior_max: float | None = float(np.max(ivals))
@@ -306,11 +303,11 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
         else:
             interior_max = None
             flagged = False
-        crit_idx = [i for i, a in enumerate(assignments) if a == dom.outer.id]
+        crit_idx = [i for i, a in enumerate(assignments) if a == ids[k]]
         dom_entries.append(
             {
-                "oval_id": dom.outer.id,
-                "area": dom.area,
+                "oval_id": ids[k],
+                "area": areas[k],
                 "boundary_max": bmax,
                 "interior_max": interior_max,
                 "flagged": flagged,
@@ -332,7 +329,7 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
         "assignments": assignments,
         "domains": dom_entries,
         "global_boundary_max": global_bmax,
-        "pigeonhole_forced": len(domains) > cps.n_clusters,
+        "pigeonhole_forced": config.N > cps.n_clusters,
         "n_without_critical_point": n_without,
         "confinement_violations": violations,
     }

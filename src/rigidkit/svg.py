@@ -1,10 +1,10 @@
-"""Minimal SVG rendering of an oval configuration and its domains."""
+"""Minimal SVG rendering of an oval configuration and its domains, drawn from the stacked vertices."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Domain, bounding_box
+from .geometry import OvalConfiguration
 
 __all__ = ["render_svg"]
 
@@ -29,17 +29,20 @@ def _ring_path(vertices: np.ndarray) -> str:
     return f"M {coords} Z"
 
 
-def render_svg(domains: list[Domain]) -> str:
-    """Render domains, as ``build_domains`` returns them, as a standalone SVG document string.
+def render_svg(config: OvalConfiguration, parent: np.ndarray, areas: np.ndarray) -> str:
+    """Render the domains, as ``build_nesting_forest`` and ``build_domains`` give them, as an SVG string.
 
-    There is one domain per oval, so the domains' outer rings are the ovals.
-    Each domain is one even-odd filled path (outer ring plus hole rings), so
-    nested regions show through their parents; oval boundaries are stroked
-    on top and a legend lists domain ids with areas. Output is fully
-    deterministic for a given configuration.
+    There is one domain per oval, ordered by oval id. Each domain is one
+    even-odd filled path (outer ring plus hole rings), so nested regions
+    show through their parents; oval boundaries are stroked on top and a
+    legend lists domain ids with areas. Output is fully deterministic for
+    a given configuration.
     """
-    ordered = sorted(domains, key=lambda d: d.outer.id)
-    (xmin, ymin), (xmax, ymax) = bounding_box([d.outer for d in ordered])
+    ids = [o.id for o in config.ovals]
+    ordered = sorted(range(config.N), key=ids.__getitem__)
+    bounds = config.starts.tolist()
+    rings = [_ring_path(config.vertices[i:j]) for i, j in zip(bounds, bounds[1:])]
+    (xmin, ymin), (xmax, ymax) = config.vertices.min(axis=0), config.vertices.max(axis=0)
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     margin = 0.05 * span
     legend_w = 0.55 * span
@@ -56,23 +59,17 @@ def render_svg(domains: list[Domain]) -> str:
         # flip y so the math orientation (y up) renders upright
         f'<g transform="translate(0 {ymin + ymax:.6g}) scale(1 -1)">',
     ]
-    for i, dom in enumerate(ordered):
-        rings = [_ring_path(dom.outer.vertices)] + [_ring_path(h.vertices) for h in dom.holes]
+    for i, k in enumerate(ordered):
+        path = " ".join([rings[k]] + [rings[h] for h in np.flatnonzero(parent == k)])
         color = _PALETTE[i % len(_PALETTE)]
-        lines.append(
-            f'<path d="{" ".join(rings)}" fill="{color}" fill-opacity="0.45" '
-            'fill-rule="evenodd" stroke="none"/>'
-        )
-    for dom in ordered:
-        lines.append(
-            f'<path d="{_ring_path(dom.outer.vertices)}" fill="none" '
-            f'stroke="#333333" stroke-width="{0.004 * span:.6g}"/>'
-        )
+        lines.append(f'<path d="{path}" fill="{color}" fill-opacity="0.45" fill-rule="evenodd" stroke="none"/>')
+    for k in ordered:
+        lines.append(f'<path d="{rings[k]}" fill="none" stroke="#333333" stroke-width="{0.004 * span:.6g}"/>')
     lines.append("</g>")
 
     fs = 0.045 * span
     tx = xmax + 2 * margin
-    for i, dom in enumerate(ordered):
+    for i, k in enumerate(ordered):
         ty = ymin + margin + (i + 1) * 1.4 * fs
         color = _PALETTE[i % len(_PALETTE)]
         lines.append(
@@ -81,8 +78,7 @@ def render_svg(domains: list[Domain]) -> str:
         )
         lines.append(
             f'<text x="{tx + 1.5 * fs:.6g}" y="{ty:.6g}" font-size="{fs:.6g}" '
-            f'font-family="sans-serif">domain {dom.outer.id}: area '
-            f"{dom.area:.6g}</text>"
+            f'font-family="sans-serif">domain {ids[k]}: area {areas[k]:.6g}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines)

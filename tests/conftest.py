@@ -25,6 +25,39 @@ def shoelace_area(vertices) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def sample_oval(vertices, count: int) -> np.ndarray:
+    """Reference for ``sample_boundary`` on one closed polygon: ``count`` points equally spaced by arc length.
+
+    The sampler takes every oval of a configuration in one call from the
+    stacked vertices; this per-polygon form is the formula it must reproduce
+    bit for bit, oval after oval.
+    """
+    p0 = np.asarray(vertices, dtype=float)
+    p1 = np.roll(p0, -1, axis=0)
+    seg = np.hypot(*(p1 - p0).T)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.arange(count) * cum[-1] / count
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
+    frac = (targets - cum[idx]) / seg[idx]
+    return p0[idx] + frac[:, None] * (p1[idx] - p0[idx])
+
+
+def ray_cast(vertices, point) -> bool:
+    """Reference for ``points_in_domain`` on one polygon: one point, pure Python, even-odd rule.
+
+    An edge counts when its ends lie on opposite sides of the ray's level,
+    a vertex exactly on the level counting as below it, the half-open rule
+    that ``points_in_domain`` applies too.
+    """
+    px, py = (float(c) for c in point)
+    verts = np.asarray(vertices, dtype=float).tolist()
+    inside = False
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        if (y1 > py) != (y2 > py) and x1 + (py - y1) * (x2 - x1) / (y2 - y1) > px:
+            inside = not inside
+    return inside
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
@@ -200,9 +233,9 @@ def same_poly(p: MultiPoly, q: MultiPoly) -> bool:
     return p.nvars == q.nvars and np.array_equal(p.exps, q.exps) and np.array_equal(p.coefs, q.coefs)
 
 
-def forest_roots(forest) -> list[int]:
-    """Ids of the ovals that no other oval contains."""
-    return [nid for nid, node in forest.nodes.items() if node.parent is None]
+def forest_roots(config, parent) -> list[int]:
+    """Ids of the ovals that no other oval contains, from the parent array of ``build_nesting_forest``."""
+    return [o.id for o, p in zip(config.ovals, parent.tolist()) if p < 0]
 
 
 def write_config_json(config, path) -> str:

@@ -95,14 +95,14 @@ def test_criterion_2_decomposition_counts_and_areas():
         bad = []
         for trial in range(200):
             config = random_circle_config(rng)
-            forest = build_nesting_forest(config)
-            domains = build_domains(forest)
-            if len(domains) != config.N:
+            parent, _ = build_nesting_forest(config)
+            areas = build_domains(config, parent)
+            if len(areas) != config.N:
                 bad.append((trial, "count"))
                 continue
-            total = sum(d.area for d in domains)
+            total = sum(areas.tolist())
             by_id = {o.id: o for o in config.ovals}
-            root_total = sum(shoelace_area(by_id[rid].vertices) for rid in forest_roots(forest))
+            root_total = sum(shoelace_area(by_id[rid].vertices) for rid in forest_roots(config, parent))
             if abs(total - root_total) > 1e-9 * max(1.0, abs(root_total)):
                 bad.append((trial, "area"))
         crit.ok = not bad
@@ -127,14 +127,11 @@ def test_criterion_3_topological_remez_inequality_on_samples():
             needed = (d - 1) ** 2 + 1
             for _ in range(100):
                 config = random_circle_config_exact(rng, needed)
-                mu_val = mu(build_domains(build_nesting_forest(config)))
+                mu_val = mu(build_domains(config, build_nesting_forest(config)[0]))
                 p = random_poly(2, d, rng)
                 ball_max = float(np.max(np.abs(eval_poly(p, [ball[:, 0], ball[:, 1]]))))
-                oval_max = 0.0
-                for oval in config.ovals:
-                    bpts = sample_boundary(oval, 256)
-                    vals = np.abs(eval_poly(p, [bpts[:, 0], bpts[:, 1]]))
-                    oval_max = max(oval_max, float(np.max(vals)))
+                bpts = sample_boundary(config, 256)
+                oval_max = float(np.max(np.abs(eval_poly(p, [bpts[:, 0], bpts[:, 1]]))))
                 ratio = ball_max / oval_max
                 bound = (8.0 / mu_val) ** d + 1e-6
                 worst = max(worst, ratio / bound)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +542,15 @@ class TestErrorPaths:
         argv = ["curve-check", "--f", fxy_path, "--points", curve_points_path, "--s", "2", "--degree", "3"]
         huge = "100000000000000000000"
         expect_exit2(argv + ["--tgrid", huge], capsys, f"lattice of {huge} points per axis in 1D exceeds 16777216 points")
+
+    @pytest.mark.parametrize("subcommand, flag", [("remez-lp", "--z"), ("rigidity", "--config")])
+    def test_huge_degree_exit2_before_any_basis_is_built(self, subcommand, flag, annulus_path, capsys):
+        # 4 504 501 planar monomials of degree <= 3000: rejected on their count, not after building them
+        start = time.perf_counter()
+        code = main([subcommand, "--degree", "3000", flag, annulus_path])
+        elapsed = time.perf_counter() - start
+        assert code == 2 and elapsed < 1.0
+        assert capsys.readouterr().err.splitlines() == ["error: basis size 4504501 exceeds the limit 4096"]
 
     @pytest.mark.parametrize("subcommand, flag", [("remez-lp", "--z"), ("rigidity", "--config")])
     def test_huge_samples_per_oval_exit2(self, subcommand, flag, annulus_path, capsys):

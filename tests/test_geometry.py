@@ -1,15 +1,24 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import forest_roots, random_circle_config, regular_polygon, shoelace_area, square, write_config_json
+from conftest import (
+    forest_roots,
+    random_circle_config,
+    ray_cast,
+    regular_polygon,
+    sample_oval,
+    shoelace_area,
+    square,
+    write_config_json,
+)
 from rigidkit import errors, geometry
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import (
     Oval,
-    bounding_box,
     build_domains,
     build_nesting_forest,
     candidate_grid,
@@ -18,32 +27,36 @@ from rigidkit.geometry import (
     lattice,
     mu,
     points_in_domain,
-    points_in_polygon,
     sample_boundary,
     validate_configuration,
 )
 from rigidkit.rigidity import rigidity_1d_bound
-from rigidkit.svg import render_svg
 
 
 def rect(x0, x1, y0, y1, oval_id) -> Oval:
     return Oval(id=oval_id, vertices=np.array([[x1, y1], [x0, y1], [x0, y0], [x1, y0]]))
 
 
-def ray_cast(vertices, point) -> bool:
-    """Reference for ``points_in_polygon``: one point, pure Python, even-odd rule.
+def containing(config, k) -> set[int]:
+    """Indices of the ovals other than k whose polygon contains oval k's first vertex, by the pure-Python ray cast."""
+    first = config.ovals[k].vertices[0]
+    return {j for j, p in enumerate(config.ovals) if j != k and ray_cast(p.vertices, first)}
 
-    An edge counts when its ends lie on opposite sides of the ray's level,
-    a vertex exactly on the level counting as below it, the half-open rule
-    that ``points_in_polygon`` applies too.
-    """
-    px, py = (float(c) for c in point)
-    verts = np.asarray(vertices, dtype=float).tolist()
-    inside = False
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-        if (y1 > py) != (y2 > py) and x1 + (py - y1) * (x2 - x1) / (y2 - y1) > px:
-            inside = not inside
-    return inside
+
+def ancestors(parent, k) -> list[int]:
+    """Oval k's chain of parents in the forest, nearest first."""
+    chain = []
+    while parent[k] >= 0:
+        k = int(parent[k])
+        assert k not in chain
+        chain.append(k)
+    return chain
+
+
+def one_oval_domain(oval: Oval):
+    """``points_in_domain`` of the configuration holding only ``oval``: that polygon's even-odd rule."""
+    config = validate_configuration([oval])
+    return lambda points: points_in_domain(config, build_nesting_forest(config)[0], 0, points)
 
 
 class TestValidation:
@@ -282,17 +295,17 @@ class TestContains:
     """Containment as the nesting forest records it: depth 1 + the number of containing ovals."""
 
     def test_nested_squares(self, side1_annulus):
-        forest = build_nesting_forest(side1_annulus)
-        assert [forest.nodes[i].depth for i in (1, 2)] == [1, 2]
-        assert forest.nodes[2].parent == 1
-        assert forest.nodes[1].parent is None
+        parent, depth = build_nesting_forest(side1_annulus)
+        assert depth.tolist() == [1, 2]
+        assert parent.tolist() == [-1, 0]
 
     def test_side_by_side(self):
         a = square(0.5, 1, center=(-0.4, 0.0))
         b = square(0.5, 2, center=(0.4, 0.0))
-        forest = build_nesting_forest(validate_configuration([a, b]))
-        assert [forest.nodes[i].depth for i in (1, 2)] == [1, 1]
-        assert sorted(forest_roots(forest)) == [1, 2]
+        config = validate_configuration([a, b])
+        parent, depth = build_nesting_forest(config)
+        assert depth.tolist() == [1, 1]
+        assert sorted(forest_roots(config, parent)) == [1, 2]
 
     def test_strict_partial_order(self):
         # the containing ovals of each oval, by the pure-Python ray cast, are
@@ -301,16 +314,12 @@ class TestContains:
         rng = np.random.default_rng(31)
         for _ in range(5):
             config = random_circle_config(rng)
-            forest = build_nesting_forest(config)
-            for o in config.ovals:
-                containing = {p.id for p in config.ovals if p.id != o.id and ray_cast(p.vertices, o.vertices[0])}
-                ancestors, node = set(), forest.nodes[o.id]
-                while node.parent is not None:
-                    assert node.parent not in ancestors and node.parent != o.id
-                    ancestors.add(node.parent)
-                    node = forest.nodes[node.parent]
-                assert containing == ancestors
-                assert forest.nodes[o.id].depth == 1 + len(ancestors)
+            parent, depth = build_nesting_forest(config)
+            for k in range(config.N):
+                chain = ancestors(parent, k)
+                assert k not in chain
+                assert containing(config, k) == set(chain)
+                assert depth[k] == 1 + len(chain)
 
 
 class TestForest:
@@ -320,9 +329,10 @@ class TestForest:
             regular_polygon((0.6, 0.0), 0.2, 16, 2),
             regular_polygon((0.0, 0.6), 0.2, 16, 3),
         ]
-        forest = build_nesting_forest(validate_configuration(ovals))
-        assert sorted(forest_roots(forest)) == [1, 2, 3]
-        assert all(node.depth == 1 for node in forest.nodes.values())
+        config = validate_configuration(ovals)
+        parent, depth = build_nesting_forest(config)
+        assert sorted(forest_roots(config, parent)) == [1, 2, 3]
+        assert depth.tolist() == [1, 1, 1]
 
     def test_chain_depths(self):
         ovals = [
@@ -330,10 +340,9 @@ class TestForest:
             regular_polygon((0.0, 0.0), 0.6, 32, 2),
             regular_polygon((0.0, 0.0), 0.3, 32, 3),
         ]
-        forest = build_nesting_forest(validate_configuration(ovals))
-        assert [forest.nodes[i].depth for i in (1, 2, 3)] == [1, 2, 3]
-        assert forest.nodes[3].parent == 2
-        assert forest.nodes[2].parent == 1
+        parent, depth = build_nesting_forest(validate_configuration(ovals))
+        assert depth.tolist() == [1, 2, 3]
+        assert parent.tolist() == [-1, 0, 1]
 
     def test_root_two_children_one_grandchild(self):
         ovals = [
@@ -342,15 +351,12 @@ class TestForest:
             regular_polygon((0.5, 0.0), 0.25, 32, 3),
             regular_polygon((-0.45, 0.0), 0.15, 32, 4),
         ]
-        forest = build_nesting_forest(validate_configuration(ovals))
-        depths = sorted(node.depth for node in forest.nodes.values())
-        assert depths == [1, 2, 2, 3]
+        config = validate_configuration(ovals)
+        parent, depth = build_nesting_forest(config)
+        assert sorted(depth.tolist()) == [1, 2, 2, 3]
         # oracle: depth = 1 + number of ovals containing the oval
-        config = forest.config
-        for o in config.ovals:
-            node = forest.nodes[o.id]
-            containing = sum(1 for other in config.ovals if other.id != o.id and ray_cast(other.vertices, o.vertices[0]))
-            assert node.depth == containing + 1
+        for k in range(config.N):
+            assert depth[k] == 1 + len(containing(config, k))
 
     def test_batched_nesting_on_vertex_levels_matches_pairwise(self):
         # every representative vertex sits on a vertex y-level of another
@@ -370,43 +376,42 @@ class TestForest:
         )
         for p in config.ovals:
             single = [ray_cast(p.vertices, r) for r in reps]
-            assert points_in_polygon(p.vertices, reps).tolist() == single
-        forest = build_nesting_forest(config)
-        for o in config.ovals:
-            containing = sum(ray_cast(p.vertices, o.vertices[0]) for p in config.ovals if p.id != o.id)
-            assert forest.nodes[o.id].depth == 1 + containing
-        assert {i: forest.nodes[i].depth for i in (1, 2, 3, 4, 6)} == {1: 1, 2: 2, 3: 3, 4: 1, 6: 1}
-        assert [forest.nodes[i].parent for i in (2, 3)] == [1, 2]
+            assert one_oval_domain(p)(reps).tolist() == single
+        parent, depth = build_nesting_forest(config)
+        for k in range(config.N):
+            assert depth[k] == 1 + len(containing(config, k))
+        # ids 4, 2, 6, 1, 3 in configuration order
+        assert depth.tolist() == [1, 2, 1, 1, 3]
+        assert parent.tolist() == [-1, 3, -1, -1, 1]
 
     def test_node_count_equals_oval_count(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             config = random_circle_config(rng)
-            forest = build_nesting_forest(config)
-            assert len(forest.nodes) == config.N
-            for node in forest.nodes.values():
-                if node.parent is not None:
-                    assert forest.nodes[node.parent].depth == node.depth - 1
+            parent, depth = build_nesting_forest(config)
+            assert len(parent) == len(depth) == config.N
+            for k in np.flatnonzero(parent >= 0):
+                assert depth[parent[k]] == depth[k] - 1
 
 
 class TestDomains:
     def test_single_oval(self):
         config = validate_configuration([square(1.0, 1)])
-        domains = build_domains(build_nesting_forest(config))
-        assert len(domains) == 1
-        assert domains[0].holes == ()
-        assert domains[0].area == pytest.approx(1.0)
+        parent, _ = build_nesting_forest(config)
+        areas = build_domains(config, parent)
+        assert len(areas) == 1
+        assert parent.tolist() == [-1]  # no oval, so no hole, inside it
+        assert areas[0] == pytest.approx(1.0)
 
     def test_annulus_areas(self, side1_annulus):
-        domains = build_domains(build_nesting_forest(side1_annulus))
-        areas = sorted(d.area for d in domains)
-        assert areas == pytest.approx([0.25, 0.75])
+        areas = build_domains(side1_annulus, build_nesting_forest(side1_annulus)[0])
+        assert sorted(areas.tolist()) == pytest.approx([0.25, 0.75])
 
     def test_points_in_domain_excludes_holes(self, side1_annulus):
-        outer, inner = build_domains(build_nesting_forest(side1_annulus))
+        parent, _ = build_nesting_forest(side1_annulus)
         pts = np.array([[0.0, 0.0], [0.375, 0.0], [0.75, 0.0]])
-        assert points_in_domain(outer, pts).tolist() == [False, True, False]
-        assert points_in_domain(inner, pts).tolist() == [True, False, False]
+        assert points_in_domain(side1_annulus, parent, 0, pts).tolist() == [False, True, False]
+        assert points_in_domain(side1_annulus, parent, 1, pts).tolist() == [True, False, False]
 
     def test_nested_depth3_count(self):
         ovals = [
@@ -416,44 +421,51 @@ class TestDomains:
             regular_polygon((0.76, 0.0), 0.1, 32, 4),
         ]
         config = validate_configuration(ovals)
-        domains = build_domains(build_nesting_forest(config))
-        assert len(domains) == config.N == 4
+        areas = build_domains(config, build_nesting_forest(config)[0])
+        assert len(areas) == config.N == 4
 
     def test_domain_count_and_area_conservation(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             config = random_circle_config(rng)
-            forest = build_nesting_forest(config)
-            domains = build_domains(forest)
-            assert len(domains) == config.N
+            parent, _ = build_nesting_forest(config)
+            areas = build_domains(config, parent)
+            assert len(areas) == config.N
             by_id = {o.id: o for o in config.ovals}
-            roots = [by_id[i] for i in forest_roots(forest)]
-            total_roots = sum(shoelace_area(o.vertices) for o in roots)
-            total_domains = sum(d.area for d in domains)
-            assert total_domains == pytest.approx(total_roots, rel=1e-9)
+            total_roots = sum(shoelace_area(by_id[i].vertices) for i in forest_roots(config, parent))
+            assert sum(areas.tolist()) == pytest.approx(total_roots, rel=1e-9)
+            # each area is the outer oval's minus its holes', summed in configuration order, bit for bit
+            holes = [[h for h in range(config.N) if parent[h] == k] for k in range(config.N)]
+            assert areas.tolist() == [config.areas[k] - sum(config.areas[h] for h in holes[k]) for k in range(config.N)]
 
     def test_adding_inner_oval_splits_area(self):
         base = [square(1.2, 1)]
         config = validate_configuration(base)
-        [dom] = build_domains(build_nesting_forest(config))
+        [area] = build_domains(config, build_nesting_forest(config)[0])
         inner = square(0.5, 2)
         config2 = validate_configuration(base + [inner])
-        domains2 = build_domains(build_nesting_forest(config2))
-        assert len(domains2) == 2
-        outer_dom = next(d for d in domains2 if d.outer.id == 1)
-        inner_area = shoelace_area(inner.vertices)
-        assert outer_dom.area == pytest.approx(dom.area - inner_area)
+        areas2 = build_domains(config2, build_nesting_forest(config2)[0])
+        assert len(areas2) == 2
+        assert areas2[0] == pytest.approx(area - shoelace_area(inner.vertices))
+
+    def test_non_positive_domain_area_rejected(self, side1_annulus):
+        parent, _ = build_nesting_forest(side1_annulus)
+        # stored areas whose hole fills its outer oval: the domain of oval 1 is empty
+        config = dataclasses.replace(side1_annulus, areas=(0.25, 0.25))
+        with pytest.raises(ValidationError, match=r"^domain of oval 1 has non-positive area 0\.0$"):
+            build_domains(config, parent)
 
 
 class TestAreas:
     def test_unit_square(self):
-        dom = build_domains(build_nesting_forest(validate_configuration([square(1.0, 1)])))[0]
-        assert dom.area == pytest.approx(1.0)
+        config = validate_configuration([square(1.0, 1)])
+        assert build_domains(config, build_nesting_forest(config)[0])[0] == pytest.approx(1.0)
 
     def test_square_with_hole(self, side1_annulus):
-        domains = build_domains(build_nesting_forest(side1_annulus))
-        ring = next(d for d in domains if d.holes)
-        assert ring.area == pytest.approx(0.75)
+        parent, _ = build_nesting_forest(side1_annulus)
+        areas = build_domains(side1_annulus, parent)
+        [ring] = [k for k in range(side1_annulus.N) if np.any(parent == k)]
+        assert areas[ring] == pytest.approx(0.75)
 
     def test_regular_64gon(self):
         oval = regular_polygon((0.0, 0.0), 1.0, 64, 1)
@@ -466,13 +478,13 @@ class TestAreas:
         assert fan == pytest.approx(expected, rel=1e-12)
 
     def test_mu(self, side1_annulus):
-        domains = build_domains(build_nesting_forest(side1_annulus))
-        assert mu(domains) == pytest.approx(0.25)
-        assert mu(domains) == min(d.area for d in domains)
+        areas = build_domains(side1_annulus, build_nesting_forest(side1_annulus)[0])
+        assert mu(areas) == pytest.approx(0.25)
+        assert mu(areas) == min(areas.tolist())
 
     def test_mu_single(self):
         config = validate_configuration([square(math.sqrt(0.5), 1)])
-        assert mu(build_domains(build_nesting_forest(config))) == pytest.approx(0.5)
+        assert mu(build_domains(config, build_nesting_forest(config)[0])) == pytest.approx(0.5)
 
     def test_mu_empty(self):
         with pytest.raises(ValidationError, match=r"configuration has no domains"):
@@ -481,60 +493,76 @@ class TestAreas:
 
 class TestBallAnnulusFixture:
     def test_fits_without_opt_out(self, ball_annulus):
-        domains = build_domains(build_nesting_forest(ball_annulus))
-        assert sorted(d.area for d in domains) == pytest.approx([1.0, 1.0])
-        assert mu(domains) == pytest.approx(1.0)
+        areas = build_domains(ball_annulus, build_nesting_forest(ball_annulus)[0])
+        assert sorted(areas.tolist()) == pytest.approx([1.0, 1.0])
+        assert mu(areas) == pytest.approx(1.0)
 
 
 class TestPointInPolygon:
+    """The domain of a lone oval is its polygon, by the even-odd rule."""
+
     def test_basic(self):
-        verts = square(2.0, 1).vertices
-        assert points_in_polygon(verts, [(0.0, 0.0)])[0]
-        assert not points_in_polygon(verts, [(2.0, 0.0)])[0]
+        inside = one_oval_domain(square(1.0, 1))
+        assert inside([(0.0, 0.0)])[0]
+        assert not inside([(1.0, 0.0)])[0]
 
     def test_ray_through_vertex(self):
         # the horizontal ray from the query passes exactly through two vertices
-        verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        assert points_in_polygon(verts, [(0.0, 0.0)])[0]
-        assert not points_in_polygon(verts, [(1.5, 0.0)])[0]
+        inside = one_oval_domain(Oval(id=1, vertices=np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])))
+        assert inside([(0.0, 0.0)])[0]
+        assert not inside([(0.75, 0.0)])[0]
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
-        verts = regular_polygon((0.1, -0.2), 0.5, 17, 1).vertices
+        oval = regular_polygon((0.1, -0.2), 0.5, 17, 1)
         pts = rng.uniform(-1, 1, size=(200, 2))
-        batch = points_in_polygon(verts, pts)
-        single = np.array([ray_cast(verts, p) for p in pts])
-        assert np.array_equal(batch, single)
+        single = np.array([ray_cast(oval.vertices, p) for p in pts])
+        assert np.array_equal(one_oval_domain(oval)(pts), single)
 
 
 class TestSampleBoundary:
     def test_count_and_membership(self):
-        oval = regular_polygon((0.0, 0.0), 0.5, 64, 1)
-        pts = sample_boundary(oval, 256)
+        config = validate_configuration([regular_polygon((0.0, 0.0), 0.5, 64, 1)])
+        pts = sample_boundary(config, 256)
         assert pts.shape == (256, 2)
         radii = np.hypot(pts[:, 0], pts[:, 1])
         assert np.all(radii <= 0.5 + 1e-12)
         assert np.all(radii >= 0.5 * math.cos(math.pi / 64) - 1e-12)
 
     def test_nested_under_doubling(self):
-        oval = regular_polygon((0.2, 0.1), 0.4, 48, 1)
-        coarse = sample_boundary(oval, 128)
-        fine = sample_boundary(oval, 256)
+        ovals = [regular_polygon((0.2, 0.1), 0.4, 48, 1), regular_polygon((0.2, 0.1), 0.2, 7, 2)]
+        config = validate_configuration(ovals)
+        coarse = sample_boundary(config, 128)
+        fine = sample_boundary(config, 256)
         assert np.allclose(fine[::2], coarse, atol=1e-12)
 
     def test_hits_all_vertices_when_count_divisible(self):
         oval = square(1.0, 1)
-        pts = sample_boundary(oval, 8)
+        pts = sample_boundary(validate_configuration([oval]), 8)
         for v in oval.vertices:
             assert np.min(np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])) <= 1e-12
 
     def test_count_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(geometry, "_MAX_LATTICE", 8)
-        oval = square(1.0, 1)
-        assert sample_boundary(oval, 8).shape == (8, 2)
+        config = validate_configuration([square(1.0, 1), square(0.5, 2)])
+        assert sample_boundary(config, 8).shape == (16, 2)
         for bad in (0, 9, 10**20):
             with pytest.raises(ValidationError, match=f"boundary sample count must be in 1..8, got {bad}"):
-                sample_boundary(oval, bad)
+                sample_boundary(config, bad)
+
+    @pytest.mark.parametrize("count", [1, 3, 7, 256, 1000])
+    def test_matches_per_oval_reference_bit_for_bit(self, count):
+        # ovals of 3 and of 10 000 vertices, with uneven edges, each summed over its own edges only
+        rng = np.random.default_rng(11)
+        ovals = [
+            regular_polygon((0.0, 0.0), 0.9, 10_000, 1),
+            Oval(id=2, vertices=np.array([[0.3, 0.1], [-0.2, 0.35], [-0.1, -0.4]])),
+            regular_polygon((0.55, 0.1), 0.1, 3, 3),
+        ]
+        ovals[0] = Oval(id=1, vertices=ovals[0].vertices * rng.uniform(0.99, 1.0, (10_000, 1)))
+        config = validate_configuration(ovals)
+        expected = np.concatenate([sample_oval(o.vertices, count) for o in ovals])
+        assert np.array_equal(sample_boundary(config, count), expected)
 
 
 class TestLattice:
@@ -549,16 +577,6 @@ class TestLattice:
             levels = np.linspace(lo[axis], hi[axis], k)
             expected = np.tile(np.repeat(levels, k ** (n - 1 - axis)), k**axis)
             assert np.array_equal(pts[:, axis], expected)
-
-    def test_bounding_box(self):
-        lo, hi = bounding_box([square(1.0, 1, center=(0.5, -0.25)), square(0.5, 2, center=(-0.5, 0.0))])
-        assert np.array_equal(lo, [-0.75, -0.75]) and np.array_equal(hi, [1.0, 0.25])
-
-    def test_no_ovals_to_bound(self):
-        with pytest.raises(ValidationError, match="no ovals to bound"):
-            bounding_box([])
-        with pytest.raises(ValidationError, match="no ovals to bound"):
-            render_svg([])
 
     @pytest.mark.parametrize("n, k", [(1, 2**24 + 1), (2, 4097), (3, 257), (2, 10**6)])
     def test_more_than_2_to_the_24_points_rejected(self, n, k):

@@ -5,7 +5,8 @@ double precision), so the float predicates compute exactly and must agree
 with rational arithmetic. Validation is compared with a brute-force
 ``fractions.Fraction`` test over every edge pair, of one oval and of two, that
 predicts the exact error message; the nesting forest's parents, children and
-depths with the tree the configuration was built from.
+depths with the tree the configuration was built from; point location with
+the pure-Python ray cast of the outer oval and of each hole.
 """
 
 import math
@@ -17,12 +18,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import shoelace_area  # noqa: E402
+from conftest import ray_cast, shoelace_area  # noqa: E402
 from rigidkit.errors import ValidationError  # noqa: E402
 from rigidkit.geometry import (  # noqa: E402
     Oval,
     build_domains,
     build_nesting_forest,
+    points_in_domain,
     validate_configuration,
 )
 
@@ -255,22 +257,48 @@ def test_validation_messages_match_exact_oracle(ovals):
 @given(nested_configs())
 def test_forest_depth_counts_containing_ovals(case):
     ovals, parents = case
-    forest = build_nesting_forest(validate_configuration(ovals))
-    for o in ovals:
-        node = forest.nodes[o.id]
-        ancestors, parent = 0, parents[o.id]
-        while parent is not None:
-            ancestors, parent = ancestors + 1, parents[parent]
-        assert node.depth == 1 + ancestors
-        assert node.parent == parents[o.id]
-        assert node.children == [c.id for c in ovals if parents[c.id] == o.id]
+    ids = [o.id for o in ovals]
+    parent, depth = build_nesting_forest(validate_configuration(ovals))
+    for k, o in enumerate(ovals):
+        ancestors, up = 0, parents[o.id]
+        while up is not None:
+            ancestors, up = ancestors + 1, parents[up]
+        assert depth[k] == 1 + ancestors
+        assert (None if parent[k] < 0 else ids[parent[k]]) == parents[o.id]
+        assert [ids[c] for c in np.flatnonzero(parent == k)] == [c.id for c in ovals if parents[c.id] == o.id]
 
 
 @PROPERTY
 @given(nested_configs())
 def test_domain_areas_telescope(case):
     ovals, _ = case
-    forest = build_nesting_forest(validate_configuration(ovals))
-    areas = sum(d.area for d in build_domains(forest))
-    roots = sum(shoelace_area(o.vertices) for o in ovals if forest.nodes[o.id].parent is None)
+    config = validate_configuration(ovals)
+    parent, _ = build_nesting_forest(config)
+    areas = sum(build_domains(config, parent).tolist())
+    roots = sum(shoelace_area(o.vertices) for o, p in zip(ovals, parent.tolist()) if p < 0)
     assert areas == roots
+
+
+@PROPERTY
+@given(nested_configs(), st.lists(st.tuples(st.integers(-64, 64), st.integers(-64, 64)), max_size=20))
+def test_points_in_domain_matches_ray_cast(case, drawn):
+    # one ray cast over an oval's edges and its holes' is the outer polygon's even-odd rule without the holes'
+    ovals, parents = case
+    index = {o.id: k for k, o in enumerate(ovals)}
+    parent = np.array([-1 if parents[o.id] is None else index[parents[o.id]] for o in ovals])
+    verts = np.concatenate([o.vertices for o in ovals])
+    centres = np.array([o.vertices.mean(axis=0) for o in ovals])
+    # a dyadic lattice, random dyadic points, every vertex, and each centre's x at its own oval's vertex heights
+    points = np.concatenate([
+        np.stack(np.meshgrid(np.linspace(-1, 1, 17), np.linspace(-1, 1, 17)), axis=-1).reshape(-1, 2),
+        np.array(drawn, dtype=float).reshape(-1, 2) / 64,
+        verts,
+        centres,
+        *(np.column_stack([np.full(len(o.vertices), c[0]), o.vertices[:, 1]]) for o, c in zip(ovals, centres)),
+    ])
+    inside = [[ray_cast(o.vertices, q) for q in points] for o in ovals]
+    config = validate_configuration(ovals)
+    for k in range(len(ovals)):
+        holes = np.flatnonzero(parent == k)
+        expected = [inside[k][i] and not any(inside[h][i] for h in holes) for i in range(len(points))]
+        assert points_in_domain(config, parent, k, points).tolist() == expected

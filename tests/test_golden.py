@@ -3,7 +3,9 @@
 Inputs are built once per module from the conftest helpers; the manifest
 (paths, digests, timestamp) is stripped and the rest must match
 ``tests/golden/<case>.json`` exactly, so any change to a reported float
-shows up here. After a deliberate change, re-record with
+shows up here. The SVG that ``decompose --svg`` writes for the scattered
+case must match ``tests/golden/decompose-scattered.svg`` byte for byte.
+After a deliberate change, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and say in CHANGES.md why the
 bodies moved.
 """
@@ -114,6 +116,12 @@ def _body(argv: list[str], out: Path) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _svg(argv: list[str], workdir: Path) -> bytes:
+    """The bytes of the ``--svg`` rendering of a decompose run."""
+    assert main(argv + ["--svg", str(workdir / "out.svg"), "--out", str(workdir / "out.json")]) == 0
+    return (workdir / "out.svg").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def golden_argv(tmp_path_factory) -> dict[str, list[str]]:
     return write_inputs(tmp_path_factory.mktemp("golden-inputs"))
@@ -122,6 +130,10 @@ def golden_argv(tmp_path_factory) -> dict[str, list[str]]:
 @pytest.mark.parametrize("case", CASES)
 def test_report_body_matches_golden(case, golden_argv, tmp_path):
     assert _body(golden_argv[case], tmp_path / "out.json") == (GOLDEN / f"{case}.json").read_text()
+
+
+def test_svg_matches_golden(golden_argv, tmp_path):
+    assert _svg(golden_argv["decompose-scattered"], tmp_path) == (GOLDEN / "decompose-scattered.svg").read_bytes()
 
 
 if __name__ == "__main__":
@@ -133,3 +145,4 @@ if __name__ == "__main__":
         for case in CASES:
             (GOLDEN / f"{case}.json").write_text(_body(argvs[case], Path(tmp) / "out.json"))
             print(f"recorded {case}", file=sys.stderr)
+        (GOLDEN / "decompose-scattered.svg").write_bytes(_svg(argvs["decompose-scattered"], Path(tmp)))

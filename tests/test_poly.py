@@ -284,6 +284,11 @@ class TestBasis:
         with pytest.raises(ValidationError, match=r"basis size 5000150001 exceeds"):
             basis_size(2, 100000)
 
+    def test_basis_limit_is_an_m_by_m_factor_of_2_to_the_24_entries(self):
+        assert basis_size(1, 4095) == 4096
+        with pytest.raises(ValidationError, match=r"^basis size 4097 exceeds the limit 4096$"):
+            basis_size(1, 4096)
+
     def test_matches_monomial_enumeration(self):
         for n, d in [(1, 4), (2, 3), (3, 2)]:
             assert len(monomials(n, d)) == basis_size(n, d)

@@ -449,9 +449,11 @@ class TestPigeonhole:
         calls = {"sample": 0, "eval": 0}
         sample, evaluate = prooftrace.sample_boundary, prooftrace.eval_poly
 
-        def counted_sample(oval, count):
+        def counted_sample(config, count):
             calls["sample"] += 1
-            return sample(oval, count)
+            pts = sample(config, count)
+            calls["samples"] = len(pts)
+            return pts
 
         def counted_eval(p, x):
             calls["eval"] += 1
@@ -460,7 +462,8 @@ class TestPigeonhole:
         monkeypatch.setattr(prooftrace, "sample_boundary", counted_sample)
         monkeypatch.setattr(prooftrace, "eval_poly", counted_eval)
         report = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48)
-        assert calls["sample"] == 2
+        # one call samples both ovals
+        assert calls["sample"] == 1 and calls["samples"] == 2 * prooftrace._BOUNDARY_SAMPLES
         # the boundary, one interior lattice per domain, and the unassigned critical points
         assert calls["eval"] == 1 + len(report["domains"]) + 1
 

@@ -5,9 +5,8 @@ import pytest
 
 from conftest import concentric_ring_config, square
 from rigidkit import remez
-from rigidkit.cli import _boundary_samples
 from rigidkit.errors import SolverError, ValidationError
-from rigidkit.geometry import candidate_grid, validate_configuration
+from rigidkit.geometry import candidate_grid, sample_boundary, validate_configuration
 from rigidkit.poly import basis_size, eval_poly
 from rigidkit.remez import inverse_remez, remez_estimate_lp, vandermonde
 from rigidkit.rigidity import ovals_required, remez_bound_topological
@@ -199,14 +198,14 @@ def _golden_inputs(case):
         return ts[:, None], 2, candidate_grid(1, 64)
     # remez-lp-annulus and rigidity-annulus solve the same LPs
     config = validate_configuration([square(math.sqrt(2.0), 1), square(1.0, 2)])
-    return _boundary_samples(config, 32), 2, candidate_grid(2, 16)
+    return sample_boundary(config, 32), 2, candidate_grid(2, 16)
 
 
 @pytest.fixture(scope="module")
 def ladder10_lps():
     """The 10-ring ladder of concentric 48-gons at degree 4: 64 samples per ring, grid 24."""
     config = concentric_ring_config([0.95 * (10 - i) / 10 for i in range(10)])
-    return _recorded_lps(_boundary_samples(config, 64), 4, candidate_grid(2, 24))
+    return _recorded_lps(sample_boundary(config, 64), 4, candidate_grid(2, 24))
 
 
 def _assert_matches_highs(lps):
@@ -304,7 +303,7 @@ class TestPruningMatchesFullSweep:
         [
             _golden_inputs("remez-lp-annulus"),
             (
-                _boundary_samples(concentric_ring_config([0.95 * (5 - i) / 5 for i in range(5)]), 64),
+                sample_boundary(concentric_ring_config([0.95 * (5 - i) / 5 for i in range(5)]), 64),
                 3,
                 candidate_grid(2, 24),
             ),
