@@ -133,7 +133,7 @@ def _cmd_decompose(args) -> dict:
     config = config_from_json_dict(_load_json(args.config))
     parent, depth = build_nesting_forest(config)
     areas = build_domains(config, parent)
-    ids = [o.id for o in config.ovals]
+    ids = config.ids
     holes = [[] for _ in ids]
     for k, p in enumerate(parent.tolist()):
         if p >= 0:

@@ -7,11 +7,12 @@ region bounded by that oval outside and by its immediate children inside.
 The minimal domain area mu drives all topological bounds downstream.
 
 Polygons stand in for smooth ovals and may be sampled finely. Validation
-stacks every vertex once, oval after oval, into one edge array, and the
-configuration keeps it with each oval's shoelace area. That is the only
-oval layout from then on: the nesting forest is a parent and a depth per
-oval, the domains are an area per oval, and point location, boundary
-sampling and ``curves.crossing_count`` read the edge array by oval index.
+takes ``Oval`` records, stacks every vertex once, oval after oval, into one
+edge array, and the configuration keeps it with each oval's id and shoelace
+area. That is the only oval layout from then on: the nesting forest is a
+parent and a depth per oval, the domains are an area per oval, and point
+location, boundary sampling and ``curves.crossing_count`` read the edge
+array by oval index.
 With bounded memory, one box-pair sweep over horizontal strips finds the
 edge pairs that validation tests and the chord-edge pairs that the crossing
 count solves, and one ray cast over the edge array gives the forest. The
@@ -48,7 +49,7 @@ _MAX_LATTICE = 1 << 24  # points in one lattice, far above every grid in use; bo
 
 @dataclass(frozen=True)
 class Oval:
-    """Simple closed polygon, counterclockwise, implicitly closed."""
+    """Simple closed polygon, counterclockwise, implicitly closed: the input record of validation."""
 
     id: int
     vertices: np.ndarray  # (k, 2), k >= 3
@@ -64,12 +65,13 @@ class Oval:
 class OvalConfiguration:
     """Validated oval collection: disjoint boundaries, each pair nested or apart.
 
-    The other fields stack every vertex once, oval after oval, as ``_stack``
-    builds them, and hold each oval's shoelace area: positive, since the
-    order is counterclockwise.
+    ``ids`` holds the oval ids in configuration order. The other fields
+    stack every vertex once, oval after oval, as ``_stack`` builds them, and
+    hold each oval's shoelace area: positive, since the order is
+    counterclockwise.
     """
 
-    ovals: tuple[Oval, ...]
+    ids: tuple[int, ...]
     vertices: np.ndarray = field(repr=False, compare=False)  # (E, 2)
     starts: np.ndarray = field(repr=False, compare=False)  # (N + 1,): oval k owns vertices starts[k]:starts[k + 1]
     succ: np.ndarray = field(repr=False, compare=False)  # edge e runs from vertex e to vertex succ[e]
@@ -78,7 +80,7 @@ class OvalConfiguration:
 
     @property
     def N(self) -> int:
-        return len(self.ovals)
+        return len(self.ids)
 
 
 def _stack(ovals) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -299,7 +301,7 @@ def validate_configuration(ovals) -> OvalConfiguration:
         raise ValidationError(fault)
     if pair:
         raise ValidationError(f"boundaries of ovals {ovals[pair[0]].id} and {ovals[pair[1]].id} intersect")
-    return OvalConfiguration(ovals, verts, starts, succ, owner, areas)
+    return OvalConfiguration(tuple(o.id for o in ovals), verts, starts, succ, owner, areas)
 
 
 def _ray_crossings(p0, p1, points):
@@ -359,7 +361,7 @@ def build_domains(config: OvalConfiguration, parent: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(domains <= 0)
     if bad.size:
         k = int(bad[0])
-        raise ValidationError(f"domain of oval {config.ovals[k].id} has non-positive area {domains[k].item()}")
+        raise ValidationError(f"domain of oval {config.ids[k]} has non-positive area {domains[k].item()}")
     return domains
 
 

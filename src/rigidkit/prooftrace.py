@@ -270,7 +270,6 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
 
     parent, _ = build_nesting_forest(config)
     areas = build_domains(config, parent).tolist()
-    ids = [o.id for o in config.ovals]
     # each oval's box, and the configuration's around them
     low = np.minimum.reduceat(config.vertices, config.starts[:-1], axis=0)
     high = np.maximum.reduceat(config.vertices, config.starts[:-1], axis=0)
@@ -278,21 +277,20 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
     span = max(*(hi - lo), 1e-3)
     cps = find_critical_points(pt_poly, (lo - 0.05 * span, hi + 0.05 * span), newton_grid)
 
-    # each critical point goes to the first domain containing it, if any
-    assignments: list[int | None] = [None] * cps.n_clusters
-    for k in range(config.N):
-        for i in np.flatnonzero(points_in_domain(config, parent, k, cps.representatives)):
-            if assignments[i] is None:
-                assignments[i] = ids[k]
-
     # each oval is sampled once: as its own domain's outer ring and as its parent's hole
     bpts = sample_boundary(config, _BOUNDARY_SAMPLES)
     bvals = np.abs(eval_poly(pt_poly, [bpts[:, 0], bpts[:, 1]])).reshape(config.N, _BOUNDARY_SAMPLES)
     oval_max = np.max(bvals, axis=1).tolist()
     global_bmax = max(0.0, *oval_max)
 
+    # each critical point goes to the first domain containing it, if any
+    assignments: list[int | None] = [None] * cps.n_clusters
     dom_entries: list[dict] = []
     for k in range(config.N):
+        found = np.flatnonzero(points_in_domain(config, parent, k, cps.representatives)).tolist()
+        crit_idx = [i for i in found if assignments[i] is None]
+        for i in crit_idx:
+            assignments[i] = config.ids[k]
         bmax = max(0.0, oval_max[k], *(oval_max[h] for h in np.flatnonzero(parent == k)))
         grid_pts = lattice(low[k], high[k], _INTERIOR_GRID)
         inside = points_in_domain(config, parent, k, grid_pts)
@@ -303,10 +301,9 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
         else:
             interior_max = None
             flagged = False
-        crit_idx = [i for i, a in enumerate(assignments) if a == ids[k]]
         dom_entries.append(
             {
-                "oval_id": ids[k],
+                "oval_id": config.ids[k],
                 "area": areas[k],
                 "boundary_max": bmax,
                 "interior_max": interior_max,

@@ -38,8 +38,7 @@ def render_svg(config: OvalConfiguration, parent: np.ndarray, areas: np.ndarray)
     legend lists domain ids with areas. Output is fully deterministic for
     a given configuration.
     """
-    ids = [o.id for o in config.ovals]
-    ordered = sorted(range(config.N), key=ids.__getitem__)
+    ordered = sorted(range(config.N), key=config.ids.__getitem__)
     bounds = config.starts.tolist()
     rings = [_ring_path(config.vertices[i:j]) for i, j in zip(bounds, bounds[1:])]
     (xmin, ymin), (xmax, ymax) = config.vertices.min(axis=0), config.vertices.max(axis=0)
@@ -78,7 +77,7 @@ def render_svg(config: OvalConfiguration, parent: np.ndarray, areas: np.ndarray)
         )
         lines.append(
             f'<text x="{tx + 1.5 * fs:.6g}" y="{ty:.6g}" font-size="{fs:.6g}" '
-            f'font-family="sans-serif">domain {ids[k]}: area {areas[k]:.6g}</text>'
+            f'font-family="sans-serif">domain {config.ids[k]}: area {areas[k]:.6g}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines)

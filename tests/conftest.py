@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rigidkit.geometry import Oval, validate_configuration
+from rigidkit.geometry import Oval, OvalConfiguration, validate_configuration
 from rigidkit.poly import MultiPoly, monomials
 
 CIRCLE_SIDES = 48
@@ -235,17 +235,21 @@ def same_poly(p: MultiPoly, q: MultiPoly) -> bool:
 
 def forest_roots(config, parent) -> list[int]:
     """Ids of the ovals that no other oval contains, from the parent array of ``build_nesting_forest``."""
-    return [o.id for o, p in zip(config.ovals, parent.tolist()) if p < 0]
+    return [i for i, p in zip(config.ids, parent.tolist()) if p < 0]
+
+
+def oval_vertices(config) -> list[np.ndarray]:
+    """Each oval's (k, 2) vertex rows, in configuration order, cut from the stacked vertices."""
+    return np.split(config.vertices, config.starts[1:-1])
 
 
 def write_config_json(config, path) -> str:
-    ovals = getattr(config, "ovals", config)
-    data = {
-        "ovals": [
-            {"id": o.id, "vertices": [[float(x), float(y)] for x, y in o.vertices]}
-            for o in ovals
-        ]
-    }
+    """Write a validated configuration, or a list of ``Oval`` records, as configuration JSON."""
+    if isinstance(config, OvalConfiguration):
+        pairs = zip(config.ids, oval_vertices(config))
+    else:
+        pairs = ((o.id, o.vertices) for o in config)
+    data = {"ovals": [{"id": i, "vertices": [[float(x), float(y)] for x, y in v]} for i, v in pairs]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
     return str(path)

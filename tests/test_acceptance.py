@@ -16,6 +16,7 @@ import conftest
 from conftest import (
     concentric_ring_config,
     forest_roots,
+    oval_vertices,
     random_circle_config,
     random_circle_config_exact,
     random_poly,
@@ -101,8 +102,8 @@ def test_criterion_2_decomposition_counts_and_areas():
                 bad.append((trial, "count"))
                 continue
             total = sum(areas.tolist())
-            by_id = {o.id: o for o in config.ovals}
-            root_total = sum(shoelace_area(by_id[rid].vertices) for rid in forest_roots(config, parent))
+            by_id = dict(zip(config.ids, oval_vertices(config)))
+            root_total = sum(shoelace_area(by_id[rid]) for rid in forest_roots(config, parent))
             if abs(total - root_total) > 1e-9 * max(1.0, abs(root_total)):
                 bad.append((trial, "area"))
         crit.ok = not bad

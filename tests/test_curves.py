@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_poly, regular_polygon
+from conftest import oval_vertices, random_poly, regular_polygon
 from rigidkit import curves, geometry
 from rigidkit.curves import (
     ParamCurve,
@@ -30,8 +30,8 @@ def all_pairs_hits(omega: ParamCurve, config) -> np.ndarray:
     """
     taus = np.linspace(-1.0, 1.0, curves._SUBDIVISIONS + 1)
     pts = omega.eval(taus)
-    q0 = np.concatenate([o.vertices for o in config.ovals])
-    d2 = np.concatenate([np.roll(o.vertices, -1, axis=0) for o in config.ovals]) - q0
+    q0 = config.vertices
+    d2 = np.concatenate([np.roll(v, -1, axis=0) for v in oval_vertices(config)]) - q0
     hits = [np.empty(0)]
     for start in range(0, len(taus) - 1, 256):
         p0, p1 = pts[:-1][start : start + 256], pts[1:][start : start + 256]

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     forest_roots,
+    oval_vertices,
     random_circle_config,
     ray_cast,
     regular_polygon,
@@ -39,8 +40,8 @@ def rect(x0, x1, y0, y1, oval_id) -> Oval:
 
 def containing(config, k) -> set[int]:
     """Indices of the ovals other than k whose polygon contains oval k's first vertex, by the pure-Python ray cast."""
-    first = config.ovals[k].vertices[0]
-    return {j for j, p in enumerate(config.ovals) if j != k and ray_cast(p.vertices, first)}
+    rings = oval_vertices(config)
+    return {j for j, v in enumerate(rings) if j != k and ray_cast(v, rings[k][0])}
 
 
 def ancestors(parent, k) -> list[int]:
@@ -131,7 +132,8 @@ class TestValidation:
         configs = [random_circle_config(rng) for _ in range(3)]
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
         for config in configs:
-            assert validate_configuration(config.ovals).N == config.N
+            ovals = [Oval(id=i, vertices=v) for i, v in zip(config.ids, oval_vertices(config))]
+            assert validate_configuration(ovals).N == config.N
 
     def test_clockwise_rejected(self):
         verts = square(1.0, 1).vertices[::-1]
@@ -226,7 +228,7 @@ class TestValidation:
         assert config.areas == tuple(shoelace_area(o.vertices) for o in ovals)
         for _ in range(5):
             config = random_circle_config(rng)
-            assert config.areas == tuple(shoelace_area(o.vertices) for o in config.ovals)
+            assert config.areas == tuple(shoelace_area(v) for v in oval_vertices(config))
 
 
 def brute_force_box_pairs(p0, p1, other=None):
@@ -368,13 +370,14 @@ class TestForest:
         diamond = Oval(id=3, vertices=np.array([[0.2, 0.0], [0.0, 0.2], [-0.2, 0.0], [0.0, -0.2]]))
         right = rect(0.65, 0.85, 0.0, 0.2, 4)
         left = rect(-0.85, -0.65, 0.05, 0.25, 6)
-        config = validate_configuration([right, middle, left, octagon, diamond])
-        reps = np.array([o.vertices[0] for o in config.ovals])
-        levels = [set(o.vertices[:, 1].tolist()) for o in config.ovals]
+        ovals = [right, middle, left, octagon, diamond]
+        config = validate_configuration(ovals)
+        reps = np.array([o.vertices[0] for o in ovals])
+        levels = [set(o.vertices[:, 1].tolist()) for o in ovals]
         assert all(
             any(y in levels[j] for j in range(len(reps)) if j != i) for i, y in enumerate(reps[:, 1].tolist())
         )
-        for p in config.ovals:
+        for p in ovals:
             single = [ray_cast(p.vertices, r) for r in reps]
             assert one_oval_domain(p)(reps).tolist() == single
         parent, depth = build_nesting_forest(config)
@@ -431,8 +434,8 @@ class TestDomains:
             parent, _ = build_nesting_forest(config)
             areas = build_domains(config, parent)
             assert len(areas) == config.N
-            by_id = {o.id: o for o in config.ovals}
-            total_roots = sum(shoelace_area(by_id[i].vertices) for i in forest_roots(config, parent))
+            by_id = dict(zip(config.ids, oval_vertices(config)))
+            total_roots = sum(shoelace_area(by_id[i]) for i in forest_roots(config, parent))
             assert sum(areas.tolist()) == pytest.approx(total_roots, rel=1e-9)
             # each area is the outer oval's minus its holes', summed in configuration order, bit for bit
             holes = [[h for h in range(config.N) if parent[h] == k] for k in range(config.N)]
@@ -639,7 +642,7 @@ class TestJsonInterface:
         with open(path, encoding="utf-8") as fh:
             config = config_from_json_dict(json.load(fh))
         assert config.N == 2
-        assert {o.id for o in config.ovals} == {1, 2}
+        assert set(config.ids) == {1, 2}
 
     def test_missing_field(self):
         with pytest.raises(ValidationError):
