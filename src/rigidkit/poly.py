@@ -168,16 +168,27 @@ class MultiPoly:
             raise ValidationError(f"malformed polynomial JSON: missing or bad field {exc}") from exc
 
 
+def _power(xi, e: int):
+    """xi**e as |xi|**e, carrying the sign of xi when e is odd."""
+    power = abs(xi) ** e
+    if e % 2 == 0:
+        return power
+    return np.copysign(power, xi) if isinstance(power, np.ndarray) else math.copysign(power, xi)
+
+
 def eval_polys(polys: Sequence[MultiPoly], x) -> list:
     """Evaluate every polynomial of ``polys`` at point ``x`` over one power table.
 
     ``x`` is a sequence of scalars or numpy arrays; arrays broadcast the
     evaluation. Each power x_i**e is computed once, whichever polynomial asks
-    for it. Each term is coef * x_0**e_0 * x_1**e_1 * ... left to right, zero
-    exponents contributing no factor, and each polynomial's terms are
-    accumulated in its own graded-lex order, so every result is deterministic
-    for a given polynomial regardless of construction history or of the
-    other polynomials in the call.
+    for it, as |x_i|**e with the sign of x_i copied onto odd powers (so -0.0
+    stays -0.0): numpy sends the negative lanes of a mixed-sign array
+    through a slow pow, and a Python float's pow is sign-symmetric, so
+    scalars keep the bits of x_i**e. Each term is coef * x_0**e_0 *
+    x_1**e_1 * ... left to right, zero exponents contributing no factor,
+    and each polynomial's terms are accumulated in its own graded-lex order,
+    so every result is deterministic for a given polynomial regardless of
+    construction history or of the other polynomials in the call.
     """
     x = list(x) if not isinstance(x, (list, tuple)) else x
     for p in polys:
@@ -185,7 +196,7 @@ def eval_polys(polys: Sequence[MultiPoly], x) -> list:
             raise ValidationError(f"expected dimension {p.nvars}, got {len(x)}")
     rows = [p.exps.tolist() for p in polys]
     columns = zip(*(r for prows in rows for r in prows))
-    table = [{e: xi**e for e in set(col) if e} for xi, col in zip(x, columns)]
+    table = [{e: _power(xi, e) for e in set(col) if e} for xi, col in zip(x, columns)]
     vectorized = any(isinstance(xi, np.ndarray) for xi in x)
     out = []
     for p, prows in zip(polys, rows):

@@ -5,8 +5,8 @@ product and sum the core forms is exact in floating point and must equal
 sympy's rational arithmetic term by term. Dyadic sums are exact in any
 order, so the bit-level tests use random non-dyadic coefficients instead:
 evaluation is checked against the plain dict-loop formula (graded-lex terms,
-coef * x**e factors left to right), the Vandermonde rows against the
-per-column loop, and sums, products and compositions against the former
+coef * x**e factors left to right, an array's x**e taken by the sign rule of
+``signed_power``), the Vandermonde rows against the per-column loop, and sums, products and compositions against the former
 tuple-keyed dict arithmetic, which added duplicate terms in arrival order.
 """
 
@@ -56,8 +56,17 @@ def sympy_dict(sp, expr, syms) -> dict:
     return {e: c for e, c in sp.Poly(sp.expand(expr), *syms).as_dict().items() if c != 0}
 
 
+def signed_power(xi: np.ndarray, e: int) -> np.ndarray:
+    """An array's x**e as ``eval_polys`` takes it: |x|**e, with the sign of x when e is odd."""
+    power = np.abs(xi) ** e
+    return np.copysign(power, xi) if e % 2 else power
+
+
 def old_eval(p: MultiPoly, x):
-    """The former dict-loop evaluation: graded-lex terms, powers recomputed per term."""
+    """The former dict-loop evaluation: graded-lex terms, powers recomputed per term.
+
+    A scalar factor is x**e; an array factor follows ``signed_power``.
+    """
     terms = zip(map(tuple, p.exps.tolist()), p.coefs.tolist())
     terms = sorted(terms, key=lambda t: (sum(t[0]), t[0]))
     total = np.zeros_like(x[0], dtype=float) if any(isinstance(xi, np.ndarray) for xi in x) else 0.0
@@ -65,7 +74,7 @@ def old_eval(p: MultiPoly, x):
         term = coef
         for xi, e in zip(x, exp):
             if e:
-                term = term * xi**e
+                term = term * (signed_power(xi, e) if isinstance(xi, np.ndarray) else xi**e)
         total = total + term
     return total
 
@@ -207,7 +216,7 @@ class TestBitIdentity:
                 col = np.ones(len(pts))
                 for axis, e in enumerate(exp):
                     if e:
-                        col = col * pts[:, axis] ** e
+                        col = col * signed_power(pts[:, axis], e)
                 cols.append(col)
             assert np.array_equal(vandermonde(pts, d), np.column_stack(cols))
 
