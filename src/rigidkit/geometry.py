@@ -395,10 +395,13 @@ def sample_boundary(config: OvalConfiguration, count: int) -> np.ndarray:
     """``count`` points per oval, equally spaced by arc length, oval after oval; 1 <= count <= ``_MAX_LATTICE``.
 
     Each oval's arc length sums its own edges only, in order, so its samples
-    do not depend on the other ovals.
+    do not depend on the other ovals. More than ``_MAX_LATTICE`` samples in
+    all is a ``ValidationError``, raised before any is taken.
     """
     if not 1 <= count <= _MAX_LATTICE:
         raise ValidationError(f"boundary sample count must be in 1..{_MAX_LATTICE}, got {count}")
+    if config.N * count > _MAX_LATTICE:
+        raise ValidationError(f"{config.N} ovals x {count} boundary samples exceed {_MAX_LATTICE} points")
     p0 = config.vertices
     step = p0[config.succ] - p0
     seg = np.hypot(*step.T)

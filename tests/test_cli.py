@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -557,6 +558,22 @@ class TestErrorPaths:
         huge = "100000000000000000000"
         argv = [subcommand, "--degree", "2", flag, annulus_path, "--grid", "8", "--samples-per-oval", huge]
         expect_exit2(argv, capsys, f"boundary sample count must be in 1..16777216, got {huge}")
+
+    def test_samples_of_the_whole_configuration_capped_before_sampling(self, annulus_path):
+        # 2 ovals x 2**24 samples: rejected on their count, in a child whose address space could not hold them
+        def small_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["remez-lp", "--degree", "2", "--z", annulus_path, "--grid", "8", "--samples-per-oval", "16777216"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigidkit.cli", *argv], capture_output=True, text=True, timeout=60,
+            preexec_fn=small_address_space, env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == ["error: 2 ovals x 16777216 boundary samples exceed 16777216 points"]
 
     @pytest.mark.parametrize(
         "poly",

@@ -546,11 +546,15 @@ class TestSampleBoundary:
             assert np.min(np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])) <= 1e-12
 
     def test_count_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_MAX_LATTICE", 8)
+        # the limit bounds the count of one oval and the samples of the whole configuration
+        monkeypatch.setattr(geometry, "_MAX_LATTICE", 16)
+        assert sample_boundary(validate_configuration([square(1.0, 1)]), 16).shape == (16, 2)
         config = validate_configuration([square(1.0, 1), square(0.5, 2)])
         assert sample_boundary(config, 8).shape == (16, 2)
-        for bad in (0, 9, 10**20):
-            with pytest.raises(ValidationError, match=f"boundary sample count must be in 1..8, got {bad}"):
+        with pytest.raises(ValidationError, match=r"^2 ovals x 9 boundary samples exceed 16 points$"):
+            sample_boundary(config, 9)
+        for bad in (0, 17, 10**20):
+            with pytest.raises(ValidationError, match=f"boundary sample count must be in 1..16, got {bad}"):
                 sample_boundary(config, bad)
 
     @pytest.mark.parametrize("count", [1, 3, 7, 256, 1000])
