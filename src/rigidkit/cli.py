@@ -29,7 +29,8 @@ _NAMES = {
                  "sample_boundary"),
     "poly": ("MultiPoly",),
     "remez": ("inverse_remez", "remez_estimate_lp"),
-    "rigidity": ("FORMULAS", "ovals_required", "remez_bound_topological", "rigidity_1d_bound", "rigidity_report"),
+    "rigidity": ("FORMULAS", "ovals_required", "remez_bound_topological", "rigidity_1d_bound", "rigidity_1d_floor",
+                 "rigidity_report"),
     "curves": ("composition_report", "crossing_count", "fit_curve"),
     "prooftrace": ("domain_pigeonhole_report",),
     "fractal": ("PointCloud", "box_dimension_estimate", "rigidity_threshold_check"),
@@ -242,7 +243,6 @@ def _cmd_rigidity_1d(args) -> dict:
     _load("rigidity")
     zeros = sorted(_parse_floats(args.zeros, "zeros list"))
     bound = rigidity_1d_bound(zeros, args.z0, args.degree)
-    floor = math.factorial(args.degree + 1) / 2 ** (args.degree + 1)
     return {
         "degree": args.degree,
         "zeros": zeros,
@@ -250,8 +250,8 @@ def _cmd_rigidity_1d(args) -> dict:
         "fz0": 1.0,
         "bound": bound,
         "formula": FORMULAS["one_dimensional"],
-        "universal_floor": floor,
-        "universal_floor_formula": "(d+1)!/2^(d+1)",
+        "universal_floor": rigidity_1d_floor(args.degree),
+        "universal_floor_formula": FORMULAS["one_dimensional_floor"],
     }
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "rigidity_topological_literal",
     "rigidity_topological_composed",
     "rigidity_1d_bound",
+    "rigidity_1d_floor",
     "rigidity_report",
 ]
 
@@ -36,6 +37,7 @@ FORMULAS = {
     "topological_literal": "(1/(d+1)!) * (4n/mu)^d",
     "topological_composed": "(d+1)!/2 * (mu/(4n))^d",
     "one_dimensional": "(d+1)! * |divided difference over zeros and z0|",
+    "one_dimensional_floor": "(d+1)!/2^(d+1)",
 }
 
 
@@ -127,6 +129,11 @@ def rigidity_1d_bound(xs, z0: float, d: int) -> float:
     for x in xs:
         quotient /= abs(z0 - x)
     return _factorial(d + 1) * quotient
+
+
+def rigidity_1d_floor(d: int) -> float:
+    """(d+1)!/2^(d+1), the least ``rigidity_1d_bound`` can give: every gap |z0 - x_i| is at most 2."""
+    return _factorial(d + 1) / 2.0 ** (d + 1)
 
 
 def rigidity_report(d: int, mu_value: float, oval_count: int, inv_remez: float | None = None) -> dict:

@@ -8,6 +8,7 @@ from rigidkit.poly import MultiPoly, eval_poly, partial_derivative
 from rigidkit.rigidity import (
     FORMULAS,
     rigidity_1d_bound,
+    rigidity_1d_floor,
     rigidity_from_remez,
     rigidity_report,
     rigidity_topological_composed,
@@ -23,9 +24,11 @@ class TestRigidity1D:
         assert rigidity_1d_bound([-1.0, 1.0], 0.0, 1) == pytest.approx(2.0)
 
     def test_floor_on_random_configurations(self):
+        # the floor that rigidity-1d reports, for every supported degree
+        assert [rigidity_1d_floor(d) for d in range(19)] == [math.factorial(d + 1) / 2 ** (d + 1) for d in range(19)]
         rng = np.random.default_rng(41)
         for d in range(1, 5):
-            floor = math.factorial(d + 1) / 2 ** (d + 1)
+            floor = rigidity_1d_floor(d)
             for _ in range(50):
                 nodes = np.sort(rng.uniform(-1.0, 1.0, size=d + 2))
                 while np.min(np.diff(nodes)) < 1e-3:
