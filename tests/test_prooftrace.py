@@ -335,6 +335,18 @@ class TestPerturbation:
         assert report["perturbation"] == {"direction": direction, "eps": eps * max(norm, 1.0)}
         assert math.hypot(*direction) == 1.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the tilt splits a circle of critical points into two, but Newton on the degenerate ring product "
+        "still counts extra clusters; ROADMAP item 9 asks for certified counts of 2N-1",
+    )
+    @pytest.mark.parametrize("radii, grid", [((0.2, 0.4, 0.6, 0.8), 24), ((0.25, 0.5, 0.75), 48)])
+    def test_tilted_concentric_rings_leave_2n_minus_1_clusters(self, radii, grid):
+        # the product of N concentric rings has the centre and N - 1 circles of critical points;
+        # the tilt leaves the centre and two points on each circle
+        report = domain_pigeonhole_report(vanishing_ring_poly(radii), concentric_ring_config(radii), grid)
+        assert report["critical_points"]["n_clusters"] == 2 * len(radii) - 1
+
     def test_critical_points_stable_under_eps_halving(self):
         rng = np.random.default_rng(17)
         checked = 0
