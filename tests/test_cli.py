@@ -566,12 +566,10 @@ class TestErrorPaths:
 
         src = Path(__file__).resolve().parent.parent / "src"
         argv = ["remez-lp", "--degree", "2", "--z", annulus_path, "--grid", "8", "--samples-per-oval", "16777216"]
-        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "rigidkit.cli", *argv], capture_output=True, text=True, timeout=60,
             preexec_fn=small_address_space, env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
         )
-        assert time.perf_counter() - start < 10.0
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.splitlines() == ["error: 2 ovals x 16777216 boundary samples exceed 16777216 points"]
 

@@ -5,8 +5,9 @@ product and sum the core forms is exact in floating point and must equal
 sympy's rational arithmetic term by term. Dyadic sums are exact in any
 order, so the bit-level tests use random non-dyadic coefficients instead:
 evaluation is checked against the plain dict-loop formula (graded-lex terms,
-coef * x**e factors left to right, an array's x**e taken by the sign rule of
-``signed_power``), the Vandermonde rows against the per-column loop, and sums, products and compositions against the former
+coef * x**e factors left to right, an array's x**e taken by the sign rule
+of ``signed_power``), the Vandermonde rows against the per-column loop, and
+sums, products and compositions against the former
 tuple-keyed dict arithmetic, which added duplicate terms in arrival order.
 """
 
