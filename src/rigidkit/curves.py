@@ -153,10 +153,11 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
 def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
     """Number of isolated parameter values where the curve meets Z.
 
-    The curve is subdivided into 4096 chords. The edges are the
-    configuration's stacked edge array, and the chord-edge pairs whose
-    bounding boxes overlap come from the box-pair sweep that validation uses,
-    so memory stays bounded whatever the vertex count. Each pair is solved
+    The curve is subdivided into 4096 chords. The chords, then the
+    configuration's stacked edge array, form one segment set, and the
+    box-pair sweep that validation uses runs over it once, so memory stays
+    bounded whatever the vertex count. Of its pairs only those that hold one
+    chord and one edge are kept. Each such pair is solved
     for its crossing parameters; a pair counts where the chord and the edge
     are not parallel and both parameters lie in [0, 1], so a touch counts
     and a collinear overlap does not. The hit is interpolated linearly along
@@ -166,12 +167,14 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
         raise ValidationError(f"expected dimension 2, got {omega.dim}")
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
     pts = omega.eval(taus)
-    p0, p1 = pts[:-1], pts[1:]
-    q0 = config.vertices
-    q1 = q0[config.succ]
+    s0 = np.concatenate([pts[:-1], config.vertices])
+    s1 = np.concatenate([pts[1:], config.vertices[config.succ]])
     hits = [np.empty(0)]
-    for a, b in _box_pairs(p0, p1, (q0, q1)):
-        d1, d2, diff = p1[a] - p0[a], q1[b] - q0[b], q0[b] - p0[a]
+    for a, b in _box_pairs(s0, s1):
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        keep = (a < _SUBDIVISIONS) & (b >= _SUBDIVISIONS)  # one chord and one edge
+        a, b = a[keep], b[keep]
+        d1, d2, diff = s1[a] - s0[a], s1[b] - s0[b], s0[b] - s0[a]
         denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (diff[:, 0] * d2[:, 1] - diff[:, 1] * d2[:, 0]) / denom

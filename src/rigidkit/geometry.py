@@ -14,9 +14,11 @@ parent and a depth per oval, the domains are an area per oval, and point
 location, boundary sampling and ``curves.crossing_count`` read the edge
 array by oval index.
 With bounded memory, one box-pair sweep over horizontal strips finds the
-edge pairs that validation tests and the chord-edge pairs that the crossing
-count solves, and one ray cast over the edge array gives the forest. The
-discretization error of areas is the caller's modeling responsibility.
+pairs of one segment set whose boxes overlap: the edge pairs that validation
+tests, and, run over the curve's chords stacked before the edges, the
+chord-edge pairs that the crossing count solves. One ray cast over the edge
+array gives the forest. The discretization error of areas is the caller's
+modeling responsibility.
 """
 
 from __future__ import annotations
@@ -158,26 +160,20 @@ def _windows(begin, count):
         start = stop
 
 
-def _box_pairs(p0, p1, other=None):
-    """Index pairs (a, b) of segments whose bounding boxes overlap, each pair once, in steps.
+def _box_pairs(p0, p1):
+    """Index pairs (a, b) of segments p0-p1 whose bounding boxes overlap, each pair once, in steps.
 
-    Alone, the segments p0-p1 pair among themselves; with ``other = (q0, q1)``,
-    segment a of p0-p1 pairs with segment b of q0-q1. Sort-and-sweep
-    (Shamos-Hoey 1976) on both axes: horizontal strips as tall as the mean
-    box, or taller when there would be more strips than boxes, cut the plane,
-    and each box enters every strip it meets. Within a strip a box's window
-    holds the boxes whose min x lies in its own x range: those after it in
-    min x order when the segments pair among themselves, and those of the
-    other set, ties going one way only, when there are two sets. A pair is
-    kept in the strip that holds the larger min y of the two, where both
-    boxes lie, if the boxes overlap in y. Steps follow ``_windows``.
+    Sort-and-sweep (Shamos-Hoey 1976) on both axes: horizontal strips as tall
+    as the mean box, or taller when there would be more strips than boxes,
+    cut the plane, and each box enters every strip it meets. Within a strip a
+    box's window holds the boxes after it in min x order whose min x lies in
+    its own x range. A pair is kept in the strip that holds the larger min y
+    of the two, where both boxes lie, if the boxes overlap in y. Either index
+    of a pair may be the smaller. Steps follow ``_windows``.
     """
-    if not len(p0) or other is not None and not len(other[0]):
+    if not len(p0):
         return
     lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
-    n_a = len(lo)  # boxes from here on are the other set's
-    if other is not None:
-        lo, hi = np.concatenate([lo, np.minimum(*other)]), np.concatenate([hi, np.maximum(*other)])
     y0 = lo[:, 1].min()
     tall = max(float(np.sum(hi[:, 1] - lo[:, 1])), float(hi[:, 1].max() - y0)) / len(lo) or 1.0
     # each x by its rank among all box ends, so that (strip, x) keys are integers that compare exactly
@@ -185,36 +181,20 @@ def _box_pairs(p0, p1, other=None):
     by_x = np.argsort(xs, kind="stable")
     rank = np.empty_like(by_x)
     rank[by_x] = np.searchsorted(xs[by_x], xs[by_x])  # how many x ends are smaller
-
-    def entries(boxes):
-        """Entries of ``boxes`` by (strip, min x): box, whether the box starts in that strip, and both keys."""
-        s0 = ((lo[boxes, 1] - y0) / tall).astype(np.int64)
-        count = ((hi[boxes, 1] - y0) / tall).astype(np.int64) - s0 + 1
-        box = np.repeat(boxes, count)
-        up = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)  # strips above the box's first
-        key = (np.repeat(s0, count) + up) * len(rank) + rank[box]
-        order = np.argsort(key, kind="stable")
-        box, key = box[order], key[order]
-        return box, up[order] == 0, key, key + rank[len(lo) + box] - rank[box]
-
-    def sweep(q, t, begin):
-        """Entry k of q with the entries of t from begin[k] on whose key is at most k's (strip, max x) key."""
-        box_q, first_q, _, hi_q = q
-        box_t, first_t, lo_t, _ = t
-        for k, j in _windows(begin, np.searchsorted(lo_t, hi_q, side="right") - begin):
-            a, b = box_q[k], box_t[j]
-            keep = (first_q[k] | first_t[j]) & (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
-            yield a[keep], b[keep]
-
-    if other is None:
-        e = entries(np.arange(n_a))
-        yield from sweep(e, e, np.arange(1, len(e[0]) + 1))
-        return
-    ea, eb = entries(np.arange(n_a)), entries(np.arange(n_a, len(lo)))
-    for a, b in sweep(ea, eb, np.searchsorted(eb[2], ea[2])):  # b's min x in [a's min x, a's max x]
-        yield a, b - n_a
-    for b, a in sweep(eb, ea, np.searchsorted(ea[2], eb[2], side="right")):  # a's min x in (b's, b's max x]
-        yield a, b - n_a
+    # entries by (strip, min x): box, whether the box starts in that strip, and both keys
+    s0 = ((lo[:, 1] - y0) / tall).astype(np.int64)
+    count = ((hi[:, 1] - y0) / tall).astype(np.int64) - s0 + 1
+    box = np.repeat(np.arange(len(lo)), count)
+    up = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)  # strips above the box's first
+    key = (np.repeat(s0, count) + up) * len(rank) + rank[box]
+    order = np.argsort(key, kind="stable")
+    box, first, key = box[order], up[order] == 0, key[order]
+    # entry k with the later entries whose key is at most k's (strip, max x) key
+    begin = np.arange(1, len(box) + 1)
+    for k, j in _windows(begin, np.searchsorted(key, key + rank[len(lo) + box] - rank[box], side="right") - begin):
+        a, b = box[k], box[j]
+        keep = (first[k] | first[j]) & (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+        yield a[keep], b[keep]
 
 
 def _first_touching(p0, succ, owner, count: int) -> tuple[int | None, tuple[int, int] | None]:

@@ -242,10 +242,18 @@ def brute_force_box_pairs(p0, p1, other=None):
 
 
 def swept_box_pairs(p0, p1, other=None):
+    """The sweep's pairs as ``brute_force_box_pairs`` orders them.
+
+    With two sets, the sweep runs over p0-p1 stacked before ``other`` and keeps
+    the mixed pairs, mapped back to indices in each set, as the crossing count does.
+    """
+    n = len(p0)
+    if other is not None:
+        p0, p1 = np.concatenate([p0, other[0]]), np.concatenate([p1, other[1]])
     out = []
-    for a, b in geometry._box_pairs(p0, p1, other):
-        out += zip(a.tolist(), b.tolist())
-    return sorted((min(a, b), max(a, b)) for a, b in out) if other is None else sorted(out)
+    for a, b in geometry._box_pairs(p0, p1):
+        out += zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
+    return sorted(out) if other is None else sorted((a, b - n) for a, b in out if a < n <= b)
 
 
 def segment_sets():
