@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CIRCLE_SIDES, regular_polygon, square, write_config_json
+from conftest import CIRCLE_SIDES, concentric_ring_config, regular_polygon, square, write_config_json
 from rigidkit import __version__, remez
 from rigidkit.cli import main
 from rigidkit.geometry import candidate_grid
@@ -30,6 +30,18 @@ def expect_exit2(argv, capsys, fragment):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and fragment in err
+
+
+def run_in_address_space(argv, limit: int) -> subprocess.CompletedProcess:
+    """The CLI on ``argv`` in a child process whose address space is capped at ``limit`` bytes."""
+    def small_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "rigidkit.cli", *argv], capture_output=True, text=True, timeout=60,
+        preexec_fn=small_address_space, env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
 
 
 @pytest.fixture
@@ -561,17 +573,18 @@ class TestErrorPaths:
 
     def test_samples_of_the_whole_configuration_capped_before_sampling(self, annulus_path):
         # 2 ovals x 2**24 samples: rejected on their count, in a child whose address space could not hold them
-        def small_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = Path(__file__).resolve().parent.parent / "src"
         argv = ["remez-lp", "--degree", "2", "--z", annulus_path, "--grid", "8", "--samples-per-oval", "16777216"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "rigidkit.cli", *argv], capture_output=True, text=True, timeout=60,
-            preexec_fn=small_address_space, env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
-        )
+        proc = run_in_address_space(argv, 1 << 30)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.splitlines() == ["error: 2 ovals x 16777216 boundary samples exceed 16777216 points"]
+
+    def test_vandermonde_capped_before_it_is_built(self, tmp_path):
+        # the 2**24-point lattice fits in 2 GB, but not the Vandermonde of its
+        # 13170152 points inside the outer ring at 66 degree-10 monomials each
+        path = write_config_json(concentric_ring_config([0.9, 0.5], 48), tmp_path / "rings.json")
+        proc = run_in_address_space(["remez-lp", "--degree", "10", "--z", path, "--grid", "4096"], 2 << 30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == ["error: 13170152 points x 66 monomials exceed 16777216 Vandermonde entries"]
 
     @pytest.mark.parametrize(
         "poly",
