@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import ValidationError
 
 __all__ = [
@@ -21,11 +22,6 @@ __all__ = [
     "rigidity_threshold",
     "rigidity_threshold_check",
 ]
-
-# Cloud membership is checked in the max norm so axis-aligned samples of
-# [0, 1]^n are admissible as-is.
-_CLOUD_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -41,7 +37,8 @@ class PointCloud:
             raise ValidationError(f"points must be a (k, n) array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("points must be finite")
-        if np.max(np.abs(pts)) > 1.0 + _CLOUD_TOL:
+        # the max norm, so that axis-aligned samples of [0, 1]^n are admissible as-is
+        if np.max(np.abs(pts)) > 1.0 + errors.BALL_TOL:
             raise ValidationError("points must lie in the unit max-norm ball")
         object.__setattr__(self, "points", pts)
 
