@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import oval_vertices, random_poly, regular_polygon
+from conftest import oval_vertices, random_poly, regular_polygon, square
 from rigidkit import curves, geometry
 from rigidkit.curves import (
     ParamCurve,
@@ -287,6 +287,17 @@ class TestCrossingCount:
             s=2,
         )
         assert crossing_count(omega, config) == 4
+
+    @pytest.mark.parametrize("half_length", [0.75, 0.5])
+    def test_curve_along_an_edge_counts_its_corners(self, half_length):
+        # y = 0.5 runs along the top edge of the unit square, past both corners
+        # or exactly onto them: chord and edge boxes coincide, the two corner
+        # touches count and the collinear overlap does not
+        config = validate_configuration([square(1.0, 1)])
+        seg = ParamCurve(
+            components=(MultiPoly(1, {(1,): half_length}), MultiPoly(1, {(0,): 0.5})), s=1
+        )
+        assert crossing_count(seg, config) == 2
 
     def test_chained_hits_merge_into_one_incidence_per_side(self, monkeypatch):
         # rings delta apart meet the segment x = 0.9 t at parameters delta/0.9 apart
