@@ -580,7 +580,7 @@ class TestErrorPaths:
 
     def test_vandermonde_capped_before_it_is_built(self, tmp_path):
         # the 2**24-point lattice fits in 2 GB, but not the Vandermonde of its
-        # 13170152 points inside the outer ring at 66 degree-10 monomials each
+        # 13170152 points in the unit disc at 66 degree-10 monomials each
         path = write_config_json(concentric_ring_config([0.9, 0.5], 48), tmp_path / "rings.json")
         proc = run_in_address_space(["remez-lp", "--degree", "10", "--z", path, "--grid", "4096"], 2 << 30)
         assert (proc.returncode, proc.stdout) == (2, "")
