@@ -117,9 +117,7 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
         raise ValidationError(f"expected dimension {omega.dim}, got {f.nvars}")
     if d < 0:
         raise ValidationError(f"derivative order must be >= 0, got {d}")
-    if tgrid < 2:
-        raise ValidationError(f"tgrid must be >= 2, got {tgrid}")
-    taus = lattice((-1.0,), (1.0,), tgrid)[:, 0]  # a 1D lattice, so capped at _MAX_LATTICE points
+    taus = lattice((-1.0,), (1.0,), tgrid)[:, 0]  # a 1D lattice, so held to errors.MAX_ENTRIES points
     s = omega.s
     k_lo = max(1, math.ceil((d + 1) / s))
     k_hi = d + 1

@@ -3,13 +3,15 @@
 Validation errors mean the input violates a documented precondition and map
 to CLI exit code 2; solver errors mean a numerical backend gave up and map
 to exit code 3. Library callers catch one of these two; the message text
-says which precondition or backend failed. Every check of membership in the
-closed unit ball reads its slack ``BALL_TOL`` from here, at call time.
+says which precondition or backend failed. Read at call time, ``BALL_TOL`` is
+the slack of every closed-unit-ball check, and ``MAX_ENTRIES`` the most floats
+an array that an option sizes may hold, which ``check_entries`` tests first.
 """
 
 from __future__ import annotations
 
 BALL_TOL = 1e-9
+MAX_ENTRIES = 1 << 24  # float entries in one array; 128 MB of doubles
 
 
 class RigidKitError(Exception):
@@ -22,3 +24,9 @@ class ValidationError(RigidKitError):
 
 class SolverError(RigidKitError):
     """A numerical backend failed to produce a usable answer."""
+
+
+def check_entries(entries: int, array: str) -> None:
+    """Raise ``ValidationError`` naming ``array`` when its ``entries`` floats exceed ``MAX_ENTRIES``."""
+    if entries > MAX_ENTRIES:
+        raise ValidationError(f"{array} would hold {entries} entries, more than {MAX_ENTRIES}")

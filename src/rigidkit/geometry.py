@@ -17,8 +17,8 @@ With bounded memory, one box-pair sweep over horizontal strips finds the
 pairs of one segment set whose boxes overlap: the edge pairs that validation
 tests, and, run over the curve's chords stacked before the edges, the
 chord-edge pairs that the crossing count solves. One ray cast over the edge
-array gives the forest. The discretization error of areas is the caller's
-modeling responsibility.
+array gives the forest. Lattices and boundary samples are held to
+``errors.MAX_ENTRIES`` floats. Area discretization error is the caller's.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _PAIR_CHUNK = 1 << 14  # candidate box pairs per step of the box-pair sweep; bounds its memory
-_MAX_LATTICE = 1 << 24  # points in one lattice, far above every grid in use; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -372,16 +371,15 @@ def points_in_domain(config: OvalConfiguration, parent: np.ndarray, k: int, poin
 
 
 def sample_boundary(config: OvalConfiguration, count: int) -> np.ndarray:
-    """``count`` points per oval, equally spaced by arc length, oval after oval; 1 <= count <= ``_MAX_LATTICE``.
+    """``count`` >= 1 points per oval, equally spaced by arc length, oval after oval.
 
     Each oval's arc length sums its own edges only, in order, so its samples
-    do not depend on the other ovals. More than ``_MAX_LATTICE`` samples in
-    all is a ``ValidationError``, raised before any is taken.
+    do not depend on the other ovals. The (N * count, 2) result is held to
+    ``errors.MAX_ENTRIES`` before any sample is taken.
     """
-    if not 1 <= count <= _MAX_LATTICE:
-        raise ValidationError(f"boundary sample count must be in 1..{_MAX_LATTICE}, got {count}")
-    if config.N * count > _MAX_LATTICE:
-        raise ValidationError(f"{config.N} ovals x {count} boundary samples exceed {_MAX_LATTICE} points")
+    if count < 1:
+        raise ValidationError(f"boundary sample count must be >= 1, got {count}")
+    errors.check_entries(config.N * count * 2, f"{config.N} ovals x {count} boundary samples")
     p0 = config.vertices
     step = p0[config.succ] - p0
     seg = np.hypot(*step.T)
@@ -397,20 +395,19 @@ def sample_boundary(config: OvalConfiguration, count: int) -> np.ndarray:
 
 
 def lattice(lo, hi, k: int) -> np.ndarray:
-    """(k**n, n) lattice of k points per axis over the box [lo, hi], first axis slowest.
+    """(k**n, n) lattice of k >= 2 points per axis over the box [lo, hi], first axis slowest.
 
-    More than ``_MAX_LATTICE`` = 2**24 points is a ``ValidationError``.
+    Its k**n * n entries are held to ``errors.MAX_ENTRIES`` before any is built.
     """
-    if int(k) ** len(lo) > _MAX_LATTICE:
-        raise ValidationError(f"a lattice of {k} points per axis in {len(lo)}D exceeds {_MAX_LATTICE} points")
+    if k < 2:
+        raise ValidationError(f"a lattice needs at least 2 points per axis, got {k}")
+    errors.check_entries(int(k) ** len(lo) * len(lo), f"a lattice of {k} points per axis in {len(lo)}D")
     axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij", copy=False)], axis=1)
 
 
 def candidate_grid(n: int, k: int) -> np.ndarray:
     """k-per-axis lattice over [-1,1]^n clipped to the Euclidean ball."""
-    if k < 2:
-        raise ValidationError(f"candidate grid must be >= 2 points per axis, got {k}")
     pts = lattice((-1.0,) * n, (1.0,) * n, k)
     pts = pts[in_unit_ball(pts)]
     if not len(pts):

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import ValidationError
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "multi_indices",
     "partial_derivative",
 ]
-
-_MAX_BASIS = 1 << 12  # basis monomials; an m x m factor then holds at most 2**24 entries
 
 
 class MultiPoly:
@@ -188,12 +187,15 @@ def eval_polys(polys: Sequence[MultiPoly], x) -> list:
     x_1**e_1 * ... left to right, zero exponents contributing no factor,
     and each polynomial's terms are accumulated in its own graded-lex order,
     so every result is deterministic for a given polynomial regardless of
-    construction history or of the other polynomials in the call.
+    construction history or of the other polynomials in the call. The values
+    at the points ``x`` broadcasts to are held to ``errors.MAX_ENTRIES`` first.
     """
     x = list(x) if not isinstance(x, (list, tuple)) else x
     for p in polys:
         if len(x) != p.nvars:
             raise ValidationError(f"expected dimension {p.nvars}, got {len(x)}")
+    points = math.prod(np.broadcast_shapes(*map(np.shape, x)))
+    errors.check_entries(len(polys) * points, f"the values of {len(polys)} polynomials at {points} points")
     rows = [p.exps.tolist() for p in polys]
     columns = zip(*(r for prows in rows for r in prows))
     table = [{e: _power(xi, e) for e in set(col) if e} for xi, col in zip(x, columns)]
@@ -286,18 +288,15 @@ def compose(f: MultiPoly, omega: Sequence[MultiPoly]) -> MultiPoly:
 
 
 def basis_size(n: int, d: int) -> int:
-    """Dimension of the space of n-variate polynomials of total degree <= d, at most ``_MAX_BASIS``.
+    """Dimension m of the space of n-variate polynomials of total degree <= d.
 
-    The LP estimator holds an m x m basis inverse and its rank test an m x m
-    SVD factor, so m is capped where those reach the 2**24 entries that
-    ``geometry`` allows a point set; a larger m is a ``ValidationError``
-    before any array is built.
+    The LP's basis inverse and its rank test's SVD factor are m x m, so m * m
+    is held to ``errors.MAX_ENTRIES`` (m <= 4096) before any array is built.
     """
     if n < 1 or d < 0:
         raise ValidationError(f"basis_size needs n >= 1, d >= 0, got n={n}, d={d}")
     size = math.comb(n + d, n)
-    if size > _MAX_BASIS:
-        raise ValidationError(f"basis size {size} exceeds the limit {_MAX_BASIS}")
+    errors.check_entries(size * size, f"an m x m factor of a basis of {size} monomials")
     return size
 
 

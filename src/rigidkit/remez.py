@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .geometry import _MAX_LATTICE, in_unit_ball
+from .geometry import in_unit_ball
 from .poly import MultiPoly, basis_size, eval_polys, monomials
 
 __all__ = [
@@ -69,13 +69,11 @@ class RemezEstimate:
 def vandermonde(points: np.ndarray, d: int) -> np.ndarray:
     """One row per n-dimensional point; column j is ``eval_polys`` of the j-th monomial of ``monomials(n, d)``.
 
-    More than ``_MAX_LATTICE`` entries is a ``ValidationError``, raised before any is computed.
+    ``eval_polys`` holds its entries to ``errors.MAX_ENTRIES`` before it computes any.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
-    m = basis_size(n, d)
-    if len(pts) * m > _MAX_LATTICE:
-        raise ValidationError(f"{len(pts)} points x {m} monomials exceed {_MAX_LATTICE} Vandermonde entries")
+    basis_size(n, d)  # refuses a basis too large to enumerate before ``monomials`` lists it
     units = [MultiPoly.from_rows(n, exp, [1.0]) for exp in monomials(n, d)]
     return np.column_stack(eval_polys(units, list(pts.T)))
 

@@ -544,7 +544,7 @@ class TestErrorPaths:
 
     def test_huge_newton_grid_exit2(self, fxy_path, annulus_path, capsys):
         argv = ["verify-proof", "--poly", fxy_path, "--config", annulus_path, "--grid", "1000000"]
-        expect_exit2(argv, capsys, "lattice of 1000000 points per axis in 2D exceeds 16777216 points")
+        expect_exit2(argv, capsys, "lattice of 1000000 points per axis in 2D would hold 2000000000000 entries, more than 16777216")
 
     @pytest.mark.parametrize("grid, fixture", [("1000000000000", "halfline_path"), ("4097", "annulus_path")])
     def test_huge_candidate_grid_exit2(self, grid, fixture, request, capsys):
@@ -554,7 +554,7 @@ class TestErrorPaths:
     def test_huge_tgrid_exit2(self, fxy_path, curve_points_path, capsys):
         argv = ["curve-check", "--f", fxy_path, "--points", curve_points_path, "--s", "2", "--degree", "3"]
         huge = "100000000000000000000"
-        expect_exit2(argv + ["--tgrid", huge], capsys, f"lattice of {huge} points per axis in 1D exceeds 16777216 points")
+        expect_exit2(argv + ["--tgrid", huge], capsys, f"lattice of {huge} points per axis in 1D would hold {huge} entries")
 
     @pytest.mark.parametrize("subcommand, flag", [("remez-lp", "--z"), ("rigidity", "--config")])
     def test_huge_degree_exit2_before_any_basis_is_built(self, subcommand, flag, annulus_path, capsys):
@@ -563,28 +563,53 @@ class TestErrorPaths:
         code = main([subcommand, "--degree", "3000", flag, annulus_path])
         elapsed = time.perf_counter() - start
         assert code == 2 and elapsed < 1.0
-        assert capsys.readouterr().err.splitlines() == ["error: basis size 4504501 exceeds the limit 4096"]
+        expected = "error: an m x m factor of a basis of 4504501 monomials would hold 20290529259001 entries, more than 16777216"
+        assert capsys.readouterr().err.splitlines() == [expected]
 
     @pytest.mark.parametrize("subcommand, flag", [("remez-lp", "--z"), ("rigidity", "--config")])
     def test_huge_samples_per_oval_exit2(self, subcommand, flag, annulus_path, capsys):
         huge = "100000000000000000000"
         argv = [subcommand, "--degree", "2", flag, annulus_path, "--grid", "8", "--samples-per-oval", huge]
-        expect_exit2(argv, capsys, f"boundary sample count must be in 1..16777216, got {huge}")
+        expect_exit2(argv, capsys, f"2 ovals x {huge} boundary samples would hold {4 * int(huge)} entries, more than 16777216")
 
     def test_samples_of_the_whole_configuration_capped_before_sampling(self, annulus_path):
         # 2 ovals x 2**24 samples: rejected on their count, in a child whose address space could not hold them
         argv = ["remez-lp", "--degree", "2", "--z", annulus_path, "--grid", "8", "--samples-per-oval", "16777216"]
         proc = run_in_address_space(argv, 1 << 30)
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.splitlines() == ["error: 2 ovals x 16777216 boundary samples exceed 16777216 points"]
+        expected = "error: 2 ovals x 16777216 boundary samples would hold 67108864 entries, more than 16777216"
+        assert proc.stderr.splitlines() == [expected]
 
     def test_vandermonde_capped_before_it_is_built(self, tmp_path):
-        # the 2**24-point lattice fits in 2 GB, but not the Vandermonde of its
-        # 13170152 points in the unit disc at 66 degree-10 monomials each
+        # the 1024 x 1024 lattice fits, but not the Vandermonde of its
+        # 821904 points in the unit disc at 66 degree-10 monomials each
         path = write_config_json(concentric_ring_config([0.9, 0.5], 48), tmp_path / "rings.json")
-        proc = run_in_address_space(["remez-lp", "--degree", "10", "--z", path, "--grid", "4096"], 2 << 30)
+        proc = run_in_address_space(["remez-lp", "--degree", "10", "--z", path, "--grid", "1024"], 2 << 30)
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.splitlines() == ["error: 13170152 points x 66 monomials exceed 16777216 Vandermonde entries"]
+        expected = "error: the values of 66 polynomials at 821904 points would hold 54245664 entries, more than 16777216"
+        assert proc.stderr.splitlines() == [expected]
+
+    @pytest.mark.parametrize(
+        "argv, array",
+        [
+            (["verify-proof", "--poly", "{fxy}", "--config", "{annulus}", "--grid", "4096"],
+             "a lattice of 4096 points per axis in 2D would hold 33554432 entries"),
+            (["curve-check", "--f", "{fxy}", "--points", "{curve}", "--s", "2", "--degree", "3", "--tgrid", "16777216"],
+             "the values of 2 polynomials at 16777216 points would hold 33554432 entries"),
+            (["remez-lp", "--degree", "10", "--z", "{rings}", "--grid", "4096"],
+             "a lattice of 4096 points per axis in 2D would hold 33554432 entries"),
+        ],
+        ids=["verify-proof-grid", "curve-check-tgrid", "remez-lp-grid"],
+    )
+    def test_option_sized_arrays_refused_before_they_are_built(
+        self, argv, array, fxy_path, annulus_path, curve_points_path, tmp_path
+    ):
+        # in 700 000 KiB of address space each command ran out of memory in numpy before the one entry rule
+        rings = write_config_json(concentric_ring_config([0.9, 0.5], 48), tmp_path / "rings.json")
+        paths = {"fxy": fxy_path, "annulus": annulus_path, "curve": curve_points_path, "rings": str(rings)}
+        proc = run_in_address_space([arg.format(**paths) for arg in argv], 700_000 << 10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [f"error: {array}, more than 16777216"]
 
     @pytest.mark.parametrize(
         "poly",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import oval_vertices, random_poly, regular_polygon, square
-from rigidkit import curves, geometry
+from rigidkit import curves, errors, geometry
 from rigidkit.curves import (
     ParamCurve,
     composition_report,
@@ -238,15 +238,17 @@ class TestCompositionReport:
             composition_report(f, omega, -1, 16)
 
     def test_tgrid_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_MAX_LATTICE", 16)
+        # the largest array holds the 3 + 4 + 5 derivatives of orders 2..4 at every grid point
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 12 * 16)
         f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
         omega = ParamCurve(
             components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
         )
         assert len(composition_report(f, omega, 3, 16)["pointwise"]) == 16
-        for bad in (17, 10**20):
-            with pytest.raises(ValidationError, match=f"lattice of {bad} points per axis in 1D exceeds 16 points"):
-                composition_report(f, omega, 3, bad)
+        with pytest.raises(ValidationError, match="^the values of 12 polynomials at 17 points would hold 204 entries"):
+            composition_report(f, omega, 3, 17)
+        with pytest.raises(ValidationError, match=f"^a lattice of {10**20} points per axis in 1D would hold"):
+            composition_report(f, omega, 3, 10**20)
 
     def test_json_shape(self):
         f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})

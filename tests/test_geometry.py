@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from rigidkit.geometry import (
     sample_boundary,
     validate_configuration,
 )
+from rigidkit.poly import MultiPoly, basis_size, eval_polys
 from rigidkit.rigidity import rigidity_1d_bound
 
 
@@ -553,18 +555,6 @@ class TestSampleBoundary:
         for v in oval.vertices:
             assert np.min(np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])) <= 1e-12
 
-    def test_count_limit_is_inclusive(self, monkeypatch):
-        # the limit bounds the count of one oval and the samples of the whole configuration
-        monkeypatch.setattr(geometry, "_MAX_LATTICE", 16)
-        assert sample_boundary(validate_configuration([square(1.0, 1)]), 16).shape == (16, 2)
-        config = validate_configuration([square(1.0, 1), square(0.5, 2)])
-        assert sample_boundary(config, 8).shape == (16, 2)
-        with pytest.raises(ValidationError, match=r"^2 ovals x 9 boundary samples exceed 16 points$"):
-            sample_boundary(config, 9)
-        for bad in (0, 17, 10**20):
-            with pytest.raises(ValidationError, match=f"boundary sample count must be in 1..16, got {bad}"):
-                sample_boundary(config, bad)
-
     @pytest.mark.parametrize("count", [1, 3, 7, 256, 1000])
     def test_matches_per_oval_reference_bit_for_bit(self, count):
         # ovals of 3 and of 10 000 vertices, with uneven edges, each summed over its own edges only
@@ -593,16 +583,51 @@ class TestLattice:
             expected = np.tile(np.repeat(levels, k ** (n - 1 - axis)), k**axis)
             assert np.array_equal(pts[:, axis], expected)
 
-    @pytest.mark.parametrize("n, k", [(1, 2**24 + 1), (2, 4097), (3, 257), (2, 10**6)])
+    @pytest.mark.parametrize("n, k", [(1, 2**24 + 1), (2, 2897), (2, 4097), (3, 257), (2, 10**6)])
     def test_more_than_2_to_the_24_points_rejected(self, n, k):
-        with pytest.raises(ValidationError, match=f"lattice of {k} points per axis in {n}D exceeds 16777216 points"):
+        # k**n points of n coordinates each; in 2D the lattice stops at 2896 points per axis
+        message = f"^a lattice of {k} points per axis in {n}D would hold {k**n * n} entries, more than 16777216$"
+        with pytest.raises(ValidationError, match=message):
             lattice((0.0,) * n, (1.0,) * n, k)
 
-    def test_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_MAX_LATTICE", 27)
-        assert lattice((0.0,) * 3, (1.0,) * 3, 3).shape == (27, 3)
-        with pytest.raises(ValidationError):
-            lattice((0.0,) * 3, (1.0,) * 3, 4)
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_fewer_than_2_points_per_axis_rejected(self, k):
+        with pytest.raises(ValidationError, match=f"^a lattice needs at least 2 points per axis, got {k}$"):
+            lattice((0.0, 0.0), (1.0, 1.0), k)
+
+
+class TestEntryLimit:
+    def test_every_size_check_reads_one_limit(self, monkeypatch):
+        # each call builds an array of exactly `entries` floats: it passes at that limit and not one entry below
+        one = validate_configuration([square(1.0, 1)])
+        two = validate_configuration([square(1.0, 1), square(0.5, 2)])
+        quad = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
+        sized = [
+            (lambda: lattice((0.0,) * 3, (1.0,) * 3, 3), 81, "a lattice of 3 points per axis in 3D"),
+            (lambda: sample_boundary(one, 16), 32, "1 ovals x 16 boundary samples"),
+            (lambda: sample_boundary(two, 8), 32, "2 ovals x 8 boundary samples"),
+            (lambda: basis_size(1, 8), 81, "an m x m factor of a basis of 9 monomials"),
+            (lambda: eval_polys([quad] * 3, [np.zeros(5), 0.5]), 15, "the values of 3 polynomials at 5 points"),
+        ]
+        for build, entries, array in sized:
+            monkeypatch.setattr(errors, "MAX_ENTRIES", entries)
+            build()
+            monkeypatch.setattr(errors, "MAX_ENTRIES", entries - 1)
+            with pytest.raises(ValidationError, match=f"^{re.escape(array)} would hold {entries} entries, more than {entries - 1}$"):
+                build()
+        # a point set holds 2 floats per point: 16 entries take 8 samples of one oval, or 4 of each of two
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 16)
+        assert lattice((0.0,), (1.0,), 16).shape == (16, 1)
+        assert sample_boundary(one, 8).shape == sample_boundary(two, 4).shape == (8, 2)
+        for config, count in ((one, 9), (two, 5), (two, 10**20)):
+            with pytest.raises(ValidationError, match=f"^{config.N} ovals x {count} boundary samples would hold"):
+                sample_boundary(config, count)
+        with pytest.raises(ValidationError, match="^boundary sample count must be >= 1, got 0$"):
+            sample_boundary(two, 0)
+        monkeypatch.undo()
+        assert errors.MAX_ENTRIES == 1 << 24 and basis_size(1, 4095) == 4096
+        with pytest.raises(ValidationError, match="^an m x m factor of a basis of 4097 monomials would hold 16785409 entries"):
+            basis_size(1, 4096)
 
 
 class TestUnitBall:
