@@ -534,6 +534,18 @@ class TestPointInPolygon:
 
 
 class TestSampleBoundary:
+    def test_count_limit_is_inclusive(self, monkeypatch):
+        # a point set holds 2 floats per point: 16 entries take 8 samples of one oval, or 4 of each of two
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 16)
+        one = validate_configuration([square(1.0, 1)])
+        two = validate_configuration([square(1.0, 1), square(0.5, 2)])
+        assert sample_boundary(one, 8).shape == sample_boundary(two, 4).shape == (8, 2)
+        for config, count in ((one, 9), (two, 5), (two, 10**20)):
+            with pytest.raises(ValidationError, match=f"^{config.N} ovals x {count} boundary samples would hold"):
+                sample_boundary(config, count)
+        with pytest.raises(ValidationError, match="^boundary sample count must be >= 1, got 0$"):
+            sample_boundary(two, 0)
+
     def test_count_and_membership(self):
         config = validate_configuration([regular_polygon((0.0, 0.0), 0.5, 64, 1)])
         pts = sample_boundary(config, 256)
@@ -590,6 +602,17 @@ class TestLattice:
         with pytest.raises(ValidationError, match=message):
             lattice((0.0,) * n, (1.0,) * n, k)
 
+    def test_limit_is_inclusive(self, monkeypatch):
+        # k**n points of n coordinates: 16 entries take 16 points in 1D, 81 take 3 per axis in 3D
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 16)
+        assert lattice((0.0,), (1.0,), 16).shape == (16, 1)
+        with pytest.raises(ValidationError, match="^a lattice of 17 points per axis in 1D would hold 17 entries"):
+            lattice((0.0,), (1.0,), 17)
+        monkeypatch.setattr(errors, "MAX_ENTRIES", 81)
+        assert lattice((0.0,) * 3, (1.0,) * 3, 3).shape == (27, 3)
+        with pytest.raises(ValidationError, match="^a lattice of 4 points per axis in 3D would hold 192 entries"):
+            lattice((0.0,) * 3, (1.0,) * 3, 4)
+
     @pytest.mark.parametrize("k", [1, 0, -3])
     def test_fewer_than_2_points_per_axis_rejected(self, k):
         with pytest.raises(ValidationError, match=f"^a lattice needs at least 2 points per axis, got {k}$"):
@@ -615,19 +638,6 @@ class TestEntryLimit:
             monkeypatch.setattr(errors, "MAX_ENTRIES", entries - 1)
             with pytest.raises(ValidationError, match=f"^{re.escape(array)} would hold {entries} entries, more than {entries - 1}$"):
                 build()
-        # a point set holds 2 floats per point: 16 entries take 8 samples of one oval, or 4 of each of two
-        monkeypatch.setattr(errors, "MAX_ENTRIES", 16)
-        assert lattice((0.0,), (1.0,), 16).shape == (16, 1)
-        assert sample_boundary(one, 8).shape == sample_boundary(two, 4).shape == (8, 2)
-        for config, count in ((one, 9), (two, 5), (two, 10**20)):
-            with pytest.raises(ValidationError, match=f"^{config.N} ovals x {count} boundary samples would hold"):
-                sample_boundary(config, count)
-        with pytest.raises(ValidationError, match="^boundary sample count must be >= 1, got 0$"):
-            sample_boundary(two, 0)
-        monkeypatch.undo()
-        assert errors.MAX_ENTRIES == 1 << 24 and basis_size(1, 4095) == 4096
-        with pytest.raises(ValidationError, match="^an m x m factor of a basis of 4097 monomials would hold 16785409 entries"):
-            basis_size(1, 4096)
 
 
 class TestUnitBall:
