@@ -3,7 +3,8 @@
 Every report embeds a run manifest (subcommand, resolved parameters, sha256
 digests of input files, tool version, timestamp); bodies are deterministic
 for identical inputs, so reports are reproducible modulo the timestamp.
-Exit codes: 0 success, 2 validation error, 3 solver failure.
+Exit codes: 0 success, 2 validation error, 3 solver failure (a RuntimeWarning,
+such as a numpy overflow, counts as one).
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ import importlib
 import json
 import math
 import sys
+import warnings
 
 from . import __version__
 from .errors import SolverError, ValidationError
 
 __all__ = ["main"]
 
-# The library names the subcommands call, by home module. Each function here
-# binds the names it calls with ``_load`` first, so a subcommand imports only
-# its own modules, and numpy only when one of them needs it.
+# The library names the subcommands call, by home module. A subcommand calls
+# ``_cli.<name>``, looked up at call time, so a wrapper patched onto
+# ``rigidkit.cli.<name>`` is the one called, and ``__getattr__`` imports only
+# the modules a subcommand uses (numpy only when one of them needs it).
 _NAMES = {
     "geometry": ("build_domains", "build_nesting_forest", "candidate_grid", "config_from_json_dict", "mu",
                  "sample_boundary"),
@@ -46,11 +49,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _load(*homes: str) -> None:
-    """Bind the names of ``homes`` in this module; a binding already set, such as a patched wrapper, wins."""
-    for home in homes:
-        for name in _NAMES[home]:
-            globals().setdefault(name, __getattr__(name))
+_cli = sys.modules[__name__]
 
 
 def _read_bytes(path: str) -> bytes:
@@ -61,7 +60,7 @@ def _read_bytes(path: str) -> bytes:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
 
 
-def _load_json(path: str) -> dict:
+def _read_json(path: str) -> dict:
     raw = _read_bytes(path)
     try:
         return json.loads(raw)
@@ -69,7 +68,7 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_points_csv(path: str) -> np.ndarray:
+def _read_points_csv(path: str) -> np.ndarray:
     import numpy as np
     rows = []
     width = None
@@ -130,10 +129,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_decompose(args) -> dict:
-    _load("geometry")
-    config = config_from_json_dict(_load_json(args.config))
-    parent, depth = build_nesting_forest(config)
-    areas = build_domains(config, parent)
+    config = _cli.config_from_json_dict(_read_json(args.config))
+    parent, depth = _cli.build_nesting_forest(config)
+    areas = _cli.build_domains(config, parent)
     ids = config.ids
     holes = [[] for _ in ids]
     for k, p in enumerate(parent.tolist()):
@@ -148,36 +146,33 @@ def _cmd_decompose(args) -> dict:
             {"outer": i, "holes": sorted(h), "area": a, "formula": "shoelace(outer) - sum of shoelace(holes)"}
             for i, h, a in zip(ids, holes, areas.tolist())
         ],
-        "mu": mu(areas),
+        "mu": _cli.mu(areas),
         "mu_formula": "min over domains of area(W_j)",
     }
     if args.svg:
-        _load("svg")
-        _emit(render_svg(config, parent, areas), args.svg)
+        _emit(_cli.render_svg(config, parent, areas), args.svg)
         report["svg"] = args.svg
     return report
 
 
 def _estimate_fields(est) -> dict:
     """The estimate entries that ``remez-lp`` and ``rigidity`` both report."""
-    _load("remez")
     return {
         "infinite": est.is_infinite,
         "value": None if est.is_infinite else est.value,
-        "inverse": inverse_remez(est),
+        "inverse": _cli.inverse_remez(est),
         "diagnostics": est.diagnostics,
     }
 
 
 def _cmd_remez_lp(args) -> dict:
-    _load("geometry", "remez")
     if args.z.endswith(".json"):
-        zsamples = sample_boundary(config_from_json_dict(_load_json(args.z)), args.samples_per_oval)
+        zsamples = _cli.sample_boundary(_cli.config_from_json_dict(_read_json(args.z)), args.samples_per_oval)
     else:
-        zsamples = _load_points_csv(args.z)
+        zsamples = _read_points_csv(args.z)
     n = zsamples.shape[1]
-    candidates = candidate_grid(n, args.grid)
-    est = remez_estimate_lp(zsamples, args.degree, candidates)
+    candidates = _cli.candidate_grid(n, args.grid)
+    est = _cli.remez_estimate_lp(zsamples, args.degree, candidates)
     return {
         "degree": args.degree,
         "n": n,
@@ -189,13 +184,12 @@ def _cmd_remez_lp(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    _load("geometry", "rigidity")
-    config = config_from_json_dict(_load_json(args.config))
-    mu_val = mu(build_domains(config, build_nesting_forest(config)[0]))
+    config = _cli.config_from_json_dict(_read_json(args.config))
+    mu_val = _cli.mu(_cli.build_domains(config, _cli.build_nesting_forest(config)[0]))
     count = config.N
-    required = ovals_required(args.degree)
-    remez_val = remez_bound_topological(mu_val, args.degree)
-    rep = rigidity_report(args.degree, mu_value=mu_val, oval_count=count)
+    required = _cli.ovals_required(args.degree)
+    remez_val = _cli.remez_bound_topological(mu_val, args.degree)
+    rep = _cli.rigidity_report(args.degree, mu_value=mu_val, oval_count=count)
     return {
         "degree": args.degree,
         "n": 2,  # the topological bounds are planar
@@ -212,14 +206,13 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_rigidity(args) -> dict:
-    _load("geometry", "remez", "rigidity")
-    config = config_from_json_dict(_load_json(args.config))
-    mu_val = mu(build_domains(config, build_nesting_forest(config)[0]))
+    config = _cli.config_from_json_dict(_read_json(args.config))
+    mu_val = _cli.mu(_cli.build_domains(config, _cli.build_nesting_forest(config)[0]))
     count = config.N
-    zsamples = sample_boundary(config, args.samples_per_oval)
-    est = remez_estimate_lp(zsamples, args.degree, candidate_grid(2, args.grid))
+    zsamples = _cli.sample_boundary(config, args.samples_per_oval)
+    est = _cli.remez_estimate_lp(zsamples, args.degree, _cli.candidate_grid(2, args.grid))
     estimate = _estimate_fields(est)
-    rep = rigidity_report(args.degree, mu_value=mu_val, oval_count=count, inv_remez=estimate["inverse"])
+    rep = _cli.rigidity_report(args.degree, mu_value=mu_val, oval_count=count, inv_remez=estimate["inverse"])
     return {
         "degree": args.degree,
         "mu": mu_val,
@@ -240,30 +233,28 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _cmd_rigidity_1d(args) -> dict:
-    _load("rigidity")
     zeros = sorted(_parse_floats(args.zeros, "zeros list"))
-    bound = rigidity_1d_bound(zeros, args.z0, args.degree)
+    bound = _cli.rigidity_1d_bound(zeros, args.z0, args.degree)
     return {
         "degree": args.degree,
         "zeros": zeros,
         "z0": args.z0,
         "fz0": 1.0,
         "bound": bound,
-        "formula": FORMULAS["one_dimensional"],
-        "universal_floor": rigidity_1d_floor(args.degree),
-        "universal_floor_formula": FORMULAS["one_dimensional_floor"],
+        "formula": _cli.FORMULAS["one_dimensional"],
+        "universal_floor": _cli.rigidity_1d_floor(args.degree),
+        "universal_floor_formula": _cli.FORMULAS["one_dimensional_floor"],
     }
 
 
 def _cmd_curve_check(args) -> dict:
-    _load("geometry", "poly", "curves")
-    f = MultiPoly.from_json_dict(_load_json(args.f))
-    points = _load_points_csv(args.points)
-    curve = fit_curve(points, args.s)
-    comp = composition_report(f, curve, args.degree, args.tgrid)
+    f = _cli.MultiPoly.from_json_dict(_read_json(args.f))
+    points = _read_points_csv(args.points)
+    curve = _cli.fit_curve(points, args.s)
+    comp = _cli.composition_report(f, curve, args.degree, args.tgrid)
     crossings = None
     if args.config:
-        crossings = crossing_count(curve, config_from_json_dict(_load_json(args.config)))
+        crossings = _cli.crossing_count(curve, _cli.config_from_json_dict(_read_json(args.config)))
     return {
         "curve": {
             "s": curve.s,
@@ -279,12 +270,11 @@ def _cmd_curve_check(args) -> dict:
 
 
 def _cmd_boxdim(args) -> dict:
-    _load("fractal")
-    points = _load_points_csv(args.points)
-    cloud = PointCloud(points)
+    points = _read_points_csv(args.points)
+    cloud = _cli.PointCloud(points)
     scales = _parse_floats(args.scales, "scales list")
-    fit = box_dimension_estimate(cloud, scales)
-    threshold = rigidity_threshold_check(fit["slope"], cloud.dim, args.degree)
+    fit = _cli.box_dimension_estimate(cloud, scales)
+    threshold = _cli.rigidity_threshold_check(fit["slope"], cloud.dim, args.degree)
     return {
         "fit": fit,
         "slope_formula": "least-squares slope of log N(eps) vs log(1/eps)",
@@ -294,10 +284,9 @@ def _cmd_boxdim(args) -> dict:
 
 
 def _cmd_verify_proof(args) -> dict:
-    _load("geometry", "poly", "prooftrace")
-    p = MultiPoly.from_json_dict(_load_json(args.poly))
-    config = config_from_json_dict(_load_json(args.config))
-    report = domain_pigeonhole_report(p, config, args.grid)
+    p = _cli.MultiPoly.from_json_dict(_read_json(args.poly))
+    config = _cli.config_from_json_dict(_read_json(args.config))
+    report = _cli.domain_pigeonhole_report(p, config, args.grid)
     return {
         "bezout_formula": "at most (d-1)^2 isolated critical points",
         **report,
@@ -375,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        with warnings.catch_warnings():  # an overflow or invalid operation inside numpy is a solver error
+            warnings.simplefilter("error", RuntimeWarning)
+            report = args.func(args)
         report["manifest"] = _manifest(args)
         try:
             text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
@@ -385,7 +376,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, RuntimeWarning) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     return 0

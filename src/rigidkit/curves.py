@@ -66,7 +66,8 @@ class ParamCurve:
     def max_image_norm(self) -> float:
         taus = np.linspace(-1.0, 1.0, _IMAGE_GRID)
         pts = self.eval(taus)
-        return float(np.max(np.sqrt(np.sum(pts**2, axis=-1))))
+        with np.errstate(over="ignore"):  # an image far outside the ball reads inf, as fit_curve's error reports
+            return float(np.max(np.sqrt(np.sum(pts**2, axis=-1))))
 
 
 def fit_curve(points, s: int) -> ParamCurve:
@@ -151,26 +152,30 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
 def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
     """Number of isolated parameter values where the curve meets Z.
 
-    The curve is subdivided into 4096 chords. The chords, then the
-    configuration's stacked edge array, form one segment set, and the
-    box-pair sweep that validation uses runs over it once, so memory stays
-    bounded whatever the vertex count. Of its pairs only those that hold one
-    chord and one edge are kept. Each such pair is solved
-    for its crossing parameters; a pair counts where the chord and the edge
-    are not parallel and both parameters lie in [0, 1], so a touch counts
-    and a collinear overlap does not. The hit is interpolated linearly along
-    the chord, and hits closer than 1e-9 in t merge into one incidence.
+    The curve is subdivided into 4096 chords, and the chords of zero length
+    are dropped: they are parallel to every edge, so they never count, and a
+    constant curve would otherwise put 4096 equal boxes into the sweep. The
+    other chords, then the configuration's stacked edge array, form one
+    segment set, and the box-pair sweep that validation uses runs over it
+    once, so memory stays bounded whatever the vertex count. Of its pairs
+    only those that hold one chord and one edge are kept. Each such pair is
+    solved for its crossing parameters; a pair counts where the chord and
+    the edge are not parallel and both parameters lie in [0, 1], so a touch
+    counts and a collinear overlap does not. The hit is interpolated
+    linearly along the chord, and hits closer than 1e-9 in t merge into one
+    incidence.
     """
     if omega.dim != 2:
         raise ValidationError(f"expected dimension 2, got {omega.dim}")
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
     pts = omega.eval(taus)
-    s0 = np.concatenate([pts[:-1], config.vertices])
-    s1 = np.concatenate([pts[1:], config.vertices[config.succ]])
+    chords = np.flatnonzero(np.any(pts[:-1] != pts[1:], axis=1))  # a zero-length chord is parallel to every edge
+    s0 = np.concatenate([pts[chords], config.vertices])
+    s1 = np.concatenate([pts[chords + 1], config.vertices[config.succ]])
     hits = [np.empty(0)]
     for a, b in _box_pairs(s0, s1):
         a, b = np.minimum(a, b), np.maximum(a, b)
-        keep = (a < _SUBDIVISIONS) & (b >= _SUBDIVISIONS)  # one chord and one edge
+        keep = (a < chords.size) & (b >= chords.size)  # one chord and one edge
         a, b = a[keep], b[keep]
         d1, d2, diff = s1[a] - s0[a], s1[b] - s0[b], s0[b] - s0[a]
         denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -178,7 +183,7 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
             t = (diff[:, 0] * d2[:, 1] - diff[:, 1] * d2[:, 0]) / denom
             u = (diff[:, 0] * d1[:, 1] - diff[:, 1] * d1[:, 0]) / denom
         valid = (denom != 0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        a = a[valid]
+        a = chords[a[valid]]
         hits.append(taus[a] + t[valid] * (taus[a + 1] - taus[a]))
     hits = np.sort(np.concatenate(hits))
     if not hits.size:

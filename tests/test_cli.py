@@ -32,16 +32,21 @@ def expect_exit2(argv, capsys, fragment):
     assert err.startswith("error: ") and fragment in err
 
 
+def run_child(argv, preexec_fn=None) -> subprocess.CompletedProcess:
+    """The CLI on ``argv`` in a child process, whose stderr also holds any warning printed on the way."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "rigidkit.cli", *argv], capture_output=True, text=True, timeout=60,
+        preexec_fn=preexec_fn, env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
 def run_in_address_space(argv, limit: int) -> subprocess.CompletedProcess:
     """The CLI on ``argv`` in a child process whose address space is capped at ``limit`` bytes."""
     def small_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = Path(__file__).resolve().parent.parent / "src"
-    return subprocess.run(
-        [sys.executable, "-m", "rigidkit.cli", *argv], capture_output=True, text=True, timeout=60,
-        preexec_fn=small_address_space, env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
-    )
+    return run_child(argv, small_address_space)
 
 
 @pytest.fixture
@@ -438,12 +443,27 @@ class TestErrorPaths:
         # 1e300 squared overflows; the ball check decides without squaring it, so no warning reaches stderr
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"ovals": [{"id": 1, "vertices": [[0.5, 0.0], [0.0, 0.5], [-0.5, 1e300]]}]}))
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "rigidkit.cli", "decompose", "--config", str(path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        proc = run_child(["decompose", "--config", str(path)])
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: oval 1 has vertices outside the unit ball\n")
+
+    def test_overflow_inside_newton_exit3(self, annulus_path, tmp_path):
+        # the Hessian determinant a * c - b * b overflows from coefficients of about 1e155 on
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"nvars": 2, "terms": [{"exp": [4, 0], "coef": 1e300}, {"exp": [0, 4], "coef": 1e300},
+                                                          {"exp": [1, 1], "coef": -1e300}]}))
+        proc = run_child(["verify-proof", "--poly", str(path), "--config", annulus_path, "--grid", "8"])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.splitlines() == ["solver error: overflow encountered in multiply"]
+
+    def test_curve_far_outside_the_ball_exit2_with_the_ball_message_alone(self, tmp_path):
+        # the image norm of this curve overflows; it reads inf in the message, with no warning beside it
+        f = tmp_path / "x2.json"
+        f.write_text(json.dumps({"nvars": 2, "terms": [{"exp": [2, 0], "coef": 1.0}]}))
+        points = tmp_path / "far.csv"
+        points.write_text("1e300,0\n0,0\n")
+        proc = run_child(["curve-check", "--f", str(f), "--points", str(points), "--s", "2", "--degree", "2"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == ["error: curve image leaves the unit ball (max |omega(t)| = inf)"]
 
     def test_deeply_nested_json_exit2(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import oval_vertices, random_poly, regular_polygon, square
+from conftest import concentric_ring_config, oval_vertices, random_poly, regular_polygon, square
 from rigidkit import curves, errors, geometry
 from rigidkit.curves import (
     ParamCurve,
@@ -352,6 +352,18 @@ class TestCrossingCount:
         start = time.process_time()
         assert crossing_count(seg, config) == 2
         assert time.process_time() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "points, s", [([[0.2, 0.1]], 2), ([[0.2, 0.1], [np.nextafter(0.2, 1.0), 0.1]], 1)], ids=["constant", "3-points"]
+    )
+    def test_zero_length_chords_stay_out_of_the_sweep(self, points, s):
+        # a constant curve has 4096 equal chord boxes, and the line through two neighbouring floats
+        # has 3 distinct image points; swept, its zero-length chords would pair with each other
+        config = concentric_ring_config((0.9, 0.5))
+        curve = fit_curve(points, s)
+        start = time.process_time()
+        assert crossing_count(curve, config) == 0
+        assert time.process_time() - start < 0.01
 
     def test_matches_all_pairs_reference(self, differential_cases, monkeypatch):
         for omega, config, hits in differential_cases:

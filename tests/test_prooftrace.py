@@ -338,7 +338,7 @@ class TestPerturbation:
     @pytest.mark.xfail(
         strict=True,
         reason="the tilt splits a circle of critical points into two, but Newton on the degenerate ring product "
-        "still counts extra clusters; ROADMAP item 9 asks for certified counts of 2N-1",
+        "still counts extra clusters; ROADMAP item 3 asks for certified counts of 2N-1",
     )
     @pytest.mark.parametrize("radii, grid", [((0.2, 0.4, 0.6, 0.8), 24), ((0.25, 0.5, 0.75), 48)])
     def test_tilted_concentric_rings_leave_2n_minus_1_clusters(self, radii, grid):
