@@ -6,7 +6,9 @@ function with the curve transfers one-dimensional derivative information to
 dimension n: the sum of the derivative norms of f of orders
 ceil((d+1)/s) .. d+1 along the curve dominates a constant multiple of
 |g^(d+1)| for g = f(omega). The constant is not known in closed form here;
-``composition_report`` records the empirical ratio instead.
+``composition_report`` records the empirical ratio instead. Orders above
+deg f vanish, so its table of derivatives of f stops there, and its cost
+does not grow with d beyond deg f.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
 
     The lower order bound is the minimal number of chain-rule blocks of size
     at most s partitioning d+1, i.e. ceil((d+1)/s); for a straight line
-    (s = 1) the sum collapses to the single order d+1.
+    (s = 1) the sum collapses to the single order d+1. The table of
+    derivatives of f holds the orders ceil((d+1)/s) .. min(d+1, deg f):
+    every higher one is zero, and adding |0| to LHS changes no bit.
     """
     if f.nvars != omega.dim:
         raise ValidationError(f"expected dimension {omega.dim}, got {f.nvars}")
@@ -128,7 +132,7 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
 
     coords = eval_polys(omega.components, [taus])
     lhs = np.zeros(tgrid)
-    qs = [q for k in range(k_lo, k_hi + 1) for _, q in derivatives_of_order(f, k)]
+    qs = [q for k in range(k_lo, min(k_hi, f.degree) + 1) for _, q in derivatives_of_order(f, k)]
     for value in eval_polys(qs, coords):
         lhs += np.abs(value)
     rhs = np.abs(eval_poly(g_deriv, [taus]))

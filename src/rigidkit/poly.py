@@ -31,7 +31,6 @@ __all__ = [
     "eval_polys",
     "monomials",
     "multi_indices",
-    "partial_derivative",
 ]
 
 
@@ -217,17 +216,6 @@ def eval_poly(p: MultiPoly, x):
     return eval_polys((p,), x)[0]
 
 
-def partial_derivative(p: MultiPoly, axis: int) -> MultiPoly:
-    """Formal partial derivative along the given axis, as an index map."""
-    if not 0 <= axis < p.nvars:
-        raise ValidationError(f"axis {axis} out of range for {p.nvars} variables")
-    e = p.exps[:, axis]
-    rows = e > 0
-    exps = p.exps[rows]
-    exps[:, axis] -= 1
-    return MultiPoly.from_rows(p.nvars, exps, p.coefs[rows] * e[rows])
-
-
 def multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
     """All multi-indices of total weight ``order``, lexicographic order."""
     if nvars == 1:
@@ -242,15 +230,24 @@ def derivatives_of_order(p: MultiPoly, k: int) -> list[tuple[tuple[int, ...], Mu
 
     Each distinct multi-index appears exactly once, without multinomial
     multiplicity; this is the convention used by every derivative norm in
-    the package.
+    the package. Each d^alpha p comes from p in one step: the rows with
+    exps >= alpha shift down by alpha, and each coefficient is multiplied
+    by its falling factorials e (e-1) ... axis by axis, the float products
+    that alpha_0 derivatives along x_0, then alpha_1 along x_1, ... form in
+    turn. Where no row is at or above alpha the result is zero at no cost.
     """
+    if k < 0:
+        raise ValidationError(f"derivative order must be >= 0, got {k}")
     out = []
     for alpha in multi_indices(p.nvars, k):
-        q = p
-        for axis, reps in enumerate(alpha):
-            for _ in range(reps):
-                q = partial_derivative(q, axis)
-        out.append((alpha, q))
+        shift = np.array(alpha, dtype=np.int64)
+        rows = np.all(p.exps >= shift, axis=1)
+        exps, coefs = p.exps[rows], p.coefs[rows]
+        if len(coefs):
+            for axis, reps in enumerate(alpha):
+                for j in range(reps):
+                    coefs = coefs * (exps[:, axis] - j)
+        out.append((alpha, MultiPoly.from_rows(p.nvars, exps - shift, coefs)))
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import OvalConfiguration, build_domains, build_nesting_forest, lattice, points_in_domain, sample_boundary
-from .poly import MultiPoly, eval_poly, eval_polys, partial_derivative
+from .poly import MultiPoly, derivatives_of_order, eval_poly, eval_polys
 
 __all__ = [
     "CriticalPointSet",
@@ -112,8 +112,7 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
         raise ValidationError(f"search box must be finite (lo, hi) corners with lo < hi, got {box!r}")
     lo, hi = corners
 
-    gx = partial_derivative(p, 0)
-    gy = partial_derivative(p, 1)
+    (_, gy), (_, gx) = derivatives_of_order(p, 1)
     coefnorm = p.coefficient_norm()
     grad_tol = 1e-8 * (1.0 + coefnorm)
     diagnostics = {
@@ -132,9 +131,7 @@ def find_critical_points(p: MultiPoly, box, grid: int) -> CriticalPointSet:
     if gx.is_zero() and gy.is_zero():
         return empty("gradient vanishes identically")
 
-    hxx = partial_derivative(gx, 0)
-    hxy = partial_derivative(gx, 1)
-    hyy = partial_derivative(gy, 1)
+    (_, hyy), (_, hxy), (_, hxx) = derivatives_of_order(p, 2)
 
     pts = lattice(lo, hi, grid)
     live = np.arange(len(pts))

@@ -260,6 +260,16 @@ class TestCurveCheck:
         assert code == 0
         assert isinstance(report["crossings"], int) and report["crossings"] >= 0
 
+    def test_huge_degree_stops_the_table_at_deg_f(self, fxy_path, curve_points_path):
+        # every order of f above 2 vanishes, so no table is built; the table up to d+1 once took 37 s at --degree 320
+        argv = ["curve-check", "--f", fxy_path, "--points", curve_points_path, "--s", "2", "--degree", "1000000"]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = run_child(argv)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["composition"]["all_degenerate"] is True
+        assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 0.5
+
 
 class TestBoxdim:
     def test_midpoint_grid_plane(self, grid_points_path, capsys):

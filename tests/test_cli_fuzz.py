@@ -205,7 +205,7 @@ def curve_check(draw, pick):
     config = draw(st.booleans())
     bad = pick("poly", "points", "s", "degree", "tgrid", *(["config"] if config else []))
     opts = {"--f": "{poly}", "--points": "{points}", "--s": option(draw, bad == "s", s, s, 0, -1),
-            "--degree": option(draw, bad == "degree", 0, 5, -1),
+            "--degree": option(draw, bad == "degree", 0, 5, -1, 10**6),
             "--tgrid": option(draw, bad == "tgrid", 2, 16, 1, 0, -1)}
     files = {"poly": json_file(draw, bad == "poly", poly_doc),
              "points": points_csv(draw, bad == "points", s + 1, widths=(2,))}
@@ -246,7 +246,10 @@ EXAMPLES = {
     "verify-proof": [({"--poly": "{poly}", "--config": "{config}", "--grid": "8"},
                       {"poly": HUGE_QUARTIC.encode(), "config": ANNULUS.encode()})],
     "curve-check": [({"--f": "{poly}", "--points": "{points}", "--s": "2", "--degree": "2"},
-                     {"poly": b'{"nvars": 2, "terms": [{"exp": [2, 0], "coef": 1.0}]}', "points": b"1e300,0\n0,0\n"})],
+                     {"poly": b'{"nvars": 2, "terms": [{"exp": [2, 0], "coef": 1.0}]}', "points": b"1e300,0\n0,0\n"}),
+                    # a derivative table built up to d+1 rather than deg f once kept this run from finishing
+                    ({"--f": "{poly}", "--points": "{points}", "--s": "2", "--degree": str(10**6)},
+                     {"poly": b'{"nvars": 2, "terms": [{"exp": [2, 0], "coef": 1.0}]}', "points": b"0.1,0\n0,0\n"})],
 }
 
 

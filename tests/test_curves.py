@@ -15,7 +15,7 @@ from rigidkit.curves import (
 )
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import validate_configuration
-from rigidkit.poly import MultiPoly
+from rigidkit.poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
 
 
 def chebyshev_params(k: int) -> np.ndarray:
@@ -164,7 +164,32 @@ def pointwise(rep, key: str) -> np.ndarray:
     return np.array([row[key] for row in rep["pointwise"]])
 
 
+def full_table_columns(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int):
+    """LHS and RHS columns with every order ceil((d+1)/s) .. d+1 of f in the table, the zeros above deg f included."""
+    taus = geometry.lattice((-1.0,), (1.0,), tgrid)[:, 0]
+    k_lo = max(1, math.ceil((d + 1) / omega.s))
+    qs = [q for k in range(k_lo, d + 2) for _, q in derivatives_of_order(f, k)]
+    lhs = np.zeros(tgrid)
+    for value in eval_polys(qs, eval_polys(omega.components, [taus])):
+        lhs += np.abs(value)
+    [(_, g_deriv)] = derivatives_of_order(compose(f, list(omega.components)), d + 1)
+    return lhs, np.abs(eval_poly(g_deriv, [taus]))
+
+
 class TestCompositionReport:
+    def test_table_stopped_at_deg_f_matches_the_full_table(self):
+        # orders 6..8 of a degree-8 f at d = 20 and s = 4; the 13 orders 9..21 add only zeros
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            f = random_poly(2, 8, rng)
+            omega = ParamCurve(components=tuple(random_poly(1, 4, rng, scale=0.4) for _ in range(2)), s=4)
+            rep = composition_report(f, omega, 20, 64)
+            assert rep["order_range"] == [6, 21] and not rep["all_degenerate"]
+            lhs, rhs = full_table_columns(f, omega, 20, 64)
+            assert np.array_equal(pointwise(rep, "lhs"), lhs) and np.array_equal(pointwise(rep, "rhs"), rhs)
+            live = rhs > 1e-12
+            assert rep["c_hat"] == float(np.min(lhs[live] / rhs[live]))
+
     def test_line_case_collapses_to_top_order(self):
         f = random_poly(2, 3, np.random.default_rng(3))
         line = ParamCurve(
@@ -238,9 +263,9 @@ class TestCompositionReport:
             composition_report(f, omega, -1, 16)
 
     def test_tgrid_limit_is_inclusive(self, monkeypatch):
-        # the largest array holds the 3 + 4 + 5 derivatives of orders 2..4 at every grid point
+        # the largest array holds the 3 + 4 + 5 derivatives of orders 2..4 of a quartic at every grid point
         monkeypatch.setattr(errors, "MAX_ENTRIES", 12 * 16)
-        f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
+        f = MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0})
         omega = ParamCurve(
             components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
         )

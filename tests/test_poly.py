@@ -13,7 +13,6 @@ from rigidkit.poly import (
     eval_poly,
     eval_polys,
     monomials,
-    partial_derivative,
 )
 
 
@@ -162,26 +161,42 @@ class TestEval:
             eval_poly(x2_plus_y2(), (1.0,))
 
 
+def partial(p: MultiPoly, alpha: tuple[int, ...]) -> MultiPoly:
+    """The derivative d^alpha p, as ``derivatives_of_order`` lists it."""
+    return dict(derivatives_of_order(p, sum(alpha)))[alpha]
+
+
 class TestDerivatives:
     def test_product_rule_example(self):
         p = MultiPoly(2, {(2, 1): 1.0})  # x^2 y
-        assert same_poly(partial_derivative(p, 0), MultiPoly(2, {(1, 1): 2.0}))
+        assert same_poly(partial(p, (1, 0)), MultiPoly(2, {(1, 1): 2.0}))
 
     def test_derivative_of_missing_variable_is_zero(self):
         p = MultiPoly(2, {(2, 0): 1.0})
-        assert partial_derivative(p, 1).is_zero()
+        assert partial(p, (0, 1)).is_zero()
 
     def test_cubic_derivative(self):
         p = MultiPoly(1, {(3,): 1.0, (1,): -3.0})
-        assert same_poly(partial_derivative(p, 0), MultiPoly(1, {(2,): 3.0, (0,): -3.0}))
+        assert same_poly(partial(p, (1,)), MultiPoly(1, {(2,): 3.0, (0,): -3.0}))
 
     def test_partials_commute_exactly(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = random_poly(2, 5, rng)
-            pxy = partial_derivative(partial_derivative(p, 0), 1)
-            pyx = partial_derivative(partial_derivative(p, 1), 0)
+            pxy = partial(partial(p, (1, 0)), (0, 1))
+            pyx = partial(partial(p, (0, 1)), (1, 0))
             assert same_poly(pxy, pyx)
+            assert same_poly(pxy, partial(p, (1, 1)))
+
+    def test_order_above_every_row_is_zero(self):
+        p = x2_plus_y2()
+        assert all(q.is_zero() for _, q in derivatives_of_order(p, 3))
+        assert partial(MultiPoly(1, {(2,): 1.0}), (10**6,)).is_zero()
+
+    @pytest.mark.parametrize("p", [MultiPoly(1, {(2,): 1.0}), x2_plus_y2()], ids=["univariate", "bivariate"])
+    def test_negative_order_refused(self, p):
+        with pytest.raises(ValidationError, match=r"^derivative order must be >= 0, got -1$"):
+            derivatives_of_order(p, -1)
 
     def test_derivatives_of_order_enumerates_all_multi_indices(self):
         p = x2_plus_y2()

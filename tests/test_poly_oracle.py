@@ -8,7 +8,8 @@ evaluation is checked against the plain dict-loop formula (graded-lex terms,
 coef * x**e factors left to right, an array's x**e taken by the sign rule
 of ``signed_power``), the Vandermonde rows against the per-column loop, and
 sums, products and compositions against the former
-tuple-keyed dict arithmetic, which added duplicate terms in arrival order.
+tuple-keyed dict arithmetic, which added duplicate terms in arrival order,
+and derivatives against the former chain of single-axis derivatives.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from rigidkit.poly import (
     eval_poly,
     eval_polys,
     monomials,
-    partial_derivative,
+    multi_indices,
 )
 from rigidkit.remez import vandermonde
 
@@ -127,6 +128,27 @@ def old_compose(f: MultiPoly, omega: list[MultiPoly]) -> dict:
     return acc
 
 
+def old_partial(p: MultiPoly, axis: int) -> MultiPoly:
+    """The former single-axis derivative: rows with a positive exponent, shifted down once and scaled."""
+    e = p.exps[:, axis]
+    rows = e > 0
+    exps = p.exps[rows]
+    exps[:, axis] -= 1
+    return MultiPoly.from_rows(p.nvars, exps, p.coefs[rows] * e[rows])
+
+
+def chained_derivatives(p: MultiPoly, k: int) -> list:
+    """The former ``derivatives_of_order``: d^alpha p as alpha_0 steps along x_0, then alpha_1 along x_1, ..."""
+    out = []
+    for alpha in multi_indices(p.nvars, k):
+        q = p
+        for axis, reps in enumerate(alpha):
+            for _ in range(reps):
+                q = old_partial(q, axis)
+        out.append((alpha, q))
+    return out
+
+
 def assert_rows(p: MultiPoly, terms: dict):
     exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), p.nvars)
     assert np.array_equal(p.exps, exps)
@@ -174,8 +196,9 @@ class TestSympyOracle:
         for _ in range(20):
             p = dyadic_poly(rng, 3, 4)
             expr = to_sympy(sp, p, syms)
-            for axis, s in enumerate(syms):
-                assert as_dict(sp, partial_derivative(p, axis)) == sympy_dict(sp, sp.diff(expr, s), syms)
+            for alpha, q in derivatives_of_order(p, 1):
+                s = syms[alpha.index(1)]
+                assert as_dict(sp, q) == sympy_dict(sp, sp.diff(expr, s), syms)
 
     def test_derivatives_of_order(self, sp):
         rng = np.random.default_rng(14)
@@ -255,6 +278,17 @@ class TestBitIdentity:
         f = random_sparse(rng, 3, 3)
         omega = [random_sparse(rng, 2, 2) for _ in range(3)]
         assert_rows(compose(f, omega), old_compose(f, omega))
+
+    def test_derivatives_match_the_single_axis_chain(self):
+        rng = np.random.default_rng(28)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                p = random_sparse(rng, n, 7)
+                for k in range(6):
+                    got, want = derivatives_of_order(p, k), chained_derivatives(p, k)
+                    assert [alpha for alpha, _ in got] == [alpha for alpha, _ in want]
+                    for (_, q), (_, r) in zip(got, want):
+                        assert np.array_equal(q.exps, r.exps) and q.coefs.tobytes() == r.coefs.tobytes()
 
     def test_duplicate_rows_sum_in_arrival_order(self):
         # (1e16 + 1) - 1e16 is 0.0 in floats, while (1e16 - 1e16) + 1 is 1.0

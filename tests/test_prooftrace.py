@@ -8,7 +8,7 @@ from conftest import concentric_ring_config, random_poly, regular_polygon, vanis
 from rigidkit import prooftrace
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import validate_configuration
-from rigidkit.poly import MultiPoly, eval_polys, partial_derivative
+from rigidkit.poly import MultiPoly, derivatives_of_order, eval_polys
 from rigidkit.prooftrace import (
     bezout_check,
     domain_pigeonhole_report,
@@ -210,8 +210,8 @@ def masked_newton_reference(p: MultiPoly, box, grid: int):
     diagnostics.
     """
     (xmin, ymin), (xmax, ymax) = box
-    gx, gy = partial_derivative(p, 0), partial_derivative(p, 1)
-    hxx, hxy, hyy = partial_derivative(gx, 0), partial_derivative(gx, 1), partial_derivative(gy, 1)
+    (_, gy), (_, gx) = derivatives_of_order(p, 1)
+    (_, hyy), (_, hxy), (_, hxx) = derivatives_of_order(p, 2)
     grad_tol = 1e-8 * (1.0 + p.coefficient_norm())
     diagnostics = {
         "seeds": grid * grid,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rigidkit.errors import ValidationError
-from rigidkit.poly import MultiPoly, eval_poly, partial_derivative
+from rigidkit.poly import MultiPoly, derivatives_of_order, eval_poly
 from rigidkit.rigidity import (
     FORMULAS,
     rigidity_1d_bound,
@@ -58,9 +58,7 @@ class TestRigidity1D:
                 if np.min(np.abs(xs - z0)) < 1e-9:
                     continue
                 bound = rigidity_1d_bound(xs, z0, d)  # |f(z0)| = 1 up to rounding
-                deriv = f
-                for _ in range(d + 1):
-                    deriv = partial_derivative(deriv, 0)
+                [(_, deriv)] = derivatives_of_order(f, d + 1)
                 exact = float(np.max(np.abs(eval_poly(deriv, [grid])))) if not deriv.is_zero() else 0.0
                 assert bound <= exact + 1e-9
 
