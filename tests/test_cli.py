@@ -261,7 +261,7 @@ class TestCurveCheck:
         assert isinstance(report["crossings"], int) and report["crossings"] >= 0
 
     def test_huge_degree_stops_the_table_at_deg_f(self, fxy_path, curve_points_path):
-        # every order of f above 2 vanishes, so no table is built; the table up to d+1 once took 37 s at --degree 320
+        # every order of f above deg f = 2 vanishes, so no derivative table of f is built at all
         argv = ["curve-check", "--f", fxy_path, "--points", curve_points_path, "--s", "2", "--degree", "1000000"]
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         proc = run_child(argv)
