@@ -2,7 +2,9 @@
 
 Every report embeds a run manifest (subcommand, resolved parameters, sha256
 digests of input files, tool version, timestamp); bodies are deterministic
-for identical inputs, so reports are reproducible modulo the timestamp.
+for identical inputs, so reports are reproducible modulo the timestamp. Each
+input file is read once, and its digest is of the bytes that read gave the
+subcommand, so a piped input such as ``--config <(cat c.json)`` is digested too.
 Exit codes: 0 success, 2 validation error, 3 solver failure (a RuntimeWarning,
 such as a numpy overflow, counts as one).
 """
@@ -31,7 +33,7 @@ _NAMES = {
     "geometry": ("build_domains", "build_nesting_forest", "candidate_grid", "config_from_json_dict", "mu",
                  "sample_boundary"),
     "poly": ("MultiPoly",),
-    "remez": ("inverse_remez", "remez_estimate_lp"),
+    "remez": ("remez_estimate_lp",),
     "rigidity": ("FORMULAS", "ovals_required", "remez_bound_topological", "rigidity_1d_bound", "rigidity_1d_floor",
                  "rigidity_report"),
     "curves": ("composition_report", "crossing_count", "fit_curve"),
@@ -51,13 +53,18 @@ def __getattr__(name: str):
 
 _cli = sys.modules[__name__]
 
+# path -> sha256 digest of the bytes each input read returned; ``main`` empties it before each run
+_digests: dict[str, str] = {}
+
 
 def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
+    _digests[path] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    return raw
 
 
 def _read_json(path: str) -> dict:
@@ -73,7 +80,7 @@ def _read_points_csv(path: str) -> np.ndarray:
     rows = []
     width = None
     try:
-        text = _read_bytes(path).decode("utf-8")
+        text = _read_bytes(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"malformed point in {path}: {exc}") from exc
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -97,18 +104,12 @@ def _read_points_csv(path: str) -> np.ndarray:
 
 
 def _manifest(args: argparse.Namespace) -> dict:
-    """Run manifest; ``args.inputs`` names the options that hold input file paths."""
-    params = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",) and (v is None or isinstance(v, (str, int, float, bool)))
-    }
-    paths = [path for path in (getattr(args, k) for k in args.inputs) if path]
-    digests = {path: "sha256:" + hashlib.sha256(_read_bytes(path)).hexdigest() for path in paths}
+    """Run manifest; its inputs are the digests of the bytes each input file gave the subcommand, one read each."""
+    params = {k: v for k, v in sorted(vars(args).items()) if v is None or isinstance(v, (str, int, float, bool))}
     return {
         "subcommand": args.subcommand,
         "parameters": params,
-        "inputs": digests,
+        "inputs": dict(_digests),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -160,7 +161,7 @@ def _estimate_fields(est) -> dict:
     return {
         "infinite": est.is_infinite,
         "value": None if est.is_infinite else est.value,
-        "inverse": _cli.inverse_remez(est),
+        "inverse": 1.0 / est.value,
         "diagnostics": est.diagnostics,
     }
 
@@ -306,39 +307,37 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
 
-    def command(name: str, func, summary: str, inputs: tuple[str, ...]) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, parents=[out], help=summary)
-        cmd.set_defaults(func=func, inputs=inputs)
+        cmd.set_defaults(func=func)
         return cmd
 
-    d = command("decompose", _cmd_decompose, "validate a configuration and emit forest/domains/mu", ("config",))
+    d = command("decompose", _cmd_decompose, "validate a configuration and emit forest/domains/mu")
     d.add_argument("--config", required=True, help="configuration JSON")
     d.add_argument("--svg", default=None, help="also write an SVG rendering here")
 
-    r = command("remez-lp", _cmd_remez_lp, "LP lower estimate of the Remez constant of sampled Z", ("z",))
+    r = command("remez-lp", _cmd_remez_lp, "LP lower estimate of the Remez constant of sampled Z")
     r.add_argument("--degree", type=int, required=True)
     r.add_argument("--z", required=True, help="points CSV (x or x,y rows) or configuration JSON")
     r.add_argument("--grid", type=int, default=64, help="candidate grid points per axis")
     r.add_argument("--samples-per-oval", type=int, default=256)
 
-    b = command("bounds", _cmd_bounds, "closed-form planar Remez and rigidity bounds from mu", ("config",))
+    b = command("bounds", _cmd_bounds, "closed-form planar Remez and rigidity bounds from mu")
     b.add_argument("--config", required=True)
     b.add_argument("--degree", type=int, required=True)
 
-    g = command("rigidity", _cmd_rigidity, "full pipeline: geometry, LP estimate, rigidity report", ("config",))
+    g = command("rigidity", _cmd_rigidity, "full pipeline: geometry, LP estimate, rigidity report")
     g.add_argument("--config", required=True)
     g.add_argument("--degree", type=int, required=True)
     g.add_argument("--grid", type=int, default=64)
     g.add_argument("--samples-per-oval", type=int, default=256)
 
-    r1 = command("rigidity-1d", _cmd_rigidity_1d, "divided-difference lower bound on [-1, 1] for |f(z0)| = 1", ())
+    r1 = command("rigidity-1d", _cmd_rigidity_1d, "divided-difference lower bound on [-1, 1] for |f(z0)| = 1")
     r1.add_argument("--zeros", required=True, help="comma-separated zeros, d+1 of them")
     r1.add_argument("--z0", type=float, required=True, help="witness point in [-1, 1], where |f| = 1")
     r1.add_argument("--degree", type=int, required=True)
 
-    c = command(
-        "curve-check", _cmd_curve_check, "fit a test curve and probe the composition inequality", ("f", "points", "config")
-    )
+    c = command("curve-check", _cmd_curve_check, "fit a test curve and probe the composition inequality")
     c.add_argument("--f", required=True, help="polynomial JSON")
     c.add_argument("--points", required=True, help="points CSV to interpolate")
     c.add_argument("--s", type=int, required=True, help="curve degree")
@@ -346,14 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tgrid", type=int, default=512)
     c.add_argument("--config", default=None, help="optional configuration for crossing count")
 
-    x = command("boxdim", _cmd_boxdim, "box-counting dimension estimate and threshold verdict", ("points",))
+    x = command("boxdim", _cmd_boxdim, "box-counting dimension estimate and threshold verdict")
     x.add_argument("--points", required=True, help="points CSV")
     x.add_argument("--scales", required=True, help="comma-separated decreasing scales")
     x.add_argument("--degree", type=int, required=True)
 
-    v = command(
-        "verify-proof", _cmd_verify_proof, "critical-point count and domain pigeonhole evidence", ("poly", "config")
-    )
+    v = command("verify-proof", _cmd_verify_proof, "critical-point count and domain pigeonhole evidence")
     v.add_argument("--poly", required=True, help="polynomial JSON")
     v.add_argument("--config", required=True)
     v.add_argument("--grid", type=int, default=64, help="Newton seed grid per axis")
@@ -363,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _digests.clear()
     try:
         with warnings.catch_warnings():  # an overflow or invalid operation inside numpy is a solver error
             warnings.simplefilter("error", RuntimeWarning)

@@ -44,7 +44,6 @@ from .poly import MultiPoly, basis_size, eval_polys, monomials
 __all__ = [
     "RemezEstimate",
     "remez_estimate_lp",
-    "inverse_remez",
     "vandermonde",
 ]
 
@@ -264,10 +263,3 @@ def remez_estimate_lp(zsamples, d: int, candidates) -> RemezEstimate:
     tiny = np.abs(best_coeffs) <= m * np.finfo(float).eps * np.abs(best_coeffs).sum()
     witness_poly = MultiPoly.from_rows(n, monomials(n, d), np.where(tiny, 0.0, best_coeffs))
     return RemezEstimate(max(1.0, best_value), witness_poly, best_point, diagnostics)
-
-
-def inverse_remez(e: RemezEstimate) -> float:
-    """Reciprocal of the estimated constant; 0 in the degenerate case."""
-    if e.is_infinite:
-        return 0.0
-    return 1.0 / e.value

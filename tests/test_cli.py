@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import CIRCLE_SIDES, concentric_ring_config, regular_polygon, square, write_config_json
-from rigidkit import __version__, remez
+from rigidkit import __version__, cli, remez
 from rigidkit.cli import main
 from rigidkit.geometry import candidate_grid
 from test_golden import write_inputs
@@ -286,6 +286,18 @@ class TestBoxdim:
         assert report["threshold"]["exceeded"] is True
         assert "rigid" in report["threshold"]["verdict"]
 
+    def test_leading_bom_allowed(self, grid_points_path, tmp_path, capsys):
+        # a UTF-8 byte order mark before the first point reads as it does in a JSON input
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(grid_points_path).read_bytes())
+        bodies = []
+        for path in (grid_points_path, str(bom)):
+            code, report = run_cli(["boxdim", "--points", path, "--scales", "0.25,0.125,0.0625", "--degree", "1"], capsys)
+            assert code == 0
+            report.pop("manifest")
+            bodies.append(report)
+        assert bodies[0] == bodies[1]
+
 
 class TestVerifyProof:
     def test_fxy_on_annulus(self, fxy_path, annulus_path, capsys):
@@ -390,6 +402,38 @@ class TestManifest:
         assert set(manifest["parameters"]) == keys | {"out", "subcommand"}
         assert manifest["version"] == __version__
         assert set(manifest) == {"subcommand", "parameters", "inputs", "version", "timestamp"}
+
+    def test_piped_input_digest_is_of_the_bytes_read(self, annulus_path, capsys):
+        raw = Path(annulus_path).read_bytes()
+        r, w = os.pipe()
+        try:
+            os.write(w, raw)
+            os.close(w)
+            code, report = run_cli(["decompose", "--config", f"/dev/fd/{r}"], capsys)
+        finally:
+            os.close(r)
+        assert code == 0
+        assert report["manifest"]["inputs"] == {f"/dev/fd/{r}": "sha256:" + hashlib.sha256(raw).hexdigest()}
+
+    def test_no_input_carries_over_to_the_next_run(self, fxy_path, curve_points_path, annulus_path, capsys):
+        argv = ["curve-check", "--f", fxy_path, "--points", curve_points_path, "--s", "2", "--degree", "3", "--tgrid", "64"]
+        code, report = run_cli(argv + ["--config", annulus_path], capsys)
+        assert code == 0 and set(report["manifest"]["inputs"]) == {fxy_path, curve_points_path, annulus_path}
+        code, report = run_cli(argv, capsys)
+        assert code == 0 and set(report["manifest"]["inputs"]) == {fxy_path, curve_points_path}
+
+    def test_each_input_read_once(self, fxy_path, annulus_path, monkeypatch, capsys):
+        read = cli._read_bytes
+        paths = []
+
+        def spy(path):
+            paths.append(path)
+            return read(path)
+
+        monkeypatch.setattr(cli, "_read_bytes", spy)
+        code, _ = run_cli(["verify-proof", "--poly", fxy_path, "--config", annulus_path, "--grid", "8"], capsys)
+        assert code == 0
+        assert sorted(paths) == sorted([fxy_path, annulus_path])
 
 
 class TestDeterminism:
