@@ -38,7 +38,7 @@ _NAMES = {
                  "rigidity_report"),
     "curves": ("composition_report", "crossing_count", "fit_curve"),
     "prooftrace": ("domain_pigeonhole_report",),
-    "fractal": ("PointCloud", "box_dimension_estimate", "rigidity_threshold_check"),
+    "fractal": ("box_dimension_estimate", "rigidity_threshold_check"),
     "svg": ("render_svg",),
 }
 
@@ -67,20 +67,21 @@ def _read_bytes(path: str) -> bytes:
     return raw
 
 
-def _read_json(path: str) -> dict:
-    raw = _read_bytes(path)
+def _read_json(path: str, raw: bytes | None = None) -> dict:
+    """The JSON in ``path``; ``raw`` is its bytes when the caller has read them already."""
+    raw = _read_bytes(path) if raw is None else raw
     try:
         return json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _read_points_csv(path: str) -> np.ndarray:
+def _read_points_csv(path: str, raw: bytes | None = None) -> np.ndarray:
     import numpy as np
     rows = []
     width = None
     try:
-        text = _read_bytes(path).decode("utf-8-sig")
+        text = (_read_bytes(path) if raw is None else raw).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"malformed point in {path}: {exc}") from exc
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -167,10 +168,12 @@ def _estimate_fields(est) -> dict:
 
 
 def _cmd_remez_lp(args) -> dict:
-    if args.z.endswith(".json"):
-        zsamples = _cli.sample_boundary(_cli.config_from_json_dict(_read_json(args.z)), args.samples_per_oval)
+    raw = _read_bytes(args.z)
+    # a configuration by its bytes, whatever the file's name: no CSV row starts with "{"
+    if raw.removeprefix(b"\xef\xbb\xbf").lstrip().startswith(b"{"):
+        zsamples = _cli.sample_boundary(_cli.config_from_json_dict(_read_json(args.z, raw)), args.samples_per_oval)
     else:
-        zsamples = _read_points_csv(args.z)
+        zsamples = _read_points_csv(args.z, raw)
     n = zsamples.shape[1]
     candidates = _cli.candidate_grid(n, args.grid)
     est = _cli.remez_estimate_lp(zsamples, args.degree, candidates)
@@ -272,10 +275,8 @@ def _cmd_curve_check(args) -> dict:
 
 def _cmd_boxdim(args) -> dict:
     points = _read_points_csv(args.points)
-    cloud = _cli.PointCloud(points)
-    scales = _parse_floats(args.scales, "scales list")
-    fit = _cli.box_dimension_estimate(cloud, scales)
-    threshold = _cli.rigidity_threshold_check(fit["slope"], cloud.dim, args.degree)
+    fit = _cli.box_dimension_estimate(points, _parse_floats(args.scales, "scales list"))
+    threshold = _cli.rigidity_threshold_check(fit["slope"], points.shape[1], args.degree)
     return {
         "fit": fit,
         "slope_formula": "least-squares slope of log N(eps) vs log(1/eps)",

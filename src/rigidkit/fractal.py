@@ -8,84 +8,55 @@ ladder of scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import errors
 from .errors import ValidationError
 
 __all__ = [
-    "PointCloud",
-    "covering_number",
     "box_dimension_estimate",
     "rigidity_threshold",
     "rigidity_threshold_check",
 ]
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Finite sample of a set inside the unit max-norm ball."""
 
-    points: np.ndarray
+def box_dimension_estimate(points, eps_list) -> dict:
+    """Estimate the upper box dimension of a point sample from covering numbers; a JSON body.
 
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValidationError("point cloud must be nonempty")
-        if pts.ndim != 2:
-            raise ValidationError(f"points must be a (k, n) array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError("points must be finite")
-        # the max norm, so that axis-aligned samples of [0, 1]^n are admissible as-is
-        if np.max(np.abs(pts)) > 1.0 + errors.BALL_TOL:
-            raise ValidationError("points must lie in the unit max-norm ball")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return int(self.points.shape[1])
-
-    @property
-    def size(self) -> int:
-        return int(self.points.shape[0])
-
-
-def covering_number(cloud: PointCloud, eps: float) -> int:
-    """Occupied cells of the origin-anchored grid of mesh eps.
-
-    A point x occupies cell floor(x / eps) coordinatewise; the count is the
-    number of distinct occupied cells. Monotone nonincreasing in eps up to
-    the usual factor-of-2 grid artifacts, which the log-log fit absorbs.
-    Scales so fine that a cell index may leave int64 (|x| / eps reaching
-    2^62) are rejected.
+    ``points`` is a nonempty, finite (k, n) array inside the unit max-norm
+    ball, so that axis-aligned samples of [0, 1]^n are admissible as-is.
+    Requires at least three finite, strictly decreasing positive scales. At
+    each scale eps a point x occupies the cell floor(x / eps) of the
+    origin-anchored grid, and the covering number N(eps) counts the distinct
+    occupied cells; scales so fine that a cell index may leave int64
+    (|x| / eps reaching 2^62) are rejected. The ``slope`` of the affine
+    least-squares fit to (log 1/eps, log N(eps)) is the estimate, next to its
+    ``intercept``; the ``residual`` is the root-mean-square misfit, a sanity
+    signal for whether the scales sit in a genuine scaling regime. The
+    ``scales`` and their ``counts`` are reported as given and counted.
     """
-    if eps <= 0:
-        raise ValidationError(f"scale must be positive, got {eps}")
-    if np.max(np.abs(cloud.points)) >= eps * 2.0**62:
-        raise ValidationError(f"scale {eps:g} is too fine for int64 cell indices")
-    cells = np.floor(cloud.points / eps).astype(np.int64)
-    return int(np.unique(cells, axis=0).shape[0])
-
-
-def box_dimension_estimate(cloud: PointCloud, eps_list) -> dict:
-    """Estimate the upper box dimension from covering numbers; a JSON body.
-
-    Requires at least three finite, strictly decreasing positive scales. The
-    ``slope`` of the affine least-squares fit to (log 1/eps, log N(eps)) is
-    the estimate, next to its ``intercept``; the ``residual`` is the
-    root-mean-square misfit, a sanity signal for whether the scales sit in a
-    genuine scaling regime. The ``scales`` and their ``counts`` N(eps) are
-    reported as given and counted.
-    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size == 0:
+        raise ValidationError("point cloud must be nonempty")
+    if pts.ndim != 2:
+        raise ValidationError(f"points must be a (k, n) array, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("points must be finite")
+    reach = np.max(np.abs(pts))
+    if reach > 1.0 + errors.BALL_TOL:
+        raise ValidationError("points must lie in the unit max-norm ball")
     scales = np.asarray(list(eps_list), dtype=float)
     if scales.size < 3:
         raise ValidationError(f"need at least 3 scales, got {scales.size}")
     if not np.all(np.isfinite(scales)) or np.any(scales <= 0) or np.any(np.diff(scales) >= 0):
         raise ValidationError("scales must be finite, positive and strictly decreasing")
-    counts = np.array([covering_number(cloud, e) for e in scales], dtype=np.int64)
+    counts = []
+    for eps in scales.tolist():
+        if reach >= eps * 2.0**62:
+            raise ValidationError(f"scale {eps:g} is too fine for int64 cell indices")
+        counts.append(np.unique(np.floor(pts / eps).astype(np.int64), axis=0).shape[0])
     x = np.log(1.0 / scales)
-    y = np.log(counts.astype(float))
+    y = np.log(np.array(counts, dtype=float))
     design = np.stack([x, np.ones_like(x)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ coef
@@ -95,8 +66,8 @@ def box_dimension_estimate(cloud: PointCloud, eps_list) -> dict:
         "intercept": float(coef[1]),
         "residual": residual,
         "scales": scales.tolist(),
-        "counts": counts.tolist(),
-        "diagnostics": {"n_scales": int(scales.size), "n_points": cloud.size},
+        "counts": counts,
+        "diagnostics": {"n_scales": int(scales.size), "n_points": len(pts)},
     }
 
 

@@ -280,31 +280,25 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
     oval_max = np.max(bvals, axis=1).tolist()
     global_bmax = max(0.0, *oval_max)
 
-    # each critical point goes to the first domain containing it, if any
+    # the domains are disjoint, so each critical point goes to at most one of them
     assignments: list[int | None] = [None] * cps.n_clusters
     dom_entries: list[dict] = []
     for k in range(config.N):
-        found = np.flatnonzero(points_in_domain(config, parent, k, cps.representatives)).tolist()
-        crit_idx = [i for i in found if assignments[i] is None]
+        crit_idx = np.flatnonzero(points_in_domain(config, parent, k, cps.representatives)).tolist()
         for i in crit_idx:
             assignments[i] = config.ids[k]
         bmax = max(0.0, oval_max[k], *(oval_max[h] for h in np.flatnonzero(parent == k)))
         grid_pts = lattice(low[k], high[k], _INTERIOR_GRID)
-        inside = points_in_domain(config, parent, k, grid_pts)
-        if np.any(inside):
-            ivals = np.abs(eval_poly(pt_poly, [grid_pts[inside, 0], grid_pts[inside, 1]]))
-            interior_max: float | None = float(np.max(ivals))
-            flagged = interior_max > bmax
-        else:
-            interior_max = None
-            flagged = False
+        inner = grid_pts[points_in_domain(config, parent, k, grid_pts)]
+        ivals = np.abs(eval_poly(pt_poly, [inner[:, 0], inner[:, 1]]))
+        interior_max = float(np.max(ivals)) if ivals.size else None
         dom_entries.append(
             {
                 "oval_id": config.ids[k],
                 "area": areas[k],
                 "boundary_max": bmax,
                 "interior_max": interior_max,
-                "flagged": flagged,
+                "flagged": interior_max is not None and interior_max > bmax,
                 "has_critical_point": bool(crit_idx),
                 "critical_indices": crit_idx,
             }

@@ -142,11 +142,13 @@ def _simplex(phi: np.ndarray, psi: np.ndarray, rows: np.ndarray, signs: np.ndarr
     eps > 0, whose weights y(eps) = y + sum_k eps^k (A0 A_B^{-1})[k] start
     lexicographically positive (there A0 A_B^{-1} = I and y >= 0) and stay
     so. Each step lowers the bound sum(y(eps)) by a lexicographically
-    positive amount, so no basis repeats and the run ends; ``_PIVOT_CAP`` is
-    only a backstop against round-off. A_B^{-1} gets rank-1 updates and is
-    re-inverted every ``_REFACTOR`` pivots and before either end test
-    passes. Returns (rows, signs, c, pivots, binv) with binv = A_B^{-1},
-    freshly inverted. An optimum is certified by max |Phi c| <= 1 + 1e-9 +
+    positive amount, so in exact arithmetic no basis repeats and the run
+    ends. In floats that is observed, not proved, and only for the present
+    schedule: A_B^{-1} gets rank-1 updates and is re-inverted every
+    ``_REFACTOR`` pivots and before either end test passes. With a fresh
+    inverse at every pivot, some LPs of the 10-ring degree-4 ladder cycle
+    past ``_PIVOT_CAP``, which then raises. Returns (rows, signs, c, pivots,
+    binv) with binv = A_B^{-1}, freshly inverted. An optimum is certified by max |Phi c| <= 1 + 1e-9 +
     m eps |c|_1 and by y >= 0 to 1e-9 relative with sum(y) = psi.c; a
     stopped run returns c = None. Sign changes count as pivots.
     """

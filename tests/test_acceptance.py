@@ -28,7 +28,6 @@ from conftest import (
 from rigidkit.cli import main
 from rigidkit.curves import ParamCurve, composition_report
 from rigidkit.fractal import (
-    PointCloud,
     box_dimension_estimate,
     rigidity_threshold,
     rigidity_threshold_check,
@@ -224,11 +223,11 @@ def test_criterion_6_box_dimension_estimates():
         scales = [2.0**-k for k in range(3, 7)]
         mids = (np.arange(256) + 0.5) / 256.0
         px, py = np.meshgrid(mids, mids, indexing="ij")
-        plane = PointCloud(np.stack([px.ravel(), py.ravel()], axis=1))
+        plane = np.stack([px.ravel(), py.ravel()], axis=1)
         plane_slope = box_dimension_estimate(plane, scales)["slope"]
 
         seg_x = (np.arange(4096) + 0.5) / 4096.0
-        segment = PointCloud(np.stack([seg_x, np.full_like(seg_x, 0.3)], axis=1))
+        segment = np.stack([seg_x, np.full_like(seg_x, 0.3)], axis=1)
         seg_slope = box_dimension_estimate(segment, scales)["slope"]
 
         rng = np.random.default_rng(61)
@@ -236,9 +235,7 @@ def test_criterion_6_box_dimension_estimates():
         diffs = pts[:, None, :] - pts[None, :, :]
         dist = np.max(np.abs(diffs), axis=2)
         gap = float(np.min(dist[np.triu_indices(50, k=1)]))
-        cloud_slope = box_dimension_estimate(
-            PointCloud(pts), [gap / 4.0, gap / 8.0, gap / 16.0]
-        )["slope"]
+        cloud_slope = box_dimension_estimate(pts, [gap / 4.0, gap / 8.0, gap / 16.0])["slope"]
 
         exact = (
             rigidity_threshold(2, 1) == 1.5

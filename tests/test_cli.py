@@ -16,7 +16,7 @@ from conftest import CIRCLE_SIDES, concentric_ring_config, regular_polygon, squa
 from rigidkit import __version__, cli, remez
 from rigidkit.cli import main
 from rigidkit.geometry import candidate_grid
-from test_golden import write_inputs
+from test_golden import GOLDEN, write_inputs
 
 
 def run_cli(argv, capsys):
@@ -196,6 +196,44 @@ class TestRemezLP:
         assert code == 0
         assert not report["infinite"]
         assert report["value"] >= 1.0 - 1e-9
+
+    @staticmethod
+    def _body(argv, capsys) -> str:
+        code, report = run_cli(argv, capsys)
+        assert code == 0
+        del report["manifest"]
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_piped_configuration(self, tmp_path, capsys):
+        # the configuration's bytes, not a name ending in .json, make --z a configuration
+        argv = write_inputs(tmp_path)["remez-lp-annulus"]
+        z = argv.index("--z") + 1
+        r, w = os.pipe()
+        try:
+            os.write(w, Path(argv[z]).read_bytes())
+            os.close(w)
+            argv[z] = f"/dev/fd/{r}"
+            body = self._body(argv, capsys)
+        finally:
+            os.close(r)
+        assert body == (GOLDEN / "remez-lp-annulus.json").read_text()
+
+    @pytest.mark.parametrize(
+        "case, name, prefix",
+        [
+            ("remez-lp-annulus", "annulus.JSON", b""),
+            ("remez-lp-annulus", "annulus.txt", b"\xef\xbb\xbf \n"),
+            ("remez-lp-halfline", "halfline.json", b""),
+        ],
+    )
+    def test_input_kind_read_from_bytes_not_name(self, case, name, prefix, tmp_path, capsys):
+        argv = write_inputs(tmp_path)[case]
+        z = argv.index("--z") + 1
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        (copy / name).write_bytes(prefix + Path(argv[z]).read_bytes())
+        argv[z] = str(copy / name)
+        assert self._body(argv, capsys) == (GOLDEN / f"{case}.json").read_text()
 
 
 class TestRigidityPipeline:

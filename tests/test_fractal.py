@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from rigidkit.errors import ValidationError
-from rigidkit.fractal import (
-    PointCloud,
-    box_dimension_estimate,
-    covering_number,
-    rigidity_threshold,
-    rigidity_threshold_check,
-)
+from rigidkit.fractal import box_dimension_estimate, rigidity_threshold, rigidity_threshold_check
 
 
 def midpoint_grid(k: int) -> np.ndarray:
@@ -18,79 +12,85 @@ def midpoint_grid(k: int) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-class TestPointCloud:
+def counts(points, scales) -> list[int]:
+    """The covering numbers ``box_dimension_estimate`` reports for ``points`` at ``scales``."""
+    return box_dimension_estimate(points, scales)["counts"]
+
+
+class TestPointChecks:
     def test_accepts_unit_square_samples(self):
-        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]]))
-        assert cloud.dim == 2 and cloud.size == 3
+        fit = box_dimension_estimate(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]]), [1.0, 0.5, 0.25])
+        assert fit["diagnostics"]["n_points"] == 3 and len(fit["counts"]) == 3
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            PointCloud(np.zeros((0, 2)))
+        with pytest.raises(ValidationError, match=r"^point cloud must be nonempty$"):
+            box_dimension_estimate(np.zeros((0, 2)), [0.5, 0.25, 0.125])
 
     def test_rejects_far_points(self):
-        with pytest.raises(ValidationError):
-            PointCloud(np.array([[1.5, 0.0]]))
+        with pytest.raises(ValidationError, match=r"^points must lie in the unit max-norm ball$"):
+            box_dimension_estimate(np.array([[1.5, 0.0]]), [0.5, 0.25, 0.125])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            PointCloud(np.array([[np.nan, 0.0]]))
+        with pytest.raises(ValidationError, match=r"^points must be finite$"):
+            box_dimension_estimate(np.array([[np.nan, 0.0]]), [0.5, 0.25, 0.125])
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValidationError, match=r"^points must be a \(k, n\) array, got shape \(1, 2, 2\)$"):
+            box_dimension_estimate(np.zeros((1, 2, 2)), [0.5, 0.25, 0.125])
+
+    def test_points_checked_before_scales(self):
+        with pytest.raises(ValidationError, match=r"^points must be finite$"):
+            box_dimension_estimate(np.array([[np.nan, 0.0]]), [0.5])
 
 
-class TestCoveringNumber:
+class TestCellCounts:
     def test_single_point(self):
-        cloud = PointCloud(np.array([[0.3, 0.4]]))
-        for eps in (1.0, 0.25, 0.01):
-            assert covering_number(cloud, eps) == 1
+        assert counts(np.array([[0.3, 0.4]]), [1.0, 0.25, 0.01]) == [1, 1, 1]
 
     def test_three_point_line(self):
-        cloud = PointCloud(np.array([[0.0], [0.5], [1.0]]))
-        assert covering_number(cloud, 0.25) == 3
+        assert counts(np.array([[0.0], [0.5], [1.0]]), [1.0, 0.5, 0.25]) == [2, 3, 3]
 
     def test_uniform_grid_one_point_per_cell(self):
-        cloud = PointCloud(midpoint_grid(64))
-        assert covering_number(cloud, 1.0 / 64.0) == 4096
+        assert counts(midpoint_grid(64), [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]) == [256, 1024, 4096]
 
     def test_nonincreasing_in_eps(self):
         rng = np.random.default_rng(3)
-        cloud = PointCloud(rng.uniform(0, 1, size=(500, 2)))
-        scales = [2.0**-k for k in range(1, 9)]
-        counts = [covering_number(cloud, e) for e in scales]
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
+        found = counts(rng.uniform(0, 1, size=(500, 2)), [2.0**-k for k in range(1, 9)])
+        assert all(a <= b for a, b in zip(found, found[1:]))
 
     def test_bounded_by_point_count(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, size=(64, 2))
-        cloud = PointCloud(pts)
-        for eps in (0.5, 0.1, 0.01):
-            assert covering_number(cloud, eps) <= cloud.size
         diffs = pts[:, None, :] - pts[None, :, :]
         gaps = np.sqrt((diffs**2).sum(-1))
-        min_gap = np.min(gaps[gaps > 0])
-        assert covering_number(cloud, min_gap / 2.01) == cloud.size
+        fine = np.min(gaps[gaps > 0]) / 2.01
+        scales = sorted({0.5, 0.1, 0.01, fine}, reverse=True)
+        found = dict(zip(scales, counts(pts, scales)))
+        assert max(found.values()) <= len(pts)
+        assert found[fine] == len(pts)
 
     def test_positive_scale_required(self):
-        with pytest.raises(ValidationError):
-            covering_number(PointCloud(np.array([[0.0, 0.0]])), 0.0)
+        with pytest.raises(ValidationError, match=r"positive and strictly decreasing"):
+            box_dimension_estimate(np.array([[0.0, 0.0]]), [0.5, 0.25, 0.0])
 
     def test_scale_past_int64_cells_rejected(self):
-        # floor(x / eps) leaves int64 here; the cast would wrap and merge cells
-        cloud = PointCloud(np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6], [0.7, -0.8]]))
-        assert covering_number(cloud, 1e-10) == 4
+        # floor(x / eps) leaves int64 at 1e-25; the cast would wrap and merge cells
+        pts = np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6], [0.7, -0.8]])
+        assert counts(pts, [1e-8, 1e-9, 1e-10]) == [4, 4, 4]
         with pytest.raises(ValidationError, match=r"^scale 1e-25 is too fine for int64 cell indices$"):
-            covering_number(cloud, 1e-25)
+            box_dimension_estimate(pts, [1e-10, 1e-18, 1e-25])
 
 
 class TestBoxDimension:
     def test_plane_sample_slope_two(self):
-        cloud = PointCloud(midpoint_grid(256))
-        fit = box_dimension_estimate(cloud, [2.0**-k for k in range(3, 7)])
+        fit = box_dimension_estimate(midpoint_grid(256), [2.0**-k for k in range(3, 7)])
         assert fit["slope"] == pytest.approx(2.0, abs=0.1)
         assert fit["residual"] <= 1e-9
 
     def test_segment_slope_one(self):
         ts = (np.arange(4096) + 0.5) / 4096
         pts = np.stack([ts, np.full_like(ts, 0.3)], axis=1)
-        fit = box_dimension_estimate(PointCloud(pts), [2.0**-k for k in range(3, 7)])
+        fit = box_dimension_estimate(pts, [2.0**-k for k in range(3, 7)])
         assert fit["slope"] == pytest.approx(1.0, abs=0.1)
 
     def test_finite_cloud_saturates(self):
@@ -100,11 +100,11 @@ class TestBoxDimension:
         gaps = np.abs(diffs).max(-1)
         min_gap = np.min(gaps[gaps > 0])
         scales = [min_gap / 4.0 / 2**k for k in range(4)]
-        fit = box_dimension_estimate(PointCloud(pts), scales)
+        fit = box_dimension_estimate(pts, scales)
         assert abs(fit["slope"]) <= 0.1
 
     def test_scale_validation(self):
-        cloud = PointCloud(np.array([[0.1, 0.1]]))
+        cloud = np.array([[0.1, 0.1]])
         with pytest.raises(ValidationError, match=r"need at least 3 scales"):
             box_dimension_estimate(cloud, [0.5, 0.25])
         with pytest.raises(ValidationError, match=r"positive and strictly decreasing"):
@@ -113,7 +113,7 @@ class TestBoxDimension:
             box_dimension_estimate(cloud, [0.5, 0.25, -0.1])
 
     def test_fit_json(self):
-        data = box_dimension_estimate(PointCloud(midpoint_grid(32)), [0.25, 0.125, 0.0625])
+        data = box_dimension_estimate(midpoint_grid(32), [0.25, 0.125, 0.0625])
         assert {"slope", "intercept", "residual", "scales", "counts"} <= set(data)
         assert data["counts"] == [16, 64, 256]
 

@@ -651,7 +651,7 @@ class TestUnitBall:
 
     def test_every_ball_check_reads_one_tolerance(self, monkeypatch):
         from rigidkit.curves import fit_curve
-        from rigidkit.fractal import PointCloud
+        from rigidkit.fractal import box_dimension_estimate
         from rigidkit.remez import remez_estimate_lp
 
         wide = np.linspace(-1.2, 1.2, 7).reshape(-1, 1)
@@ -661,7 +661,7 @@ class TestUnitBall:
             lambda: candidate_grid(2, 2),
             lambda: fit_curve([[1.2, 0.0]], 1),
             lambda: rigidity_1d_bound([1.2, 0.0], 0.5, 1),
-            lambda: PointCloud([[1.2, 0.0]]),
+            lambda: box_dimension_estimate([[1.2, 0.0]], [0.5, 0.25, 0.125]),
         ]
         for check in checks:
             with pytest.raises(ValidationError, match=r"unit (max-norm )?ball|\[-1, 1\]"):

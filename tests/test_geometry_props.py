@@ -298,7 +298,10 @@ def test_points_in_domain_matches_ray_cast(case, drawn):
     ])
     inside = [[ray_cast(o.vertices, q) for q in points] for o in ovals]
     config = validate_configuration(ovals)
-    for k in range(len(ovals)):
+    masks = [points_in_domain(config, parent, k, points) for k in range(len(ovals))]
+    for k, mask in enumerate(masks):
         holes = np.flatnonzero(parent == k)
         expected = [inside[k][i] and not any(inside[h][i] for h in holes) for i in range(len(points))]
-        assert points_in_domain(config, parent, k, points).tolist() == expected
+        assert mask.tolist() == expected
+    # no point lies in two domains, boundary points included
+    assert np.sum(masks, axis=0).max() <= 1

@@ -15,7 +15,7 @@ import pytest
 from conftest import concentric_ring_config, vanishing_ring_poly
 from rigidkit.cli import build_parser, main
 from rigidkit.curves import ParamCurve, composition_report
-from rigidkit.fractal import PointCloud, box_dimension_estimate
+from rigidkit.fractal import box_dimension_estimate
 from rigidkit.poly import MultiPoly
 from rigidkit.prooftrace import bezout_check, domain_pigeonhole_report
 from rigidkit.rigidity import rigidity_report
@@ -167,7 +167,7 @@ def test_report_bodies_hold_plain_json_types():
             vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=16
         ),
         "composition_report": composition_report(quadric, parabola, 3, 16),
-        "box_dimension_estimate": box_dimension_estimate(PointCloud(grid), [0.25, 0.125, 0.0625]),
+        "box_dimension_estimate": box_dimension_estimate(grid, [0.25, 0.125, 0.0625]),
         "rigidity_report": rigidity_report(2, mu_value=1.0, oval_count=5, inv_remez=0.1),
     }
     assert {name: non_json_leaves(body) for name, body in bodies.items()} == {name: [] for name in bodies}
