@@ -36,7 +36,7 @@ _NAMES = {
     "remez": ("remez_estimate_lp",),
     "rigidity": ("FORMULAS", "ovals_required", "remez_bound_topological", "rigidity_1d_bound", "rigidity_1d_floor",
                  "rigidity_report"),
-    "curves": ("composition_report", "crossing_count", "fit_curve"),
+    "curves": ("composition_report", "crossing_count", "fit_curve", "image_norm"),
     "prooftrace": ("domain_pigeonhole_report",),
     "fractal": ("box_dimension_estimate", "rigidity_threshold_check"),
     "svg": ("render_svg",),
@@ -255,15 +255,15 @@ def _cmd_curve_check(args) -> dict:
     f = _cli.MultiPoly.from_json_dict(_read_json(args.f))
     points = _read_points_csv(args.points)
     curve = _cli.fit_curve(points, args.s)
-    comp = _cli.composition_report(f, curve, args.degree, args.tgrid)
+    comp = _cli.composition_report(f, curve, args.s, args.degree, args.tgrid)
     crossings = None
     if args.config:
         crossings = _cli.crossing_count(curve, _cli.config_from_json_dict(_read_json(args.config)))
     return {
         "curve": {
-            "s": curve.s,
-            "components": [c.to_json_dict() for c in curve.components],
-            "max_image_norm": curve.max_image_norm(),
+            "s": args.s,
+            "components": [c.to_json_dict() for c in curve],
+            "max_image_norm": _cli.image_norm(curve),
         },
         "composition": comp,
         "composition_formula": (

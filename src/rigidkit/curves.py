@@ -1,20 +1,19 @@
 """Polynomial test curves: interpolation, composition probes, crossing counts.
 
 A test curve is a low-degree polynomial parametric curve omega(t), t in
-[-1, 1], threaded through prescribed points of a zero set. Composing a
-function with the curve transfers one-dimensional derivative information to
-dimension n: the sum of the derivative norms of f of orders
-ceil((d+1)/s) .. d+1 along the curve dominates a constant multiple of
-|g^(d+1)| for g = f(omega). The constant is not known in closed form here;
-``composition_report`` records the empirical ratio instead. Orders above
-deg f vanish, so its table of derivatives of f stops there, and its cost
-does not grow with d beyond deg f.
+[-1, 1], threaded through prescribed points of a zero set, held as the tuple
+of its univariate ``MultiPoly`` components. Composing a function with the
+curve transfers one-dimensional derivative information to dimension n: the
+sum of the derivative norms of f of orders ceil((d+1)/s) .. d+1 along the
+curve dominates a constant multiple of |g^(d+1)| for g = f(omega). The
+constant is not known in closed form here; ``composition_report`` records
+the empirical ratio instead. Orders above deg f vanish, so its table of
+derivatives of f stops there, and its cost does not grow with d beyond deg f.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +22,10 @@ from .geometry import OvalConfiguration, _box_pairs, in_unit_ball, lattice
 from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
 
 __all__ = [
-    "ParamCurve",
     "fit_curve",
     "composition_report",
     "crossing_count",
+    "image_norm",
 ]
 
 _IMAGE_GRID = 1000
@@ -35,45 +34,20 @@ _SUBDIVISIONS = 4096
 _MERGE_TOL = 1e-9  # crossing hits closer than this in t are one incidence
 
 
-@dataclass(frozen=True)
-class ParamCurve:
-    """Degree-s polynomial curve with one univariate polynomial per coordinate.
-
-    The nominal domain is t in [-1, 1]. ``fit_curve`` guarantees the image
-    stays inside the unit ball; directly constructed curves may leave it,
-    which downstream composition probes tolerate (the inequality hypotheses
-    then do not apply).
-    """
-
-    components: tuple[MultiPoly, ...]
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValidationError(f"curve degree must be >= 1, got {self.s}")
-        for c in self.components:
-            if c.nvars != 1:
-                raise ValidationError(f"expected dimension 1, got {c.nvars}")
-            if c.degree > self.s:
-                raise ValidationError(f"component degree {c.degree} exceeds s = {self.s}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def eval(self, t):
-        """Curve point(s) at parameter t; vectorizes over numpy arrays."""
-        return np.stack(eval_polys(self.components, [t]), axis=-1)
-
-    def max_image_norm(self) -> float:
-        taus = np.linspace(-1.0, 1.0, _IMAGE_GRID)
-        pts = self.eval(taus)
-        with np.errstate(over="ignore"):  # an image far outside the ball reads inf, as fit_curve's error reports
-            return float(np.max(np.sqrt(np.sum(pts**2, axis=-1))))
+def _points(omega, t) -> np.ndarray:
+    """The points omega(t), one row per parameter; vectorizes over numpy arrays."""
+    return np.stack(eval_polys(omega, [t]), axis=-1)
 
 
-def fit_curve(points, s: int) -> ParamCurve:
-    """Interpolating curve of degree <= s through k <= s+1 points.
+def image_norm(omega) -> float:
+    """Max |omega(t)| over 1000 equally spaced t in [-1, 1]."""
+    pts = _points(omega, np.linspace(-1.0, 1.0, _IMAGE_GRID))
+    with np.errstate(over="ignore"):  # an image far outside the ball reads inf, as fit_curve's error reports
+        return float(np.max(np.sqrt(np.sum(pts**2, axis=-1))))
+
+
+def fit_curve(points, s: int) -> tuple[MultiPoly, ...]:
+    """Interpolating curve through k <= s+1 points: one component of degree <= k-1 per coordinate.
 
     Parameters are assigned at the Chebyshev nodes cos((2j+1)pi/(2k)) in the
     given point order; this standard choice tames interpolation blow-up so
@@ -89,23 +63,20 @@ def fit_curve(points, s: int) -> ParamCurve:
     tj = np.cos((2 * np.arange(k) + 1) * np.pi / (2 * k))
     vand = np.vander(tj, k, increasing=True)
     coeff = np.linalg.solve(vand, pts)  # (k, n): per-coordinate coefficients
-    components = tuple(
-        MultiPoly(1, {(i,): float(coeff[i, axis]) for i in range(k)})
-        for axis in range(pts.shape[1])
-    )
-    curve = ParamCurve(components=components, s=s)
-    if not np.all(in_unit_ball(curve.eval(np.linspace(-1.0, 1.0, _IMAGE_GRID)))):
-        raise ValidationError(f"curve image leaves the unit ball (max |omega(t)| = {curve.max_image_norm():.6g})")
+    curve = tuple(MultiPoly(1, {(i,): float(coeff[i, axis]) for i in range(k)}) for axis in range(pts.shape[1]))
+    if not np.all(in_unit_ball(_points(curve, np.linspace(-1.0, 1.0, _IMAGE_GRID)))):
+        raise ValidationError(f"curve image leaves the unit ball (max |omega(t)| = {image_norm(curve):.6g})")
     return curve
 
 
-def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> dict:
-    """Probe the composition inequality for f along the curve; a JSON body.
+def composition_report(f: MultiPoly, omega, s: int, d: int, tgrid: int) -> dict:
+    """Probe the composition inequality for f along the curve omega; a JSON body.
 
-    LHS(t) sums the pointwise derivative norms of f of orders
-    ceil((d+1)/s) .. d+1 at omega(t); RHS(t) = |g^(d+1)(t)| for the exact
-    symbolic composition g = f(omega), both reported per grid point under
-    ``pointwise``. The reported c_hat is the minimal LHS/RHS over grid
+    The curve hypotheses come first: s >= 1, and each component univariate
+    of degree at most s. LHS(t) sums the pointwise derivative norms of f of
+    orders ceil((d+1)/s) .. d+1 at omega(t); RHS(t) = |g^(d+1)(t)| for the
+    exact symbolic composition g = f(omega), both reported per grid point
+    under ``pointwise``. The reported c_hat is the minimal LHS/RHS over grid
     points where RHS exceeds the degeneracy floor 1e-12. As a minimum over
     finitely many points, it is at or above the infimum over [-1, 1]: an
     empirical upper estimate of the best constant c with LHS >= c * RHS.
@@ -118,19 +89,25 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
     derivatives of f holds the orders ceil((d+1)/s) .. min(d+1, deg f):
     every higher one is zero, and adding |0| to LHS changes no bit.
     """
-    if f.nvars != omega.dim:
-        raise ValidationError(f"expected dimension {omega.dim}, got {f.nvars}")
+    if s < 1:
+        raise ValidationError(f"curve degree must be >= 1, got {s}")
+    for c in omega:
+        if c.nvars != 1:
+            raise ValidationError(f"expected dimension 1, got {c.nvars}")
+        if c.degree > s:
+            raise ValidationError(f"component degree {c.degree} exceeds s = {s}")
+    if f.nvars != len(omega):
+        raise ValidationError(f"expected dimension {len(omega)}, got {f.nvars}")
     if d < 0:
         raise ValidationError(f"derivative order must be >= 0, got {d}")
     taus = lattice((-1.0,), (1.0,), tgrid)[:, 0]  # a 1D lattice, so held to errors.MAX_ENTRIES points
-    s = omega.s
     k_lo = max(1, math.ceil((d + 1) / s))
     k_hi = d + 1
 
-    g = compose(f, list(omega.components))
+    g = compose(f, list(omega))
     [(_, g_deriv)] = derivatives_of_order(g, d + 1)
 
-    coords = eval_polys(omega.components, [taus])
+    coords = eval_polys(omega, [taus])
     lhs = np.zeros(tgrid)
     qs = [q for k in range(k_lo, min(k_hi, f.degree) + 1) for _, q in derivatives_of_order(f, k)]
     for value in eval_polys(qs, coords):
@@ -153,8 +130,8 @@ def composition_report(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int) -> d
     }
 
 
-def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
-    """Number of isolated parameter values where the curve meets Z.
+def crossing_count(omega, config: OvalConfiguration) -> int:
+    """Number of isolated parameter values where the planar curve omega meets Z.
 
     The curve is subdivided into 4096 chords, and the chords of zero length
     are dropped: they are parallel to every edge, so they never count, and a
@@ -169,10 +146,10 @@ def crossing_count(omega: ParamCurve, config: OvalConfiguration) -> int:
     linearly along the chord, and hits closer than 1e-9 in t merge into one
     incidence.
     """
-    if omega.dim != 2:
-        raise ValidationError(f"expected dimension 2, got {omega.dim}")
+    if len(omega) != 2:
+        raise ValidationError(f"expected dimension 2, got {len(omega)}")
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
-    pts = omega.eval(taus)
+    pts = _points(omega, taus)
     chords = np.flatnonzero(np.any(pts[:-1] != pts[1:], axis=1))  # a zero-length chord is parallel to every edge
     s0 = np.concatenate([pts[chords], config.vertices])
     s1 = np.concatenate([pts[chords + 1], config.vertices[config.succ]])

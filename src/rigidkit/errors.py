@@ -30,3 +30,13 @@ def check_entries(entries: int, array: str) -> None:
     """Raise ``ValidationError`` naming ``array`` when its ``entries`` floats exceed ``MAX_ENTRIES``."""
     if entries > MAX_ENTRIES:
         raise ValidationError(f"{array} would hold {entries} entries, more than {MAX_ENTRIES}")
+
+
+JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives a number; int() and float() also take bool and str
+
+
+def json_number(value, refusal: str, integral: bool = False):
+    """``value``, an int if ``integral``; ``ValidationError(refusal)`` unless a JSON number, whole if ``integral``."""
+    if type(value) not in JSON_NUMBERS or integral and int(value) != value:  # int() of a NaN or an infinity raises
+        raise ValidationError(refusal)
+    return int(value) if integral else value

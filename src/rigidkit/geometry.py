@@ -23,6 +23,7 @@ array gives the forest. Lattices and boundary samples are held to
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -426,10 +427,11 @@ def config_from_json_dict(data: dict) -> OvalConfiguration:
     ovals = []
     for entry in raw:
         try:
-            oval_id = int(entry["id"])  # a NaN or an infinity is a malformed entry
+            # 2.0 reads as 2, as exponents do; a NaN or an infinity is a malformed entry
+            oval_id = errors.json_number(entry["id"], f"oval id must be an integer, got {entry['id']!r}", integral=True)
             ovals.append(Oval(id=oval_id, vertices=np.asarray(entry["vertices"], dtype=float)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed oval entry: {exc}") from exc
-        if oval_id != entry["id"]:  # 2.0 reads as 2, as exponents do
-            raise ValidationError(f"oval id must be an integer, got {entry['id']!r}")
+        if not errors.JSON_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(entry["vertices"]))):
+            raise ValidationError(f"oval {oval_id} has a non-numeric vertex coordinate")
     return validate_configuration(ovals)

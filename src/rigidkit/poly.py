@@ -153,14 +153,17 @@ class MultiPoly:
     def from_json_dict(cls, data: dict) -> "MultiPoly":
         terms: dict[tuple, float] = {}
         try:
-            nvars = int(data["nvars"])
+            refusal = f"malformed polynomial JSON: nvars must be an integer, got {data['nvars']!r}"
+            nvars = errors.json_number(data["nvars"], refusal, integral=True)
             for t in data["terms"]:
                 exp = tuple(t["exp"])
                 for e in exp:
                     int(e)  # a non-number, NaN or infinity is malformed JSON
+                    errors.json_number(e, f"non-integral exponent in {list(exp)}")  # refuses a bool or a numeric string
                 if exp in terms:
                     raise ValidationError(f"duplicate exponent {list(exp)} in polynomial JSON")
-                terms[exp] = float(t["coef"])
+                refusal = f"malformed polynomial JSON: coefficient must be a number, got {t['coef']!r}"
+                terms[exp] = float(errors.json_number(t["coef"], refusal))
             return cls(nvars, terms)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed polynomial JSON: missing or bad field {exc}") from exc

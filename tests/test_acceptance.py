@@ -26,7 +26,7 @@ from conftest import (
     write_config_json,
 )
 from rigidkit.cli import main
-from rigidkit.curves import ParamCurve, composition_report
+from rigidkit.curves import composition_report
 from rigidkit.fractal import (
     box_dimension_estimate,
     rigidity_threshold,
@@ -190,7 +190,6 @@ def test_criterion_5_symbolic_composition_matches_numeric():
             f = random_poly(2, deg_f, rng)
             wx = random_poly(1, s, rng, scale=0.15)
             wy = random_poly(1, s, rng, scale=0.15)
-            omega = ParamCurve((wx, wy), s)
             g = compose(f, (wx, wy))
             direct = eval_poly(f, [eval_poly(wx, [ts]), eval_poly(wy, [ts])])
             gvals = eval_poly(g, [ts])
@@ -201,7 +200,7 @@ def test_criterion_5_symbolic_composition_matches_numeric():
             if g.degree > s * deg_f:
                 bad.append((trial, "degree"))
                 continue
-            report = composition_report(f, omega, max(1, g.degree - 1), 128)
+            report = composition_report(f, (wx, wy), s, max(1, g.degree - 1), 128)
             if report["all_degenerate"]:
                 degenerate += 1
                 if report["c_hat"] is not None:

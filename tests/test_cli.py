@@ -725,7 +725,15 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "poly",
-        ['{"nvars": "x", "terms": []}', '{"nvars": 2, "terms": [{"exp": ["a", 0], "coef": 1.0}]}'],
+        [
+            '{"nvars": "x", "terms": []}',
+            '{"nvars": 2, "terms": [{"exp": ["a", 0], "coef": 1.0}]}',
+            # a bool or a string is not a number, and nvars must be integral, not truncated
+            '{"nvars": 2.7, "terms": [{"exp": [2, 0], "coef": 1.0}]}',
+            '{"nvars": true, "terms": [{"exp": [2], "coef": 1.0}]}',
+            '{"nvars": 2, "terms": [{"exp": [2, 0], "coef": "1.5"}]}',
+            '{"nvars": 2, "terms": [{"exp": [2, 0], "coef": true}]}',
+        ],
     )
     def test_malformed_polynomial_exit2(self, poly, tmp_path, capsys, annulus_path):
         path = tmp_path / "p.json"
@@ -750,7 +758,11 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "exp, fragment",
-        [("[1.5, 0]", "non-integral exponent in [1.5, 0]"), ("[99999999999999999999, 0]", "does not fit int64")],
+        [
+            ("[1.5, 0]", "non-integral exponent in [1.5, 0]"),
+            ("[99999999999999999999, 0]", "does not fit int64"),
+            ("[true, false]", "non-integral exponent in [True, False]"),
+        ],
     )
     def test_bad_exponent_exit2(self, exp, fragment, tmp_path, capsys, annulus_path):
         path = tmp_path / "p.json"
@@ -786,6 +798,13 @@ class TestErrorPaths:
         argv = ["curve-check", "--f", fxy_path, "--points", curve_points_path, "--s", "2", "--degree", "-1"]
         expect_exit2(argv, capsys, "derivative order must be >= 0, got -1")
 
+    def test_curve_check_zero_curve_degree_exit2(self, fxy_path, tmp_path, capsys):
+        # one point fits a constant curve, so fit_curve passes and the composition's s >= 1 refuses it
+        pts = tmp_path / "p.csv"
+        pts.write_text("0.2,0.1\n")
+        assert main(["curve-check", "--f", fxy_path, "--points", str(pts), "--s", "0", "--degree", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: curve degree must be >= 1, got 0\n")
+
     def test_candidate_grid_outside_ball_exit2(self, annulus_path, capsys):
         argv = ["remez-lp", "--degree", "1", "--z", annulus_path, "--grid", "2"]
         expect_exit2(argv, capsys, "no point of the 2-per-axis candidate grid lies in the unit ball")
@@ -801,12 +820,21 @@ class TestErrorPaths:
         cfg.write_text('{"ovals": [{"id": 1, "vertices": [[0.5, 0.0], [0.0, 0.5], [-0.5, NaN]]}]}')
         expect_exit2(["decompose", "--config", str(cfg)], capsys, "oval 1 has non-finite vertex")
 
+    @pytest.mark.parametrize("vertex", ["[true, false]", '["0.5", 0.0]'])
+    def test_non_numeric_vertex_exit2(self, vertex, tmp_path, capsys):
+        # int() and float() read both as (1, 0) or (0.5, 0), which would make a valid oval
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"ovals": [{"id": 1, "vertices": [%s, [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]}]}' % vertex)
+        expect_exit2(["decompose", "--config", str(cfg)], capsys, "oval 1 has a non-numeric vertex coordinate")
+
     @pytest.mark.parametrize(
         "oval_id, fragment",
         [
             ("Infinity", "malformed oval entry: cannot convert float infinity to integer"),
             ("NaN", "malformed oval entry: cannot convert float NaN to integer"),
             ("1.5", "oval id must be an integer, got 1.5"),
+            ("true", "oval id must be an integer, got True"),
+            ('"2"', "oval id must be an integer, got '2'"),
         ],
     )
     def test_bad_oval_id_exit2(self, oval_id, fragment, tmp_path, capsys):

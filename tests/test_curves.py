@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -7,12 +8,7 @@ import pytest
 
 from conftest import concentric_ring_config, oval_vertices, random_poly, regular_polygon, square
 from rigidkit import curves, errors, geometry
-from rigidkit.curves import (
-    ParamCurve,
-    composition_report,
-    crossing_count,
-    fit_curve,
-)
+from rigidkit.curves import composition_report, crossing_count, fit_curve, image_norm
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import validate_configuration
 from rigidkit.poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
@@ -22,14 +18,14 @@ def chebyshev_params(k: int) -> np.ndarray:
     return np.cos((2 * np.arange(k) + 1) * np.pi / (2 * k))
 
 
-def all_pairs_hits(omega: ParamCurve, config) -> np.ndarray:
+def all_pairs_hits(omega, config) -> np.ndarray:
     """Sorted crossing parameters from solving every chord against every edge.
 
     The reference for ``crossing_count``: no box filter, the same float
     expressions, and blocks of chords only to bound memory.
     """
     taus = np.linspace(-1.0, 1.0, curves._SUBDIVISIONS + 1)
-    pts = omega.eval(taus)
+    pts = curves._points(omega, taus)
     q0 = config.vertices
     d2 = np.concatenate([np.roll(v, -1, axis=0) for v in oval_vertices(config)]) - q0
     hits = [np.empty(0)]
@@ -90,8 +86,8 @@ class TestFitCurve:
         curve = fit_curve(pts, 1)
         tj = chebyshev_params(2)
         for t, p in zip(tj, pts):
-            assert np.allclose(curve.eval(t), p, atol=1e-12)
-        assert all(c.degree <= 1 for c in curve.components)
+            assert np.allclose(curves._points(curve, t), p, atol=1e-12)
+        assert len(curve) == 2 and all(c.nvars == 1 and c.degree <= 1 for c in curve)
 
     def test_collinear_points_give_affine_curve(self):
         # three points equally spaced on a line: the Chebyshev parameters for
@@ -100,7 +96,7 @@ class TestFitCurve:
         direction = np.array([0.4, 0.3])
         pts = np.array([base + s * direction for s in (1.0, 0.0, -1.0)])
         curve = fit_curve(pts, 2)
-        for c in curve.components:
+        for c in curve:
             quad = c.coefs[c.exps[:, 0] == 2].sum()
             assert abs(quad) <= 1e-10
 
@@ -109,7 +105,7 @@ class TestFitCurve:
         tj = chebyshev_params(4)
         pts = np.array([[0.05 + 0.3 * t, -0.1 + 0.2 * t] for t in tj])
         curve = fit_curve(pts, 3)
-        for c in curve.components:
+        for c in curve:
             for exp, coef in zip(c.exps.tolist(), c.coefs):
                 if exp[0] >= 2:
                     assert abs(coef) <= 1e-10
@@ -118,7 +114,7 @@ class TestFitCurve:
         pts = np.array([[-0.6, 0.1], [0.0, 0.5], [0.6, 0.1]])
         curve = fit_curve(pts, 2)
         tj = chebyshev_params(3)
-        residual = max(np.max(np.abs(curve.eval(t) - p)) for t, p in zip(tj, pts))
+        residual = max(np.max(np.abs(curves._points(curve, t) - p)) for t, p in zip(tj, pts))
         assert residual <= 1e-10
 
     def test_too_many_points(self):
@@ -139,24 +135,19 @@ class TestFitCurve:
             pts = rng.uniform(-0.4, 0.4, size=(k, 2))
             curve = fit_curve(pts, s)
             tj = chebyshev_params(k)
-            residual = max(np.max(np.abs(curve.eval(t) - p)) for t, p in zip(tj, pts))
+            residual = max(np.max(np.abs(curves._points(curve, t) - p)) for t, p in zip(tj, pts))
             assert residual <= 1e-10
 
 
-class TestParamCurve:
-    def test_component_degree_capped(self):
-        with pytest.raises(ValidationError):
-            ParamCurve(components=(MultiPoly(1, {(3,): 1.0}),), s=2)
-
+class TestCurvePoints:
     def test_eval_vectorized(self):
-        curve = ParamCurve(
-            components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
-        )
+        curve = (MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0}))
         ts = np.array([-1.0, 0.0, 0.5])
-        pts = curve.eval(ts)
+        pts = curves._points(curve, ts)
         assert pts.shape == (3, 2)
         assert np.allclose(pts[:, 0], ts)
         assert np.allclose(pts[:, 1], ts**2)
+        assert image_norm(curve) == math.sqrt(2.0)
 
 
 def pointwise(rep, key: str) -> np.ndarray:
@@ -164,15 +155,15 @@ def pointwise(rep, key: str) -> np.ndarray:
     return np.array([row[key] for row in rep["pointwise"]])
 
 
-def full_table_columns(f: MultiPoly, omega: ParamCurve, d: int, tgrid: int):
+def full_table_columns(f: MultiPoly, omega, s: int, d: int, tgrid: int):
     """LHS and RHS columns with every order ceil((d+1)/s) .. d+1 of f in the table, the zeros above deg f included."""
     taus = geometry.lattice((-1.0,), (1.0,), tgrid)[:, 0]
-    k_lo = max(1, math.ceil((d + 1) / omega.s))
+    k_lo = max(1, math.ceil((d + 1) / s))
     qs = [q for k in range(k_lo, d + 2) for _, q in derivatives_of_order(f, k)]
     lhs = np.zeros(tgrid)
-    for value in eval_polys(qs, eval_polys(omega.components, [taus])):
+    for value in eval_polys(qs, eval_polys(omega, [taus])):
         lhs += np.abs(value)
-    [(_, g_deriv)] = derivatives_of_order(compose(f, list(omega.components)), d + 1)
+    [(_, g_deriv)] = derivatives_of_order(compose(f, list(omega)), d + 1)
     return lhs, np.abs(eval_poly(g_deriv, [taus]))
 
 
@@ -182,29 +173,24 @@ class TestCompositionReport:
         rng = np.random.default_rng(37)
         for _ in range(5):
             f = random_poly(2, 8, rng)
-            omega = ParamCurve(components=tuple(random_poly(1, 4, rng, scale=0.4) for _ in range(2)), s=4)
-            rep = composition_report(f, omega, 20, 64)
+            omega = tuple(random_poly(1, 4, rng, scale=0.4) for _ in range(2))
+            rep = composition_report(f, omega, 4, 20, 64)
             assert rep["order_range"] == [6, 21] and not rep["all_degenerate"]
-            lhs, rhs = full_table_columns(f, omega, 20, 64)
+            lhs, rhs = full_table_columns(f, omega, 4, 20, 64)
             assert np.array_equal(pointwise(rep, "lhs"), lhs) and np.array_equal(pointwise(rep, "rhs"), rhs)
             live = rhs > 1e-12
             assert rep["c_hat"] == float(np.min(lhs[live] / rhs[live]))
 
     def test_line_case_collapses_to_top_order(self):
         f = random_poly(2, 3, np.random.default_rng(3))
-        line = ParamCurve(
-            components=(MultiPoly(1, {(1,): 0.5}), MultiPoly(1, {(1,): 0.3, (0,): 0.1})),
-            s=1,
-        )
-        rep = composition_report(f, line, 2, 64)
+        line = (MultiPoly(1, {(1,): 0.5}), MultiPoly(1, {(1,): 0.3, (0,): 0.1}))
+        rep = composition_report(f, line, 1, 2, 64)
         assert rep["order_range"][0] == rep["order_range"][1] == 3
 
     def test_quadratic_example(self):
         f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        omega = ParamCurve(
-            components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
-        )
-        rep = composition_report(f, omega, 3, 256)
+        omega = (MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0}))
+        rep = composition_report(f, omega, 2, 3, 256)
         assert tuple(rep["order_range"]) == (2, 4)
         # g = t^2 + t^4, g'''' = 24; LHS = |f_xx| + |f_xy| + |f_yy| = 4
         assert not rep["all_degenerate"]
@@ -213,10 +199,8 @@ class TestCompositionReport:
 
     def test_degenerate_when_degree_too_low(self):
         f = MultiPoly(2, {(1, 0): 1.0, (0, 1): 2.0})  # degree 1
-        omega = ParamCurve(
-            components=(MultiPoly(1, {(1,): 0.5}), MultiPoly(1, {(2,): 0.5})), s=2
-        )
-        rep = composition_report(f, omega, 3, 64)  # deg g <= 2 < 4
+        omega = (MultiPoly(1, {(1,): 0.5}), MultiPoly(1, {(2,): 0.5}))
+        rep = composition_report(f, omega, 2, 3, 64)  # deg g <= 2 < 4
         assert rep["all_degenerate"]
         assert rep["c_hat"] is None
 
@@ -226,9 +210,8 @@ class TestCompositionReport:
             s = int(rng.integers(1, 4))
             d = int(rng.integers(1, 5))
             f = random_poly(2, int(rng.integers(1, 5)), rng)
-            comp = tuple(random_poly(1, s, rng, scale=0.4) for _ in range(2))
-            omega = ParamCurve(components=comp, s=s)
-            rep = composition_report(f, omega, d, 128)
+            omega = tuple(random_poly(1, s, rng, scale=0.4) for _ in range(2))
+            rep = composition_report(f, omega, s, d, 128)
             lhs, rhs = pointwise(rep, "lhs"), pointwise(rep, "rhs")
             live = rhs > 1e-12
             assert np.all(lhs[live] > 0.0)
@@ -248,39 +231,46 @@ class TestCompositionReport:
 
     def test_dimension_mismatch(self):
         f = MultiPoly(3, {(1, 1, 1): 1.0})
-        omega = ParamCurve(
-            components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(1,): 1.0})), s=1
-        )
+        omega = (MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(1,): 1.0}))
         with pytest.raises(ValidationError, match=r"expected dimension 2, got 3"):
-            composition_report(f, omega, 2, 16)
+            composition_report(f, omega, 1, 2, 16)
+
+    @pytest.mark.parametrize(
+        "omega, s, message",
+        [
+            ((MultiPoly(1, {(3,): 1.0}), MultiPoly(1, {(1,): 1.0})), 2, "component degree 3 exceeds s = 2"),
+            ((MultiPoly(1, {(1,): 1.0}), MultiPoly(2, {(1, 0): 1.0})), 2, "expected dimension 1, got 2"),
+            ((MultiPoly(1, {(0,): 0.5}), MultiPoly(1, {(0,): 0.5})), 0, "curve degree must be >= 1, got 0"),
+        ],
+        ids=["component-degree", "bivariate-component", "s-zero"],
+    )
+    def test_curve_hypotheses_refused(self, omega, s, message):
+        # checked before f, so a planar f and a valid order still refuse; s = 0 would divide ceil((d+1)/s) by zero
+        f = MultiPoly(2, {(2, 0): 1.0})
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            composition_report(f, omega, s, 2, 16)
 
     def test_negative_order_rejected(self):
         f = MultiPoly(2, {(2, 0): 1.0})
-        omega = ParamCurve(
-            components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(1,): 1.0})), s=1
-        )
+        omega = (MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(1,): 1.0}))
         with pytest.raises(ValidationError, match=r"derivative order must be >= 0, got -1"):
-            composition_report(f, omega, -1, 16)
+            composition_report(f, omega, 1, -1, 16)
 
     def test_tgrid_limit_is_inclusive(self, monkeypatch):
         # the largest array holds the 3 + 4 + 5 derivatives of orders 2..4 of a quartic at every grid point
         monkeypatch.setattr(errors, "MAX_ENTRIES", 12 * 16)
         f = MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0})
-        omega = ParamCurve(
-            components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
-        )
-        assert len(composition_report(f, omega, 3, 16)["pointwise"]) == 16
+        omega = (MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0}))
+        assert len(composition_report(f, omega, 2, 3, 16)["pointwise"]) == 16
         with pytest.raises(ValidationError, match="^the values of 12 polynomials at 17 points would hold 204 entries"):
-            composition_report(f, omega, 3, 17)
+            composition_report(f, omega, 2, 3, 17)
         with pytest.raises(ValidationError, match=f"^a lattice of {10**20} points per axis in 1D would hold"):
-            composition_report(f, omega, 3, 10**20)
+            composition_report(f, omega, 2, 3, 10**20)
 
     def test_json_shape(self):
         f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        omega = ParamCurve(
-            components=(MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), s=2
-        )
-        data = composition_report(f, omega, 3, 16)
+        omega = (MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0}))
+        data = composition_report(f, omega, 2, 3, 16)
         assert data["order_range"] == [2, 4]
         assert len(data["pointwise"]) == 16
         assert {"t", "lhs", "rhs"} <= set(data["pointwise"][0])
@@ -292,27 +282,17 @@ class TestCrossingCount:
 
     def test_segment_crosses_circle_twice(self):
         config = validate_configuration([self.circle(0.5)])
-        seg = ParamCurve(
-            components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
-        )
+        seg = (MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {}))
         assert crossing_count(seg, config) == 2
 
     def test_disjoint_segment(self):
         config = validate_configuration([self.circle(0.2, center=(0.0, 0.7))])
-        seg = ParamCurve(
-            components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
-        )
+        seg = (MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {}))
         assert crossing_count(seg, config) == 0
 
     def test_parabola_four_crossings(self):
         config = validate_configuration([self.circle(0.288)])
-        omega = ParamCurve(
-            components=(
-                MultiPoly(1, {(1,): 0.6}),
-                MultiPoly(1, {(2,): 0.9, (0,): -0.3}),
-            ),
-            s=2,
-        )
+        omega = (MultiPoly(1, {(1,): 0.6}), MultiPoly(1, {(2,): 0.9, (0,): -0.3}))
         assert crossing_count(omega, config) == 4
 
     @pytest.mark.parametrize("half_length", [0.75, 0.5])
@@ -321,9 +301,7 @@ class TestCrossingCount:
         # or exactly onto them: chord and edge boxes coincide, the two corner
         # touches count and the collinear overlap does not
         config = validate_configuration([square(1.0, 1)])
-        seg = ParamCurve(
-            components=(MultiPoly(1, {(1,): half_length}), MultiPoly(1, {(0,): 0.5})), s=1
-        )
+        seg = (MultiPoly(1, {(1,): half_length}), MultiPoly(1, {(0,): 0.5}))
         assert crossing_count(seg, config) == 2
 
     def test_chained_hits_merge_into_one_incidence_per_side(self, monkeypatch):
@@ -331,9 +309,7 @@ class TestCrossingCount:
         delta = 0.02
         gap = delta / 0.9
         config = validate_configuration([self.circle(0.5 + i * delta, i + 1) for i in range(3)])
-        seg = ParamCurve(
-            components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
-        )
+        seg = (MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {}))
         monkeypatch.setattr(curves, "_MERGE_TOL", 0.5 * gap)
         assert crossing_count(seg, config) == 6
         # each hit is within the merge distance of the previous one but the third is
@@ -358,9 +334,7 @@ class TestCrossingCount:
     def test_fine_oval_counts_in_bounded_memory(self):
         # one (chords x edges) broadcast over all edges would need about 2 GB here
         config = validate_configuration([regular_polygon((0.0, 0.0), 0.5, 10_000, 1)])
-        seg = ParamCurve(
-            components=(MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {})), s=1
-        )
+        seg = (MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {}))
         tracemalloc.start()
         try:
             assert crossing_count(seg, config) == 2
@@ -373,7 +347,7 @@ class TestCrossingCount:
     def test_fine_oval_counts_fast(self, direction):
         # only the few chord-edge pairs whose boxes overlap are solved
         config = validate_configuration([regular_polygon((0.0, 0.0), 0.5, 10_000, 1)])
-        seg = ParamCurve(tuple(MultiPoly(1, {(1,): c}) for c in direction), s=1)
+        seg = tuple(MultiPoly(1, {(1,): c}) for c in direction)
         start = time.process_time()
         assert crossing_count(seg, config) == 2
         assert time.process_time() - start < 0.1

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import concentric_ring_config, vanishing_ring_poly
 from rigidkit.cli import build_parser, main
-from rigidkit.curves import ParamCurve, composition_report
+from rigidkit.curves import composition_report
 from rigidkit.fractal import box_dimension_estimate
 from rigidkit.poly import MultiPoly
 from rigidkit.prooftrace import bezout_check, domain_pigeonhole_report
@@ -157,7 +157,7 @@ def test_non_json_leaf_finder_sees_numpy_values():
 
 def test_report_bodies_hold_plain_json_types():
     quadric = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-    parabola = ParamCurve((MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0})), 2)
+    parabola = (MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0}))
     mids = (np.arange(32) + 0.5) / 32.0
     grid = np.stack([g.ravel() for g in np.meshgrid(mids, mids, indexing="ij")], axis=1)
     radii = (0.95, 0.55)
@@ -166,7 +166,7 @@ def test_report_bodies_hold_plain_json_types():
         "domain_pigeonhole_report": domain_pigeonhole_report(
             vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=16
         ),
-        "composition_report": composition_report(quadric, parabola, 3, 16),
+        "composition_report": composition_report(quadric, parabola, 2, 3, 16),
         "box_dimension_estimate": box_dimension_estimate(grid, [0.25, 0.125, 0.0625]),
         "rigidity_report": rigidity_report(2, mu_value=1.0, oval_count=5, inv_remez=0.1),
     }

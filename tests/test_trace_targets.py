@@ -74,3 +74,39 @@ def test_traced_cli_binding_is_the_one_called(attr, run, golden_argv, monkeypatc
     argv = golden_argv[case] + [arg.format(tmp=tmp_path) for arg in extra] + ["--out", str(tmp_path / "out.json")]
     assert cli.main(argv) == 0
     assert calls
+
+
+# the bench's layer counters for one golden case each, as its inputs and golden body state them: the scattered
+# circles are 40 ovals (780 pairs, 31 of them with overlapping boxes); the annulus is 2 nested 4-gons and the
+# remez-lp-annulus golden's diagnostics hold the LP counts; the rings are 3 nested 48-gons, and the
+# verify-proof-rings golden holds 576 seeds, 555 converged and 5 clusters after 5 calls of eval_poly
+COUNTERS = {
+    "decompose-scattered": {
+        "geometry.ovals": 40, "geometry.oval_pairs": 780, "geometry.edge_pairs": 71424, "geometry.skipped_pairs": 749,
+    },
+    "remez-lp-annulus": {
+        "geometry.ovals": 2, "geometry.oval_pairs": 1, "geometry.edge_pairs": 16,
+        "remez.lp_solved": 10, "remez.lp_pruned": 162, "remez.lp_iterations": 32, "remez.candidates": 172,
+    },
+    "verify-proof-rings": {
+        "geometry.ovals": 3, "geometry.oval_pairs": 3, "geometry.edge_pairs": 3 * 48 * 48,
+        "prooftrace.seeds": 576, "prooftrace.converged": 555, "prooftrace.clusters": 5, "poly.eval_calls": 5,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTERS))
+def test_bench_counters_read_the_traced_payloads(case, golden_argv, tmp_path):
+    # the counters read Oval.vertices, the LP estimate's diagnostics and the critical points' diagnostics
+    # and n_clusters: a record folded away under them zeroes a counter or raises here
+    names = set(vars(cli))
+    tracer = tracing.Tracer(job=case)
+    tracer.install()
+    try:
+        assert cli.main(golden_argv[case] + ["--out", str(tmp_path / "out.json")]) == 0
+    finally:
+        tracer.uninstall()
+        for name in set(vars(cli)) - names:  # uninstall leaves the lazily resolved names bound on the module
+            delattr(cli, name)
+    assert tracer.missing == []
+    assert tracing.counters(tracer.spans) == COUNTERS[case]
