@@ -39,6 +39,15 @@ def _points(omega, t) -> np.ndarray:
     return np.stack(eval_polys(omega, [t]), axis=-1)
 
 
+def _check_components(omega, s: float = math.inf) -> None:
+    """Refuse a curve with a component that is not univariate or has degree above s."""
+    for c in omega:
+        if c.nvars != 1:
+            raise ValidationError(f"expected dimension 1, got {c.nvars}")
+        if c.degree > s:
+            raise ValidationError(f"component degree {c.degree} exceeds s = {s}")
+
+
 def image_norm(omega) -> float:
     """Max |omega(t)| over 1000 equally spaced t in [-1, 1]."""
     pts = _points(omega, np.linspace(-1.0, 1.0, _IMAGE_GRID))
@@ -91,11 +100,7 @@ def composition_report(f: MultiPoly, omega, s: int, d: int, tgrid: int) -> dict:
     """
     if s < 1:
         raise ValidationError(f"curve degree must be >= 1, got {s}")
-    for c in omega:
-        if c.nvars != 1:
-            raise ValidationError(f"expected dimension 1, got {c.nvars}")
-        if c.degree > s:
-            raise ValidationError(f"component degree {c.degree} exceeds s = {s}")
+    _check_components(omega, s)
     if f.nvars != len(omega):
         raise ValidationError(f"expected dimension {len(omega)}, got {f.nvars}")
     if d < 0:
@@ -148,6 +153,7 @@ def crossing_count(omega, config: OvalConfiguration) -> int:
     """
     if len(omega) != 2:
         raise ValidationError(f"expected dimension 2, got {len(omega)}")
+    _check_components(omega)
     taus = np.linspace(-1.0, 1.0, _SUBDIVISIONS + 1)
     pts = _points(omega, taus)
     chords = np.flatnonzero(np.any(pts[:-1] != pts[1:], axis=1))  # a zero-length chord is parallel to every edge

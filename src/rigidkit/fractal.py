@@ -1,4 +1,4 @@
-"""Box-counting dimension estimation and the rigidity dimension threshold.
+"""Box-counting dimension estimation and the check against the rigidity dimension threshold.
 
 Zero sets of upper box dimension beta > n - 1/(d+1) are d-rigid with a
 constant depending only on n and d. The estimator here is the standard
@@ -15,7 +15,6 @@ from .errors import ValidationError
 
 __all__ = [
     "box_dimension_estimate",
-    "rigidity_threshold",
     "rigidity_threshold_check",
 ]
 
@@ -71,24 +70,19 @@ def box_dimension_estimate(points, eps_list) -> dict:
     }
 
 
-def rigidity_threshold(n: int, d: int) -> float:
-    """Dimension threshold n - 1/(d+1) above which d-rigidity kicks in."""
-    if n < 1:
-        raise ValidationError(f"ambient dimension must be >= 1, got {n}")
-    if d < 0:
-        raise ValidationError(f"degree must be >= 0, got {d}")
-    return n - 1.0 / (d + 1)
-
-
 def rigidity_threshold_check(beta: float, n: int, d: int) -> dict:
-    """Compare a box-dimension estimate against the rigidity threshold.
+    """Compare a box-dimension estimate against the rigidity threshold n - 1/(d+1); a JSON body.
 
     Strict inequality beta > n - 1/(d+1) is the hypothesis; equality is
     reported as not exceeded. The verdict is qualitative: above threshold,
     every containing zero set is d-rigid with a constant depending only on
     (n, d); below it nothing follows.
     """
-    thr = rigidity_threshold(n, d)
+    if n < 1:
+        raise ValidationError(f"ambient dimension must be >= 1, got {n}")
+    if d < 0:
+        raise ValidationError(f"degree must be >= 0, got {d}")
+    thr = n - 1.0 / (d + 1)
     exceeded = bool(beta > thr)
     if exceeded:
         verdict = (

@@ -4,10 +4,10 @@ The d-rigidity of a zero set Z is the largest R such that every (d+1)-times
 smooth function vanishing on Z with max |f| = 1 on the unit ball satisfies
 ||f^(d+1)|| >= R. This module owns every closed-form bound the package
 knows: the topological Remez bound (8/mu)^d with its oval-count hypothesis
-``ovals_required``, and the rigidity bounds from the inverse Remez
-constant, from the topological domain decomposition (in two variants whose
-shapes disagree; both are reported, see ``rigidity_report``) and from
-one-dimensional divided differences. The topological bounds hold in the
+``ovals_required``; the rows of ``rigidity_report``, the rigidity bounds from
+the inverse Remez constant and from the topological domain decomposition (in
+two variants whose shapes disagree); and the one-dimensional
+divided-difference bound with its floor. The topological bounds hold in the
 plane only: (d-1)^2 + 1 ovals outnumber the (d-1)^2 critical points of a
 degree-d polynomial. ``remez`` owns the LP estimate of the Remez constant.
 """
@@ -22,9 +22,6 @@ from .errors import ValidationError
 __all__ = [
     "ovals_required",
     "remez_bound_topological",
-    "rigidity_from_remez",
-    "rigidity_topological_literal",
-    "rigidity_topological_composed",
     "rigidity_1d_bound",
     "rigidity_1d_floor",
     "rigidity_report",
@@ -45,17 +42,6 @@ def _factorial(k: int) -> float:
     if k < 0 or k > _MAX_DEGREE + 1:
         raise ValidationError(f"degree out of supported range 0..{_MAX_DEGREE}")
     return float(math.factorial(k))
-
-
-def rigidity_from_remez(inverse_remez: float, d: int) -> float:
-    """Rigidity bound (d+1)!/2 times the inverse Remez constant.
-
-    An inverse constant of 0 (set inside a polynomial zero set) yields 0:
-    such sets carry no rigidity at this degree.
-    """
-    if not 0.0 <= inverse_remez <= 1.0:
-        raise ValidationError(f"inverse Remez constant must be in [0, 1], got {inverse_remez}")
-    return _factorial(d + 1) / 2.0 * inverse_remez
 
 
 def ovals_required(d: int) -> int:
@@ -83,23 +69,6 @@ def remez_bound_topological(mu: float, d: int) -> float:
     if math.isinf(value):
         raise ValidationError(f"bound (4n/mu)^d overflows a double at mu = {mu:.6g}, d = {d}")
     return value
-
-
-def rigidity_topological_literal(mu: float, d: int) -> float:
-    """The literal topological rigidity expression (1/(d+1)!) (4n/mu)^d.
-
-    Grows as mu shrinks. Reported side by side with the composed variant,
-    which decays as mu shrinks; the report takes no position on which shape
-    is intended (see module docstring).
-    """
-    return remez_bound_topological(mu, d) / _factorial(d + 1)
-
-
-def rigidity_topological_composed(mu: float, d: int) -> float:
-    """Chained bound (d+1)!/2 (mu/(4n))^d = (d+1)!/2 (mu/8)^d from the inverse of the Remez bound."""
-    if mu <= 0:
-        raise ValidationError(f"minimal domain area must be positive, got {mu}")
-    return _factorial(d + 1) / 2.0 * (mu / 8.0) ** d
 
 
 def rigidity_1d_bound(xs, z0: float, d: int) -> float:
@@ -142,20 +111,26 @@ def rigidity_report(d: int, mu_value: float, oval_count: int, inv_remez: float |
     Each bound is one ``{formula, value, hypothesis_ok, provenance, note}``
     entry, with provenance ``FORMULAS[formula]``. A value is asserted as a
     rigidity bound only when ``hypothesis_ok`` is true; it is still computed
-    for reporting whenever the arithmetic is defined. The two topological
-    entries are always present; their hypothesis flag records whether
-    ``oval_count`` reaches ``ovals_required(d)``. The two shapes disagree as mu shrinks
-    and are deliberately reported side by side. The ``from_remez`` entry is
-    added when an inverse Remez constant is supplied.
+    for reporting whenever the arithmetic is defined. A ``from_remez`` row,
+    (d+1)!/2 times the inverse Remez constant, comes first when that constant
+    is supplied; an inverse constant of 0 (a set inside a polynomial zero set)
+    gives 0. The two topological rows are always present: the literal
+    (1/(d+1)!) (4n/mu)^d grows as mu shrinks, while the composed
+    (d+1)!/2 (mu/8)^d, chained from the inverse of the Remez bound, decays.
+    They are deliberately reported side by side; their hypothesis flag records
+    whether ``oval_count`` reaches ``ovals_required(d)``.
     """
     rows = []
     if inv_remez is not None:
-        rows.append(("from_remez", rigidity_from_remez(inv_remez, d), True, ""))
+        if not 0.0 <= inv_remez <= 1.0:
+            raise ValidationError(f"inverse Remez constant must be in [0, 1], got {inv_remez}")
+        rows.append(("from_remez", _factorial(d + 1) / 2.0 * inv_remez, True, ""))
     required = ovals_required(d)
     count_ok = oval_count >= required
     note = "" if count_ok else f"oval count {oval_count} below required {required}"
-    rows.append(("topological_literal", rigidity_topological_literal(mu_value, d), count_ok, note))
-    rows.append(("topological_composed", rigidity_topological_composed(mu_value, d), count_ok, note))
+    literal = remez_bound_topological(mu_value, d) / _factorial(d + 1)  # refuses mu <= 0 for both rows
+    rows.append(("topological_literal", literal, count_ok, note))
+    rows.append(("topological_composed", _factorial(d + 1) / 2.0 * (mu_value / 8.0) ** d, count_ok, note))
     return {
         "degree": d,
         "bounds": [

@@ -27,11 +27,7 @@ from conftest import (
 )
 from rigidkit.cli import main
 from rigidkit.curves import composition_report
-from rigidkit.fractal import (
-    box_dimension_estimate,
-    rigidity_threshold,
-    rigidity_threshold_check,
-)
+from rigidkit.fractal import box_dimension_estimate, rigidity_threshold_check
 from rigidkit.geometry import build_domains, build_nesting_forest, mu, sample_boundary
 from rigidkit.poly import MultiPoly, compose, eval_poly
 from rigidkit.prooftrace import domain_pigeonhole_report, find_critical_points, perturb_linear
@@ -237,9 +233,9 @@ def test_criterion_6_box_dimension_estimates():
         cloud_slope = box_dimension_estimate(pts, [gap / 4.0, gap / 8.0, gap / 16.0])["slope"]
 
         exact = (
-            rigidity_threshold(2, 1) == 1.5
-            and rigidity_threshold(2, 9) == 2.0 - 1.0 / 10.0
-            and rigidity_threshold(1, 0) == 0.0
+            rigidity_threshold_check(1.9, 2, 1)["threshold"] == 1.5
+            and rigidity_threshold_check(1.85, 2, 9)["threshold"] == 2.0 - 1.0 / 10.0
+            and rigidity_threshold_check(0.5, 1, 0)["threshold"] == 0.0
             and rigidity_threshold_check(1.9, 2, 1)["exceeded"] is True
             and rigidity_threshold_check(1.85, 2, 9)["exceeded"] is False
             and rigidity_threshold_check(0.5, 1, 0)["exceeded"] is True

@@ -531,6 +531,30 @@ class TestErrorPaths:
         path.write_bytes(content)
         expect_exit2(argv + [str(path)], capsys, f"{fragment} {path}: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize(
+        "points, argv, message",
+        [
+            ("0.1,0.2\n0.3\n", ["boxdim", "--scales", "0.5,0.25,0.125", "--degree", "1"],
+             "inconsistent column count in {path} line 2"),
+            ("0.1,0.2\nabc,0.3\n", ["boxdim", "--scales", "0.5,0.25,0.125", "--degree", "1"],
+             "malformed point in {path} line 2: could not convert string to float: 'abc'"),
+            ("0.1,0.2\n0.3,0.4\n", ["boxdim", "--scales", "0.5,x,0.125", "--degree", "1"],
+             "malformed scales list: could not convert string to float: 'x'"),
+            (None, ["rigidity-1d", "--zeros=0.1,y,0.5", "--z0", "0.9", "--degree", "2"],
+             "malformed zeros list: could not convert string to float: 'y'"),
+            (None, ["rigidity-1d", "--zeros=0.1,0.1,0.5", "--z0", "0.9", "--degree", "2"], "zero nodes must be distinct"),
+        ],
+        ids=["ragged-csv", "non-numeric-csv", "scales-list", "zeros-list", "repeated-zero"],
+    )
+    def test_malformed_input_exit2_with_one_line(self, points, argv, message, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        if points is not None:
+            path.write_text(points)
+            argv = argv + ["--points", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message.format(path=path)}\n")
+
     def test_huge_vertex_exit2_with_the_ball_message_alone(self, tmp_path):
         # 1e300 squared overflows; the ball check decides without squaring it, so no warning reaches stderr
         path = tmp_path / "huge.json"

@@ -122,6 +122,10 @@ class TestFitCurve:
         with pytest.raises(ValidationError, match=r"cannot be interpolated by degree-2 components"):
             fit_curve(pts, 2)
 
+    def test_no_points_rejected(self):
+        with pytest.raises(ValidationError, match=r"^need at least one point$"):
+            fit_curve(np.zeros((0, 2)), 2)
+
     def test_image_leaving_ball_rejected(self):
         pts = np.array([[-0.99, 0.0], [0.0, 0.99], [0.99, 0.0]])
         with pytest.raises(ValidationError, match=r"curve image leaves the unit ball"):
@@ -289,6 +293,16 @@ class TestCrossingCount:
         config = validate_configuration([self.circle(0.2, center=(0.0, 0.7))])
         seg = (MultiPoly(1, {(1,): 0.9}), MultiPoly(1, {}))
         assert crossing_count(seg, config) == 0
+
+    def test_bivariate_component_refused_before_evaluation(self, monkeypatch):
+        # the message composition_report gives for the same curve, not one from inside eval_polys
+        def no_evaluation(*args):
+            raise AssertionError("the curve was evaluated")
+
+        monkeypatch.setattr(curves, "eval_polys", no_evaluation)
+        omega = (MultiPoly(2, {(1, 0): 0.5}), MultiPoly(1, {(1,): 0.5}))
+        with pytest.raises(ValidationError, match=r"^expected dimension 1, got 2$"):
+            crossing_count(omega, validate_configuration([square(1.0, 1)]))
 
     def test_parabola_four_crossings(self):
         config = validate_configuration([self.circle(0.288)])

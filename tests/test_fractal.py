@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rigidkit.errors import ValidationError
-from rigidkit.fractal import box_dimension_estimate, rigidity_threshold, rigidity_threshold_check
+from rigidkit.fractal import box_dimension_estimate, rigidity_threshold_check
 
 
 def midpoint_grid(k: int) -> np.ndarray:
@@ -120,9 +120,16 @@ class TestBoxDimension:
 
 class TestThreshold:
     def test_threshold_values(self):
-        assert rigidity_threshold(2, 1) == pytest.approx(1.5)
-        assert rigidity_threshold(2, 9) == pytest.approx(1.9)
-        assert rigidity_threshold(1, 0) == pytest.approx(0.0)
+        assert rigidity_threshold_check(1.0, 2, 1)["threshold"] == pytest.approx(1.5)
+        assert rigidity_threshold_check(1.0, 2, 9)["threshold"] == pytest.approx(1.9)
+        assert rigidity_threshold_check(1.0, 1, 0)["threshold"] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "n, d, message", [(0, 1, "ambient dimension must be >= 1, got 0"), (2, -1, "degree must be >= 0, got -1")]
+    )
+    def test_dimension_and_degree_refused(self, n, d, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            rigidity_threshold_check(1.0, n, d)
 
     def test_check_examples(self):
         assert rigidity_threshold_check(1.9, 2, 1)["exceeded"] is True

@@ -36,6 +36,10 @@ class TestMultiPoly:
         assert MultiPoly.constant(2, 3.0).degree == 0
         assert MultiPoly(2, {}).degree == 0
 
+    def test_zero_variables_rejected(self):
+        with pytest.raises(ValidationError, match=r"^nvars must be >= 1, got 0$"):
+            MultiPoly(0, {})
+
     def test_exponent_length_enforced(self):
         with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             MultiPoly(2, {(1,): 1.0})
@@ -258,6 +262,10 @@ class TestCompose:
     def test_wrong_component_count(self):
         with pytest.raises(ValidationError, match=r"expected dimension 2, got 1"):
             compose(x2_plus_y2(), [MultiPoly(1, {(1,): 1.0})])
+
+    def test_components_in_different_variable_counts(self):
+        with pytest.raises(ValidationError, match=r"^expected dimension 1, got 2$"):
+            compose(x2_plus_y2(), [MultiPoly(1, {(1,): 1.0}), MultiPoly(2, {(0, 1): 1.0})])
 
 
 def chebyshev(d: int) -> MultiPoly:

@@ -347,6 +347,17 @@ class TestPerturbation:
         report = domain_pigeonhole_report(vanishing_ring_poly(radii), concentric_ring_config(radii), grid)
         assert report["critical_points"]["n_clusters"] == 2 * len(radii) - 1
 
+    @pytest.mark.parametrize("n", [3, 6, pytest.param(10, marks=pytest.mark.xfail(
+        strict=True,
+        reason="on 10 ladder rings the tilt of 4.4e-4 leaves 3 clusters, and 8 of the 10 domains (at grids 24 and 48 "
+        "alike) report no critical point; ROADMAP items 11(d) and 12 ask for a tilt size the margins certify",
+    ))])
+    def test_tilted_ring_ladder_keeps_a_critical_point_in_every_domain(self, n):
+        # the untilted product has a circle of critical points between each pair of rings and one at the centre
+        radii = [0.95 * (n - i) / n for i in range(n)]
+        report = domain_pigeonhole_report(vanishing_ring_poly(radii), concentric_ring_config(radii, sides=48), 24)
+        assert all(entry["has_critical_point"] for entry in report["domains"])
+
     def test_critical_points_stable_under_eps_halving(self):
         rng = np.random.default_rng(17)
         checked = 0
@@ -380,6 +391,10 @@ class TestBezout:
         p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
         cps = find_critical_points(p, BOX, 8)
         assert bezout_check(cps.n_clusters, 6)["bound"] == 25
+
+    def test_degree_zero_refused(self):
+        with pytest.raises(ValidationError, match=r"^degree must be >= 1, got 0$"):
+            bezout_check(0, 0)
 
     def test_violation_labeled_numerical(self):
         cps = find_critical_points(nine_well_poly(), BOX, 24)

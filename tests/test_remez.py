@@ -110,6 +110,14 @@ class TestEstimatorProperties:
         with pytest.raises(ValidationError):
             remez_estimate_lp([[0.0, 0.0]], 1, [[1.5, 0.0]])
 
+    def test_candidate_dimension_must_match_samples(self):
+        with pytest.raises(ValidationError, match=r"^candidate dimension 1 != sample dimension 2$"):
+            remez_estimate_lp([[0.0, 0.0], [0.5, 0.0]], 1, [[0.0], [0.5]])
+
+    def test_empty_points_rejected(self):
+        with pytest.raises(ValidationError, match=r"^zsamples must be a nonempty 2D point array$"):
+            remez_estimate_lp(np.zeros((0, 2)), 1, [[0.0, 0.0]])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_points_rejected(self, bad):
         zs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
@@ -334,7 +342,7 @@ class TestPruningMatchesFullSweep:
 class TestInverseRemez:
     def test_reciprocal(self):
         est = remez_estimate_lp([[-1.0], [0.0]], 1, [[1.0]])
-        assert 0.0 < 1.0 / est.value <= 1.0  # the range rigidity_from_remez accepts
+        assert 0.0 < 1.0 / est.value <= 1.0  # the range the from_remez row of rigidity_report accepts
         assert 1.0 / est.value == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_value_one(self):

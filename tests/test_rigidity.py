@@ -5,15 +5,7 @@ import pytest
 
 from rigidkit.errors import ValidationError
 from rigidkit.poly import MultiPoly, derivatives_of_order, eval_poly
-from rigidkit.rigidity import (
-    FORMULAS,
-    rigidity_1d_bound,
-    rigidity_1d_floor,
-    rigidity_from_remez,
-    rigidity_report,
-    rigidity_topological_composed,
-    rigidity_topological_literal,
-)
+from rigidkit.rigidity import FORMULAS, rigidity_1d_bound, rigidity_1d_floor, rigidity_report
 
 
 class TestRigidity1D:
@@ -84,41 +76,46 @@ class TestRigidity1D:
             rigidity_1d_bound([-1.0, 0.0], 0.0, 1)
 
 
-class TestClosedFormBounds:
-    def test_from_remez(self):
-        assert rigidity_from_remez(0.0, 3) == 0.0
-        assert rigidity_from_remez(1.0, 1) == pytest.approx(1.0)
-        assert rigidity_from_remez(1.0 / 17.0, 2) == pytest.approx(3.0 / 17.0)
-
-    def test_from_remez_linear_scaling(self):
-        base = rigidity_from_remez(0.25, 3)
-        assert rigidity_from_remez(0.5, 3) == pytest.approx(2.0 * base)
-
-    def test_from_remez_range_check(self):
-        with pytest.raises(ValidationError):
-            rigidity_from_remez(1.5, 2)
-
-    def test_literal(self):
-        assert rigidity_topological_literal(8.0, 1) == pytest.approx(0.5)
-        assert rigidity_topological_literal(4.0, 2) == pytest.approx(2.0 / 3.0)
-        assert rigidity_topological_literal(1.0, 6) == pytest.approx(8.0**6 / 5040.0)
-
-    def test_composed(self):
-        assert rigidity_topological_composed(8.0, 1) == pytest.approx(1.0)
-        assert rigidity_topological_composed(8.0, 2) == pytest.approx(3.0)
-        assert rigidity_topological_composed(4.0, 2) == pytest.approx(0.75)
-
-    def test_shapes_disagree_as_mu_shrinks(self):
-        # the two printed forms move in opposite directions; both are reported
-        lit = [rigidity_topological_literal(m, 2) for m in (1.0, 0.5, 0.25)]
-        comp = [rigidity_topological_composed(m, 2) for m in (1.0, 0.5, 0.25)]
-        assert lit[0] < lit[1] < lit[2]
-        assert comp[0] > comp[1] > comp[2]
-
-
 def entries(rep) -> dict:
     """The report's bound entries by formula name."""
     return {e["formula"]: e for e in rep["bounds"]}
+
+
+def row_value(formula: str, d: int, mu_value: float = 1.0, inv_remez=None) -> float:
+    """The value ``rigidity_report`` gives in its ``formula`` row."""
+    return entries(rigidity_report(d, mu_value=mu_value, oval_count=0, inv_remez=inv_remez))[formula]["value"]
+
+
+class TestClosedFormBounds:
+    def test_from_remez(self):
+        assert row_value("from_remez", 3, inv_remez=0.0) == 0.0
+        assert row_value("from_remez", 1, inv_remez=1.0) == pytest.approx(1.0)
+        assert row_value("from_remez", 2, inv_remez=1.0 / 17.0) == pytest.approx(3.0 / 17.0)
+
+    def test_from_remez_linear_scaling(self):
+        base = row_value("from_remez", 3, inv_remez=0.25)
+        assert row_value("from_remez", 3, inv_remez=0.5) == pytest.approx(2.0 * base)
+
+    def test_from_remez_range_check(self):
+        with pytest.raises(ValidationError, match=r"^inverse Remez constant must be in \[0, 1\], got 1.5$"):
+            rigidity_report(2, mu_value=1.0, oval_count=0, inv_remez=1.5)
+
+    def test_literal(self):
+        assert row_value("topological_literal", 1, mu_value=8.0) == pytest.approx(0.5)
+        assert row_value("topological_literal", 2, mu_value=4.0) == pytest.approx(2.0 / 3.0)
+        assert row_value("topological_literal", 6, mu_value=1.0) == pytest.approx(8.0**6 / 5040.0)
+
+    def test_composed(self):
+        assert row_value("topological_composed", 1, mu_value=8.0) == pytest.approx(1.0)
+        assert row_value("topological_composed", 2, mu_value=8.0) == pytest.approx(3.0)
+        assert row_value("topological_composed", 2, mu_value=4.0) == pytest.approx(0.75)
+
+    def test_shapes_disagree_as_mu_shrinks(self):
+        # the two printed forms move in opposite directions; both are reported
+        lit = [row_value("topological_literal", 2, mu_value=m) for m in (1.0, 0.5, 0.25)]
+        comp = [row_value("topological_composed", 2, mu_value=m) for m in (1.0, 0.5, 0.25)]
+        assert lit[0] < lit[1] < lit[2]
+        assert comp[0] > comp[1] > comp[2]
 
 
 class TestReport:
@@ -136,6 +133,11 @@ class TestReport:
         lit = entries(rep)["topological_literal"]
         assert not lit["hypothesis_ok"]
         assert "26" in lit["note"]
+
+    @pytest.mark.parametrize("mu_value", [0.0, -1.0])
+    def test_nonpositive_mu_refused(self, mu_value):
+        with pytest.raises(ValidationError, match=f"^minimal domain area must be positive, got {mu_value}$"):
+            rigidity_report(2, mu_value=mu_value, oval_count=5)
 
     def test_from_remez_entry(self):
         rep = rigidity_report(2, mu_value=1.0, oval_count=5, inv_remez=1.0 / 17.0)
