@@ -288,11 +288,7 @@ def _cmd_boxdim(args) -> dict:
 def _cmd_verify_proof(args) -> dict:
     p = _cli.MultiPoly.from_json_dict(_read_json(args.poly))
     config = _cli.config_from_json_dict(_read_json(args.config))
-    report = _cli.domain_pigeonhole_report(p, config, args.grid)
-    return {
-        "bezout_formula": "at most (d-1)^2 isolated critical points",
-        **report,
-    }
+    return _cli.domain_pigeonhole_report(p, config, args.grid)
 
 
 # --- parser --------------------------------------------------------------

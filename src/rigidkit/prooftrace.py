@@ -5,8 +5,8 @@ critical points (the gradient components have degrees <= d-1 and their
 common zeros are counted by the product). A nested-oval decomposition with
 more domains than that bound therefore contains a domain without interior
 critical points, which pins the sup of |p| on that domain to its boundary.
-This module locates critical points numerically, checks the count, and
-assembles the per-domain evidence.
+This module locates critical points numerically; ``domain_pigeonhole_report``
+checks their count in its Bezout row and assembles the per-domain evidence.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "CriticalPointSet",
     "find_critical_points",
     "perturb_linear",
-    "bezout_check",
     "domain_pigeonhole_report",
 ]
 
@@ -209,29 +208,6 @@ def perturb_linear(p: MultiPoly, t: float) -> MultiPoly:
     return p + MultiPoly(2, {(1, 0): t * a, (0, 1): t * b})
 
 
-def bezout_check(n_clusters: int, d: int) -> dict:
-    """Check a critical-point cluster count against (d-1)^2.
-
-    Returns the JSON body ``{degree, bound, n_clusters, verdict, note}``.
-    An exceeded bound is impossible for a degree-d polynomial with isolated
-    critical points, so a violation is labeled a numerical artifact (split
-    clusters, or a positive-dimensional critical set sampled at many
-    points), never a counterexample; ``note`` is None when consistent.
-    """
-    if d < 1:
-        raise ValidationError(f"degree must be >= 1, got {d}")
-    bound = (d - 1) ** 2
-    body = {"degree": d, "bound": bound, "n_clusters": n_clusters, "verdict": "consistent", "note": None}
-    if n_clusters > bound:
-        body["verdict"] = "violation"
-        body["note"] = (
-            "cluster count exceeds the degree bound; this is a numerical "
-            "artifact (split clusters or a positive-dimensional critical "
-            "set sampled repeatedly), not a counterexample"
-        )
-    return body
-
-
 def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_grid: int) -> dict:
     """Assemble the pigeonhole evidence for p over a nested-oval config as a JSON body.
 
@@ -254,16 +230,20 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
     lattice at g points per axis nests inside 2g-1, so maxima (and flags
     already raised) are monotone under sample doubling.
 
-    The body holds the degree and the perturbation, the ``bezout_check``
-    verdict, the critical points as ``CriticalPointSet.to_json_dict`` gives
-    them, each point's domain (outer oval id, or None) in ``assignments``,
-    one entry per domain, and the pigeonhole tallies.
+    The body holds the degree d, the perturbation, the Bezout formula and its
+    ``bezout`` row, which checks the cluster count against (d-1)^2. A count
+    over the bound is impossible for isolated critical points, so the row
+    labels it a numerical artifact (split clusters, or a positive-dimensional
+    critical set sampled at many points), never a counterexample. Then come
+    the critical points as ``CriticalPointSet.to_json_dict`` gives them, each
+    point's domain (outer oval id, or None) in ``assignments``, one entry per
+    domain, and the pigeonhole tallies.
     """
-    if p.nvars != 2:
-        raise ValidationError(f"expected dimension 2, got {p.nvars}")
     tilt = _TILT_EPS * max(p.coefficient_norm(), 1.0)
     pt_poly = perturb_linear(p, tilt)
     d = pt_poly.degree
+    if d < 1:
+        raise ValidationError(f"the tilt of size {tilt:g} cancels every non-constant term of p")
 
     parent, _ = build_nesting_forest(config)
     areas = build_domains(config, parent).tolist()
@@ -309,10 +289,19 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
     reps = cps.representatives[free]
     crit_vals = np.abs(eval_poly(pt_poly, [reps[:, 0], reps[:, 1]]))
     violations = [i for i, v in zip(free, crit_vals.tolist()) if v > global_bmax]
+    consistent = cps.n_clusters <= (d - 1) ** 2
     return {
         "degree": d,
         "perturbation": {"direction": list(_TILT), "eps": tilt},
-        "bezout": bezout_check(cps.n_clusters, d),
+        "bezout_formula": "at most (d-1)^2 isolated critical points",
+        "bezout": {
+            "degree": d, "bound": (d - 1) ** 2, "n_clusters": cps.n_clusters,
+            "verdict": "consistent" if consistent else "violation",
+            "note": None if consistent else (
+                "cluster count exceeds the degree bound; this is a numerical artifact (split clusters or a "
+                "positive-dimensional critical set sampled repeatedly), not a counterexample"
+            ),
+        },
         "critical_points": cps.to_json_dict(),
         "assignments": assignments,
         "domains": dom_entries,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import CIRCLE_SIDES, concentric_ring_config, regular_polygon, square, write_config_json
-from rigidkit import __version__, cli, remez
+from rigidkit import __version__, cli, prooftrace, remez
 from rigidkit.cli import main
 from rigidkit.geometry import candidate_grid
 from test_golden import GOLDEN, write_inputs
@@ -532,25 +532,35 @@ class TestErrorPaths:
         expect_exit2(argv + [str(path)], capsys, f"{fragment} {path}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize(
-        "points, argv, message",
+        "content, argv, message",
         [
-            ("0.1,0.2\n0.3\n", ["boxdim", "--scales", "0.5,0.25,0.125", "--degree", "1"],
+            ("0.1,0.2\n0.3\n", ["boxdim", "--scales", "0.5,0.25,0.125", "--degree", "1", "--points"],
              "inconsistent column count in {path} line 2"),
-            ("0.1,0.2\nabc,0.3\n", ["boxdim", "--scales", "0.5,0.25,0.125", "--degree", "1"],
+            ("0.1,0.2\nabc,0.3\n", ["boxdim", "--scales", "0.5,0.25,0.125", "--degree", "1", "--points"],
              "malformed point in {path} line 2: could not convert string to float: 'abc'"),
-            ("0.1,0.2\n0.3,0.4\n", ["boxdim", "--scales", "0.5,x,0.125", "--degree", "1"],
+            ("0.1,0.2\n0.3,0.4\n", ["boxdim", "--scales", "0.5,x,0.125", "--degree", "1", "--points"],
              "malformed scales list: could not convert string to float: 'x'"),
             (None, ["rigidity-1d", "--zeros=0.1,y,0.5", "--z0", "0.9", "--degree", "2"],
              "malformed zeros list: could not convert string to float: 'y'"),
             (None, ["rigidity-1d", "--zeros=0.1,0.1,0.5", "--z0", "0.9", "--degree", "2"], "zero nodes must be distinct"),
+            ('{"nvars": 1, "terms": [{"exp": [2], "coef": 1.0}]}', ["verify-proof", "--config", "{annulus}", "--poly"],
+             "expected dimension 2, got 1"),
+            ('{"nvars": 3, "terms": [{"exp": [2, 0, 1], "coef": 1.0}]}', ["verify-proof", "--config", "{annulus}", "--poly"],
+             "expected dimension 2, got 3"),
+            # 1 - 1e-6 (a x + b y), which the pigeonhole tilt of size 1e-6 along (a, b) turns into the constant 1
+            (json.dumps({"nvars": 2, "terms": [{"exp": [0, 0], "coef": 1.0}] + [
+                {"exp": e, "coef": -1e-6 * c} for e, c in zip(([1, 0], [0, 1]), prooftrace._TILT)]}),
+             ["verify-proof", "--config", "{annulus}", "--poly"], "the tilt of size 1e-06 cancels every non-constant term of p"),
         ],
-        ids=["ragged-csv", "non-numeric-csv", "scales-list", "zeros-list", "repeated-zero"],
+        ids=["ragged-csv", "non-numeric-csv", "scales-list", "zeros-list", "repeated-zero", "poly-in-1d", "poly-in-3d",
+             "tilt-cancels-p"],
     )
-    def test_malformed_input_exit2_with_one_line(self, points, argv, message, tmp_path, capsys):
-        path = tmp_path / "points.csv"
-        if points is not None:
-            path.write_text(points)
-            argv = argv + ["--points", str(path)]
+    def test_malformed_input_exit2_with_one_line(self, content, argv, message, annulus_path, tmp_path, capsys):
+        path = tmp_path / "input"
+        argv = [arg.format(annulus=annulus_path) for arg in argv]
+        if content is not None:
+            path.write_text(content)
+            argv = argv + [str(path)]
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message.format(path=path)}\n")

@@ -17,7 +17,7 @@ from rigidkit.cli import build_parser, main
 from rigidkit.curves import composition_report
 from rigidkit.fractal import box_dimension_estimate
 from rigidkit.poly import MultiPoly
-from rigidkit.prooftrace import bezout_check, domain_pigeonhole_report
+from rigidkit.prooftrace import domain_pigeonhole_report
 from rigidkit.rigidity import rigidity_report
 from test_golden import CASES, write_inputs
 
@@ -162,7 +162,6 @@ def test_report_bodies_hold_plain_json_types():
     grid = np.stack([g.ravel() for g in np.meshgrid(mids, mids, indexing="ij")], axis=1)
     radii = (0.95, 0.55)
     bodies = {
-        "bezout_check": bezout_check(9, 2),
         "domain_pigeonhole_report": domain_pigeonhole_report(
             vanishing_ring_poly(radii), concentric_ring_config(radii), newton_grid=16
         ),

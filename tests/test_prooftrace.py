@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -9,12 +10,7 @@ from rigidkit import prooftrace
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import validate_configuration
 from rigidkit.poly import MultiPoly, derivatives_of_order, eval_polys
-from rigidkit.prooftrace import (
-    bezout_check,
-    domain_pigeonhole_report,
-    find_critical_points,
-    perturb_linear,
-)
+from rigidkit.prooftrace import domain_pigeonhole_report, find_critical_points, perturb_linear
 
 BOX = ((-1.5, -1.5), (1.5, 1.5))
 
@@ -30,6 +26,22 @@ def two_ring_poly() -> MultiPoly:
 
 def two_ring_config():
     return concentric_ring_config((0.95, 0.55))
+
+
+def exact_ring_critical_count(p: MultiPoly, t: float) -> int:
+    """The number of critical points of p + t(a x + b y), for p = F(x^2 + y^2) and (a, b) a unit vector.
+
+    Every critical point lies on the line along (a, b), at s(a, b) for a real root s of 2s F'(s^2) + t; sympy's
+    Sturm count of those roots is exact on the floats' rational values. The float coefficients of p must be
+    exactly those of F(x^2 + y^2).
+    """
+    sp = pytest.importorskip("sympy")
+    coefs = {tuple(e): Fraction(c) for e, c in zip(p.exps.tolist(), p.coefs.tolist()) if c}
+    f = [coefs.get((2 * k, 0), Fraction(0)) for k in range(p.degree // 2 + 1)]
+    assert coefs == {(2 * i, 2 * (k - i)): f[k] * math.comb(k, i) for k in range(len(f)) if f[k] for i in range(k + 1)}
+    s = sp.Symbol("s")
+    g = 2 * s * sum(k * sp.Rational(f[k]) * s ** (2 * k - 2) for k in range(1, len(f))) + sp.Rational(Fraction(t))
+    return sp.Poly(g, s, domain=sp.QQ).count_roots()
 
 
 class TestFindCriticalPoints:
@@ -340,7 +352,9 @@ class TestPerturbation:
         reason="the tilt splits a circle of critical points into two, but Newton on the degenerate ring product "
         "still counts extra clusters; ROADMAP item 3 asks for certified counts of 2N-1",
     )
-    @pytest.mark.parametrize("radii, grid", [((0.2, 0.4, 0.6, 0.8), 24), ((0.25, 0.5, 0.75), 48)])
+    @pytest.mark.parametrize(
+        "radii, grid", [((0.2, 0.4, 0.6, 0.8), 24), ((0.25, 0.5, 0.75), 48), ((0.95, 0.65, 0.35), 24)]
+    )
     def test_tilted_concentric_rings_leave_2n_minus_1_clusters(self, radii, grid):
         # the product of N concentric rings has the centre and N - 1 circles of critical points;
         # the tilt leaves the centre and two points on each circle
@@ -358,6 +372,19 @@ class TestPerturbation:
         report = domain_pigeonhole_report(vanishing_ring_poly(radii), concentric_ring_config(radii, sides=48), 24)
         assert all(entry["has_critical_point"] for entry in report["domains"])
 
+    @pytest.mark.parametrize(
+        "radii, count", [((0.25, 0.5, 0.75), 5), ((0.2, 0.4, 0.6, 0.8), 7), ((0.95, 0.55), 3), ((0.95, 0.65, 0.35), 5)]
+    )
+    def test_exact_count_on_tilted_concentric_rings_is_2n_minus_1(self, radii, count):
+        p = vanishing_ring_poly(radii)
+        assert exact_ring_critical_count(p, prooftrace._TILT_EPS * max(p.coefficient_norm(), 1.0)) == count
+
+    @pytest.mark.parametrize("radii", [(0.25, 0.5, 0.75), (0.95, 0.55)])
+    def test_report_count_on_concentric_rings_is_exact(self, radii):
+        p = vanishing_ring_poly(radii)
+        report = domain_pigeonhole_report(p, concentric_ring_config(radii), 24)
+        assert report["critical_points"]["n_clusters"] == exact_ring_critical_count(p, report["perturbation"]["eps"])
+
     def test_critical_points_stable_under_eps_halving(self):
         rng = np.random.default_rng(17)
         checked = 0
@@ -374,33 +401,39 @@ class TestPerturbation:
 
 
 class TestBezout:
+    GOLDEN_RINGS = (0.25, 0.5, 0.75)
+
+    def golden_rings_bezout(self, grid: int) -> dict:
+        radii = self.GOLDEN_RINGS
+        return domain_pigeonhole_report(vanishing_ring_poly(radii), concentric_ring_config(radii), grid)["bezout"]
+
     def test_consistent_verdicts(self):
-        p = nine_well_poly()
-        cps = find_critical_points(p, BOX, 24)
-        v = bezout_check(cps.n_clusters, 4)
-        assert v["verdict"] == "consistent"
-        assert v["bound"] == 9 and v["n_clusters"] == 9
+        bezout = self.golden_rings_bezout(24)
+        assert bezout == {"degree": 6, "bound": 25, "n_clusters": 5, "verdict": "consistent", "note": None}
 
     def test_small_cases(self):
-        p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        cps = find_critical_points(p, BOX, 8)
-        assert bezout_check(cps.n_clusters, 2)["verdict"] == "consistent"
-        assert bezout_check(cps.n_clusters, 3)["bound"] == 4
+        # x^2 + y^2, x^3 - 3x + y^2 and the nine wells: degrees 2, 3 and 4 with 1, 2 and 9 critical points
+        cubic = MultiPoly(2, {(3, 0): 1.0, (1, 0): -3.0, (0, 2): 1.0})
+        for p, d, n in ((MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), 2, 1), (cubic, 3, 2), (nine_well_poly(), 4, 9)):
+            bezout = domain_pigeonhole_report(p, two_ring_config(), 24)["bezout"]
+            assert bezout == {"degree": d, "bound": (d - 1) ** 2, "n_clusters": n, "verdict": "consistent", "note": None}
 
     def test_degree_six_bound_is_25(self):
-        p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        cps = find_critical_points(p, BOX, 8)
-        assert bezout_check(cps.n_clusters, 6)["bound"] == 25
+        bezout = domain_pigeonhole_report(MultiPoly(2, {(6, 0): 1.0, (0, 2): 1.0}), two_ring_config(), 8)["bezout"]
+        assert (bezout["degree"], bezout["bound"]) == (6, 25)
 
     def test_degree_zero_refused(self):
-        with pytest.raises(ValidationError, match=r"^degree must be >= 1, got 0$"):
-            bezout_check(0, 0)
+        # the tilt of size 1e-6 along (a, b) cancels the linear terms of 1 - 1e-6 (a x + b y)
+        a, b = prooftrace._TILT
+        p = MultiPoly(2, {(0, 0): 1.0, (1, 0): -1e-6 * a, (0, 1): -1e-6 * b})
+        with pytest.raises(ValidationError, match=r"^the tilt of size 1e-06 cancels every non-constant term of p$"):
+            domain_pigeonhole_report(p, two_ring_config(), 8)
 
     def test_violation_labeled_numerical(self):
-        cps = find_critical_points(nine_well_poly(), BOX, 24)
-        v = bezout_check(cps.n_clusters, 2)  # wrong degree on purpose: 9 > 1
-        assert v["verdict"] == "violation"
-        assert "numerical" in v["note"]
+        # at grid 200 Newton splits the 5 critical points of the tilted ring product into 50 clusters
+        bezout = self.golden_rings_bezout(200)
+        assert (bezout["n_clusters"], bezout["verdict"]) == (50, "violation")
+        assert "numerical" in bezout["note"]
 
     def test_random_perturbed_polys_within_bound(self):
         rng = np.random.default_rng(29)
@@ -409,7 +442,7 @@ class TestBezout:
             p = random_poly(2, d, rng)
             q = perturb_linear(p, 1e-6)
             cps = find_critical_points(q, ((-1.2, -1.2), (1.2, 1.2)), 10)
-            assert bezout_check(cps.n_clusters, d)["verdict"] == "consistent"
+            assert cps.n_clusters <= (d - 1) ** 2
 
 
 class TestPigeonhole:
