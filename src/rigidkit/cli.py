@@ -34,8 +34,7 @@ _NAMES = {
                  "sample_boundary"),
     "poly": ("MultiPoly",),
     "remez": ("remez_estimate_lp",),
-    "rigidity": ("FORMULAS", "ovals_required", "remez_bound_topological", "rigidity_1d_bound", "rigidity_1d_floor",
-                 "rigidity_report"),
+    "rigidity": ("FORMULAS", "remez_bound_topological", "rigidity_1d_bound", "rigidity_1d_floor", "rigidity_report"),
     "curves": ("composition_report", "crossing_count", "fit_curve", "image_norm"),
     "prooftrace": ("domain_pigeonhole_report",),
     "fractal": ("box_dimension_estimate", "rigidity_threshold_check"),
@@ -191,21 +190,13 @@ def _cmd_bounds(args) -> dict:
     config = _cli.config_from_json_dict(_read_json(args.config))
     mu_val = _cli.mu(_cli.build_domains(config, _cli.build_nesting_forest(config)[0]))
     count = config.N
-    required = _cli.ovals_required(args.degree)
-    remez_val = _cli.remez_bound_topological(mu_val, args.degree)
-    rep = _cli.rigidity_report(args.degree, mu_value=mu_val, oval_count=count)
     return {
         "degree": args.degree,
         "n": 2,  # the topological bounds are planar
         "mu": mu_val,
         "oval_count": count,
-        "remez_topological": {
-            "value": remez_val,
-            "formula": "(4n/mu)^d",
-            "hypothesis_ok": count >= required,
-            "ovals_required": required,
-        },
-        "rigidity": rep,
+        "remez_topological": _cli.remez_bound_topological(mu_val, args.degree, count),
+        "rigidity": _cli.rigidity_report(args.degree, mu_value=mu_val, oval_count=count),
     }
 
 

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from . import errors
 from .errors import ValidationError
 from .geometry import OvalConfiguration, _box_pairs, in_unit_ball, lattice
 from .poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
@@ -60,8 +61,9 @@ def fit_curve(points, s: int) -> tuple[MultiPoly, ...]:
 
     Parameters are assigned at the Chebyshev nodes cos((2j+1)pi/(2k)) in the
     given point order; this standard choice tames interpolation blow-up so
-    the fitted curve has small high-order derivatives. The fitted image must
-    stay inside the unit ball.
+    the fitted curve has small high-order derivatives. The k x k
+    interpolation matrix is held to ``errors.MAX_ENTRIES`` before it is
+    built. The fitted image must stay inside the unit ball.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = len(pts)
@@ -69,6 +71,7 @@ def fit_curve(points, s: int) -> tuple[MultiPoly, ...]:
         raise ValidationError("need at least one point")
     if k > s + 1:
         raise ValidationError(f"{k} points cannot be interpolated by degree-{s} components (need k <= s+1)")
+    errors.check_entries(k * k, f"an interpolation matrix of {k} curve points")
     tj = np.cos((2 * np.arange(k) + 1) * np.pi / (2 * k))
     vand = np.vander(tj, k, increasing=True)
     coeff = np.linalg.solve(vand, pts)  # (k, n): per-coordinate coefficients
@@ -96,7 +99,9 @@ def composition_report(f: MultiPoly, omega, s: int, d: int, tgrid: int) -> dict:
     at most s partitioning d+1, i.e. ceil((d+1)/s); for a straight line
     (s = 1) the sum collapses to the single order d+1. The table of
     derivatives of f holds the orders ceil((d+1)/s) .. min(d+1, deg f):
-    every higher one is zero, and adding |0| to LHS changes no bit.
+    every higher one is zero, and adding |0| to LHS changes no bit. Its
+    values at the ``tgrid`` points are held to ``errors.MAX_ENTRIES`` before
+    any multi-index is enumerated.
     """
     if s < 1:
         raise ValidationError(f"curve degree must be >= 1, got {s}")
@@ -114,7 +119,10 @@ def composition_report(f: MultiPoly, omega, s: int, d: int, tgrid: int) -> dict:
 
     coords = eval_polys(omega, [taus])
     lhs = np.zeros(tgrid)
-    qs = [q for k in range(k_lo, min(k_hi, f.degree) + 1) for _, q in derivatives_of_order(f, k)]
+    orders = range(k_lo, min(k_hi, f.degree) + 1)
+    table = sum(math.comb(f.nvars + k - 1, k) for k in orders)  # the order-k multi-indices in n variables
+    errors.check_entries(table * tgrid, f"the values of {table} polynomials at {tgrid} points")
+    qs = [q for k in orders for _, q in derivatives_of_order(f, k)]
     for value in eval_polys(qs, coords):
         lhs += np.abs(value)
     rhs = np.abs(eval_poly(g_deriv, [taus]))

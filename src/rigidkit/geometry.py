@@ -18,7 +18,9 @@ pairs of one segment set whose boxes overlap: the edge pairs that validation
 tests, and, run over the curve's chords stacked before the edges, the
 chord-edge pairs that the crossing count solves. One ray cast over the edge
 array gives the forest. Lattices and boundary samples are held to
-``errors.MAX_ENTRIES`` floats. Area discretization error is the caller's.
+``errors.MAX_ENTRIES`` floats, as are ``poly``'s basis factors and values
+and ``curves``' interpolation matrix and derivative table. Area
+discretization error is the caller's.
 """
 
 from __future__ import annotations

@@ -3,13 +3,13 @@
 The d-rigidity of a zero set Z is the largest R such that every (d+1)-times
 smooth function vanishing on Z with max |f| = 1 on the unit ball satisfies
 ||f^(d+1)|| >= R. This module owns every closed-form bound the package
-knows: the topological Remez bound (8/mu)^d with its oval-count hypothesis
-``ovals_required``; the rows of ``rigidity_report``, the rigidity bounds from
-the inverse Remez constant and from the topological domain decomposition (in
-two variants whose shapes disagree); and the one-dimensional
-divided-difference bound with its floor. The topological bounds hold in the
-plane only: (d-1)^2 + 1 ovals outnumber the (d-1)^2 critical points of a
-degree-d polynomial. ``remez`` owns the LP estimate of the Remez constant.
+knows: the topological Remez bound (8/mu)^d, a row that judges its own
+oval-count hypothesis; the rows of ``rigidity_report``, the rigidity bounds
+from the inverse Remez constant and from the topological domain decomposition
+(in two variants whose shapes disagree, both copying that judgement); and the
+one-dimensional divided-difference bound with its floor. The topological
+bounds hold in the plane only: (d-1)^2 + 1 ovals outnumber the (d-1)^2
+critical points of a degree-d polynomial. ``remez`` owns the LP estimate.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from . import errors
 from .errors import ValidationError
 
 __all__ = [
-    "ovals_required",
     "remez_bound_topological",
     "rigidity_1d_bound",
     "rigidity_1d_floor",
@@ -30,6 +29,7 @@ __all__ = [
 _MAX_DEGREE = 18  # factorials beyond this are not meaningful in doubles
 
 FORMULAS = {
+    "remez_topological": "(4n/mu)^d",
     "from_remez": "(d+1)!/2 * inverse_remez",
     "topological_literal": "(1/(d+1)!) * (4n/mu)^d",
     "topological_composed": "(d+1)!/2 * (mu/(4n))^d",
@@ -44,31 +44,28 @@ def _factorial(k: int) -> float:
     return float(math.factorial(k))
 
 
-def ovals_required(d: int) -> int:
-    """Oval count (d-1)^2 + 1 that the planar topological bounds at degree d assume."""
+def remez_bound_topological(mu: float, d: int, oval_count: int) -> dict:
+    """The planar topological Remez row ``{value, formula, hypothesis_ok, ovals_required}``.
+
+    The value is the closed-form bound (4n/mu)^d = (8/mu)^d. It holds for a
+    configuration of at least (d-1)^2 + 1 ovals, ``ovals_required``, and
+    ``hypothesis_ok`` records whether ``oval_count`` reaches it; the value
+    is computed whatever the count. A negative degree, then mu <= 0, then a
+    value past the largest double are ValidationErrors, not infinity.
+    """
     if d < 0:
         raise ValidationError(f"degree must be >= 0, got {d}")
-    return (d - 1) ** 2 + 1
-
-
-def remez_bound_topological(mu: float, d: int) -> float:
-    """Closed-form Remez bound (4n/mu)^d = (8/mu)^d for plane configurations of many disjoint ovals.
-
-    The bound assumes at least ``ovals_required(d)`` ovals; the reports
-    judge that count in their ``hypothesis_ok`` entries, so this function
-    only evaluates the formula. A value past the largest double is a
-    ValidationError, not infinity.
-    """
     if mu <= 0:
         raise ValidationError(f"minimal domain area must be positive, got {mu}")
-    ovals_required(d)  # rejects d < 0
     try:
         value = (8.0 / mu) ** d
     except OverflowError:
         value = math.inf
     if math.isinf(value):
-        raise ValidationError(f"bound (4n/mu)^d overflows a double at mu = {mu:.6g}, d = {d}")
-    return value
+        raise ValidationError(f"bound {FORMULAS['remez_topological']} overflows a double at mu = {mu:.6g}, d = {d}")
+    required = (d - 1) ** 2 + 1
+    return {"value": value, "formula": FORMULAS["remez_topological"], "hypothesis_ok": oval_count >= required,
+            "ovals_required": required}
 
 
 def rigidity_1d_bound(xs, z0: float, d: int) -> float:
@@ -117,19 +114,19 @@ def rigidity_report(d: int, mu_value: float, oval_count: int, inv_remez: float |
     gives 0. The two topological rows are always present: the literal
     (1/(d+1)!) (4n/mu)^d grows as mu shrinks, while the composed
     (d+1)!/2 (mu/8)^d, chained from the inverse of the Remez bound, decays.
-    They are deliberately reported side by side; their hypothesis flag records
-    whether ``oval_count`` reaches ``ovals_required(d)``.
+    They are deliberately reported side by side. The literal one divides the
+    value of the ``remez_bound_topological`` row, and both copy its hypothesis
+    flag.
     """
     rows = []
     if inv_remez is not None:
         if not 0.0 <= inv_remez <= 1.0:
             raise ValidationError(f"inverse Remez constant must be in [0, 1], got {inv_remez}")
         rows.append(("from_remez", _factorial(d + 1) / 2.0 * inv_remez, True, ""))
-    required = ovals_required(d)
-    count_ok = oval_count >= required
-    note = "" if count_ok else f"oval count {oval_count} below required {required}"
-    literal = remez_bound_topological(mu_value, d) / _factorial(d + 1)  # refuses mu <= 0 for both rows
-    rows.append(("topological_literal", literal, count_ok, note))
+    remez = remez_bound_topological(mu_value, d, oval_count)  # refuses mu <= 0 for both rows
+    count_ok = remez["hypothesis_ok"]
+    note = "" if count_ok else f"oval count {oval_count} below required {remez['ovals_required']}"
+    rows.append(("topological_literal", remez["value"] / _factorial(d + 1), count_ok, note))
     rows.append(("topological_composed", _factorial(d + 1) / 2.0 * (mu_value / 8.0) ** d, count_ok, note))
     return {
         "degree": d,

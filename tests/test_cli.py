@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import CIRCLE_SIDES, concentric_ring_config, regular_polygon, square, write_config_json
-from rigidkit import __version__, cli, prooftrace, remez
+from rigidkit import __version__, cli, errors, prooftrace, remez
 from rigidkit.cli import main
 from rigidkit.geometry import candidate_grid
 from test_golden import GOLDEN, write_inputs
@@ -532,32 +532,45 @@ class TestErrorPaths:
         expect_exit2(argv + [str(path)], capsys, f"{fragment} {path}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize(
-        "content, argv, message",
+        "content, argv, message, limit",
         [
             ("0.1,0.2\n0.3\n", ["boxdim", "--scales", "0.5,0.25,0.125", "--degree", "1", "--points"],
-             "inconsistent column count in {path} line 2"),
+             "inconsistent column count in {path} line 2", None),
             ("0.1,0.2\nabc,0.3\n", ["boxdim", "--scales", "0.5,0.25,0.125", "--degree", "1", "--points"],
-             "malformed point in {path} line 2: could not convert string to float: 'abc'"),
+             "malformed point in {path} line 2: could not convert string to float: 'abc'", None),
             ("0.1,0.2\n0.3,0.4\n", ["boxdim", "--scales", "0.5,x,0.125", "--degree", "1", "--points"],
-             "malformed scales list: could not convert string to float: 'x'"),
+             "malformed scales list: could not convert string to float: 'x'", None),
             (None, ["rigidity-1d", "--zeros=0.1,y,0.5", "--z0", "0.9", "--degree", "2"],
-             "malformed zeros list: could not convert string to float: 'y'"),
-            (None, ["rigidity-1d", "--zeros=0.1,0.1,0.5", "--z0", "0.9", "--degree", "2"], "zero nodes must be distinct"),
+             "malformed zeros list: could not convert string to float: 'y'", None),
+            (None, ["rigidity-1d", "--zeros=0.1,0.1,0.5", "--z0", "0.9", "--degree", "2"],
+             "zero nodes must be distinct", None),
             ('{"nvars": 1, "terms": [{"exp": [2], "coef": 1.0}]}', ["verify-proof", "--config", "{annulus}", "--poly"],
-             "expected dimension 2, got 1"),
+             "expected dimension 2, got 1", None),
             ('{"nvars": 3, "terms": [{"exp": [2, 0, 1], "coef": 1.0}]}', ["verify-proof", "--config", "{annulus}", "--poly"],
-             "expected dimension 2, got 3"),
+             "expected dimension 2, got 3", None),
             # 1 - 1e-6 (a x + b y), which the pigeonhole tilt of size 1e-6 along (a, b) turns into the constant 1
             (json.dumps({"nvars": 2, "terms": [{"exp": [0, 0], "coef": 1.0}] + [
                 {"exp": e, "coef": -1e-6 * c} for e, c in zip(([1, 0], [0, 1]), prooftrace._TILT)]}),
-             ["verify-proof", "--config", "{annulus}", "--poly"], "the tilt of size 1e-06 cancels every non-constant term of p"),
+             ["verify-proof", "--config", "{annulus}", "--poly"], "the tilt of size 1e-06 cancels every non-constant term of p",
+             None),
+            # five points need a 5 x 5 interpolation matrix, refused before it is built
+            ("-0.3,0.2\n0.0,-0.1\n0.3,0.2\n0.1,0.1\n0.2,0.0\n", ["curve-check", "--f", "{fxy}", "--s", "4", "--degree", "1",
+             "--points"], "an interpolation matrix of 5 curve points would hold 25 entries, more than 24", 24),
+            # the 2 + 3 derivatives of orders 1..2 of x^2 + y^2 at the 512 default grid points; the fitted image's
+            # 2 x 1000 entries still fit
+            ("-0.3,0.2\n0.0,-0.1\n0.3,0.2\n", ["curve-check", "--f", "{fxy}", "--s", "2", "--degree", "1", "--points"],
+             "the values of 5 polynomials at 512 points would hold 2560 entries, more than 2000", 2000),
         ],
         ids=["ragged-csv", "non-numeric-csv", "scales-list", "zeros-list", "repeated-zero", "poly-in-1d", "poly-in-3d",
-             "tilt-cancels-p"],
+             "tilt-cancels-p", "interpolation-matrix", "derivative-table"],
     )
-    def test_malformed_input_exit2_with_one_line(self, content, argv, message, annulus_path, tmp_path, capsys):
+    def test_malformed_input_exit2_with_one_line(self, content, argv, message, limit, annulus_path, fxy_path, tmp_path,
+                                                 capsys, monkeypatch):
+        # a case with a limit runs under that many entries per array, so that a small input meets it
+        if limit is not None:
+            monkeypatch.setattr(errors, "MAX_ENTRIES", limit)
         path = tmp_path / "input"
-        argv = [arg.format(annulus=annulus_path) for arg in argv]
+        argv = [arg.format(annulus=annulus_path, fxy=fxy_path) for arg in argv]
         if content is not None:
             path.write_text(content)
             argv = argv + [str(path)]

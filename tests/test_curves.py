@@ -271,6 +271,20 @@ class TestCompositionReport:
         with pytest.raises(ValidationError, match=f"^a lattice of {10**20} points per axis in 1D would hold"):
             composition_report(f, omega, 2, 3, 10**20)
 
+    def test_derivative_table_refused_before_enumeration(self, monkeypatch):
+        # x_1^30 in 10 variables has C(39, 30) derivatives of order 30; listing them would take many GB
+        def no_enumeration(p, k):
+            if p.nvars > 1:  # f, not its univariate composition with the curve
+                raise AssertionError(f"the order-{k} derivatives of f were enumerated")
+            return derivatives_of_order(p, k)
+
+        monkeypatch.setattr(curves, "derivatives_of_order", no_enumeration)
+        f = MultiPoly(10, {(30,) + (0,) * 9: 1.0})
+        omega = tuple(MultiPoly(1, {(1,): 0.1}) for _ in range(10))
+        with pytest.raises(ValidationError, match=(
+                "^the values of 211915132 polynomials at 8 points would hold 1695321056 entries, more than 16777216$")):
+            composition_report(f, omega, 1, 29, 8)
+
     def test_json_shape(self):
         f = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
         omega = (MultiPoly(1, {(1,): 1.0}), MultiPoly(1, {(2,): 1.0}))

@@ -18,6 +18,7 @@ from conftest import (
     write_config_json,
 )
 from rigidkit import errors, geometry
+from rigidkit.curves import composition_report, fit_curve
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import (
     Oval,
@@ -625,12 +626,17 @@ class TestEntryLimit:
         one = validate_configuration([square(1.0, 1)])
         two = validate_configuration([square(1.0, 1), square(0.5, 2)])
         quad = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
+        line = (MultiPoly(1, {(1,): 0.5}), MultiPoly(1, {(1,): 0.5}))
         sized = [
             (lambda: lattice((0.0,) * 3, (1.0,) * 3, 3), 81, "a lattice of 3 points per axis in 3D"),
             (lambda: sample_boundary(one, 16), 32, "1 ovals x 16 boundary samples"),
             (lambda: sample_boundary(two, 8), 32, "2 ovals x 8 boundary samples"),
             (lambda: basis_size(1, 8), 81, "an m x m factor of a basis of 9 monomials"),
             (lambda: eval_polys([quad] * 3, [np.zeros(5), 0.5]), 15, "the values of 3 polynomials at 5 points"),
+            # 32^2 entries, more than the 1000 of the image check that follows
+            (lambda: fit_curve(np.zeros((32, 1)), 31), 1024, "an interpolation matrix of 32 curve points"),
+            # the 3 second derivatives of quad at 5 grid points
+            (lambda: composition_report(quad, line, 1, 1, 5), 15, "the values of 3 polynomials at 5 points"),
         ]
         for build, entries, array in sized:
             monkeypatch.setattr(errors, "MAX_ENTRIES", entries)

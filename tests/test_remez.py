@@ -9,38 +9,43 @@ from rigidkit.errors import SolverError, ValidationError
 from rigidkit.geometry import candidate_grid, sample_boundary, validate_configuration
 from rigidkit.poly import basis_size, eval_poly
 from rigidkit.remez import remez_estimate_lp, vandermonde
-from rigidkit.rigidity import ovals_required, remez_bound_topological
+from rigidkit.rigidity import remez_bound_topological
 
 
 class TestTopologicalBound:
     def test_plane_substitution(self):
-        assert remez_bound_topological(2.0, 3) == pytest.approx(64.0)
+        row = remez_bound_topological(2.0, 3, 5)
+        assert row["value"] == pytest.approx(64.0)
+        assert (row["formula"], row["hypothesis_ok"]) == ("(4n/mu)^d", True)
 
     def test_unit_value(self):
-        assert remez_bound_topological(8.0, 1) == pytest.approx(1.0)
+        assert remez_bound_topological(8.0, 1, 1)["value"] == pytest.approx(1.0)
 
     def test_oval_count_hypothesis(self):
-        # the degree-6 formula value; whether 26 ovals are present is judged by the reports
-        assert remez_bound_topological(1.0, 6) == pytest.approx(8.0**6)
+        # the degree-6 value is computed whatever the count; the row judges the 26 ovals it needs
+        for count, ok in ((25, False), (26, True)):
+            row = remez_bound_topological(1.0, 6, count)
+            assert row["value"] == pytest.approx(8.0**6)
+            assert (row["hypothesis_ok"], row["ovals_required"]) == (ok, 26)
 
     def test_ovals_required(self):
-        assert [ovals_required(d) for d in (1, 2, 3, 6)] == [1, 2, 5, 26]
-        with pytest.raises(ValidationError, match=r"degree must be >= 0, got -1"):
-            ovals_required(-1)
+        assert [remez_bound_topological(1.0, d, 0)["ovals_required"] for d in (1, 2, 3, 6)] == [1, 2, 5, 26]
 
     def test_mu_positive(self):
-        with pytest.raises(ValidationError, match=r"minimal domain area must be positive"):
-            remez_bound_topological(0.0, 2)
+        with pytest.raises(ValidationError, match=r"^minimal domain area must be positive, got 0\.0$"):
+            remez_bound_topological(0.0, 2, 2)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValidationError, match=r"degree must be >= 0, got -1"):
-            remez_bound_topological(1.0, -1)
+        # the degree is judged before mu
+        with pytest.raises(ValidationError, match=r"^degree must be >= 0, got -1$"):
+            remez_bound_topological(0.0, -1, 2)
 
-    @pytest.mark.parametrize("mu, d", [(4e-18, 18), (4e-320, 1)])
-    def test_overflow_rejected(self, mu, d):
+    @pytest.mark.parametrize("mu, d, shown", [(4e-18, 18, "4e-18"), (4e-320, 1, "3.99996e-320")],
+                             ids=["4e-18-18", "4e-320-1"])
+    def test_overflow_rejected(self, mu, d, shown):
         # the power overflows at the first pair; 8/mu is already infinite at the second
-        with pytest.raises(ValidationError, match=r"^bound \(4n/mu\)\^d overflows a double"):
-            remez_bound_topological(mu, d)
+        with pytest.raises(ValidationError, match=rf"^bound \(4n/mu\)\^d overflows a double at mu = {shown}, d = {d}$"):
+            remez_bound_topological(mu, d, 1000)
 
 
 class TestVandermonde:

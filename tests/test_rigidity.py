@@ -5,7 +5,7 @@ import pytest
 
 from rigidkit.errors import ValidationError
 from rigidkit.poly import MultiPoly, derivatives_of_order, eval_poly
-from rigidkit.rigidity import FORMULAS, rigidity_1d_bound, rigidity_1d_floor, rigidity_report
+from rigidkit.rigidity import FORMULAS, remez_bound_topological, rigidity_1d_bound, rigidity_1d_floor, rigidity_report
 
 
 class TestRigidity1D:
@@ -129,10 +129,12 @@ class TestReport:
         assert lit["hypothesis_ok"] and comp["hypothesis_ok"]  # 10 >= (2-1)^2+1
 
     def test_hypothesis_flag_when_too_few_ovals(self):
-        rep = rigidity_report(6, mu_value=1.0, oval_count=25)
-        lit = entries(rep)["topological_literal"]
-        assert not lit["hypothesis_ok"]
-        assert "26" in lit["note"]
+        # degree 6 needs (6-1)^2 + 1 = 26 ovals; both topological rows carry the Remez row's verdict
+        for count, ok, note in ((25, False, "oval count 25 below required 26"), (26, True, "")):
+            assert remez_bound_topological(1.0, 6, count)["hypothesis_ok"] is ok
+            rep = entries(rigidity_report(6, mu_value=1.0, oval_count=count))
+            for row in (rep["topological_literal"], rep["topological_composed"]):
+                assert (row["hypothesis_ok"], row["note"]) == (ok, note)
 
     @pytest.mark.parametrize("mu_value", [0.0, -1.0])
     def test_nonpositive_mu_refused(self, mu_value):
