@@ -34,8 +34,8 @@ _NAMES = {
                  "sample_boundary"),
     "poly": ("MultiPoly",),
     "remez": ("remez_estimate_lp",),
-    "rigidity": ("FORMULAS", "remez_bound_topological", "rigidity_1d_bound", "rigidity_1d_floor", "rigidity_report"),
-    "curves": ("composition_report", "crossing_count", "fit_curve", "image_norm"),
+    "rigidity": ("remez_bound_topological", "rigidity_1d_bound", "rigidity_report"),
+    "curves": ("composition_report", "crossing_count", "fit_curve"),
     "prooftrace": ("domain_pigeonhole_report",),
     "fractal": ("box_dimension_estimate", "rigidity_threshold_check"),
     "svg": ("render_svg",),
@@ -228,24 +228,13 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _cmd_rigidity_1d(args) -> dict:
-    zeros = sorted(_parse_floats(args.zeros, "zeros list"))
-    bound = _cli.rigidity_1d_bound(zeros, args.z0, args.degree)
-    return {
-        "degree": args.degree,
-        "zeros": zeros,
-        "z0": args.z0,
-        "fz0": 1.0,
-        "bound": bound,
-        "formula": _cli.FORMULAS["one_dimensional"],
-        "universal_floor": _cli.rigidity_1d_floor(args.degree),
-        "universal_floor_formula": _cli.FORMULAS["one_dimensional_floor"],
-    }
+    return _cli.rigidity_1d_bound(_parse_floats(args.zeros, "zeros list"), args.z0, args.degree)
 
 
 def _cmd_curve_check(args) -> dict:
     f = _cli.MultiPoly.from_json_dict(_read_json(args.f))
     points = _read_points_csv(args.points)
-    curve = _cli.fit_curve(points, args.s)
+    curve, norm = _cli.fit_curve(points, args.s)
     comp = _cli.composition_report(f, curve, args.s, args.degree, args.tgrid)
     crossings = None
     if args.config:
@@ -254,7 +243,7 @@ def _cmd_curve_check(args) -> dict:
         "curve": {
             "s": args.s,
             "components": [c.to_json_dict() for c in curve],
-            "max_image_norm": _cli.image_norm(curve),
+            "max_image_norm": norm,
         },
         "composition": comp,
         "composition_formula": (

@@ -2,13 +2,15 @@
 
 A test curve is a low-degree polynomial parametric curve omega(t), t in
 [-1, 1], threaded through prescribed points of a zero set, held as the tuple
-of its univariate ``MultiPoly`` components. Composing a function with the
-curve transfers one-dimensional derivative information to dimension n: the
-sum of the derivative norms of f of orders ceil((d+1)/s) .. d+1 along the
-curve dominates a constant multiple of |g^(d+1)| for g = f(omega). The
-constant is not known in closed form here; ``composition_report`` records
-the empirical ratio instead. Orders above deg f vanish, so its table of
-derivatives of f stops there, and its cost does not grow with d beyond deg f.
+of its univariate ``MultiPoly`` components, which ``fit_curve`` returns with
+the max norm of the image it checks against the unit ball. Composing a
+function with the curve transfers one-dimensional derivative information to
+dimension n: the sum of the derivative norms of f of orders ceil((d+1)/s) ..
+d+1 along the curve dominates a constant multiple of |g^(d+1)| for
+g = f(omega). The constant is not known in closed form here;
+``composition_report`` records the empirical ratio instead. Orders above
+deg f vanish, so its table of derivatives of f stops there, and its cost
+does not grow with d beyond deg f.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "fit_curve",
     "composition_report",
     "crossing_count",
-    "image_norm",
 ]
 
 _IMAGE_GRID = 1000
@@ -49,21 +50,15 @@ def _check_components(omega, s: float = math.inf) -> None:
             raise ValidationError(f"component degree {c.degree} exceeds s = {s}")
 
 
-def image_norm(omega) -> float:
-    """Max |omega(t)| over 1000 equally spaced t in [-1, 1]."""
-    pts = _points(omega, np.linspace(-1.0, 1.0, _IMAGE_GRID))
-    with np.errstate(over="ignore"):  # an image far outside the ball reads inf, as fit_curve's error reports
-        return float(np.max(np.sqrt(np.sum(pts**2, axis=-1))))
-
-
-def fit_curve(points, s: int) -> tuple[MultiPoly, ...]:
-    """Interpolating curve through k <= s+1 points: one component of degree <= k-1 per coordinate.
+def fit_curve(points, s: int) -> tuple[tuple[MultiPoly, ...], float]:
+    """Interpolating curve through k <= s+1 points, one component of degree <= k-1 per coordinate, and its norm.
 
     Parameters are assigned at the Chebyshev nodes cos((2j+1)pi/(2k)) in the
     given point order; this standard choice tames interpolation blow-up so
     the fitted curve has small high-order derivatives. The k x k
     interpolation matrix is held to ``errors.MAX_ENTRIES`` before it is
-    built. The fitted image must stay inside the unit ball.
+    built. The image at 1000 equally spaced t in [-1, 1] must stay inside
+    the unit ball; its max |omega(t)| is returned with the components.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = len(pts)
@@ -76,9 +71,12 @@ def fit_curve(points, s: int) -> tuple[MultiPoly, ...]:
     vand = np.vander(tj, k, increasing=True)
     coeff = np.linalg.solve(vand, pts)  # (k, n): per-coordinate coefficients
     curve = tuple(MultiPoly(1, {(i,): float(coeff[i, axis]) for i in range(k)}) for axis in range(pts.shape[1]))
-    if not np.all(in_unit_ball(_points(curve, np.linspace(-1.0, 1.0, _IMAGE_GRID)))):
-        raise ValidationError(f"curve image leaves the unit ball (max |omega(t)| = {image_norm(curve):.6g})")
-    return curve
+    image = _points(curve, np.linspace(-1.0, 1.0, _IMAGE_GRID))
+    with np.errstate(over="ignore"):  # an image far outside the ball reads inf, as the error reports
+        norm = float(np.max(np.sqrt(np.sum(image**2, axis=-1))))
+    if not np.all(in_unit_ball(image)):
+        raise ValidationError(f"curve image leaves the unit ball (max |omega(t)| = {norm:.6g})")
+    return curve, norm
 
 
 def composition_report(f: MultiPoly, omega, s: int, d: int, tgrid: int) -> dict:

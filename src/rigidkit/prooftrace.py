@@ -218,7 +218,9 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
     report compares the max of |p| on ``_BOUNDARY_SAMPLES`` points per ring
     against the max on an interior lattice of ``_INTERIOR_GRID`` points per
     axis and flags domains whose interior max wins, which forces an interior
-    critical point for a smooth function.
+    critical point for a smooth function, by more than twice the rounding
+    bound (terms + d) * eps * sum |c_alpha| of one evaluation of the tilted p
+    in the unit disc, so an ulp tie on the domain's own ring is no flag.
     Critical points are then located by Newton from a ``newton_grid`` x
     ``newton_grid`` seed lattice over the configuration bounding box and
     assigned to the unique domain containing them (or none). A critical
@@ -259,6 +261,8 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
     bvals = np.abs(eval_poly(pt_poly, [bpts[:, 0], bpts[:, 1]])).reshape(config.N, _BOUNDARY_SAMPLES)
     oval_max = np.max(bvals, axis=1).tolist()
     global_bmax = max(0.0, *oval_max)
+    # twice the rounding bound of one evaluation in the disc: a Python float, so each flag is a JSON bool
+    slack = 2.0 * (len(pt_poly.coefs) + d) * math.ulp(1.0) * float(np.sum(np.abs(pt_poly.coefs)))
 
     # the domains are disjoint, so each critical point goes to at most one of them
     assignments: list[int | None] = [None] * cps.n_clusters
@@ -278,7 +282,7 @@ def domain_pigeonhole_report(p: MultiPoly, config: OvalConfiguration, newton_gri
                 "area": areas[k],
                 "boundary_max": bmax,
                 "interior_max": interior_max,
-                "flagged": interior_max is not None and interior_max > bmax,
+                "flagged": interior_max is not None and interior_max - bmax > slack,
                 "has_critical_point": bool(crit_idx),
                 "critical_indices": crit_idx,
             }

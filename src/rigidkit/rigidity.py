@@ -7,7 +7,8 @@ knows: the topological Remez bound (8/mu)^d, a row that judges its own
 oval-count hypothesis; the rows of ``rigidity_report``, the rigidity bounds
 from the inverse Remez constant and from the topological domain decomposition
 (in two variants whose shapes disagree, both copying that judgement); and the
-one-dimensional divided-difference bound with its floor. The topological
+whole ``rigidity-1d`` body, the one-dimensional divided-difference bound with
+its floor. Every bound row a subcommand prints is built here. The topological
 bounds hold in the plane only: (d-1)^2 + 1 ovals outnumber the (d-1)^2
 critical points of a degree-d polynomial. ``remez`` owns the LP estimate.
 """
@@ -22,7 +23,6 @@ from .errors import ValidationError
 __all__ = [
     "remez_bound_topological",
     "rigidity_1d_bound",
-    "rigidity_1d_floor",
     "rigidity_report",
 ]
 
@@ -68,21 +68,22 @@ def remez_bound_topological(mu: float, d: int, oval_count: int) -> dict:
             "ovals_required": required}
 
 
-def rigidity_1d_bound(xs, z0: float, d: int) -> float:
-    """One-dimensional rigidity bound through d+1 zeros and a witness point with |f(z0)| = 1.
+def rigidity_1d_bound(zeros, z0: float, d: int) -> dict:
+    """The ``rigidity-1d`` body: the bound through d+1 zeros and a witness point with |f(z0)| = 1, and its floor.
 
     The top divided difference over the zeros (value 0) and z0 (value 1)
     is 1 / prod(z0 - x_i); times (d+1)! it lower-bounds the max of
     |f^(d+1)| on [-1, 1] for any smooth f with this data. All nodes must lie
-    in [-1, 1] up to ``errors.BALL_TOL``, so the result is at least
-    (d+1)!/2^(d+1).
+    in [-1, 1] up to ``errors.BALL_TOL``, so every gap is at most 2 and the
+    bound is at least the ``universal_floor`` (d+1)!/2^(d+1).
 
     1 is divided by one gap |z0 - x_i| at a time, since a product of tiny
     gaps can round to 0 where the quotient only overflows to inf. The zeros
     go in decreasing order, the order in which a Newton table divides when
-    z0 is the largest node, so such inputs give the table's bits.
+    z0 is the largest node, so such inputs give the table's bits. The body
+    lists them in increasing order.
     """
-    xs = sorted((float(x) for x in xs), reverse=True)
+    xs = sorted((float(x) for x in zeros), reverse=True)
     if not all(abs(v) <= 1.0 + errors.BALL_TOL for v in (*xs, z0)):
         raise ValidationError("zeros and witness point must be finite and lie in [-1, 1]")
     if len(xs) != d + 1:
@@ -94,12 +95,10 @@ def rigidity_1d_bound(xs, z0: float, d: int) -> float:
     quotient = 1.0
     for x in xs:
         quotient /= abs(z0 - x)
-    return _factorial(d + 1) * quotient
-
-
-def rigidity_1d_floor(d: int) -> float:
-    """(d+1)!/2^(d+1), the least ``rigidity_1d_bound`` can give: every gap |z0 - x_i| is at most 2."""
-    return _factorial(d + 1) / 2.0 ** (d + 1)
+    fact = _factorial(d + 1)
+    return {"degree": d, "zeros": xs[::-1], "z0": z0, "fz0": 1.0, "bound": fact * quotient,
+            "formula": FORMULAS["one_dimensional"], "universal_floor": fact / 2.0 ** (d + 1),
+            "universal_floor_formula": FORMULAS["one_dimensional_floor"]}
 
 
 def rigidity_report(d: int, mu_value: float, oval_count: int, inv_remez: float | None = None) -> dict:

@@ -223,6 +223,20 @@ def vanishing_ring_poly(radii) -> MultiPoly:
     return prod
 
 
+def forcing_ladder(d: int, seed: int):
+    """A random degree-d p and the (d-1)^2 + 1 ring ladder, where the pigeonhole forces something.
+
+    The ladder is N = (d-1)^2 + 1 concentric 48-gons of radii 0.95(N-i)/N,
+    one more domain than p has isolated critical points. The coefficients of
+    p are standard normal draws over ``monomials(2, d)`` from
+    ``default_rng(seed)``. Returns ``(p, config)``.
+    """
+    n = (d - 1) ** 2 + 1
+    rng = np.random.default_rng(seed)
+    p = MultiPoly(2, {exp: float(rng.normal()) for exp in monomials(2, d)})
+    return p, concentric_ring_config([0.95 * (n - i) / n for i in range(n)])
+
+
 def random_poly(n: int, d: int, rng: np.random.Generator, scale: float = 1.0) -> MultiPoly:
     """Dense random polynomial with iid uniform coefficients in [-scale, scale]."""
     return MultiPoly(n, {exp: float(rng.uniform(-scale, scale)) for exp in monomials(n, d)})

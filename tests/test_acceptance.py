@@ -161,7 +161,7 @@ def test_criterion_4_divided_difference_bound_sound_and_floored():
                 m = float(np.max(np.abs(fvals)))
                 i0 = int(np.argmax(np.abs(fvals)))
                 z0 = float(ts[i0])
-                bound = rigidity_1d_bound(list(nodes), z0, d)
+                bound = rigidity_1d_bound(list(nodes), z0, d)["bound"]
                 exact = fact * abs(lead) / m
                 if not (bound <= exact + 1e-9 and bound >= floor - 1e-12):
                     bad += 1

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import concentric_ring_config, oval_vertices, random_poly, regular_polygon, square
 from rigidkit import curves, errors, geometry
-from rigidkit.curves import composition_report, crossing_count, fit_curve, image_norm
+from rigidkit.curves import composition_report, crossing_count, fit_curve
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import validate_configuration
 from rigidkit.poly import MultiPoly, compose, derivatives_of_order, eval_poly, eval_polys
@@ -73,7 +73,7 @@ def differential_cases():
         on_ring = rng.random(s + 1) < 0.5
         pts[on_ring] = verts[rng.integers(0, len(verts), int(on_ring.sum()))]
         try:
-            omega, config = fit_curve(pts, s), validate_configuration(rings)
+            omega, config = fit_curve(pts, s)[0], validate_configuration(rings)
         except ValidationError:
             continue
         cases.append((omega, config, all_pairs_hits(omega, config)))
@@ -83,7 +83,7 @@ def differential_cases():
 class TestFitCurve:
     def test_segment_through_two_points(self):
         pts = np.array([[-0.5, -0.2], [0.4, 0.3]])
-        curve = fit_curve(pts, 1)
+        curve, _ = fit_curve(pts, 1)
         tj = chebyshev_params(2)
         for t, p in zip(tj, pts):
             assert np.allclose(curves._points(curve, t), p, atol=1e-12)
@@ -95,7 +95,7 @@ class TestFitCurve:
         base = np.array([0.1, -0.2])
         direction = np.array([0.4, 0.3])
         pts = np.array([base + s * direction for s in (1.0, 0.0, -1.0)])
-        curve = fit_curve(pts, 2)
+        curve, _ = fit_curve(pts, 2)
         for c in curve:
             quad = c.coefs[c.exps[:, 0] == 2].sum()
             assert abs(quad) <= 1e-10
@@ -104,7 +104,7 @@ class TestFitCurve:
         # place points affinely in the parameter: all nonlinear terms vanish
         tj = chebyshev_params(4)
         pts = np.array([[0.05 + 0.3 * t, -0.1 + 0.2 * t] for t in tj])
-        curve = fit_curve(pts, 3)
+        curve, _ = fit_curve(pts, 3)
         for c in curve:
             for exp, coef in zip(c.exps.tolist(), c.coefs):
                 if exp[0] >= 2:
@@ -112,7 +112,7 @@ class TestFitCurve:
 
     def test_parabola_through_three_points(self):
         pts = np.array([[-0.6, 0.1], [0.0, 0.5], [0.6, 0.1]])
-        curve = fit_curve(pts, 2)
+        curve, _ = fit_curve(pts, 2)
         tj = chebyshev_params(3)
         residual = max(np.max(np.abs(curves._points(curve, t) - p)) for t, p in zip(tj, pts))
         assert residual <= 1e-10
@@ -131,13 +131,21 @@ class TestFitCurve:
         with pytest.raises(ValidationError, match=r"curve image leaves the unit ball"):
             fit_curve(pts, 2)
 
+    def test_returns_max_image_norm(self):
+        # the curve (t, t^2) through its Chebyshev points peaks at t = +-1, at norm sqrt(2): halved, it fits
+        tj = chebyshev_params(3)
+        _, norm = fit_curve(np.stack([tj / 2.0, tj**2 / 2.0], axis=1), 2)
+        assert norm == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
+        with pytest.raises(ValidationError, match=r"^curve image leaves the unit ball \(max \|omega\(t\)\| = 1\.41421\)$"):
+            fit_curve(np.stack([tj, tj**2], axis=1), 2)
+
     def test_reproduction_property_random(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             s = int(rng.integers(1, 4))
             k = int(rng.integers(2, s + 2))
             pts = rng.uniform(-0.4, 0.4, size=(k, 2))
-            curve = fit_curve(pts, s)
+            curve, _ = fit_curve(pts, s)
             tj = chebyshev_params(k)
             residual = max(np.max(np.abs(curves._points(curve, t) - p)) for t, p in zip(tj, pts))
             assert residual <= 1e-10
@@ -151,7 +159,6 @@ class TestCurvePoints:
         assert pts.shape == (3, 2)
         assert np.allclose(pts[:, 0], ts)
         assert np.allclose(pts[:, 1], ts**2)
-        assert image_norm(curve) == math.sqrt(2.0)
 
 
 def pointwise(rep, key: str) -> np.ndarray:
@@ -356,7 +363,7 @@ class TestCrossingCount:
         for p in parabola_pts:
             angle = math.atan2(p[1], p[0]) % (2 * math.pi)
             marked.append(circle.vertices[round(angle / (2 * math.pi / k)) % k])
-        curve = fit_curve(np.array(marked), 3)
+        curve, _ = fit_curve(np.array(marked), 3)
         assert crossing_count(curve, config) >= 4
 
     def test_fine_oval_counts_in_bounded_memory(self):
@@ -387,7 +394,7 @@ class TestCrossingCount:
         # a constant curve has 4096 equal chord boxes, and the line through two neighbouring floats
         # has 3 distinct image points; swept, its zero-length chords would pair with each other
         config = concentric_ring_config((0.9, 0.5))
-        curve = fit_curve(points, s)
+        curve, _ = fit_curve(points, s)
         start = time.process_time()
         assert crossing_count(curve, config) == 0
         assert time.process_time() - start < 0.01

@@ -20,11 +20,13 @@ import pytest
 
 from conftest import (
     concentric_ring_config,
+    forcing_ladder,
     random_circle_config_exact,
     square,
     vanishing_ring_poly,
     write_config_json,
 )
+from rigidkit import curves
 from rigidkit.cli import main
 from rigidkit.poly import MultiPoly
 
@@ -37,6 +39,7 @@ CASES = (
     "curve-check-rings",
     "verify-proof-annulus",
     "verify-proof-rings",
+    "verify-proof-forcing",
     "decompose-ladder",
     "decompose-scattered",
     "bounds-ladder",
@@ -67,6 +70,10 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     fxy = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
     fxy_path = _write(workdir / "fxy.json", json.dumps(fxy.to_json_dict()))
     ring_path = _write(workdir / "rings-poly.json", json.dumps(vanishing_ring_poly(RINGS).to_json_dict()))
+    # a random quartic on 10 rings: 10 domains against at most 9 critical points
+    forcing_poly, forcing_config = forcing_ladder(4, 0)
+    forcing_path = _write(workdir / "forcing-poly.json", json.dumps(forcing_poly.to_json_dict()))
+    forcing = write_config_json(forcing_config, workdir / "forcing.json")
     pts3 = _write(workdir / "pts3.csv", "-0.3,0.2\n0.0,-0.1\n0.3,0.2\n")
     pts4 = _write(workdir / "pts4.csv", "-0.4,0.1\n-0.1,-0.2\n0.2,0.15\n0.45,-0.05\n")
     halfline = _write(workdir / "halfline.csv", "\n".join(f"{t:.12f}" for t in np.linspace(-1.0, 0.0, 64)))
@@ -90,6 +97,7 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
             "verify-proof", "--poly", fxy_path, "--config", annulus, "--grid", "32",
         ],
         "verify-proof-rings": ["verify-proof", "--poly", ring_path, "--config", rings, "--grid", "24"],
+        "verify-proof-forcing": ["verify-proof", "--poly", forcing_path, "--config", forcing, "--grid", "24"],
         "decompose-ladder": ["decompose", "--config", ladder],
         "decompose-scattered": ["decompose", "--config", scattered],
         "bounds-ladder": ["bounds", "--config", ladder, "--degree", "6"],
@@ -130,6 +138,21 @@ def golden_argv(tmp_path_factory) -> dict[str, list[str]]:
 @pytest.mark.parametrize("case", CASES)
 def test_report_body_matches_golden(case, golden_argv, tmp_path):
     assert _body(golden_argv[case], tmp_path / "out.json") == (GOLDEN / f"{case}.json").read_text()
+
+
+@pytest.mark.parametrize("case", ["curve-check-annulus", "curve-check-rings"])
+def test_curve_check_evaluates_its_image_once(case, golden_argv, tmp_path, monkeypatch):
+    # the unit-ball check and the reported max_image_norm share one pass over the image
+    sizes = []
+    real = curves.eval_polys
+
+    def spy(polys, x):
+        sizes.append(int(np.size(x[0])))
+        return real(polys, x)
+
+    monkeypatch.setattr(curves, "eval_polys", spy)
+    _body(golden_argv[case], tmp_path / "out.json")
+    assert sizes.count(curves._IMAGE_GRID) == 1
 
 
 def test_svg_matches_golden(golden_argv, tmp_path):

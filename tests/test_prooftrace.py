@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import concentric_ring_config, random_poly, regular_polygon, vanishing_ring_poly
+from conftest import concentric_ring_config, forcing_ladder, random_poly, regular_polygon, vanishing_ring_poly
 from rigidkit import prooftrace
 from rigidkit.errors import ValidationError
 from rigidkit.geometry import validate_configuration
@@ -466,6 +466,17 @@ class TestPigeonhole:
         assert report["critical_points"]["n_clusters"] == 0
         assert all(not e["flagged"] for e in report["domains"])
 
+    def test_ulp_ties_at_the_own_ring_are_no_flag(self):
+        # on the 10-ring ladder, this quartic's lattice maxima in domains 2, 3, 4 and 9 are at (-r, 0), a vertex of
+        # the domain's own outer ring, where they beat the boundary samples by an ulp; Newton finds a critical
+        # point in domain 3 only
+        p, config = forcing_ladder(4, 4)
+        domains = domain_pigeonhole_report(p, config, 24)["domains"]
+        ties = [e["oval_id"] for e in domains if e["interior_max"] > e["boundary_max"]]
+        assert ties == [2, 3, 4, 9]
+        assert [e["flagged"] for e in domains] == [False] * 10
+        assert all(type(e["flagged"]) is bool for e in domains)
+
     @staticmethod
     def coarse_and_fine(monkeypatch) -> list[dict]:
         """Two-ring reports at 128 boundary samples and a 17-point lattice, then at 256 and 33."""
@@ -531,3 +542,16 @@ class TestPigeonhole:
         data = domain_pigeonhole_report(two_ring_poly(), two_ring_config(), newton_grid=48)
         assert {"degree", "perturbation", "bezout", "critical_points", "domains"} <= set(data)
         assert all({"oval_id", "boundary_max", "interior_max", "flagged"} <= set(e) for e in data["domains"])
+
+
+class TestForcingRegime:
+    """A random degree-d p on (d-1)^2 + 1 rings: one more domain than p has isolated critical points."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_pigeonhole_leaves_domains_without_critical_point(self, d, seed):
+        p, config = forcing_ladder(d, seed)
+        report = domain_pigeonhole_report(p, config, 24)
+        if report["bezout"]["verdict"] == "consistent":
+            assert report["pigeonhole_forced"]
+            assert report["n_without_critical_point"] >= config.N - (d - 1) ** 2

@@ -5,22 +5,35 @@ import pytest
 
 from rigidkit.errors import ValidationError
 from rigidkit.poly import MultiPoly, derivatives_of_order, eval_poly
-from rigidkit.rigidity import FORMULAS, remez_bound_topological, rigidity_1d_bound, rigidity_1d_floor, rigidity_report
+from rigidkit.rigidity import FORMULAS, remez_bound_topological, rigidity_1d_bound, rigidity_report
 
 
 class TestRigidity1D:
     def test_two_zeros_right_witness(self):
-        assert rigidity_1d_bound([-1.0, 0.0], 1.0, 1) == pytest.approx(1.0)
+        assert rigidity_1d_bound([-1.0, 0.0], 1.0, 1)["bound"] == pytest.approx(1.0)
 
     def test_witness_between_zeros(self):
-        assert rigidity_1d_bound([-1.0, 1.0], 0.0, 1) == pytest.approx(2.0)
+        assert rigidity_1d_bound([-1.0, 1.0], 0.0, 1)["bound"] == pytest.approx(2.0)
+
+    def test_row_is_the_rigidity_1d_body(self):
+        # the zeros come back in increasing order, next to the floor and both formulas
+        assert rigidity_1d_bound([0.5, -0.8, -0.2], 0.9, 2) == {
+            "degree": 2,
+            "zeros": [-0.8, -0.2, 0.5],
+            "z0": 0.9,
+            "fz0": 1.0,
+            "bound": 8.021390374331549,  # 3! / (0.4 * 1.1 * 1.7)
+            "formula": FORMULAS["one_dimensional"],
+            "universal_floor": 0.75,
+            "universal_floor_formula": FORMULAS["one_dimensional_floor"],
+        }
 
     def test_floor_on_random_configurations(self):
         # the floor that rigidity-1d reports, for every supported degree
-        assert [rigidity_1d_floor(d) for d in range(19)] == [math.factorial(d + 1) / 2 ** (d + 1) for d in range(19)]
+        floors = [rigidity_1d_bound(np.linspace(-1.0, 0.5, d + 1), 1.0, d)["universal_floor"] for d in range(19)]
+        assert floors == [math.factorial(d + 1) / 2 ** (d + 1) for d in range(19)]
         rng = np.random.default_rng(41)
         for d in range(1, 5):
-            floor = rigidity_1d_floor(d)
             for _ in range(50):
                 nodes = np.sort(rng.uniform(-1.0, 1.0, size=d + 2))
                 while np.min(np.diff(nodes)) < 1e-3:
@@ -28,7 +41,8 @@ class TestRigidity1D:
                 which = rng.integers(0, d + 2)
                 z0 = nodes[which]
                 xs = np.delete(nodes, which)
-                assert rigidity_1d_bound(xs, z0, d) >= floor - 1e-12
+                row = rigidity_1d_bound(xs, z0, d)
+                assert row["bound"] >= row["universal_floor"] - 1e-12
 
     def test_sound_against_exact_derivative(self):
         # f = degree-(d+1) polynomial vanishing on xs, sup-normalized on [-1,1]
@@ -49,7 +63,7 @@ class TestRigidity1D:
                 z0 = float(grid[idx])
                 if np.min(np.abs(xs - z0)) < 1e-9:
                     continue
-                bound = rigidity_1d_bound(xs, z0, d)  # |f(z0)| = 1 up to rounding
+                bound = rigidity_1d_bound(xs, z0, d)["bound"]  # |f(z0)| = 1 up to rounding
                 [(_, deriv)] = derivatives_of_order(f, d + 1)
                 exact = float(np.max(np.abs(eval_poly(deriv, [grid])))) if not deriv.is_zero() else 0.0
                 assert bound <= exact + 1e-9
